@@ -1,9 +1,11 @@
 # One-variable factorization engine.  A nonnegative Laurent polynomial Q
-# is factored as Q = P*P by building Schur complements of truncated block
-# Toeplitz matrices: P_0 is the square root of the limiting corner
-# complement, and each later coefficient is recovered from a triangular
-# extension solve against the factor built so far.  A classical scalar
-# root-pairing construction serves as an independent oracle.
+# of degree m is factored as Q = P*P from one Schur complement: S(m), the
+# limit of the complements of truncated block Toeplitz matrices on their
+# leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
+# L of the P_k.  P_0 is the square root of its corner block, and one
+# range-restricted solve against P_0 reads P_1..P_m off its last block
+# row.  A classical scalar root-pairing construction serves as an
+# independent oracle.
 
 from __future__ import annotations
 
@@ -210,17 +212,6 @@ def schur_limit(
         s_prev, n = s_next, n_next
 
 
-def _block_lower_factor(coeffs: list[np.ndarray]) -> np.ndarray:
-    # L[i, j] = P_{i-j} for the coefficients found so far.
-    kk = len(coeffs)
-    r = coeffs[0].shape[0]
-    ell = np.zeros((kk * r, kk * r), dtype=complex)
-    for i in range(kk):
-        for j in range(i + 1):
-            ell[i * r : (i + 1) * r, j * r : (j + 1) * r] = coeffs[i - j]
-    return ell
-
-
 def factor(
     q: MatrixLaurentPoly1,
     conv_tol: float = DEFAULT_CONV_TOL,
@@ -237,10 +228,17 @@ def factor(
     Near-boundary-zero inputs that exhaust the truncation budget are not
     rejected: the factorization completes with the convergence gap
     recorded in the report, and the residual is then gap-dominated.
+    A block cap n_max below 2(m + 1) leaves no room to double the S(m)
+    truncation even once and raises ValueError.
     """
     grid = grid or verify.GridSpec(9)
     m, r = q.degree, q.size
     scale = max(q.scale, 1e-300)
+    if n_max < 2 * (m + 1):
+        raise ValueError(
+            f"block cap N = {n_max} is below the minimum 2(m + 1) = {2 * (m + 1)} "
+            f"for degree m = {m}"
+        )
 
     screen = toeplitz_psd_check(q, m + 1, tol=1e-9)
     if not screen.ok:
@@ -251,52 +249,32 @@ def factor(
             n_blocks=m + 1,
         )
 
-    def corner(kk: int):
-        try:
-            return schur_limit(q, kk, conv_tol=conv_tol, n0=n0, n_max=n_max), True
-        except SchurConvergenceError as err:
-            return err.partial, False
-
-    results = []
-    converged = True
-    for kk in range(m + 1):
-        res, ok = corner(kk)
-        results.append(res)
-        converged = converged and ok
-    gap_max = max((res.gap for res in results if math.isfinite(res.gap)), default=0.0)
-    n_used = max(res.n_used for res in results)
-
-    p0 = linalg.psd_sqrt(results[0].value, clamp_tol=clamp_tol)
+    # S(m) = L* L with L[i, j] = P_{i-j}, so its last block row is
+    # [P_0* P_m, ..., P_0* P_0]: P_0 is the root of the corner block, and
+    # one minimum-norm solve, which keeps every P_k inside ran P_0, gives
+    # the rest.
+    try:
+        res = schur_limit(q, m, conv_tol=conv_tol, n0=n0, n_max=n_max)
+    except SchurConvergenceError as err:
+        res = err.partial
+    last = res.value[m * r :, :]
+    p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=clamp_tol)
     coeffs = [p0]
-    solve_atol = 10.0 * (gap_max + conv_tol * scale) + 1e-12 * scale
-    for kk in range(1, m + 1):
-        sk = results[kk].value
-        bcol = sk[r:, :r]
-        ell = _block_lower_factor(coeffs)
+    if m > 0:
         try:
             x = linalg.range_restricted_solve(
-                ell.conj().T,
-                bcol,
+                p0,
+                last[:, : m * r],
                 rank_tol=rank_tol,
-                residual_rtol=1e-8,
-                residual_atol=solve_atol,
+                residual_atol=10.0 * (res.gap + conv_tol * scale) + 1e-12 * scale,
             )
         except linalg.InconsistentSystemError as exc:
             raise FactorNumericalError(
-                f"numerical failure: S({kk}) structure violated "
+                f"numerical failure: S({m}) structure violated "
                 f"(solve residual {exc.residual:.3e}; tolerance too tight for "
                 f"this input)"
             ) from exc
-        coeffs.append(x[(kk - 1) * r :, :])
-
-    # Range nesting: every later coefficient acts into the numerical range
-    # of P_0.  A no-op when P_0 has full rank.
-    pair = linalg.eig_hermitian(p0)
-    lam_top = float(pair.values[-1]) if pair.values.size else 0.0
-    if lam_top > 0 and float(pair.values[0]) <= rank_tol * lam_top:
-        keep = pair.values > rank_tol * lam_top
-        proj = pair.basis[:, keep] @ pair.basis[:, keep].conj().T
-        coeffs = [coeffs[0]] + [proj @ c for c in coeffs[1:]]
+        coeffs += np.split(x, m, axis=1)[::-1]  # x = [P_m | ... | P_1]
 
     phat = MatrixAnalyticPoly1(coeffs)
     resid = verify.residual(q, phat, grid)
@@ -304,9 +282,9 @@ def factor(
     report = FactorReport(
         residual_sup=resid,
         outer_verdict=outer.verdict,
-        n_used=n_used,
-        gap=gap_max,
-        converged=converged,
+        n_used=res.n_used,
+        gap=res.gap,
+        converged=res.converged,
         tolerances={
             "conv_tol": conv_tol,
             "residual_tol": residual_tol,

@@ -183,12 +183,13 @@ def eig_hermitian(h, tol: float = 1e-14, max_sweeps: int = 60) -> EigenPair:
 def psd_check(h, tol: float = 0.0) -> PsdVerdict:
     """Smallest-eigenvalue nonnegativity test.
 
-    Passes iff min eig >= -tol * (1 + max |eig|).
+    Passes iff min eig >= -tol * max |eig|, a test that does not change
+    when h is rescaled.
     """
     pair = eig_hermitian(h)
     lo = float(pair.values[0])
     hi = float(np.max(np.abs(pair.values)))
-    return PsdVerdict(ok=lo >= -tol * (1.0 + hi), min_eig=lo)
+    return PsdVerdict(ok=lo >= -tol * hi, min_eig=lo)
 
 
 def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:

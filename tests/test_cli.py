@@ -59,6 +59,16 @@ class TestCheck:
         assert report["min_eig"] == pytest.approx(-2.0, abs=1e-12)
         assert report["witness"][0][0] == pytest.approx(-1.0)
 
+    def test_toeplitz_screen_is_scale_invariant(self, capsys, tmp_path):
+        # 1e-10 (z + 1/z) dips to -2e-10: its 2-block Toeplitz matrix has
+        # eigenvalue -1e-10, minus the input's own scale.
+        path = tmp_path / "tiny.json"
+        save_poly(path, MatrixLaurentPoly1.from_causal(1, {0: [[0.0]], 1: [[1e-10]]}))
+        code, report, _ = run(capsys, ["check", str(path)])
+        assert code == 1
+        assert report["toeplitz_psd"]["ok"] is False
+        assert report["toeplitz_psd"]["min_eig"] == pytest.approx(-1e-10, rel=1e-9)
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nonsense")
@@ -105,6 +115,11 @@ class TestFactor:
         code, report, _ = run(capsys, ["factor", str(path), "--max-trunc", "32"])
         assert code == 3
         assert report["converged"] is False
+
+    def test_cap_below_one_doubling_exits_two(self, capsys, strict_1d):
+        code, report, _ = run(capsys, ["factor", strict_1d, "--max-trunc", "3"])
+        assert code == 2
+        assert "minimum 2(m + 1) = 4" in report["error"]
 
 
 class TestFactor2d:

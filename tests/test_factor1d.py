@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specfactor import corpus, linalg, verify
+from specfactor import corpus, factor1d, linalg, verify
 from specfactor.factor1d import (
     NotNonnegativeError,
     SchurConvergenceError,
@@ -213,6 +213,46 @@ class TestFactor:
         assert rep.gap > 0
         # residual stays gap-dominated rather than hard-failing
         assert rep.residual_sup <= 10 * rep.gap
+        # gap and N_used are those of the single S(m) limit
+        with pytest.raises(SchurConvergenceError) as err:
+            schur_limit(q, 1, n_max=256)
+        assert rep.gap == err.value.partial.gap
+        assert rep.n_used == err.value.partial.n_used == 256
+
+    def test_cap_below_one_doubling_raises(self):
+        q = scalar_laurent({0: 5.0, 1: 2.0})
+        with pytest.raises(ValueError, match=r"minimum 2\(m \+ 1\) = 4"):
+            factor(q, n_max=3)
+        # At the minimum cap one doubling fits, so the gap is finite.
+        _, rep = factor(q, n_max=4)
+        assert not rep.converged
+        assert 0 < rep.gap < np.inf
+        assert rep.n_used == 4
+
+    def test_one_schur_limit_per_factorization(self, monkeypatch):
+        calls = []
+
+        def counted(q, k, **kwargs):
+            calls.append(k)
+            return schur_limit(q, k, **kwargs)
+
+        monkeypatch.setattr(factor1d, "schur_limit", counted)
+        q, _ = corpus.ridged_instance(np.random.default_rng(12), 2, 3)
+        factor(q)
+        assert calls == [3]
+
+    def test_last_block_row_of_limit_is_read_off_the_factor(self):
+        # S(m) = L* L with L[i, j] = P_{i-j}: its last block row is
+        # [P_0* P_m, ..., P_0* P_0].
+        rng = np.random.default_rng(2026)
+        for r in (1, 2, 3):
+            for m in (1, 2, 3, 4):
+                q, _ = corpus.ridged_instance(rng, r, m)
+                phat, _ = factor(q)
+                last = schur_limit(q, m).value[m * r :, :]
+                p0h = phat.coeff(0).conj().T
+                want = np.hstack([p0h @ phat.coeff(m - j) for j in range(m + 1)])
+                assert np.max(np.abs(last - want)) <= 1e-10 * q.scale
 
 
 class TestNormalizeGauge:

@@ -89,6 +89,14 @@ class TestPsdCheck:
         assert not verdict.ok
         assert abs(verdict.min_eig + 1.0) < 1e-13
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_verdict_is_scale_invariant(self, scale):
+        assert not psd_check(scale * np.diag([1.0, -0.5]), tol=1e-8).ok
+        assert psd_check(scale * np.diag([1.0, -1e-10]), tol=1e-8).ok
+
+    def test_zero_matrix_passes(self):
+        assert psd_check(np.zeros((2, 2))).ok
+
 
 class TestPsdSqrt:
     def test_identity(self):
