@@ -78,19 +78,28 @@ def inverse_cesaro(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly2:
     return _reweight(q, n, inverse=True)
 
 
-def remainder_bound(q: MatrixLaurentPoly2, n: int) -> float:
+def _offset_norms(q: MatrixLaurentPoly2) -> list[tuple[int, float]]:
+    """(|k|, operator norm of Q_jk) for every k != 0, in sorted order."""
+    return [
+        (abs(k), linalg.op_norm(c)) for (_, k), c in sorted(q.coeffs.items()) if k != 0
+    ]
+
+
+def remainder_bound(
+    q: MatrixLaurentPoly2, n: int, norms: list[tuple[int, float]] | None = None
+) -> float:
     """Certified sup-norm bound for the inverse-Cesaro reweighting error.
 
     Triangle inequality over coefficients: sum of |k|/(N+1-|k|) times the
     operator norm of Q_jk.  Valid on the whole torus, not just a grid.
+    norms, when given, is _offset_norms(q), so repeated calls for several
+    N compute each operator norm once.
     """
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
     total = 0.0
-    for (_, k), c in sorted(q.coeffs.items()):
-        if k == 0:
-            continue
-        total += abs(k) / (n + 1 - abs(k)) * linalg.op_norm(c)
+    for k, norm in _offset_norms(q) if norms is None else norms:
+        total += k / (n + 1 - k) * norm
     return total
 
 
@@ -104,9 +113,10 @@ def choose_truncation(
     if not 0 < margin < 1:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
     budget = delta_est * (1.0 - margin)
+    norms = _offset_norms(q)
     n = q.deg2
     while True:
-        bound = remainder_bound(q, n)
+        bound = remainder_bound(q, n, norms)
         # Strict inequality with an ulp-level guard so rational ties
         # (mathematically not-strictly-below) push N up, never down.
         if bound < budget * (1.0 - 1e-12):

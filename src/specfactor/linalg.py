@@ -1,7 +1,7 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
-# cyclic Jacobi eigensolver, PSD square roots with clamping, contraction
-# extraction from PSD block matrices, 2x2-block Schur complements, and
-# range-restricted minimum-norm solves.
+# one eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD square
+# roots with clamping, contraction extraction from PSD block matrices,
+# 2x2-block Schur complements, and range-restricted minimum-norm solves.
 
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ import numpy as np
 DEFAULT_HERMITIAN_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps did not reduce the off-diagonal mass below target."""
 
 
 class NotPSDError(ValueError):
@@ -81,103 +77,15 @@ def check_hermitian(h, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
     return (h + h.conj().T) / 2
 
 
-def _rotation_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Round-robin tournament schedule: n-1 rounds of disjoint index pairs
-    # covering every (p, q) once per sweep.  Disjoint pairs commute, so a
-    # whole round of rotations can be applied as one batched update.
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            p, q = players[i], players[m - 1 - i]
-            if p < n and q < n:
-                ps.append(min(p, q))
-                qs.append(max(p, q))
-        rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def eig_hermitian(h, tol: float = 1e-14, max_sweeps: int = 60) -> EigenPair:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(h) -> EigenPair:
+    """Eigendecomposition of a Hermitian matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns eigenvalues in ascending order and a unitary basis whose
-    columns are the corresponding eigenvectors.  Deterministic: each sweep
-    applies a fixed round-robin schedule of disjoint rotation pairs.
+    columns are the corresponding eigenvectors.  Every eigensolve of the
+    construction goes through this function.
     """
-    a = check_hermitian(h)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return EigenPair(values=np.array([a[0, 0].real]), basis=v)
-
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return EigenPair(values=np.zeros(n), basis=v)
-
-    def off_norm(m):
-        return np.sqrt(np.sum(np.abs(np.triu(m, 1)) ** 2))
-
-    target = tol * scale * n
-    rounds = _rotation_rounds(n)
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm(a) <= target:
-            converged = True
-            break
-        for ps, qs in rounds:
-            apq = a[ps, qs]
-            absq = np.abs(apq)
-            act = absq > 0.0
-            if not np.any(act):
-                continue
-            safe = np.where(act, absq, 1.0)
-            phase = np.where(act, apq / safe, 1.0)
-            app = a[ps, ps].real
-            aqq = a[qs, qs].real
-            tau = (aqq - app) / (2.0 * safe)
-            # hypot avoids overflow for extreme diagonal/off-diagonal ratios
-            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(act, c, 1.0)
-            s = np.where(act, s, 0.0)
-            # Columns: A <- A J with J[p,p]=c, J[q,p]=-s*conj(phase),
-            # J[p,q]=s, J[q,q]=c*conj(phase); then rows: A <- J* A.
-            sc = s * np.conj(phase)
-            cc = c * np.conj(phase)
-            colp = a[:, ps].copy()
-            colq = a[:, qs].copy()
-            a[:, ps] = c * colp - sc * colq
-            a[:, qs] = s * colp + cc * colq
-            rowp = a[ps, :].copy()
-            rowq = a[qs, :].copy()
-            sp = (s * phase)[:, None]
-            cp = (c * phase)[:, None]
-            a[ps, :] = c[:, None] * rowp - sp * rowq
-            a[qs, :] = s[:, None] * rowp + cp * rowq
-            a[ps, qs] = 0.0
-            a[qs, ps] = 0.0
-            a[ps, ps] = a[ps, ps].real
-            a[qs, qs] = a[qs, qs].real
-            vcolp = v[:, ps].copy()
-            vcolq = v[:, qs].copy()
-            v[:, ps] = c * vcolp - sc * vcolq
-            v[:, qs] = s * vcolp + cc * vcolq
-    else:
-        converged = off_norm(a) <= target
-    if not converged:
-        raise EigenConvergenceError(
-            f"Jacobi sweeps did not converge for a {n}x{n} Hermitian matrix: "
-            f"off-diagonal residual {off_norm(a):.3e} after {max_sweeps} sweeps"
-        )
-
-    values = np.real(np.diag(a))
-    order = np.argsort(values, kind="stable")
-    return EigenPair(values=values[order], basis=v[:, order])
+    values, basis = np.linalg.eigh(check_hermitian(h))
+    return EigenPair(values=values, basis=basis)
 
 
 def psd_check(h, tol: float = 0.0) -> PsdVerdict:

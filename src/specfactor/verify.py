@@ -1,8 +1,8 @@
 # Independent verification: torus grid sampling for positivity estimates,
 # factorization residuals, and outerness certification through the roots
-# of the determinant polynomial.  The grid eigenvalue work deliberately
-# goes through LAPACK rather than the in-house Jacobi solver, so this
-# module checks the construction path with different machinery.
+# of the determinant polynomial.  It is independent of the construction
+# because it evaluates the polynomials on grids of its own and never
+# reuses the Schur limits, truncations or solves that built the factor.
 
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specfactor import corpus, verify
+from specfactor import corpus, linalg, verify
 from specfactor.factor2d import (
     NotStrictlyPositiveError,
     cesaro_smooth,
@@ -120,6 +120,24 @@ class TestChooseTruncation:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError, match="positive"):
             choose_truncation(Q_PLANE, 0.0)
+
+    def test_operator_norms_computed_once(self, monkeypatch):
+        q = scalar_laurent2({(0, 0): 4.4, (1, 0): 1.0, (0, 1): 1.0})
+        delta = estimate_delta(q, verify.GridSpec(9, 9))
+        expected = choose_truncation(q, delta)
+        calls = []
+        op_norm = linalg.op_norm
+
+        def counted(a):
+            calls.append(1)
+            return op_norm(a)
+
+        monkeypatch.setattr(linalg, "op_norm", counted)
+        plan = choose_truncation(q, delta)
+        assert plan.n == 11
+        assert len(calls) == sum(1 for _, k in q.coeffs if k != 0)
+        assert (plan.n, plan.bound_s) == (expected.n, expected.bound_s)
+        assert plan.bound_s == remainder_bound(q, plan.n)
 
 
 class TestLiftToBlock:

@@ -72,6 +72,26 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="NaN or infinite"):
             eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rank_decisions_on_graded_gram_matrices(self):
+        # H = G G* with rank k and singular values of G log-spaced from 1
+        # to 1e-3: the smallest nonzero eigenvalue is 1e-6 * lambda_max,
+        # far above the rank thresholds, and the n - k zero eigenvalues
+        # must stay at rounding level.
+        rng = np.random.default_rng(31)
+        for n in range(2, 17):
+            for k in sorted({1, n // 2, n - 1}):
+                u, _ = np.linalg.qr(random_hermitian(rng, n) + 1j * np.eye(n))
+                w, _ = np.linalg.qr(random_hermitian(rng, k) + 1j * np.eye(k))
+                g = (u[:, :k] * np.logspace(0, -3, k)) @ w.conj().T
+                h = g @ g.conj().T
+                pair = eig_hermitian(h)
+                top = float(pair.values[-1])
+                assert np.sum(np.abs(pair.values) <= 1e-12 * top) == n - k
+                _, sigma, _ = linalg.svd_via_eig(g, rank_tol=1e-10)
+                assert sigma.size == k
+                root = psd_sqrt(h)
+                assert np.max(np.abs(root @ root - h)) <= 1e-12 * top
+
 
 class TestPsdCheck:
     def test_identity(self):
