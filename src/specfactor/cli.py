@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--grid",
             type=_parse_grid,
             default=verify.GridSpec(9),
-            help="log2 grid sizes g or g1,g2 (default 9)",
+            help="log2 grid sizes g or g1,g2 (default 9); for factor2d, the finest "
+            "grid the delta bound may refine to",
         )
         p.add_argument(
             "--max-trunc", type=int, default=4096, help="Schur truncation block cap"

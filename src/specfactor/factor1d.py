@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ DEFAULT_CONV_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_N_MAX = 4096
 TRUNCATION_PSD_TOL = 1e-8
+# Truncation doubling stops, as at the block cap, before a truncation
+# whose arrays would need more than half the physical memory.
+MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
 class NotNonnegativeError(ValueError):
@@ -175,6 +179,12 @@ def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(abs(pair.values[0]), abs(pair.values[-1])))
 
 
+def truncation_bytes(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> int:
+    """Bytes of the complex band, right-hand side and solution that
+    truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1))."""
+    return 16 * q.size**2 * n_blocks * (q.degree + 1 + 2 * (k + 1))
+
+
 def schur_limit(
     q: MatrixLaurentPoly1,
     k: int,
@@ -186,7 +196,9 @@ def schur_limit(
     doubling the truncation until the PSD-ordered gap closes.
 
     The truncation sequence is monotone nonincreasing in the PSD order,
-    so the gap is a one-sided convergence certificate.
+    so the gap is a one-sided convergence certificate.  Doubling stops
+    with SchurConvergenceError at the block cap n_max, or earlier when the
+    next truncation would need more than MEMORY_BUDGET bytes.
     """
     if n0 is None:
         n0 = 4 * (q.degree + 1)
@@ -197,13 +209,18 @@ def schur_limit(
     gap = math.inf
     while True:
         n_next = 2 * n
-        if n_next > n_max:
+        need = truncation_bytes(q, k, n_next)
+        if n_next > n_max or need > MEMORY_BUDGET:
             partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
+            if n_next > n_max:
+                cause = f"at block cap N = {n_max} (expected near boundary zeros of Q)"
+            else:
+                cause = (
+                    f"at N = {n}: truncation N = {n_next} would need about "
+                    f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B"
+                )
             raise SchurConvergenceError(
-                f"slow Schur convergence: gap {gap:.3e} at block cap N = {n_max} "
-                f"(expected near boundary zeros of Q)",
-                gap=gap,
-                partial=partial,
+                f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
             )
         s_next = truncated_schur(q, k, n_next)
         gap = _gap_norm(s_prev, s_next)

@@ -217,16 +217,43 @@ def factor_cesaro(
 
 
 def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
-    """Torus lower-bound estimate: grid minimum eigenvalue reduced by a
-    derivative-based guard for what the grid can miss."""
-    gm = verify.grid_min_eig(q, grid)
-    coeff_mass = sum(linalg.op_norm(c) for _, c in sorted(q.coeffs.items()))
-    pts = min(
-        1 << grid.g1,
-        1 << (grid.g2 if grid.g2 is not None else grid.g1),
-    )
-    guard = coeff_mass * np.pi * (q.deg1 + q.deg2) / pts
-    return gm.min_eig - guard
+    """Certified lower bound for the smallest eigenvalue of Q on the torus.
+
+    Sampling inequality (Ehlich-Zeller): a real trigonometric polynomial t
+    of degree n satisfies sup |t| <= sec(pi n / M) max |t| over M > 2n
+    equispaced points.  Applied once per variable to t = v*(Q - cI)v for
+    every unit vector v, with lo, hi the smallest and largest eigenvalues
+    of Q on an M1 x M2 roots-of-unity grid and c = (hi + lo) / 2, it gives
+
+        lambda_min(Q) >= c - sec(pi m1/M1) sec(pi m2/M2) (hi - lo) / 2
+
+    everywhere on the torus, not just on the grid.  Each axis starts at
+    the smallest power of two >= max(64, 4 m_i); the grid doubles while
+    the guard lo - bound exceeds lo / 10, never past grid, which is the
+    finest grid the bound may use.  A grid minimum lo <= 0 already proves
+    Q is not strictly positive and is returned as it is.
+    """
+    degs = (q.deg1, q.deg2)
+    top = (grid.g1, grid.g2 if grid.g2 is not None else grid.g1)
+    for m, g in zip(degs, top):
+        if 1 << g <= 2 * m:
+            raise ValueError(
+                f"delta grid of {1 << g} points is too coarse for degree {m}: "
+                f"the sampling bound needs more than {2 * m}"
+            )
+    logs = [min(max(6, (4 * m - 1).bit_length()), g) for m, g in zip(degs, top)]
+    while True:
+        gm = verify.grid_min_eig(q, verify.GridSpec(*logs))
+        lo, hi = gm.min_eig, gm.max_eig
+        if lo <= 0:
+            return lo
+        sec = 1.0
+        for m, g in zip(degs, logs):
+            sec /= np.cos(np.pi * m / (1 << g))
+        bound = (hi + lo) / 2 - sec * (hi - lo) / 2
+        if lo - bound <= lo / 10 or logs == list(top):
+            return float(bound)
+        logs = [min(g + 1, t) for g, t in zip(logs, top)]
 
 
 def factor_strict(
@@ -241,7 +268,8 @@ def factor_strict(
 
     Applies the Cesaro pipeline to the inverse-weighted polynomial so the
     weights cancel and the factors target Q itself.  delta overrides the
-    grid-based lower-bound estimate.
+    certified torus lower bound of estimate_delta, which samples grids no
+    finer than delta_grid.
     """
     delta_grid = delta_grid or verify.GridSpec(9, 9)
     grid = grid or verify.GridSpec(6, 6)

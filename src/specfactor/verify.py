@@ -47,30 +47,37 @@ class GridSpec:
 class GridMin(NamedTuple):
     min_eig: float
     point: tuple[complex, ...]
+    max_eig: float
 
 
-def _min_eigs_stack(vals: np.ndarray) -> np.ndarray:
+def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # vals: (..., r, r) Hermitian stack; r == 1 short-circuits the solver.
     if vals.shape[-1] == 1:
-        return vals[..., 0, 0].real
+        return vals[..., 0, 0].real, vals[..., 0, 0].real
     herm = (vals + np.conj(np.swapaxes(vals, -1, -2))) / 2
-    return np.linalg.eigvalsh(herm)[..., 0]
+    eigs = np.linalg.eigvalsh(herm)
+    return eigs[..., 0], eigs[..., -1]
 
 
 def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
-    """Minimum eigenvalue of Q over the sampling grid, with the attaining point."""
+    """Minimum eigenvalue of Q over the sampling grid, with the attaining
+    point, and the maximum eigenvalue over the grid from the same solve."""
     if isinstance(q, MatrixLaurentPoly1):
         zs = grid.points1()
-        mins = _min_eigs_stack(eval1_grid(q, zs))
+        mins, maxs = _eig_range_stack(eval1_grid(q, zs))
         idx = int(np.argmin(mins))
-        return GridMin(min_eig=float(mins[idx]), point=(complex(zs[idx]),))
+        return GridMin(
+            min_eig=float(mins[idx]), point=(complex(zs[idx]),), max_eig=float(np.max(maxs))
+        )
     if isinstance(q, MatrixLaurentPoly2):
         zs1 = grid.points1()
         zs2 = grid.points2()
-        mins = _min_eigs_stack(eval2_grid(q, zs1, zs2))
+        mins, maxs = _eig_range_stack(eval2_grid(q, zs1, zs2))
         i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
         return GridMin(
-            min_eig=float(mins[i, j]), point=(complex(zs1[i]), complex(zs2[j]))
+            min_eig=float(mins[i, j]),
+            point=(complex(zs1[i]), complex(zs2[j])),
+            max_eig=float(np.max(maxs)),
         )
     raise TypeError(f"cannot grid-sample object of type {type(q).__name__}")
 

@@ -116,6 +116,18 @@ class TestFactor:
         assert code == 3
         assert report["converged"] is False
 
+    def test_memory_budget_exits_three(self, capsys, tmp_path, monkeypatch):
+        from specfactor import corpus, factor1d
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        path = tmp_path / "ridged.json"
+        save_poly(path, q)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32))
+        code, report, _ = run(capsys, ["factor", str(path)])
+        assert code == 3
+        assert report["converged"] is False
+        assert report["N_used"] == 32
+
     def test_cap_below_one_doubling_exits_two(self, capsys, strict_1d):
         code, report, _ = run(capsys, ["factor", strict_1d, "--max-trunc", "3"])
         assert code == 2

@@ -113,6 +113,25 @@ class TestSchurLimit:
         assert err.value.partial.value.shape == (1, 1)
         assert not err.value.partial.converged
 
+    def test_memory_budget_stops_doubling(self, monkeypatch):
+        # Budget for one doubling only: the second one stops through the
+        # block-cap path, with the byte estimate in the message.
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        m = q.degree
+        n0 = 4 * (m + 1)
+        need = factor1d.truncation_bytes(q, m, 4 * n0)
+        assert need == 3 * 16 * (m + 1) * q.size**2 * 4 * n0
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(SchurConvergenceError) as err:
+            schur_limit(q, m)
+        assert f"need about {need:.3e} B" in str(err.value)
+        assert err.value.partial.n_used == 2 * n0
+        assert 0 < err.value.gap < np.inf
+        _, rep = factor(q)
+        assert not rep.converged
+        assert rep.n_used == 2 * n0
+        assert rep.gap == err.value.gap
+
     def test_inheritance_of_nested_complements(self):
         rng = np.random.default_rng(31)
         for _ in range(5):

@@ -17,11 +17,16 @@ from specfactor.factor2d import (
 from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly2,
+    eval2_grid,
 )
 
 
 def scalar_laurent2(causal):
     return MatrixLaurentPoly2.from_causal(1, {idx: [[v]] for idx, v in causal.items()})
+
+
+def plane(c0):
+    return scalar_laurent2({(0, 0): c0, (1, 0): 1.0, (0, 1): 1.0})
 
 
 Q_PLANE = scalar_laurent2({(0, 0): 5.0, (1, 0): 1.0, (0, 1): 1.0})
@@ -134,10 +139,89 @@ class TestChooseTruncation:
 
         monkeypatch.setattr(linalg, "op_norm", counted)
         plan = choose_truncation(q, delta)
-        assert plan.n == 11
+        assert plan.n == 8
         assert len(calls) == sum(1 for _, k in q.coeffs if k != 0)
         assert (plan.n, plan.bound_s) == (expected.n, expected.bound_s)
         assert plan.bound_s == remainder_bound(q, plan.n)
+
+
+class TestEstimateDelta:
+    def test_sound_on_random_sums_of_squares(self):
+        # the bound holds on the whole torus: below the minimum on a dense
+        # grid offset from every sampling grid
+        rng = np.random.default_rng(61)
+        offset = np.exp(2j * np.pi * 0.3183 / 512)
+        zs = verify.GridSpec(9).points1() * offset
+        for _ in range(12):
+            r = int(rng.integers(1, 4))
+            m1, m2 = (int(d) for d in rng.integers(1, 4, size=2))
+            base = corpus.sos_instance2(rng, r, m1, m2)
+            coeffs = dict(base.coeffs)
+            ridge = rng.uniform(0.005, 0.05) * base.scale
+            coeffs[(0, 0)] = coeffs[(0, 0)] + ridge * np.eye(r)
+            q = MatrixLaurentPoly2(r, coeffs)
+            bound = estimate_delta(q, verify.GridSpec(9, 9))
+            dense = np.linalg.eigvalsh(eval2_grid(q, zs, zs))[..., 0].min()
+            assert 0.0 < bound <= dense
+
+    def test_sound_on_planes(self):
+        for c0 in (4.005, 4.01, 4.05, 4.1, 4.2, 4.4, 5.0, 8.0):
+            bound = estimate_delta(plane(c0), verify.GridSpec(9, 9))
+            assert 0.0 < bound <= c0 - 4.0
+
+    def test_sampling_constant_is_attained(self):
+        # cos(d t + pi d / M) peaks at cos(pi d / M) on the M grid points
+        # and at 1 between them, so sec(pi d / M) cannot be lowered ...
+        for d, big_m in ((1, 8), (1, 64), (2, 16), (4, 64), (8, 64)):
+            ts = 2 * np.pi * np.arange(big_m) / big_m
+            on_grid = np.max(np.abs(np.cos(d * ts + np.pi * d / big_m)))
+            assert 1.0 / on_grid == pytest.approx(1.0 / np.cos(np.pi * d / big_m), rel=1e-14)
+        # ... and the bound is exact for c0 + cos(d t1 + pi d / 64), sampled
+        # on 64 points per axis
+        for d in (1, 2, 4, 8):
+            phase = np.exp(1j * np.pi * d / 64)
+            q = MatrixLaurentPoly2.from_causal(
+                1, {(0, 0): [[10.0]], (d, 0): [[phase / 2]]}
+            )
+            assert estimate_delta(q, verify.GridSpec(9, 9)) == pytest.approx(9.0, abs=1e-12)
+
+    def test_near_boundary_planes(self):
+        delta = estimate_delta(plane(4.1), verify.GridSpec(9, 9))
+        assert delta >= 0.09
+        assert choose_truncation(plane(4.1), delta).n <= 34
+        delta = estimate_delta(plane(4.01), verify.GridSpec(9, 9))
+        assert 0.0 < delta <= 0.01
+
+    def test_refines_only_within_the_given_grid(self, monkeypatch):
+        grids = []
+        grid_min_eig = verify.grid_min_eig
+
+        def recorded(q, grid):
+            grids.append((grid.g1, grid.g2))
+            return grid_min_eig(q, grid)
+
+        monkeypatch.setattr(verify, "grid_min_eig", recorded)
+        estimate_delta(plane(5.0), verify.GridSpec(9, 9))
+        assert grids == [(6, 6)]
+        grids.clear()
+        estimate_delta(plane(4.01), verify.GridSpec(9, 9))
+        assert grids == [(6, 6), (7, 7), (8, 8)]
+        grids.clear()
+        estimate_delta(plane(4.01), verify.GridSpec(7, 5))
+        assert grids == [(6, 5), (7, 5)]
+        grids.clear()
+        q = scalar_laurent2({(0, 0): 9.0, (20, 0): 1.0, (0, 1): 1.0})
+        estimate_delta(q, verify.GridSpec(9, 9))
+        assert grids[0] == (7, 6)  # 128 >= 4 * 20
+        # a grid minimum <= 0 is returned from the first grid
+        grids.clear()
+        assert estimate_delta(plane(3.0), verify.GridSpec(9, 9)) == pytest.approx(-1.0)
+        assert grids == [(6, 6)]
+
+    def test_rejects_grid_too_coarse_for_degree(self):
+        q = scalar_laurent2({(0, 0): 9.0, (4, 0): 1.0, (0, 1): 1.0})
+        with pytest.raises(ValueError, match="more than 8"):
+            estimate_delta(q, verify.GridSpec(3, 9))
 
 
 class TestLiftToBlock:

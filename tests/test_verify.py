@@ -49,6 +49,18 @@ class TestGridMinEig:
         assert gm.point[0] == pytest.approx(-1.0)
         assert gm.point[1] == pytest.approx(-1.0)
 
+    def test_max_eig_from_the_same_solve(self):
+        gm = grid_min_eig(scalar_laurent({0: 5.0, 1: 2.0}), GridSpec(9))
+        assert gm.max_eig == pytest.approx(9.0, abs=1e-12)
+        rng = np.random.default_rng(4)
+        q = corpus.sos_instance2(rng, 2, 1, 2)
+        gm = grid_min_eig(q, GridSpec(5, 4))
+        from specfactor.poly import eval2_grid
+
+        eigs = np.linalg.eigvalsh(eval2_grid(q, GridSpec(5).points1(), GridSpec(4).points1()))
+        assert gm.min_eig == pytest.approx(float(eigs[..., 0].min()), abs=1e-12 * q.scale)
+        assert gm.max_eig == pytest.approx(float(eigs[..., -1].max()), abs=1e-12 * q.scale)
+
     def test_ridge_shift_monotone(self):
         rng = np.random.default_rng(3)
         q, _ = corpus.ridged_instance(rng, 2, 2)
