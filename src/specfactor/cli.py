@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,8 +35,17 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 
 
+def _finite(obj):
+    # Strict JSON has no Infinity or NaN: non-finite floats become null.
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False))
     print(summary, file=sys.stderr)
 
 
@@ -98,7 +108,8 @@ def cmd_factor(args) -> int:
     _emit(
         report,
         f"factor: residual {rep.residual_sup:.3e} (tol {args.tol * scale:.3e}), "
-        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}",
+        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}"
+        + (f"\ndegraded: {rep.degraded_reason}" if rep.degraded_reason else ""),
     )
     return EXIT_OK if ok else EXIT_CONVERGENCE
 

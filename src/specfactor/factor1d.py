@@ -2,10 +2,12 @@
 # of degree m is factored as Q = P*P from one Schur complement: S(m), the
 # limit of the complements of truncated block Toeplitz matrices on their
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
-# L of the P_k.  P_0 is the square root of its corner block, and one
-# range-restricted solve against P_0 reads P_1..P_m off its last block
-# row.  A classical scalar root-pairing construction serves as an
-# independent oracle.
+# L of the P_k.  The truncations double in size; two banded solves give
+# the first two, and each later one joins two copies of the previous
+# truncation's end-block complement with one small dense solve.  P_0 is
+# the square root of the corner block of S(m), and one range-restricted
+# solve against P_0 reads P_1..P_m off its last block row.  A classical
+# scalar root-pairing construction serves as an independent oracle.
 
 from __future__ import annotations
 
@@ -14,13 +16,12 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solveh_banded
+from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
 from . import linalg, verify
 from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
-    block_toeplitz,
     circle_grid,
     eval1_grid,
     toeplitz_psd_check,
@@ -80,6 +81,8 @@ class FactorReport:
     gap: float = 0.0
     converged: bool = True
     tolerances: dict = field(default_factory=dict)
+    # Why the Schur limit did not converge; not in to_json.
+    degraded_reason: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -92,77 +95,71 @@ class FactorReport:
         }
 
 
-def _causal_stack(q: MatrixLaurentPoly1) -> np.ndarray:
-    # stack[d] = Q_d for d = 0..m, plus one trailing zero slab for clipped
-    # out-of-band lookups.
+def _laurent_stack(q: MatrixLaurentPoly1) -> np.ndarray:
+    # stack[m + 1 + d] = Q_d for |d| <= m, plus zero slabs at d = +-(m + 1)
+    # for clipped out-of-band lookups.
     m, r = q.degree, q.size
-    stack = np.zeros((m + 2, r, r), dtype=complex)
-    for d in range(m + 1):
-        stack[d] = q.coeff(d)
+    stack = np.zeros((2 * m + 3, r, r), dtype=complex)
+    for d in range(-m, m + 1):
+        stack[m + 1 + d] = q.coeff(d)
     return stack
 
 
-def _banded_lower(q: MatrixLaurentPoly1, n_blocks: int, stack: np.ndarray) -> np.ndarray:
+def _toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
+    # Q_{p-s}, at the broadcast scalar indices rows, cols.
+    h, r = len(stack) // 2, stack.shape[1]
+    d = np.clip(rows // r - cols // r, -h, h)
+    return stack[d + h, rows % r, cols % r]
+
+
+def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     # Lower band storage of the n_blocks-truncation: ab[i, j] = T[i+j, j].
-    m, r = q.degree, q.size
+    r = stack.shape[1]
     dim = n_blocks * r
-    bw = min((m + 1) * r - 1, dim - 1)
+    bw = min(len(stack) // 2 * r - 1, dim - 1)
     cols = np.arange(dim)
     ab = np.zeros((bw + 1, dim), dtype=complex)
     for i in range(bw + 1):
-        xs = cols + i
-        valid = xs < dim
-        xv = xs[valid]
-        cv = cols[valid]
-        d = np.minimum(xv // r - cv // r, m + 1)
-        ab[i, valid] = stack[d, xv % r, cv % r]
+        ab[i, : dim - i] = _toeplitz_entries(stack, cols[i:], cols[: dim - i])
     return ab
 
 
-def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
-    """Schur complement of the N-block Toeplitz truncation on the leading
-    k+1 blocks.
-
-    An upper bound, in the PSD order, for the infinite-operator complement;
-    raises NotNonnegativeError when the truncation itself is not PSD.
-    """
-    if k < 0:
-        raise ValueError("block index k must be >= 0")
-    if n_blocks < k + 1:
-        raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
-    m, r = q.degree, q.size
-    a = block_toeplitz(q, k + 1)
-    trailing = n_blocks - (k + 1)
-    if trailing == 0 or q.scale == 0.0:
+def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarray:
+    """a - b* c^(-1) b by Cholesky of the PSD block c (lower band storage
+    when banded).  Singular c gets one retry with a 1e-13 scale diagonal
+    jitter; if that fails, the truncation at N = n_blocks is not PSD."""
+    if not b.any():  # zero polynomial, or no blocks between the ends
         return a
-    stack = _causal_stack(q)
-    ab = _banded_lower(q, trailing, stack)
 
-    dim = trailing * r
-    width = (k + 1) * r
-    xs = np.arange(dim)[:, None]
-    ys = np.arange(width)[None, :]
-    d = np.minimum((k + 1) + xs // r - ys // r, m + 1)
-    b = stack[d, xs % r, ys % r]
+    def solve(c):
+        if banded:
+            return solveh_banded(c, b, lower=True)
+        return cho_solve(cho_factor(c, lower=True), b)
 
-    scale = max(q.scale, 1e-300)
     try:
-        x = solveh_banded(ab, b, lower=True)
+        x = solve(c)
     except np.linalg.LinAlgError:
-        # PSD-singular trailing blocks are legitimate; retry with a jitter
-        # far below every meaningful tolerance.
-        ab_j = ab.copy()
-        ab_j[0, :] += 1e-13 * scale
+        c = c.copy()
+        c[0 if banded else np.diag_indices(len(c))] += 1e-13 * scale
         try:
-            x = solveh_banded(ab_j, b, lower=True)
+            x = solve(c)
         except np.linalg.LinAlgError as exc:
             raise NotNonnegativeError(
                 f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
-                f"trailing block not positive definite)",
+                f"eliminated blocks not positive definite)",
                 n_blocks=n_blocks,
             ) from exc
     s = a - b.conj().T @ x
-    s = (s + s.conj().T) / 2
+    return (s + s.conj().T) / 2
+
+
+def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.ndarray:
+    # Complement of the dense PSD t on its leading n coordinates.
+    return _complement(t[:n, :n], t[n:, :n], t[n:, n:], False, scale, n_blocks)
+
+
+def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
     verdict = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
     if not verdict.ok:
         raise NotNonnegativeError(
@@ -174,6 +171,33 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
     return s
 
 
+def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float) -> np.ndarray:
+    # Complement of the n_blocks-truncation on its first lead and last
+    # trail blocks: one banded solve over the blocks between them.
+    r = stack.shape[1]
+    dim = n_blocks * r
+    ends = np.r_[0 : lead * r, dim - trail * r : dim]
+    a = _toeplitz_entries(stack, ends[:, None], ends)
+    coupling = _toeplitz_entries(stack, np.arange(lead * r, dim - trail * r)[:, None], ends)
+    ab = _banded_lower(stack, n_blocks - lead - trail)
+    return _complement(a, coupling, ab, True, scale, n_blocks)
+
+
+def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
+    """Schur complement of the N-block Toeplitz truncation on the leading
+    k+1 blocks, from one banded solve over the trailing N-k-1 blocks.
+
+    An upper bound, in the PSD order, for the infinite-operator complement;
+    raises NotNonnegativeError when the truncation itself is not PSD.
+    """
+    if k < 0:
+        raise ValueError("block index k must be >= 0")
+    if n_blocks < k + 1:
+        raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
+    s = _ends(_laurent_stack(q), k + 1, 0, n_blocks, max(q.scale, 1e-300))
+    return s if n_blocks == k + 1 else _checked_corner(s, n_blocks)
+
+
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
     pair = linalg.eig_hermitian((a - b + (a - b).conj().T) / 2)
     return float(max(abs(pair.values[0]), abs(pair.values[-1])))
@@ -181,8 +205,24 @@ def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def truncation_bytes(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> int:
     """Bytes of the complex band, right-hand side and solution that
-    truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1))."""
+    truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1)).
+    schur_limit checks it before each doubling; the joins' arrays do not
+    grow with N, and the one end-block banded solve, with 2b right-hand
+    sides, needs 16 r^2 (N-2b)(m+1 + 4b)."""
     return 16 * q.size**2 * n_blocks * (q.degree + 1 + 2 * (k + 1))
+
+
+def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarray:
+    # Two copies of the end-block complement H = [[E, F], [F*, G]] of the
+    # N/2-truncation, coupled by the Toeplitz block C: eliminating the middle
+    # M = [[G, C], [C*, E]] leaves diag(E, G) - U M^(-1) U*, U = diag(F, F*),
+    # the end-block complement of the N-truncation.
+    w = len(h) // 2
+    e, f, g, z = h[:w, :w], h[:w, w:], h[w:, w:], np.zeros((w, w))
+    fh = f.conj().T
+    # Rows and columns: kept E, G, then eliminated G, E.
+    t = np.block([[e, z, f, z], [z, g, z, fh], [fh, z, g, c], [z, f, c.conj().T, e]])
+    return _lead_complement(t, 2 * w, scale, n_blocks)
 
 
 def schur_limit(
@@ -193,19 +233,30 @@ def schur_limit(
     n_max: int = DEFAULT_N_MAX,
 ) -> SchurResult:
     """Approximate the infinite-operator corner Schur complement by
-    doubling the truncation until the PSD-ordered gap closes.
+    doubling the truncation N = n0, 2 n0, ... (n0 >= b = max(k+1, m), so
+    segments couple only through their end b blocks) until the gap closes.
+
+    S_n0 is truncated_schur(q, k, n0).  One banded solve over the interior
+    of the 2 n0-truncation gives its complement H on its first and last b
+    blocks; each later doubling joins two copies of H with one dense
+    2b-block Cholesky solve, whatever N is.  S_N is H's complement on its
+    leading k+1 blocks.
 
     The truncation sequence is monotone nonincreasing in the PSD order,
     so the gap is a one-sided convergence certificate.  Doubling stops
-    with SchurConvergenceError at the block cap n_max, or earlier when the
-    next truncation would need more than MEMORY_BUDGET bytes.
+    with SchurConvergenceError at the block cap n_max, or earlier when
+    truncation_bytes of the next N exceeds MEMORY_BUDGET.
     """
+    m, r = q.degree, q.size
+    b = max(k + 1, m)
     if n0 is None:
-        n0 = 4 * (q.degree + 1)
-    n0 = max(k + 1, min(n0, max(n_max // 2, k + 1)))
+        n0 = 4 * (m + 1)
+    n0 = max(b, min(n0, max(n_max // 2, b)))
     scale = max(q.scale, 1e-300)
+    stack = _laurent_stack(q)
+    c = _toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     s_prev = truncated_schur(q, k, n0)
-    n = n0
+    n, h = n0, None
     gap = math.inf
     while True:
         n_next = 2 * n
@@ -222,7 +273,8 @@ def schur_limit(
             raise SchurConvergenceError(
                 f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
             )
-        s_next = truncated_schur(q, k, n_next)
+        h = _ends(stack, b, b, n_next, scale) if h is None else _join(h, c, scale, n_next)
+        s_next = _checked_corner(_lead_complement(h, (k + 1) * r, scale, n_next), n_next)
         gap = _gap_norm(s_prev, s_next)
         if gap <= conv_tol * scale:
             return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
@@ -270,10 +322,11 @@ def factor(
     # [P_0* P_m, ..., P_0* P_0]: P_0 is the root of the corner block, and
     # one minimum-norm solve, which keeps every P_k inside ran P_0, gives
     # the rest.
+    reason = ""
     try:
         res = schur_limit(q, m, conv_tol=conv_tol, n0=n0, n_max=n_max)
     except SchurConvergenceError as err:
-        res = err.partial
+        res, reason = err.partial, str(err)
     last = res.value[m * r :, :]
     p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=clamp_tol)
     coeffs = [p0]
@@ -310,6 +363,7 @@ def factor(
             "grid_g": grid.g1,
             "scale": scale,
         },
+        degraded_reason=reason,
     )
     return phat, report
 

@@ -128,6 +128,37 @@ class TestFactor:
         assert report["converged"] is False
         assert report["N_used"] == 32
 
+    def test_infinite_gap_prints_strict_json(self, capsys, tmp_path, monkeypatch):
+        # A budget that refuses the first doubling leaves gap = inf.
+        from specfactor import corpus, factor1d
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        path = tmp_path / "ridged.json"
+        save_poly(path, q)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 16))
+        code = cli.main(["factor", str(path)])
+        out = capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert code == 3
+        assert report["gap"] is None
+        assert report["N_used"] == 16
+
+    def test_degraded_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
+        from specfactor import corpus, factor1d
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        path = tmp_path / "ridged.json"
+        save_poly(path, q)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32))
+        code, report, err = run(capsys, ["factor", str(path)])
+        assert code == 3
+        assert "would need about" in err
+        assert "would need about" not in json.dumps(report)
+
     def test_cap_below_one_doubling_exits_two(self, capsys, strict_1d):
         code, report, _ = run(capsys, ["factor", strict_1d, "--max-trunc", "3"])
         assert code == 2

@@ -145,6 +145,68 @@ class TestSchurLimit:
                 assert np.max(np.abs(nested - direct)) <= 1e-7 * q.scale
 
 
+def boundary_instance(rng, r, m):
+    # Q = P*P with the first column of a random P multiplied by 1 + z:
+    # det Q has a double zero at z = -1 on the circle.
+    a = corpus.random_analytic1(rng, r, m - 1)
+    coeffs = [c.copy() for c in a.coeffs] + [np.zeros((r, r), dtype=complex)]
+    for j, c in enumerate(a.coeffs):
+        coeffs[j + 1][:, 0] += c[:, 0]
+    return adjoint_product(MatrixAnalyticPoly1(coeffs))
+
+
+def limit_or_partial(q, k, **kwargs):
+    try:
+        return schur_limit(q, k, **kwargs)
+    except SchurConvergenceError as err:
+        return err.partial
+
+
+class TestSegmentDoubling:
+    def test_matches_direct_truncation(self):
+        # k < m, k = m and k > m, the default start and n0 = 17, which is
+        # not a multiple of b = max(k + 1, m).
+        rng = np.random.default_rng(505)
+        for r in (1, 2, 3):
+            for m in (1, 2, 3):
+                for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
+                    for k in sorted({0, m - 1, m, m + 1}):
+                        for n0 in (None, 17):
+                            res = limit_or_partial(q, k, n0=n0, n_max=512)
+                            direct = truncated_schur(q, k, res.n_used)
+                            assert np.max(np.abs(res.value - direct)) <= 1e-10 * q.scale
+
+    @pytest.mark.parametrize("eps, n_blocks", [(1e-3, 128), (1e-5, 1024), (1e-6, 4096)])
+    def test_witness_found_through_a_join(self, eps, n_blocks):
+        # 1 - eps + cos(theta) dips below zero; the truncations first stop
+        # being PSD at N = n_blocks, past the one banded doubling (N = 16).
+        q = scalar_laurent({0: 1.0 - eps, 1: 0.5})
+        with pytest.raises(NotNonnegativeError, match="witness at truncation") as err:
+            schur_limit(q, 1)
+        assert err.value.n_blocks == n_blocks
+
+    def test_boundary_zero_degraded_gap(self):
+        _, rep = factor(scalar_laurent({0: 2.0, 1: 1.0}))  # |1 + z|^2
+        assert not rep.converged
+        assert rep.n_used == 4096
+        assert rep.gap == pytest.approx(2.443e-4, rel=1e-3)
+
+    def test_two_banded_solves_per_limit(self, monkeypatch):
+        # The n0 truncation and the first doubling are banded solves; the
+        # nine later doublings up to N = 4096 are small dense joins.
+        calls = []
+        banded = factor1d.solveh_banded
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0][0]))
+            return banded(*args, **kwargs)
+
+        monkeypatch.setattr(factor1d, "solveh_banded", counted)
+        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        assert res.n_used == 4096
+        assert len(calls) <= 2
+
+
 class TestFactor:
     def test_constant(self):
         p, rep = factor(scalar_laurent({0: 4.0}))
