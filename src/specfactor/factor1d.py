@@ -4,7 +4,9 @@
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
 # L of the P_k.  The truncations double in size; two banded solves give
 # the first two, and each later one joins two copies of the previous
-# truncation's end-block complement with one small dense solve.  P_0 is
+# truncation's end-block complement with one small dense solve.  That
+# solve, and every corner complement, is linalg.cholesky_complement, the
+# kernel that linalg.schur_complement is built on as well.  P_0 is
 # the square root of the corner block of S(m), and one range-restricted
 # solve against P_0 reads P_1..P_m off its last block row.  A classical
 # scalar root-pairing construction serves as an independent oracle.
@@ -16,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solveh_banded
+from scipy.linalg import solveh_banded
 
 from . import linalg, verify
 from .poly import (
@@ -24,6 +26,8 @@ from .poly import (
     MatrixLaurentPoly1,
     circle_grid,
     eval1_grid,
+    laurent_stack,
+    toeplitz_entries,
     toeplitz_psd_check,
 )
 
@@ -95,24 +99,6 @@ class FactorReport:
         }
 
 
-def _laurent_stack(q: MatrixLaurentPoly1) -> np.ndarray:
-    # stack[m + 1 + d] = Q_d for |d| <= m, plus zero slabs at d = +-(m + 1)
-    # for clipped out-of-band lookups.
-    m, r = q.degree, q.size
-    stack = np.zeros((2 * m + 3, r, r), dtype=complex)
-    for d in range(-m, m + 1):
-        stack[m + 1 + d] = q.coeff(d)
-    return stack
-
-
-def _toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
-    # Q_{p-s}, at the broadcast scalar indices rows, cols.
-    h, r = len(stack) // 2, stack.shape[1]
-    d = np.clip(rows // r - cols // r, -h, h)
-    return stack[d + h, rows % r, cols % r]
-
-
 def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     # Lower band storage of the n_blocks-truncation: ab[i, j] = T[i+j, j].
     r = stack.shape[1]
@@ -121,35 +107,32 @@ def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     cols = np.arange(dim)
     ab = np.zeros((bw + 1, dim), dtype=complex)
     for i in range(bw + 1):
-        ab[i, : dim - i] = _toeplitz_entries(stack, cols[i:], cols[: dim - i])
+        ab[i, : dim - i] = toeplitz_entries(stack, cols[i:], cols[: dim - i])
     return ab
 
 
 def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarray:
-    """a - b* c^(-1) b by Cholesky of the PSD block c (lower band storage
-    when banded).  Singular c gets one retry with a 1e-13 scale diagonal
-    jitter; if that fails, the truncation at N = n_blocks is not PSD."""
+    """a - b* c^(-1) b for the PSD block c: banded (lower band storage)
+    by solveh_banded with one 1e-13 scale jitter retry, dense by
+    linalg.cholesky_complement.  If the retry fails, the truncation at
+    N = n_blocks is not PSD."""
     if not b.any():  # zero polynomial, or no blocks between the ends
         return a
-
-    def solve(c):
-        if banded:
-            return solveh_banded(c, b, lower=True)
-        return cho_solve(cho_factor(c, lower=True), b)
-
     try:
-        x = solve(c)
-    except np.linalg.LinAlgError:
-        c = c.copy()
-        c[0 if banded else np.diag_indices(len(c))] += 1e-13 * scale
+        if not banded:
+            return linalg.cholesky_complement(a, b, c, scale)
         try:
-            x = solve(c)
-        except np.linalg.LinAlgError as exc:
-            raise NotNonnegativeError(
-                f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
-                f"eliminated blocks not positive definite)",
-                n_blocks=n_blocks,
-            ) from exc
+            x = solveh_banded(c, b, lower=True)
+        except np.linalg.LinAlgError:
+            c = c.copy()
+            c[0] += 1e-13 * scale
+            x = solveh_banded(c, b, lower=True)
+    except (np.linalg.LinAlgError, linalg.NotPSDError) as exc:
+        raise NotNonnegativeError(
+            f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
+            f"eliminated blocks not positive definite)",
+            n_blocks=n_blocks,
+        ) from exc
     s = a - b.conj().T @ x
     return (s + s.conj().T) / 2
 
@@ -177,8 +160,8 @@ def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float)
     r = stack.shape[1]
     dim = n_blocks * r
     ends = np.r_[0 : lead * r, dim - trail * r : dim]
-    a = _toeplitz_entries(stack, ends[:, None], ends)
-    coupling = _toeplitz_entries(stack, np.arange(lead * r, dim - trail * r)[:, None], ends)
+    a = toeplitz_entries(stack, ends[:, None], ends)
+    coupling = toeplitz_entries(stack, np.arange(lead * r, dim - trail * r)[:, None], ends)
     ab = _banded_lower(stack, n_blocks - lead - trail)
     return _complement(a, coupling, ab, True, scale, n_blocks)
 
@@ -194,7 +177,7 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
         raise ValueError("block index k must be >= 0")
     if n_blocks < k + 1:
         raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
-    s = _ends(_laurent_stack(q), k + 1, 0, n_blocks, max(q.scale, 1e-300))
+    s = _ends(laurent_stack(q.coeff, q.degree), k + 1, 0, n_blocks, max(q.scale, 1e-300))
     return s if n_blocks == k + 1 else _checked_corner(s, n_blocks)
 
 
@@ -253,8 +236,8 @@ def schur_limit(
         n0 = 4 * (m + 1)
     n0 = max(b, min(n0, max(n_max // 2, b)))
     scale = max(q.scale, 1e-300)
-    stack = _laurent_stack(q)
-    c = _toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+    stack = laurent_stack(q.coeff, q.degree)
+    c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     s_prev = truncated_schur(q, k, n0)
     n, h = n0, None
     gap = math.inf

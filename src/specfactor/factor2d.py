@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .poly import (
     MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
+    laurent_stack,
+    toeplitz_entries,
 )
 
 DEFAULT_MARGIN = 1.0 / 3.0
@@ -139,21 +142,13 @@ def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:
     """
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
-    r = q.size
-    big = r * (n + 1)
+    idx = np.arange(q.size * (n + 1))
     coeffs = {}
     for j in range(-q.deg1, q.deg1 + 1):
-        block = np.zeros((big, big), dtype=complex)
-        nonzero = False
-        for p in range(n + 1):
-            for s in range(n + 1):
-                c = q.coeff(j, p - s)
-                if np.any(c):
-                    block[p * r : (p + 1) * r, s * r : (s + 1) * r] = c / (n + 1)
-                    nonzero = True
-        if nonzero or j == 0:
-            coeffs[j] = block
-    return MatrixLaurentPoly1(big, coeffs)
+        stack = laurent_stack(partial(q.coeff, j), q.deg2)
+        if stack.any() or j == 0:
+            coeffs[j] = toeplitz_entries(stack / (n + 1), idx[:, None], idx)
+    return MatrixLaurentPoly1(q.size * (n + 1), coeffs)
 
 
 def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyticPoly2]:
@@ -182,6 +177,37 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
     return factors
 
 
+def _factor_lifted(
+    q: MatrixLaurentPoly2,
+    n: int,
+    target: MatrixLaurentPoly2,
+    grid: verify.GridSpec,
+    factor_opts: dict,
+    **tolerances,
+) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
+    # Screen q on the grid, factor its lift with factor1d.factor, split the
+    # factor back out, and report the residual against target.
+    screen = verify.grid_min_eig(q, grid)
+    if screen.min_eig < -1e-9 * max(q.scale, 1e-300):
+        raise NotNonnegativeError(
+            f"Q not nonnegative on sampling grid: eigenvalue {screen.min_eig:.6e} "
+            f"at {screen.point}",
+            min_eig=screen.min_eig,
+        )
+    psi = lift_to_block(q, n)
+    phi, rep1d = factor1d.factor(psi, grid=verify.GridSpec(grid.g1), **factor_opts)
+    factors = unlift_factor(phi, q.size, n)
+    report = FactorReport(
+        residual_sup=verify.residual(target, factors, grid),
+        outer_verdict=rep1d.outer_verdict,
+        n_used=rep1d.n_used,
+        gap=rep1d.gap,
+        converged=rep1d.converged,
+        tolerances=dict(rep1d.tolerances, lift_n=n, **tolerances),
+    )
+    return factors, report
+
+
 def factor_cesaro(
     q: MatrixLaurentPoly2,
     n: int,
@@ -194,26 +220,7 @@ def factor_cesaro(
     reported residual is against Q^(N) on the verification grid.
     """
     grid = grid or verify.GridSpec(6, 6)
-    screen = verify.grid_min_eig(q, grid)
-    if screen.min_eig < -1e-9 * max(q.scale, 1e-300):
-        raise NotNonnegativeError(
-            f"Q not nonnegative on sampling grid: eigenvalue {screen.min_eig:.6e} "
-            f"at {screen.point}",
-            min_eig=screen.min_eig,
-        )
-    psi = lift_to_block(q, n)
-    phi, rep1d = factor1d.factor(psi, grid=verify.GridSpec(grid.g1), **factor_opts)
-    factors = unlift_factor(phi, q.size, n)
-    resid = verify.residual(cesaro_smooth(q, n), factors, grid)
-    report = FactorReport(
-        residual_sup=resid,
-        outer_verdict=rep1d.outer_verdict,
-        n_used=rep1d.n_used,
-        gap=rep1d.gap,
-        converged=rep1d.converged,
-        tolerances=dict(rep1d.tolerances, lift_n=n),
-    )
-    return factors, report
+    return _factor_lifted(q, n, cesaro_smooth(q, n), grid, factor_opts)
 
 
 def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
@@ -282,18 +289,11 @@ def factor_strict(
     plan = choose_truncation(q, delta_est, margin)
     widened = inverse_cesaro(q, plan.n)
     try:
-        factors, report = factor_cesaro(widened, plan.n, grid=grid, **factor_opts)
+        factors, report = _factor_lifted(
+            widened, plan.n, q, grid, factor_opts, delta_est=delta_est, margin=margin
+        )
     except NotNonnegativeError as exc:
         raise StrictificationError(
             f"strictification insufficient: increase margin (inner screen: {exc})"
         ) from exc
-    resid = verify.residual(q, factors, grid)
-    report = FactorReport(
-        residual_sup=resid,
-        outer_verdict=report.outer_verdict,
-        n_used=report.n_used,
-        gap=report.gap,
-        converged=report.converged,
-        tolerances=dict(report.tolerances, delta_est=delta_est, margin=margin),
-    )
     return factors, report, plan

@@ -1,7 +1,9 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
 # one eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD square
 # roots with clamping, contraction extraction from PSD block matrices,
-# 2x2-block Schur complements, and range-restricted minimum-norm solves.
+# one Cholesky Schur-complement kernel, which every dense elimination of
+# the construction and the public schur_complement go through, and
+# range-restricted minimum-norm solves.
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 DEFAULT_HERMITIAN_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -121,29 +124,6 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
-def psd_clamp(h, clamp_tol: float = DEFAULT_CLAMP_TOL, scale: float | None = None) -> np.ndarray:
-    """Project marginally-PSD Hermitian input onto the PSD cone.
-
-    Same eigenvalue floor as psd_sqrt: genuine negativity raises.  scale
-    overrides the reference magnitude (useful when the input is a small
-    piece of a larger computation).
-    """
-    pair = eig_hermitian(h)
-    vals = pair.values
-    if scale is None:
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vals[0] < -clamp_tol * scale:
-        raise NotPSDError(
-            f"matrix is not PSD: eigenvalue {vals[0]:.6e}",
-            eigenvalue=float(vals[0]),
-        )
-    if vals[0] >= 0.0:
-        return hermitian_part(h)
-    clamped = np.where(vals < 0.0, 0.0, vals)
-    out = (pair.basis * clamped) @ pair.basis.conj().T
-    return (out + out.conj().T) / 2
-
-
 def op_norm(a) -> float:
     """Spectral norm via the Gram matrix (largest singular value)."""
     a = as_matrix(a)
@@ -204,45 +184,46 @@ def contraction_extract(a, b, c, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     return g
 
 
-def schur_complement(
-    m,
-    k: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
-) -> np.ndarray:
+def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
+    """a - b* c^(-1) b by Cholesky of the PSD block c.
+
+    Singular c gets one retry with a 1e-13 * scale diagonal jitter; if
+    that fails too, c is not PSD and NotPSDError is raised.
+    """
+    try:
+        x = cho_solve(cho_factor(c, lower=True), b)
+    except np.linalg.LinAlgError:
+        c = c.copy()
+        c[np.diag_indices(len(c))] += 1e-13 * scale
+        try:
+            x = cho_solve(cho_factor(c, lower=True), b)
+        except np.linalg.LinAlgError as exc:
+            raise NotPSDError("matrix is not PSD: eliminated block not positive definite") from exc
+    s = a - b.conj().T @ x
+    return (s + s.conj().T) / 2
+
+
+def schur_complement(m, k: int) -> np.ndarray:
     """Schur complement of a PSD matrix supported on the leading k coordinates.
 
-    Uses A - B* C^(-1) B when the trailing block C is well conditioned
-    (condition estimate below 1/rank_tol), otherwise the contraction form
-    A^(1/2) (I - G*G) A^(1/2), which stays correct for singular C.
+    A - B* C^(-1) B from cholesky_complement with scale max|M|, so a
+    singular C is eliminated with the same jitter retry as in the
+    construction.  Raises NotPSDError when C is not PSD or the complement
+    has an eigenvalue below -1e-8 max|M|; the complement is returned
+    unclamped.
     """
     m = check_hermitian(m)
     n = m.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"split index k = {k} out of range [1, {n - 1}]")
-    verdict = psd_check(m, tol=1e-8)
-    if not verdict.ok:
+    scale = max(float(np.max(np.abs(m))), 1e-300)
+    s = cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale)
+    lo = float(eig_hermitian(s).values[0])
+    if lo < -1e-8 * scale:
         raise NotPSDError(
-            f"matrix is not PSD: smallest eigenvalue {verdict.min_eig:.6e}",
-            eigenvalue=verdict.min_eig,
+            f"matrix is not PSD: Schur complement eigenvalue {lo:.6e}", eigenvalue=lo
         )
-    a = m[:k, :k]
-    b = m[k:, :k]
-    c = m[k:, k:]
-    m_scale = 1.0 + abs(verdict.min_eig) + float(np.max(np.abs(m)))
-
-    c_pair = eig_hermitian(c)
-    c_lo = float(c_pair.values[0])
-    c_hi = float(np.max(np.abs(c_pair.values)))
-    if c_hi > 0 and c_lo > rank_tol * c_hi:
-        # Well-conditioned C: familiar formula through the eigenbasis.
-        x = (c_pair.basis * (1.0 / c_pair.values)) @ c_pair.basis.conj().T @ b
-        s = a - b.conj().T @ x
-    else:
-        g = contraction_extract(hermitian_part(a), b, hermitian_part(c), rank_tol)
-        a_half, _, _ = _half_powers(hermitian_part(a), rank_tol)
-        s = a_half @ (np.eye(k) - g.conj().T @ g) @ a_half
-    return psd_clamp(s, clamp_tol, scale=m_scale)
+    return s
 
 
 def embed_leading(s, n: int) -> np.ndarray:

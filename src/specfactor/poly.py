@@ -1,7 +1,7 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables: representation with validated coefficient symmetry,
-# evaluation on the circle/torus, adjoint products, block-Toeplitz
-# assembly, and the shared JSON file format.
+# evaluation on the circle/torus, adjoint products, the one block-Toeplitz
+# indexer, and the shared JSON file format.
 
 from __future__ import annotations
 
@@ -310,20 +310,30 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
     return MatrixLaurentPoly2(cols, acc)
 
 
+def laurent_stack(coeff, degree: int) -> np.ndarray:
+    """Coefficients Q_d = coeff(d), |d| <= degree, stacked for
+    toeplitz_entries: stack[degree + 1 + d] = Q_d, plus zero slabs at
+    d = +-(degree + 1) for clipped out-of-band lookups."""
+    coeffs = [coeff(d) for d in range(-degree, degree + 1)]
+    stack = np.zeros((2 * degree + 3,) + coeffs[0].shape, dtype=complex)
+    stack[1:-1] = coeffs
+    return stack
+
+
+def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
+    Q_{p-s}, at the broadcast scalar indices rows, cols."""
+    h, r = len(stack) // 2, stack.shape[1]
+    d = np.clip(rows // r - cols // r, -h, h)
+    return stack[d + h, rows % r, cols % r]
+
+
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
     """N x N block Toeplitz matrix with block (p, s) = Q_{p-s}."""
     if n_blocks < 1:
         raise ValueError("need at least one block")
-    r = q.size
-    out = np.zeros((n_blocks * r, n_blocks * r), dtype=complex)
-    for d in range(-min(q.degree, n_blocks - 1), min(q.degree, n_blocks - 1) + 1):
-        c = q.coeff(d)
-        if not np.any(c):
-            continue
-        for p in range(max(0, d), min(n_blocks, n_blocks + d)):
-            s = p - d
-            out[p * r : (p + 1) * r, s * r : (s + 1) * r] = c
-    return out
+    idx = np.arange(n_blocks * q.size)
+    return toeplitz_entries(laurent_stack(q.coeff, q.degree), idx[:, None], idx)
 
 
 class ToeplitzVerdict(NamedTuple):

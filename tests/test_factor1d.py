@@ -206,6 +206,25 @@ class TestSegmentDoubling:
         assert res.n_used == 4096
         assert len(calls) <= 2
 
+    def test_one_kernel_for_joins_corners_and_schur_complement(self, monkeypatch):
+        # Up to N = 4096 from n0 = 8: eight joins (N = 32 ... 4096) and nine
+        # corner complements (N = 16 ... 4096), and the public
+        # schur_complement, all through linalg.cholesky_complement.
+        calls = []
+        kernel = linalg.cholesky_complement
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, "cholesky_complement", counted)
+        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        assert res.n_used == 4096
+        assert len(calls) == 17
+        calls.clear()
+        linalg.schur_complement(np.eye(3), 1)
+        assert calls == [2]
+
 
 class TestFactor:
     def test_constant(self):

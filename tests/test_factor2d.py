@@ -251,6 +251,19 @@ class TestLiftToBlock:
         for k, c in psi.coeffs.items():
             np.testing.assert_array_equal(psi.coeff(-k), c.conj().T)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_block_layout(self, n):
+        # Block (p, s) of coefficient j is Q_{j, p-s} / (N+1), zero when
+        # |p - s| > m2 = 2.
+        q = corpus.sos_instance2(np.random.default_rng(n), 2, 1, 2)
+        psi = lift_to_block(q, n)
+        r = q.size
+        for j in range(-q.deg1, q.deg1 + 1):
+            for p in range(n + 1):
+                for s in range(n + 1):
+                    blk = psi.coeff(j)[p * r : (p + 1) * r, s * r : (s + 1) * r]
+                    assert np.array_equal(blk, q.coeff(j, p - s) / (n + 1))
+
 
 class TestUnliftFactor:
     def test_trivial_when_n_zero(self):

@@ -252,10 +252,57 @@ class TestSchurComplement:
             assert np.max(np.abs(s - ref)) <= 1e-8 * norm
 
     def test_singular_trailing_block(self):
-        # C = 0 forces the contraction fallback; S must equal A
+        # C = 0 forces the jitter retry of cholesky_complement; S must equal A
         m = np.array([[2.0, 0.0], [0.0, 0.0]])
         s = schur_complement(m, 1)
         np.testing.assert_allclose(s, [[2.0]], atol=1e-10)
+
+    def test_graded_trailing_block(self):
+        # C = diag(1, 1e-11) has a condition number past 1e10, but M is
+        # positive definite: S = 1 - b^2 / 1e-11 = 0.19.
+        b = 0.9 * np.sqrt(1e-11)
+        m = np.array([[1.0, 0.0, b], [0.0, 1.0, 0.0], [b, 0.0, 1e-11]])
+        np.testing.assert_allclose(schur_complement(m, 1), [[0.19]], atol=1e-12)
+
+    def test_matches_inverse_formula_on_graded_matrices(self):
+        # Positive definite M = G G* whose columns of G are graded from 1
+        # down to 1e-4..1e-6, so C is far from well conditioned.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            k = int(rng.integers(1, n - 1))
+            grade = np.logspace(0, -rng.uniform(4, 6), n)
+            g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * grade
+            m = g @ g.conj().T
+            a, b, c = m[:k, :k], m[k:, :k], m[k:, k:]
+            ref = a - b.conj().T @ np.linalg.solve(c, b)
+            s = schur_complement(m, k)
+            assert np.max(np.abs(s - ref)) <= 1e-8 * np.max(np.abs(m))
+
+    def test_rejects_negative_trailing_block_with_zero_coupling(self):
+        # B = 0 must not shortcut the elimination: C = -1 is not PSD.
+        with pytest.raises(NotPSDError):
+            schur_complement(np.diag([1.0, -1.0]), 1)
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(schur_complement(np.zeros((3, 3)), 1), [[0.0]])
+
+
+class TestCholeskyComplement:
+    def test_familiar_formula(self):
+        a, b, c = np.array([[2.0]]), np.array([[1.0]]), np.array([[4.0]])
+        s = linalg.cholesky_complement(a, b, c, 4.0)
+        np.testing.assert_allclose(s, [[1.75]], atol=1e-14)
+
+    def test_result_is_exactly_hermitian(self):
+        rng = np.random.default_rng(7)
+        m = random_psd(rng, 6)
+        s = linalg.cholesky_complement(m[:2, :2], m[2:, :2], m[2:, 2:], 1.0)
+        np.testing.assert_array_equal(s, s.conj().T)
+
+    def test_rejects_indefinite_block_after_retry(self):
+        with pytest.raises(NotPSDError, match="not positive definite"):
+            linalg.cholesky_complement(np.eye(1), np.ones((1, 1)), -np.eye(1), 1.0)
 
 
 class TestRangeRestrictedSolve:

@@ -183,6 +183,19 @@ class TestBlockToeplitz:
         t = block_toeplitz(adjoint_product(p), 5)
         np.testing.assert_array_equal(t, t.conj().T)
 
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_layout_within_the_degree(self, n_blocks):
+        # n_blocks <= deg Q = 3: every block (p, s) is Q_{p-s}, none clipped.
+        rng = np.random.default_rng(14)
+        p = MatrixAnalyticPoly1(
+            [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+        )
+        q = adjoint_product(p)
+        expected = np.block(
+            [[q.coeff(row - col) for col in range(n_blocks)] for row in range(n_blocks)]
+        )
+        np.testing.assert_array_equal(block_toeplitz(q, n_blocks), expected)
+
 
 class TestToeplitzPsdCheck:
     def test_nonnegative_passes(self):
