@@ -44,9 +44,11 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(report: dict, summary: str) -> None:
+def _emit(report: dict, summary: str, degraded_reason: str = "") -> None:
     print(json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False))
     print(summary, file=sys.stderr)
+    if degraded_reason:
+        print(f"degraded: {degraded_reason}", file=sys.stderr)
 
 
 def _parse_grid(text: str) -> verify.GridSpec:
@@ -108,8 +110,8 @@ def cmd_factor(args) -> int:
     _emit(
         report,
         f"factor: residual {rep.residual_sup:.3e} (tol {args.tol * scale:.3e}), "
-        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}"
-        + (f"\ndegraded: {rep.degraded_reason}" if rep.degraded_reason else ""),
+        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}",
+        rep.degraded_reason,
     )
     return EXIT_OK if ok else EXIT_CONVERGENCE
 
@@ -145,6 +147,7 @@ def cmd_factor2d(args) -> int:
         report,
         f"factor2d: {len(factors)} factors, plan N = {plan.n}, residual "
         f"{rep.residual_sup:.3e} -> {out}",
+        rep.degraded_reason,
     )
     return EXIT_OK if ok else EXIT_CONVERGENCE
 

@@ -35,6 +35,10 @@ DEFAULT_CONV_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_N_MAX = 4096
 TRUNCATION_PSD_TOL = 1e-8
+# Rank threshold of the extension solve against P_0, and the clamp of
+# marginal negative eigenvalues in the square root giving P_0.
+RANK_TOL = linalg.DEFAULT_RANK_TOL
+CLAMP_TOL = 1e-7
 # Truncation doubling stops, as at the block cap, before a truncation
 # whose arrays would need more than half the physical memory.
 MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -268,8 +272,6 @@ def factor(
     q: MatrixLaurentPoly1,
     conv_tol: float = DEFAULT_CONV_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
-    clamp_tol: float = 1e-7,
     n0: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     grid: verify.GridSpec | None = None,
@@ -311,14 +313,14 @@ def factor(
     except SchurConvergenceError as err:
         res, reason = err.partial, str(err)
     last = res.value[m * r :, :]
-    p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=clamp_tol)
+    p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=CLAMP_TOL)
     coeffs = [p0]
     if m > 0:
         try:
             x = linalg.range_restricted_solve(
                 p0,
                 last[:, : m * r],
-                rank_tol=rank_tol,
+                rank_tol=RANK_TOL,
                 residual_atol=10.0 * (res.gap + conv_tol * scale) + 1e-12 * scale,
             )
         except linalg.InconsistentSystemError as exc:
@@ -341,8 +343,8 @@ def factor(
         tolerances={
             "conv_tol": conv_tol,
             "residual_tol": residual_tol,
-            "rank_tol": rank_tol,
-            "clamp_tol": clamp_tol,
+            "rank_tol": RANK_TOL,
+            "clamp_tol": CLAMP_TOL,
             "grid_g": grid.g1,
             "scale": scale,
         },
@@ -351,55 +353,19 @@ def factor(
     return phat, report
 
 
-def _complete_unitary(u1: np.ndarray, n: int) -> np.ndarray:
-    """Extend orthonormal columns u1 to an n x n unitary, deterministically:
-    repeatedly adjoin the standard basis vector with the largest residual."""
-    cols = [u1[:, i] for i in range(u1.shape[1])]
-    while len(cols) < n:
-        best, best_norm = None, 1e-8
-        for j in range(n):
-            w = np.zeros(n, dtype=complex)
-            w[j] = 1.0
-            for c in cols:
-                w = w - c * np.vdot(c, w)
-            nrm = float(np.linalg.norm(w))
-            if nrm > best_norm + 1e-12:
-                best, best_norm = w / nrm, nrm
-        # Second orthogonalization pass for numerical cleanliness.
-        for c in cols:
-            best = best - c * np.vdot(c, best)
-        cols.append(best / np.linalg.norm(best))
-    return np.column_stack(cols)
+def normalize_gauge(p: MatrixAnalyticPoly1) -> MatrixAnalyticPoly1:
+    """Multiply P on the left by the adjoint of the unitary polar factor
+    W = U V* of P(0) = U S V* (one LAPACK SVD), making the constant
+    coefficient W* P(0) = V S V* Hermitian PSD.
 
-
-def normalize_gauge(
-    p: MatrixAnalyticPoly1, rank_tol: float = linalg.DEFAULT_RANK_TOL
-) -> MatrixAnalyticPoly1:
-    """Multiply P on the left by the adjoint of the unitary polar factor of
-    P(0), making the constant coefficient Hermitian PSD.
-
-    Evaluation norms P(z)*P(z) are unchanged at every point.  On the
-    numerical kernel of P(0) the unitary is completed deterministically.
+    Evaluation norms P(z)*P(z) are unchanged at every point.  For
+    invertible P(0) the result is the unique factor in that gauge; on the
+    kernel of a singular P(0) the full SVD's own unitaries complete W.
     """
     if not p.is_square:
         raise ValueError("gauge normalization needs square coefficients")
-    n = p.rows
-    p0 = p.coeffs[0]
-    u1, sig, v1 = linalg.svd_via_eig(p0, rank_tol)
-    if sig.size == 0:
-        return p  # P(0) = 0 is already PSD.
-    # Re-orthonormalize (modified Gram-Schmidt) before completing.
-    for i in range(u1.shape[1]):
-        for jj in range(i):
-            u1[:, i] -= u1[:, jj] * np.vdot(u1[:, jj], u1[:, i])
-        u1[:, i] /= np.linalg.norm(u1[:, i])
-    if sig.size == n:
-        w = u1 @ v1.conj().T
-    else:
-        u_full = _complete_unitary(u1, n)
-        v_full = _complete_unitary(v1, n)
-        w = u_full @ v_full.conj().T
-    wh = w.conj().T
+    u, _, vh = np.linalg.svd(p.coeffs[0])
+    wh = (u @ vh).conj().T
     return MatrixAnalyticPoly1([wh @ c for c in p.coeffs])
 
 

@@ -204,6 +204,7 @@ def _factor_lifted(
         gap=rep1d.gap,
         converged=rep1d.converged,
         tolerances=dict(rep1d.tolerances, lift_n=n, **tolerances),
+        degraded_reason=rep1d.degraded_reason,
     )
     return factors, report
 

@@ -1,9 +1,10 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
-# one eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD square
-# roots with clamping, contraction extraction from PSD block matrices,
-# one Cholesky Schur-complement kernel, which every dense elimination of
-# the construction and the public schur_complement go through, and
-# range-restricted minimum-norm solves.
+# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD
+# square roots with clamping, contraction extraction from PSD block
+# matrices, one Cholesky Schur-complement kernel, which every dense
+# elimination of the construction and the public schur_complement go
+# through, and range-restricted minimum-norm solves, whose rank decision
+# is one LAPACK SVD.
 
 from __future__ import annotations
 
@@ -125,15 +126,8 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Spectral norm via the Gram matrix (largest singular value)."""
-    a = as_matrix(a)
-    if a.shape[0] >= a.shape[1]:
-        gram = a.conj().T @ a
-    else:
-        gram = a @ a.conj().T
-    pair = eig_hermitian(gram)
-    top = max(float(pair.values[-1]), 0.0)
-    return float(np.sqrt(top))
+    """Spectral norm (largest singular value, LAPACK SVD)."""
+    return float(np.linalg.norm(as_matrix(a), 2))
 
 
 def _half_powers(h, rank_tol):
@@ -235,36 +229,6 @@ def embed_leading(s, n: int) -> np.ndarray:
     return out
 
 
-def svd_via_eig(a, rank_tol: float = DEFAULT_RANK_TOL):
-    """Thin SVD restricted to singular values above rank_tol * sigma_max.
-
-    Computed from the Hermitian embedding [[0, A], [A*, 0]], whose
-    eigenvalues are +-sigma_i: unlike the Gram matrix route this does not
-    square the condition number, so the rank threshold acts on true
-    singular values.  Returns (U, sigma, V) with A ~= U diag(sigma) V*.
-    """
-    a = as_matrix(a)
-    n, p = a.shape
-    emb = np.zeros((n + p, n + p), dtype=complex)
-    emb[:n, n:] = a
-    emb[n:, :n] = a.conj().T
-    pair = eig_hermitian(emb)
-    top = float(pair.values[-1]) if pair.values.size else 0.0
-    if top <= 0.0:
-        return (
-            np.zeros((n, 0), dtype=complex),
-            np.zeros(0),
-            np.zeros((p, 0), dtype=complex),
-        )
-    keep = pair.values > max(rank_tol * top, 0.0)
-    sigma = pair.values[keep][::-1]
-    vecs = pair.basis[:, keep][:, ::-1]
-    # Eigenvectors split as (u; v)/sqrt(2) per singular triple.
-    u = vecs[:n, :] * np.sqrt(2.0)
-    v = vecs[n:, :] * np.sqrt(2.0)
-    return u, sigma, v
-
-
 def range_restricted_solve(
     rstar,
     b,
@@ -274,10 +238,11 @@ def range_restricted_solve(
 ) -> np.ndarray:
     """Minimum-norm solution X of Rstar X = B with ran X inside ran R.
 
-    The numerical range of R = Rstar* is fixed by singular values above
-    rank_tol times the largest one.  Raises InconsistentSystemError when
-    the residual exceeds residual_rtol * ||B||_F + residual_atol, which
-    signals that B was not in the range of Rstar.
+    The numerical range of R = Rstar* is fixed by the singular values of
+    one thin LAPACK SVD above rank_tol times the largest one.  Raises
+    InconsistentSystemError when the residual exceeds
+    residual_rtol * ||B||_F + residual_atol, which signals that B was not
+    in the range of Rstar.
     """
     rstar = as_matrix(rstar)
     b = as_matrix(b)
@@ -285,11 +250,11 @@ def range_restricted_solve(
         raise ValueError(
             f"Rstar and B are not conformal: {rstar.shape} vs {b.shape}"
         )
-    u, sigma, v = svd_via_eig(rstar, rank_tol)
-    # X = V diag(1/sigma) U* B: minimum norm, supported on ran R = ran(V).
-    x = v @ ((u.conj().T @ b) / sigma[:, None]) if sigma.size else np.zeros(
-        (rstar.shape[1], b.shape[1]), dtype=complex
-    )
+    u, sigma, vh = np.linalg.svd(rstar, full_matrices=False)
+    keep = sigma > rank_tol * sigma[0]
+    # X = V diag(1/sigma) U* B over the kept singular triples: minimum
+    # norm, supported on ran R = ran(V); zero when nothing is kept.
+    x = vh[keep].conj().T @ ((u[:, keep].conj().T @ b) / sigma[keep, None])
     resid = float(np.linalg.norm(rstar @ x - b))
     bnorm = float(np.linalg.norm(b))
     if resid > residual_rtol * bnorm + residual_atol:

@@ -221,60 +221,29 @@ class MatrixAnalyticPoly2:
         )
 
 
-def _check_unimodular(zeta) -> complex:
+def _check_unimodular(zeta) -> None:
     z = complex(zeta)
     if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"evaluation point {z} is not on the unit circle")
-    return z
 
 
 def eval1(p, zeta) -> np.ndarray:
-    """Evaluate a one-variable polynomial at a point.
+    """Evaluate a one-variable polynomial at a point: eval1_grid at one point.
 
     Laurent input requires |zeta| = 1 (negative powers use conj(zeta));
-    analytic input accepts any point.  Horner recurrences are used for
-    the causal and anticausal halves separately.
+    analytic input accepts any point.
     """
-    if isinstance(p, MatrixAnalyticPoly1):
-        z = complex(zeta)
-        acc = np.array(p.coeffs[-1], dtype=complex)
-        for k in range(p.degree - 1, -1, -1):
-            acc = acc * z + p.coeffs[k]
-        return acc
     if isinstance(p, MatrixLaurentPoly1):
-        z = _check_unimodular(zeta)
-        m = p.degree
-        acc = p.coeff(m).astype(complex)
-        for k in range(m - 1, 0, -1):
-            acc = acc * z + p.coeff(k)
-        pos = acc * z if m >= 1 else np.zeros((p.size, p.size), dtype=complex)
-        w = np.conj(z)
-        acc = p.coeff(-m).astype(complex)
-        for k in range(m - 1, 0, -1):
-            acc = acc * w + p.coeff(-k)
-        neg = acc * w if m >= 1 else np.zeros((p.size, p.size), dtype=complex)
-        return p.coeff(0) + pos + neg
-    raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
+        _check_unimodular(zeta)
+    return eval1_grid(p, [zeta])[0]
 
 
 def eval2(p, zeta1, zeta2) -> np.ndarray:
-    """Two-variable evaluation; Laurent input requires torus points."""
-    if isinstance(p, MatrixAnalyticPoly2):
-        z1, z2 = complex(zeta1), complex(zeta2)
-        out = np.zeros((p.rows, p.cols), dtype=complex)
-        for (j, k), c in p.coeffs.items():
-            out = out + c * (z1**j) * (z2**k)
-        return out
+    """Two-variable evaluation at one point; Laurent input requires torus points."""
     if isinstance(p, MatrixLaurentPoly2):
-        z1 = _check_unimodular(zeta1)
-        z2 = _check_unimodular(zeta2)
-        out = np.zeros((p.size, p.size), dtype=complex)
-        for (j, k), c in p.coeffs.items():
-            f1 = z1**j if j >= 0 else np.conj(z1) ** (-j)
-            f2 = z2**k if k >= 0 else np.conj(z2) ** (-k)
-            out = out + c * (f1 * f2)
-        return out
-    raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
+        _check_unimodular(zeta1)
+        _check_unimodular(zeta2)
+    return eval2_grid(p, [zeta1], [zeta2])[0, 0]
 
 
 def adjoint_product(p: MatrixAnalyticPoly1) -> MatrixLaurentPoly1:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ class TestFactor2d:
         assert code == 1
         assert "not strictly positive" in report["error"]
 
+    def test_degraded_reason_on_stderr(self, capsys, tmp_path):
+        q = MatrixLaurentPoly2.from_causal(
+            1, {(0, 0): [[4.2]], (1, 0): [[1.0]], (0, 1): [[1.0]]}
+        )
+        path = tmp_path / "q42.json"
+        save_poly(path, q)
+        code, report, err = run(capsys, ["factor2d", str(path), "--max-trunc", "8"])
+        assert code == 3
+        assert report["converged"] is False
+        assert "degraded: slow Schur convergence" in err
+        assert "block cap N = 8" in err
+        assert "block cap" not in json.dumps(report)
+
     def test_wrong_arity_is_input_error(self, capsys, strict_1d):
         code, _, _ = run(capsys, ["factor2d", strict_1d])
         assert code == 2
@@ -276,9 +290,9 @@ class TestDeterministicReports:
         out = str(tmp_path / "p.json")
         cli.main(["factor", strict_1d, "--out", out])
         rep_a = capsys.readouterr().out
-        first_file = open(out, "rb").read()
+        first_file = Path(out).read_bytes()
         cli.main(["factor", strict_1d, "--out", out])
         rep_b = capsys.readouterr().out
-        second_file = open(out, "rb").read()
+        second_file = Path(out).read_bytes()
         assert rep_a == rep_b
         assert first_file == second_file

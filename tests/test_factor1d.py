@@ -380,12 +380,28 @@ class TestNormalizeGauge:
         assert coeff_diff(adjoint_product(p), adjoint_product(out)) <= 1e-12 * p.scale
 
     def test_singular_constant_coefficient(self):
-        p = MatrixAnalyticPoly1([np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2)])
-        out = normalize_gauge(p)
-        p0 = out.coeff(0)
-        assert np.max(np.abs(p0 - p0.conj().T)) <= 1e-12
-        assert linalg.psd_check(p0, tol=1e-10).ok
-        assert coeff_diff(adjoint_product(p), adjoint_product(out)) <= 1e-12
+        rank_one = np.outer([1.0, 2j, -1.0], [0.5, 1.0, 1j])
+        for p in (
+            MatrixAnalyticPoly1([np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2)]),
+            MatrixAnalyticPoly1([rank_one, np.eye(3)]),
+        ):
+            out = normalize_gauge(p)
+            p0 = out.coeff(0)
+            assert np.max(np.abs(p0 - p0.conj().T)) <= 1e-12
+            assert linalg.psd_check(p0, tol=1e-10).ok
+            assert coeff_diff(adjoint_product(p), adjoint_product(out)) <= 1e-12
+
+    def test_gauge_is_unique_for_invertible_constant_coefficient(self):
+        # Q = P*P fixes an outer P up to a constant unitary on the left, and
+        # the gauge P(0) >= 0 removes it: U P and P normalize to one factor.
+        rng = np.random.default_rng(73)
+        for r in (1, 2, 3, 4):
+            for _ in range(5):
+                gauss = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(4)]
+                p = MatrixAnalyticPoly1(gauss[:3])
+                u, _ = np.linalg.qr(gauss[3])
+                rotated = MatrixAnalyticPoly1([u @ c for c in p.coeffs])
+                assert coeff_diff(normalize_gauge(rotated), normalize_gauge(p)) <= 1e-12 * p.scale
 
 
 class TestScalarRootFactor:

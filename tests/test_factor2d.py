@@ -368,6 +368,14 @@ class TestFactorStrict:
         assert plan.delta_est == pytest.approx(1.0)
         assert rep.residual_sup <= 1e-6 * Q_PLANE.scale
 
+    def test_degraded_reason_from_the_lifted_factorization(self):
+        # The lift of plane(4.2) does not converge by the block cap N = 8:
+        # the report keeps the lifted call's reason, as factor1d.factor does.
+        factors, rep, plan = factor_strict(plane(4.2), n_max=8)
+        assert not rep.converged
+        assert "block cap N = 8" in rep.degraded_reason
+        assert "block cap" not in str(rep.to_json())
+
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})
         factors, rep, plan = factor_strict(q)

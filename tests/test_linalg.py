@@ -92,8 +92,12 @@ class TestEigHermitian:
                 pair = eig_hermitian(h)
                 top = float(pair.values[-1])
                 assert np.sum(np.abs(pair.values) <= 1e-12 * top) == n - k
-                _, sigma, _ = linalg.svd_via_eig(g, rank_tol=1e-10)
-                assert sigma.size == k
+                # The rank decision of the extension solve: solving H X = H
+                # over ran H gives the orthogonal projector onto ran H.
+                proj = range_restricted_solve(h, h, rank_tol=1e-10)
+                assert np.max(np.abs(proj - proj.conj().T)) <= 1e-8
+                assert np.max(np.abs(proj @ proj - proj)) <= 1e-8
+                assert abs(np.trace(proj) - k) <= 1e-8
                 root = psd_sqrt(h)
                 assert np.max(np.abs(root @ root - h)) <= 1e-12 * top
 
