@@ -110,28 +110,34 @@ def choose_truncation(
     q: MatrixLaurentPoly2, delta_est: float, margin: float = DEFAULT_MARGIN
 ) -> LiftPlan:
     """Smallest N >= m2 whose reweighting error bound is strictly below
-    delta_est * (1 - margin)."""
+    delta_est * (1 - margin).  The bound falls monotonically in N (so does
+    each floating-point term), so N doubles from m2, then bisects."""
     if delta_est <= 0:
         raise ValueError(f"delta_est must be positive, got {delta_est}")
     if not 0 < margin < 1:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
     budget = delta_est * (1.0 - margin)
     norms = _offset_norms(q)
-    n = q.deg2
-    while True:
-        bound = remainder_bound(q, n, norms)
+    bounds = {}
+
+    def fits(n: int) -> bool:
+        bounds[n] = remainder_bound(q, n, norms)
         # Strict inequality with an ulp-level guard so rational ties
         # (mathematically not-strictly-below) push N up, never down.
-        if bound < budget * (1.0 - 1e-12):
-            return LiftPlan(
-                n=n, r=q.size, delta_est=delta_est, bound_s=bound, margin=margin
-            )
-        n += 1
-        if n > TRUNCATION_CAP:
+        return bounds[n] < budget * (1.0 - 1e-12)
+
+    lo, hi = q.deg2 - 1, q.deg2  # the bound misses at lo (or lo < m2) and fits at hi
+    while not fits(hi):
+        if hi >= TRUNCATION_CAP:
             raise ValueError(
                 f"degenerate delta: no truncation below {TRUNCATION_CAP} satisfies "
                 f"the bound {budget:.3e}"
             )
+        lo, hi = hi, min(2 * hi + 1, TRUNCATION_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return LiftPlan(n=hi, r=q.size, delta_est=delta_est, bound_s=bounds[hi], margin=margin)
 
 
 def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:

@@ -347,26 +347,47 @@ def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _vandermonde(zs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # (T, hi - lo + 1) matrix of z^k, lo <= k <= hi; a negative power is
+    # conj(z)^|k| = conj(z^|k|) (bit for bit), the inverse on the circle.
+    ks = np.arange(lo, hi + 1)
+    pw = zs[:, None] ** np.abs(ks)
+    return np.where(ks >= 0, pw, np.conj(pw))
+
+
+def eval2_z2(polys, zs2: np.ndarray) -> tuple[np.ndarray, int]:
+    """First half of eval2_grid for two-variable polynomials of one width,
+    rows stacked in list order: their coefficients fill one dense block
+    over the joint index box (with (0, 0)), contracted with the z2
+    Vandermonde matrix.  Returns the (J, T2, rows, cols) coefficients of
+    z1^(j0 + i), i < J, and j0."""
+    shapes = [p.coeff(0, 0).shape for p in polys]
+    keys = np.array([(0, 0)] + [idx for p in polys for idx in p.coeffs])
+    (j0, k0), (j1, k1) = keys.min(axis=0), keys.max(axis=0)
+    tops = np.cumsum([0] + [rows for rows, _ in shapes])
+    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], shapes[0][1]), dtype=complex)
+    for p, top, bottom in zip(polys, tops, tops[1:]):
+        for (j, k), c in p.coeffs.items():
+            block[j - j0, k - k0, top:bottom] = c
+    half = _vandermonde(zs2, k0, k1) @ block.reshape(block.shape[:2] + (-1,))
+    return half.reshape(half.shape[:2] + block.shape[2:]), int(j0)
+
+
+def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
+    """Second half of eval2_grid: contract eval2_z2's output with the z1
+    Vandermonde matrix, giving the (T1, T2, rows, cols) values."""
+    v1 = _vandermonde(zs1, j0, j0 + len(half) - 1)
+    return (v1 @ half.reshape(len(half), -1)).reshape((len(zs1),) + half.shape[1:])
+
+
 def eval2_grid(p, zs1: np.ndarray, zs2: np.ndarray) -> np.ndarray:
-    """Evaluate a two-variable polynomial on a product grid: (T1, T2, r, r)."""
-    zs1 = np.asarray(zs1, dtype=complex)
-    zs2 = np.asarray(zs2, dtype=complex)
-    if isinstance(p, MatrixAnalyticPoly2):
-        items = list(p.coeffs.items())
-        shape = (p.rows, p.cols)
-    elif isinstance(p, MatrixLaurentPoly2):
-        items = list(p.coeffs.items())
-        shape = (p.size, p.size)
-    else:
+    """Evaluate a two-variable polynomial on a product grid: (T1, T2, r, c),
+    as one Vandermonde product per variable over the dense coefficient
+    block (eval2_z2, then eval2_z1); negative powers are conj(z)^|k|."""
+    if not isinstance(p, (MatrixAnalyticPoly2, MatrixLaurentPoly2)):
         raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
-    out = np.zeros((zs1.size, zs2.size) + shape, dtype=complex)
-    for (j, k), c in items:
-        if not np.any(c):
-            continue
-        p1 = zs1**j if j >= 0 else np.conj(zs1) ** (-j)
-        p2 = zs2**k if k >= 0 else np.conj(zs2) ** (-k)
-        out += (p1[:, None] * p2[None, :])[:, :, None, None] * c
-    return out
+    half, j0 = eval2_z2([p], np.asarray(zs2, dtype=complex))
+    return eval2_z1(half, j0, np.asarray(zs1, dtype=complex))
 
 
 # -- shared JSON file format --------------------------------------------------

@@ -3,6 +3,8 @@
 # of the determinant polynomial.  It is independent of the construction
 # because it evaluates the polynomials on grids of its own and never
 # reuses the Schur limits, truncations or solves that built the factor.
+# A two-variable residual stacks the factor list into one tall factor F
+# and subtracts F* F; grid eigenvalue extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from .poly import (
     circle_grid,
     eval1_grid,
     eval2_grid,
+    eval2_z1,
+    eval2_z2,
 )
 
 DET_ZERO_TOL = 1e-10
@@ -51,9 +55,15 @@ class GridMin(NamedTuple):
 
 
 def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # vals: (..., r, r) Hermitian stack; r == 1 short-circuits the solver.
+    # vals: (..., r, r) Hermitian stack; r <= 2 short-circuits the solver.
     if vals.shape[-1] == 1:
         return vals[..., 0, 0].real, vals[..., 0, 0].real
+    if vals.shape[-1] == 2:
+        # mid -+ rad for the Hermitian part [[a, b], [conj(b), d]].
+        a, d = vals[..., 0, 0].real, vals[..., 1, 1].real
+        b = (vals[..., 0, 1] + np.conj(vals[..., 1, 0])) / 2
+        mid, rad = (a + d) / 2, np.hypot((a - d) / 2, np.abs(b))
+        return mid - rad, mid + rad
     herm = (vals + np.conj(np.swapaxes(vals, -1, -2))) / 2
     eigs = np.linalg.eigvalsh(herm)
     return eigs[..., 0], eigs[..., -1]
@@ -86,9 +96,8 @@ def _op_norms_stack(vals: np.ndarray) -> np.ndarray:
     # Hermitian stack: operator norm is the largest |eigenvalue|.
     if vals.shape[-1] == 1:
         return np.abs(vals[..., 0, 0])
-    herm = (vals + np.conj(np.swapaxes(vals, -1, -2))) / 2
-    eigs = np.linalg.eigvalsh(herm)
-    return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+    lo, hi = _eig_range_stack(vals)
+    return np.maximum(np.abs(lo), np.abs(hi))
 
 
 def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
@@ -103,14 +112,21 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
             diff = diff - np.conj(np.swapaxes(fv, -1, -2)) @ fv
         return float(np.max(_op_norms_stack(diff)))
     if isinstance(q, MatrixLaurentPoly2):
-        if isinstance(factors, MatrixAnalyticPoly2):
-            factors = [factors]
+        factors = [factors] if isinstance(factors, MatrixAnalyticPoly2) else list(factors)
         zs1 = grid.points1()
         zs2 = grid.points2()
         diff = eval2_grid(q, zs1, zs2)
-        for f in factors:
-            fv = eval2_grid(f, zs1, zs2)
-            diff = diff - np.conj(np.swapaxes(fv, -1, -2)) @ fv
+        if factors:
+            # sum_l F_l* F_l = F* F for the row-stacked F, evaluated in
+            # slabs (of z1 points, and of rows past T1 * r rows) no larger
+            # than the grid array of Q.
+            half, j0 = eval2_z2(factors, zs2)
+            rows = min(half.shape[2], zs1.size * q.size)
+            step = zs1.size * q.size // rows
+            for i in range(0, zs1.size, step):
+                for top in range(0, half.shape[2], rows):
+                    fv = eval2_z1(half[:, :, top : top + rows], j0, zs1[i : i + step])
+                    diff[i : i + step] -= np.conj(np.swapaxes(fv, -1, -2)) @ fv
         return float(np.max(_op_norms_stack(diff)))
     raise TypeError(f"cannot verify object of type {type(q).__name__}")
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from specfactor import corpus, linalg, verify
+from specfactor import corpus, factor2d, linalg, verify
 from specfactor.factor2d import (
     NotStrictlyPositiveError,
+    _offset_norms,
     cesaro_smooth,
     choose_truncation,
     estimate_delta,
@@ -143,6 +144,50 @@ class TestChooseTruncation:
         assert len(calls) == sum(1 for _, k in q.coeffs if k != 0)
         assert (plan.n, plan.bound_s) == (expected.n, expected.bound_s)
         assert plan.bound_s == remainder_bound(q, plan.n)
+
+
+def linear_scan(q, delta, margin):
+    # Reference for choose_truncation: the first N >= m2 whose bound fits.
+    n, norms = q.deg2, _offset_norms(q)
+    while remainder_bound(q, n, norms) >= delta * (1.0 - margin) * (1.0 - 1e-12):
+        n += 1
+    return n, remainder_bound(q, n, norms)
+
+
+class TestChooseTruncationSearch:
+    MARGINS = (0.25, 1.0 / 3.0, 0.5)
+
+    @pytest.mark.parametrize("c0", [5.0, 4.4, 4.2, 4.1, 4.05, 4.01])
+    def test_planes_match_the_linear_scan(self, c0):
+        q = plane(c0)
+        delta = estimate_delta(q, verify.GridSpec(9, 9))
+        for margin in self.MARGINS:
+            plan = choose_truncation(q, delta, margin)
+            assert (plan.n, plan.bound_s) == linear_scan(q, delta, margin)
+
+    def test_random_sums_of_squares_match_the_linear_scan(self):
+        rng = np.random.default_rng(61)
+        for r, m1, m2 in ((1, 1, 1), (2, 1, 2), (2, 2, 3), (1, 0, 4)):
+            q = corpus.sos_instance2(rng, r, m1, m2)
+            for delta in q.scale * np.array([0.3, 0.05, 0.004]):
+                for margin in self.MARGINS:
+                    plan = choose_truncation(q, delta, margin)
+                    assert (plan.n, plan.bound_s) == linear_scan(q, delta, margin)
+
+    def test_first_bound_is_taken_at_the_second_degree(self, monkeypatch):
+        seen = []
+        bound = factor2d.remainder_bound
+        monkeypatch.setattr(
+            factor2d, "remainder_bound", lambda q, n, norms=None: seen.append(n) or bound(q, n, norms)
+        )
+        q = corpus.sos_instance2(np.random.default_rng(62), 1, 1, 3)
+        plan = choose_truncation(q, 0.01 * q.scale)
+        assert seen[0] == q.deg2 == 3
+        assert len(seen) < plan.n - q.deg2 + 1  # fewer calls than the linear scan
+
+    def test_cap_is_kept(self):
+        with pytest.raises(ValueError, match="degenerate delta"):
+            choose_truncation(Q_PLANE, 1e-9)
 
 
 class TestEstimateDelta:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specfactor import corpus
 from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixAnalyticPoly2,
@@ -14,6 +15,7 @@ from specfactor.poly import (
     eval1,
     eval1_grid,
     eval2,
+    eval2_grid,
     load_poly,
     poly_from_json,
     save_poly,
@@ -95,6 +97,63 @@ class TestEval2:
         np.testing.assert_allclose(
             eval2(q, np.exp(0.4j), np.exp(-1.1j)), np.diag([1.0, 2.0]), atol=1e-14
         )
+
+
+def unit_points(rng, n):
+    return np.exp(2j * np.pi * rng.uniform(0, 1, size=n))
+
+
+def eval2_reference(p, zs1, zs2):
+    # Per-term sum at each point in plain Python complex arithmetic.
+    out = np.zeros((len(zs1), len(zs2)) + p.coeff(0, 0).shape, dtype=complex)
+    for a, z1 in enumerate(zs1):
+        for b, z2 in enumerate(zs2):
+            for (j, k), c in p.coeffs.items():
+                out[a, b] += complex(z1) ** j * complex(z2) ** k * c
+    return out
+
+
+def coeff_l1(p):
+    return sum(float(np.max(np.abs(c))) for c in p.coeffs.values())
+
+
+class TestEval2Grid:
+    def test_laurent_with_negative_indices_in_both_variables(self):
+        rng = np.random.default_rng(31)
+        q = corpus.sos_instance2(rng, 2, 2, 3)
+        assert min(j for j, _ in q.coeffs) == -2 and min(k for _, k in q.coeffs) == -3
+        zs1, zs2 = unit_points(rng, 7), unit_points(rng, 5)
+        got = eval2_grid(q, zs1, zs2)
+        assert got.shape == (7, 5, 2, 2)
+        ref = eval2_reference(q, zs1, zs2)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * coeff_l1(q)
+
+    def test_rectangular_analytic_coefficients(self):
+        rng = np.random.default_rng(32)
+        coeffs = {(j, k): corpus.disk_uniform(rng, (2, 3)) for j in (1, 3) for k in (0, 2)}
+        p = MatrixAnalyticPoly2(2, 3, coeffs)
+        # analytic input accepts points off the circle
+        zs1 = np.concatenate([unit_points(rng, 4), 0.5 * unit_points(rng, 2)])
+        zs2 = unit_points(rng, 3)
+        got = eval2_grid(p, zs1, zs2)
+        assert got.shape == (6, 3, 2, 3)
+        assert np.max(np.abs(got - eval2_reference(p, zs1, zs2))) <= 1e-14 * coeff_l1(p)
+
+    def test_zero_polynomial(self):
+        p = MatrixAnalyticPoly2(2, 3, {(1, 2): np.zeros((2, 3))})
+        assert not p.coeffs
+        got = eval2_grid(p, circle_grid(3), circle_grid(2))
+        np.testing.assert_array_equal(got, np.zeros((8, 4, 2, 3)))
+
+    def test_one_point_grid_agrees_with_eval2(self):
+        rng = np.random.default_rng(33)
+        q = corpus.sos_instance2(rng, 2, 1, 2)
+        for z1, z2 in zip(unit_points(rng, 3), unit_points(rng, 3)):
+            got = eval2_grid(q, [z1], [z2])
+            assert got.shape == (1, 1, 2, 2)
+            np.testing.assert_array_equal(eval2(q, z1, z2), got[0, 0])
+            ref = eval2_reference(q, [z1], [z2])[0, 0]
+            assert np.max(np.abs(got[0, 0] - ref)) <= 1e-14 * coeff_l1(q)
 
 
 class TestAdjointProduct:

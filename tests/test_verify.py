@@ -1,15 +1,32 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from specfactor import corpus
+from specfactor import corpus, verify
 from specfactor.factor1d import factor, normalize_gauge
+from specfactor.factor2d import factor_strict
 from specfactor.poly import (
     MatrixAnalyticPoly1,
+    MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
+    adjoint_product_list2,
     eval1,
+    eval1_grid,
+    eval2_grid,
 )
-from specfactor.verify import GridSpec, det_poly, grid_min_eig, outer_check, residual
+from specfactor.verify import (
+    GridSpec,
+    _eig_range_stack,
+    _op_norms_stack,
+    det_poly,
+    grid_min_eig,
+    outer_check,
+    residual,
+)
+
+EPS = np.finfo(float).eps
 
 
 def scalar_laurent(causal):
@@ -88,6 +105,162 @@ class TestResidual:
         p = scalar_analytic([1.0, 1.0])
         # q - |p|^2 = 3 + z + 1/z peaks at 5 when z = 1
         assert residual(q, p) == pytest.approx(5.0, abs=1e-12)
+
+
+def residual2_reference(q, factors, grid):
+    # The per-factor loop: one grid evaluation and one product per factor.
+    zs1, zs2 = grid.points1(), grid.points2()
+    diff = eval2_grid(q, zs1, zs2)
+    for f in factors:
+        fv = eval2_grid(f, zs1, zs2)
+        diff = diff - np.conj(np.swapaxes(fv, -1, -2)) @ fv
+    return float(np.max(np.linalg.norm(diff, 2, axis=(-2, -1))))
+
+
+def strict_instance(rng, r, m1, m2):
+    q = corpus.sos_instance2(rng, r, m1, m2)
+    coeffs = dict(q.coeffs)
+    coeffs[(0, 0)] = coeffs[(0, 0)] + 0.5 * q.scale * np.eye(r)
+    return MatrixLaurentPoly2(r, coeffs)
+
+
+class TestResidual2:
+    GRID = GridSpec(5, 4)
+
+    def test_factor_strict_outputs_match_the_per_factor_loop(self):
+        rng = np.random.default_rng(71)
+        for r, m1, m2 in ((1, 1, 1), (2, 1, 2), (2, 2, 1)):
+            q = strict_instance(rng, r, m1, m2)
+            fs, rep, plan = factor_strict(q)
+            assert len(fs) == plan.n + 1 > 1
+            scale = grid_min_eig(q, self.GRID).max_eig
+            got = residual(q, fs, self.GRID)
+            assert abs(got - residual2_reference(q, fs, self.GRID)) <= 1e-13 * scale
+
+    def test_factors_of_unequal_degrees(self):
+        rng = np.random.default_rng(72)
+        fs = [corpus.random_analytic2(rng, 2, m1, m2) for m1, m2 in ((1, 3), (2, 0), (0, 2))]
+        for q in (adjoint_product_list2(fs), adjoint_product_list2(fs[:2])):
+            scale = grid_min_eig(q, self.GRID).max_eig
+            got = residual(q, fs, self.GRID)
+            assert abs(got - residual2_reference(q, fs, self.GRID)) <= 1e-13 * scale
+        assert got > 0.1 * scale  # the second q leaves F_3* F_3 unmatched
+
+    def test_bare_factor_and_one_element_list(self):
+        rng = np.random.default_rng(73)
+        f = corpus.random_analytic2(rng, 2, 1, 2)
+        q = corpus.sos_instance2(rng, 2, 1, 2)
+        assert residual(q, f, self.GRID) == residual(q, [f], self.GRID)
+        assert residual(q, [f], self.GRID) == pytest.approx(
+            residual2_reference(q, [f], self.GRID), rel=1e-13
+        )
+
+    def test_empty_list_gives_the_sup_norm_of_q(self):
+        rng = np.random.default_rng(74)
+        q2 = corpus.sos_instance2(rng, 2, 1, 2)
+        vals = eval2_grid(q2, self.GRID.points1(), self.GRID.points2())
+        sup = np.max(np.linalg.norm(vals, 2, axis=(-2, -1)))
+        assert residual(q2, [], self.GRID) == pytest.approx(sup, rel=1e-13)
+        for r in (1, 2):
+            q1, _ = corpus.ridged_instance(rng, r, 2)
+            vals = eval1_grid(q1, GridSpec(9).points1())
+            sup = np.max(np.linalg.norm(vals, 2, axis=(-2, -1)))
+            assert residual(q1, [], GridSpec(9)) == pytest.approx(sup, rel=1e-13)
+
+    def test_evaluations_do_not_grow_with_the_factor_count(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        q = corpus.sos_instance2(rng, 2, 1, 1)
+        calls, slabs = [], []
+
+        def spy(name, record):
+            original = getattr(verify, name)
+
+            def wrapper(*args):
+                out = original(*args)
+                record(out)
+                return out
+
+            monkeypatch.setattr(verify, name, wrapper)
+
+        spy("eval2_grid", lambda out: calls.append(1))
+        spy("eval2_z2", lambda out: calls.append(1))
+        spy("eval2_z1", lambda out: slabs.append(out.size))
+        counts = []
+        for n_factors in (1, 3, 9, 40):  # 40 factors: 80 rows, past T1 * r = 64
+            calls.clear()
+            fs = [corpus.random_analytic2(rng, 2, 1, 1) for _ in range(n_factors)]
+            got = residual(q, fs, self.GRID)
+            counts.append(len(calls))
+            assert got == pytest.approx(residual2_reference(q, fs, self.GRID), rel=1e-13)
+        assert counts == [2, 2, 2, 2]
+        # each slab of the stacked factor is no larger than the grid array of Q
+        assert max(slabs) <= 32 * 16 * 2 * 2
+
+
+def exact_eig_range(vals):
+    # Extremes of the Hermitian part of each 2 x 2 matrix, in 40-digit
+    # decimal arithmetic from the exact binary inputs.
+    lo, hi = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for m in vals.reshape(-1, 2, 2):
+            a, d = Decimal(m[0, 0].real), Decimal(m[1, 1].real)
+            b = (m[0, 1], np.conj(m[1, 0]))
+            br = (Decimal(b[0].real) + Decimal(b[1].real)) / 2
+            bi = (Decimal(b[0].imag) + Decimal(b[1].imag)) / 2
+            mid, rad = (a + d) / 2, (((a - d) / 2) ** 2 + br**2 + bi**2).sqrt()
+            lo.append(float(mid - rad))
+            hi.append(float(mid + rad))
+    return np.array(lo).reshape(vals.shape[:-2]), np.array(hi).reshape(vals.shape[:-2])
+
+
+def hermitian_2x2_stacks():
+    rng = np.random.default_rng(81)
+    n = 256
+
+    def herm(a, d, b):
+        out = np.empty((n, 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 1, 1], out[:, 0, 1], out[:, 1, 0] = a, d, b, np.conj(b)
+        return out
+
+    def cnormal(scale=1.0):
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    # an anti-Hermitian part, which both the closed form and eigvalsh discard
+    skew = 1e-6 * (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    skew -= np.conj(np.swapaxes(skew, -1, -2))
+    return {
+        "random": herm(rng.standard_normal(n), rng.standard_normal(n), cnormal()) + skew,
+        "diagonal": herm(rng.standard_normal(n), rng.standard_normal(n), 0.0),
+        "repeated": herm(c := rng.standard_normal(n), c, 0.0),
+        "graded": herm(rng.uniform(1, 2, n), 1e-6 * rng.uniform(1, 2, n), cnormal(1e-12)),
+        "indefinite": herm(rng.uniform(1, 2, n), -rng.uniform(1, 2, n), cnormal(0.5)),
+    }
+
+
+class TestClosedFormExtremes:
+    @pytest.mark.parametrize("kind", list(hermitian_2x2_stacks()))
+    def test_matches_exact_and_lapack_extremes(self, kind):
+        vals = hermitian_2x2_stacks()[kind]
+        lo, hi = _eig_range_stack(vals)
+        xlo, xhi = exact_eig_range(vals)
+        norm = np.maximum(np.abs(xlo), np.abs(xhi))
+        assert np.all(np.abs(lo - xlo) <= 4 * EPS * norm)
+        assert np.all(np.abs(hi - xhi) <= 4 * EPS * norm)
+        assert np.all(np.abs(_op_norms_stack(vals) - norm) <= 4 * EPS * norm)
+        # LAPACK itself is off the exact extremes by up to ~6 eps ||A|| on
+        # random stacks, so the comparison with eigvalsh allows 8 eps.
+        eigs = np.linalg.eigvalsh((vals + np.conj(np.swapaxes(vals, -1, -2))) / 2)
+        assert np.all(np.abs(lo - eigs[:, 0]) <= 8 * EPS * norm)
+        assert np.all(np.abs(hi - eigs[:, -1]) <= 8 * EPS * norm)
+        lapack_norms = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+        assert np.all(np.abs(_op_norms_stack(vals) - lapack_norms) <= 8 * EPS * norm)
+
+    def test_repeated_eigenvalue_is_exact(self):
+        vals = hermitian_2x2_stacks()["repeated"]
+        lo, hi = _eig_range_stack(vals)
+        np.testing.assert_array_equal(lo, vals[:, 0, 0].real)
+        np.testing.assert_array_equal(hi, vals[:, 0, 0].real)
 
 
 class TestDetPoly:
