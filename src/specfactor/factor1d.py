@@ -109,9 +109,9 @@ def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     dim = n_blocks * r
     bw = min(len(stack) // 2 * r - 1, dim - 1)
     cols = np.arange(dim)
-    ab = np.zeros((bw + 1, dim), dtype=complex)
-    for i in range(bw + 1):
-        ab[i, : dim - i] = toeplitz_entries(stack, cols[i:], cols[: dim - i])
+    rows = np.arange(bw + 1)[:, None] + cols
+    ab = toeplitz_entries(stack, rows, cols)
+    ab[rows >= dim] = 0
     return ab
 
 
@@ -205,11 +205,12 @@ def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarr
     # M = [[G, C], [C*, E]] leaves diag(E, G) - U M^(-1) U*, U = diag(F, F*),
     # the end-block complement of the N-truncation.
     w = len(h) // 2
-    e, f, g, z = h[:w, :w], h[:w, w:], h[w:, w:], np.zeros((w, w))
-    fh = f.conj().T
-    # Rows and columns: kept E, G, then eliminated G, E.
-    t = np.block([[e, z, f, z], [z, g, z, fh], [fh, z, g, c], [z, f, c.conj().T, e]])
-    return _lead_complement(t, 2 * w, scale, n_blocks)
+    e, f, g = h[:w, :w], h[:w, w:], h[w:, w:]
+    kept, coupling, middle = np.zeros_like(h), np.zeros_like(h), np.empty_like(h)
+    kept[:w, :w], kept[w:, w:] = e, g
+    coupling[:w, :w], coupling[w:, w:] = f.conj().T, f
+    middle[:w, :w], middle[:w, w:], middle[w:, :w], middle[w:, w:] = g, c, c.conj().T, e
+    return _complement(kept, coupling, middle, False, scale, n_blocks)
 
 
 def schur_limit(

@@ -162,23 +162,19 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
 
     The block column at position c from the left of each coefficient
     carries second-variable exponent N-c; row block l across all
-    coefficients assembles the l-th factor.
+    coefficients assembles the l-th factor.  One reshape of the stacked
+    coefficients indexes the blocks as [l, j, c], and each factor takes
+    views of its nonzero blocks.
     """
     big = r * (n + 1)
     if phi.rows != big or phi.cols != big:
         raise ValueError(
             f"lifted factor has shape ({phi.rows},{phi.cols}), expected ({big},{big})"
         )
+    blocks = np.array(phi.coeffs).reshape(-1, n + 1, r, n + 1, r).transpose(1, 0, 3, 2, 4)
     factors = []
-    for ell in range(n + 1):
-        coeffs = {}
-        for j in range(phi.degree + 1):
-            cj = phi.coeffs[j]
-            for pos in range(n + 1):
-                k = n - pos
-                blk = cj[ell * r : (ell + 1) * r, pos * r : (pos + 1) * r]
-                if np.any(blk):
-                    coeffs[(j, k)] = blk
+    for ell, nonzero in enumerate(blocks.any(axis=(-2, -1))):
+        coeffs = {(j, n - pos): blocks[ell, j, pos] for j, pos in zip(*np.nonzero(nonzero))}
         factors.append(MatrixAnalyticPoly2(r, r, coeffs))
     return factors
 

@@ -199,17 +199,24 @@ class MatrixAnalyticPoly2:
     def __init__(self, rows: int, cols: int, coeffs: dict[tuple[int, int], np.ndarray]):
         shape = (int(rows), int(cols))
         self.rows, self.cols = shape
-        canon = {}
+        keys, vals = [], []
         for (j, k), v in coeffs.items():
             if j < 0 or k < 0:
-                raise ValueError("analytic coefficients need indices >= 0")
-            m = _as_coeff(v, shape, f"coefficient {(j, k)}")
-            if np.any(m):
-                canon[(int(j), int(k))] = m
-        self.coeffs = canon
-        self.deg1 = max((j for j, _ in canon), default=0)
-        self.deg2 = max((k for _, k in canon), default=0)
-        self.scale = _coeff_scale(list(canon.values()))
+                raise ValueError(f"analytic coefficient {(j, k)} needs indices >= 0")
+            m = np.asarray(v, dtype=complex)
+            if m.shape != shape:
+                raise ValueError(f"coefficient {(j, k)} has shape {m.shape}, expected {shape}")
+            keys.append((int(j), int(k)))
+            vals.append(m)
+        # One stack for the finiteness test, the nonzero filter and the scale.
+        stack = np.array(vals, dtype=complex).reshape((len(vals),) + shape)
+        for key, finite in zip(keys, np.isfinite(stack).all(axis=(1, 2))):
+            if not finite:
+                raise ValueError(f"coefficient {key} contains NaN or infinite entries")
+        self.coeffs = {key: m for key, m, nz in zip(keys, stack, stack.any(axis=(1, 2))) if nz}
+        self.deg1 = max((j for j, _ in self.coeffs), default=0)
+        self.deg2 = max((k for _, k in self.coeffs), default=0)
+        self.scale = _coeff_scale([stack])
 
     def coeff(self, j: int, k: int) -> np.ndarray:
         return self.coeffs.get((j, k), np.zeros((self.rows, self.cols), dtype=complex))

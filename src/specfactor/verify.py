@@ -3,8 +3,9 @@
 # of the determinant polynomial.  It is independent of the construction
 # because it evaluates the polynomials on grids of its own and never
 # reuses the Schur limits, truncations or solves that built the factor.
-# A two-variable residual stacks the factor list into one tall factor F
-# and subtracts F* F; grid eigenvalue extremes for r <= 2 are closed-form.
+# A two-variable residual subtracts F* F for the row-stacked factor list F,
+# summed from its z1 Gram coefficients on the z2 grid; grid eigenvalue
+# extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -101,34 +102,38 @@ def _op_norms_stack(vals: np.ndarray) -> np.ndarray:
 
 
 def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
-    """Sup over the grid of opnorm(Q - sum_l F_l* F_l)."""
+    """Sup over the grid of opnorm(Q - sum_l F_l* F_l).  Every factor
+    must have q.size columns."""
+    if not isinstance(q, (MatrixLaurentPoly1, MatrixLaurentPoly2)):
+        raise TypeError(f"cannot verify object of type {type(q).__name__}")
+    single = isinstance(factors, (MatrixAnalyticPoly1, MatrixAnalyticPoly2))
+    factors = [factors] if single else list(factors)
+    for i, f in enumerate(factors):
+        if f.cols != q.size:
+            raise ValueError(f"factor {i} has width {f.cols}, expected {q.size}")
     if isinstance(q, MatrixLaurentPoly1):
-        if isinstance(factors, MatrixAnalyticPoly1):
-            factors = [factors]
         zs = grid.points1()
         diff = eval1_grid(q, zs)
         for f in factors:
             fv = eval1_grid(f, zs)
             diff = diff - np.conj(np.swapaxes(fv, -1, -2)) @ fv
-        return float(np.max(_op_norms_stack(diff)))
-    if isinstance(q, MatrixLaurentPoly2):
-        factors = [factors] if isinstance(factors, MatrixAnalyticPoly2) else list(factors)
+    else:
         zs1 = grid.points1()
         zs2 = grid.points2()
         diff = eval2_grid(q, zs1, zs2)
         if factors:
-            # sum_l F_l* F_l = F* F for the row-stacked F, evaluated in
-            # slabs (of z1 points, and of rows past T1 * r rows) no larger
-            # than the grid array of Q.
-            half, j0 = eval2_z2(factors, zs2)
-            rows = min(half.shape[2], zs1.size * q.size)
-            step = zs1.size * q.size // rows
-            for i in range(0, zs1.size, step):
-                for top in range(0, half.shape[2], rows):
-                    fv = eval2_z1(half[:, :, top : top + rows], j0, zs1[i : i + step])
-                    diff[i : i + step] -= np.conj(np.swapaxes(fv, -1, -2)) @ fv
-        return float(np.max(_op_norms_stack(diff)))
-    raise TypeError(f"cannot verify object of type {type(q).__name__}")
+            # sum_l F_l* F_l = F* F for the row-stacked F = sum_j z1^j H_j(z2);
+            # on the circle F* F = sum_d z1^d G_d with G_d = sum_j H_j* H_{j+d}.
+            # Block (i, j) of W* W, W = [H_0 | ... | H_{J-1}], is H_i* H_j.
+            half, _ = eval2_z2(factors, zs2)
+            n_j, c = len(half), q.size
+            w = half.transpose(1, 2, 0, 3).reshape(len(zs2), -1, n_j * c)
+            gram = (np.conj(np.swapaxes(w, -1, -2)) @ w).reshape(-1, n_j, c, n_j, c)
+            g = np.zeros((2 * n_j - 1,) + diff.shape[1:], dtype=complex)
+            for i in range(n_j):
+                g[n_j - 1 - i : 2 * n_j - 1 - i] += gram[:, i].transpose(2, 0, 1, 3)
+            diff -= eval2_z1(g, 1 - n_j, zs1)
+    return float(np.max(_op_norms_stack(diff)))
 
 
 def det_poly(p: MatrixAnalyticPoly1) -> np.ndarray:

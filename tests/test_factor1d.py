@@ -15,6 +15,9 @@ from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
     adjoint_product,
+    block_toeplitz,
+    laurent_stack,
+    toeplitz_entries,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -224,6 +227,52 @@ class TestSegmentDoubling:
         calls.clear()
         linalg.schur_complement(np.eye(3), 1)
         assert calls == [2]
+
+
+def banded_reference(q, n_blocks):
+    # Lower band storage read off the dense truncation, one diagonal at a time.
+    t = block_toeplitz(q, n_blocks)
+    dim = len(t)
+    bw = min((q.degree + 1) * q.size - 1, dim - 1)
+    ab = np.zeros((bw + 1, dim), dtype=complex)
+    for i in range(bw + 1):
+        ab[i, : dim - i] = np.diagonal(t, -i)
+    return ab
+
+
+def join_reference(h, c, scale, n_blocks):
+    # The join as one 4 x 4 block matrix, complemented on its leading half.
+    w = len(h) // 2
+    e, f, g, z = h[:w, :w], h[:w, w:], h[w:, w:], np.zeros((w, w))
+    fh = f.conj().T
+    # Rows and columns: kept E, G, then eliminated G, E.
+    t = np.block([[e, z, f, z], [z, g, z, fh], [fh, z, g, c], [z, f, c.conj().T, e]])
+    return factor1d._lead_complement(t, 2 * w, scale, n_blocks)
+
+
+class TestEliminationStorage:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_banded_lower_matches_the_diagonals(self, r, m):
+        q, _ = corpus.ridged_instance(np.random.default_rng(10 * r + m), r, m)
+        stack = laurent_stack(q.coeff, q.degree)
+        for n_blocks in range(1, 3 * (m + 1) + 1):  # from dim - 1 < bw up to 3b
+            np.testing.assert_array_equal(
+                factor1d._banded_lower(stack, n_blocks), banded_reference(q, n_blocks)
+            )
+
+    @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 3)])
+    def test_join_matches_the_block_formula(self, r, m):
+        rng = np.random.default_rng(20 + r)
+        for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
+            b, scale = m, q.scale
+            stack = laurent_stack(q.coeff, q.degree)
+            c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+            h = factor1d._ends(stack, b, b, 4 * b, scale)
+            for n_blocks in (8 * b, 16 * b, 32 * b):
+                joined = factor1d._join(h, c, scale, n_blocks)
+                np.testing.assert_array_equal(joined, join_reference(h, c, scale, n_blocks))
+                h = joined
 
 
 class TestFactor:

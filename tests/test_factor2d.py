@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specfactor import corpus, factor2d, linalg, verify
+from specfactor import corpus, factor1d, factor2d, linalg, verify
 from specfactor.factor2d import (
     NotStrictlyPositiveError,
     _offset_norms,
@@ -330,6 +330,29 @@ class TestUnliftFactor:
         phi = MatrixAnalyticPoly1([np.eye(3)])
         with pytest.raises(ValueError, match="shape"):
             unlift_factor(phi, 2, 1)
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
+    def test_restacking_reproduces_the_lifted_factor(self, r, n):
+        q = corpus.sos_instance2(np.random.default_rng(40 + r), r, 2, 1)
+        phi, _ = factor1d.factor(lift_to_block(q, n))
+        fs = unlift_factor(phi, r, n)
+        assert len(fs) == n + 1
+        for j, cj in enumerate(phi.coeffs):
+            restacked = np.block(
+                [[fs[ell].coeff(j, n - pos) for pos in range(n + 1)] for ell in range(n + 1)]
+            )
+            np.testing.assert_array_equal(restacked, cj)
+
+    def test_zero_row_block_gives_an_empty_factor(self):
+        rng = np.random.default_rng(45)
+        coeffs = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2)]
+        for c in coeffs:
+            c[2:4] = 0.0
+        coeffs[1][:, 4:] = 0.0  # and one zero block column: no (1, 0) keys
+        f0, f1, f2 = unlift_factor(MatrixAnalyticPoly1(coeffs), 2, 2)
+        assert f1.coeffs == {} and f1.scale == 0.0
+        assert sorted(f0.coeffs) == sorted(f2.coeffs) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
+        np.testing.assert_array_equal(f2.coeff(1, 2), coeffs[1][4:, :2])
 
 
 class TestFactorCesaro:

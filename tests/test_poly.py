@@ -156,6 +156,33 @@ class TestEval2Grid:
             assert np.max(np.abs(got[0, 0] - ref)) <= 1e-14 * coeff_l1(q)
 
 
+class TestAnalyticPoly2Construction:
+    def test_negative_index_named(self):
+        with pytest.raises(ValueError, match=r"\(1, -1\) needs indices >= 0"):
+            MatrixAnalyticPoly2(1, 1, {(0, 0): [[1.0]], (1, -1): [[1.0]]})
+
+    def test_wrong_shape_named(self):
+        with pytest.raises(ValueError, match=r"coefficient \(2, 0\) has shape \(2, 2\)"):
+            MatrixAnalyticPoly2(2, 3, {(0, 1): np.ones((2, 3)), (2, 0): np.ones((2, 2))})
+
+    def test_nan_named(self):
+        coeffs = {(0, 0): np.ones((2, 2)), (1, 2): np.array([[1.0, np.nan], [0.0, 1.0]])}
+        with pytest.raises(ValueError, match=r"coefficient \(1, 2\) contains NaN"):
+            MatrixAnalyticPoly2(2, 2, coeffs)
+        coeffs[(1, 2)] = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"coefficient \(1, 2\) contains NaN or infinite"):
+            MatrixAnalyticPoly2(2, 2, coeffs)
+
+    def test_zero_blocks_dropped_and_scale_kept(self):
+        p = MatrixAnalyticPoly2(
+            1, 2, {(3, 0): np.zeros((1, 2)), (0, 1): [[1.0, -4.0j]], (1, 0): [[2.0, 0.0]]}
+        )
+        assert list(p.coeffs) == [(0, 1), (1, 0)]
+        assert (p.deg1, p.deg2, p.scale) == (1, 1, 4.0)
+        empty = MatrixAnalyticPoly2(2, 2, {})
+        assert (empty.coeffs, empty.deg1, empty.deg2, empty.scale) == ({}, 0, 0, 0.0)
+
+
 class TestAdjointProduct:
     def test_scalar_one_plus_z(self):
         q = adjoint_product(scalar_analytic([1.0, 1.0]))

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -195,6 +196,83 @@ class TestResidual2:
         assert counts == [2, 2, 2, 2]
         # each slab of the stacked factor is no larger than the grid array of Q
         assert max(slabs) <= 32 * 16 * 2 * 2
+
+
+def residual2_pointwise(q, factors, grid):
+    # One F_l* F_l per factor and grid point, each F_l(z1, z2) summed
+    # term by term from its coefficients.
+    zs1, zs2 = grid.points1(), grid.points2()
+    diff = eval2_grid(q, zs1, zs2)
+    terms = [(np.array(list(f.coeffs)).reshape(-1, 2).T, np.array(list(f.coeffs.values())))
+             for f in factors if f.coeffs]
+    sup = 0.0
+    for a, z1 in enumerate(zs1):
+        for b, z2 in enumerate(zs2):
+            acc = diff[a, b].copy()
+            for (js, ks), cs in terms:
+                fv = np.tensordot(z1**js * z2**ks, cs, axes=1)
+                acc -= np.conj(fv).T @ fv
+            sup = max(sup, float(np.linalg.norm(acc, 2)))
+    return sup
+
+
+class TestGramResidual:
+    GRID = GridSpec(5, 4)
+
+    def test_lifted_factors_of_plane_4_1(self):
+        q = MatrixLaurentPoly2.from_causal(
+            1, {(0, 0): [[4.1]], (1, 0): [[1.0]], (0, 1): [[1.0]]}
+        )
+        fs, _, plan = factor_strict(q)
+        assert plan.n == 34 and len(fs) == 35
+        scale = grid_min_eig(q, self.GRID).max_eig
+        got = residual(q, fs, self.GRID)
+        assert abs(got - residual2_pointwise(q, fs, self.GRID)) <= 1e-13 * scale
+
+    def test_factors_without_the_first_variable(self):
+        # deg1 = 0 everywhere: one z1 coefficient, one Gram coefficient
+        rng = np.random.default_rng(76)
+        fs = [corpus.random_analytic2(rng, 2, 0, m2) for m2 in (0, 1, 3)]
+        for q in (adjoint_product_list2(fs), corpus.sos_instance2(rng, 2, 1, 2)):
+            scale = grid_min_eig(q, self.GRID).max_eig
+            got = residual(q, fs, self.GRID)
+            assert abs(got - residual2_pointwise(q, fs, self.GRID)) <= 1e-13 * scale
+        assert got > 0.1 * scale
+
+    def test_no_array_of_the_tall_grid_size(self):
+        # 300 factors of 2 rows: the tall values F(z1, z2) would be
+        # T1 * T2 * 600 * 2 entries; the residual never holds that many.
+        rng = np.random.default_rng(77)
+        fs = [corpus.random_analytic2(rng, 2, 1, 1) for _ in range(300)]
+        q = adjoint_product_list2(fs)
+        tall_bytes = 32 * 16 * 600 * 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            got = residual(q, fs, self.GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tall_bytes
+        assert got <= 1e-12 * q.scale
+
+
+class TestFactorWidth:
+    def test_narrow_factor_raises_in_both_branches(self):
+        rng = np.random.default_rng(78)
+        q2 = corpus.sos_instance2(rng, 2, 1, 1)
+        f2 = corpus.random_analytic2(rng, 2, 1, 1)
+        narrow2 = MatrixAnalyticPoly2(2, 1, {(0, 0): np.ones((2, 1)), (1, 1): np.ones((2, 1))})
+        with pytest.raises(ValueError, match="factor 0 has width 1, expected 2"):
+            residual(q2, narrow2)
+        with pytest.raises(ValueError, match="factor 1 has width 1, expected 2"):
+            residual(q2, [f2, narrow2, f2])
+        q1, _ = corpus.ridged_instance(rng, 2, 2)
+        narrow1 = MatrixAnalyticPoly1([np.ones((2, 1)), np.ones((2, 1))])
+        with pytest.raises(ValueError, match="factor 0 has width 1, expected 2"):
+            residual(q1, narrow1)
+        wide1 = MatrixAnalyticPoly1([np.ones((1, 3))])
+        with pytest.raises(ValueError, match="width 3"):
+            residual(q1, [wide1])
 
 
 def exact_eig_range(vals):
