@@ -24,8 +24,7 @@ from . import linalg, verify
 from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
-    circle_grid,
-    eval1_grid,
+    circle_values,
     laurent_stack,
     toeplitz_entries,
     toeplitz_psd_check,
@@ -394,8 +393,7 @@ def scalar_root_factor(
     if scale == 0.0:
         return MatrixAnalyticPoly1([np.zeros((1, 1))])
 
-    zs = circle_grid(10)
-    vals = eval1_grid(q, zs)[:, 0, 0].real
+    vals = circle_values(laurent_stack(q.coeff, m), -m - 1, 10)[:, 0, 0].real
     vmin = float(np.min(vals))
     if vmin < -1e-9 * scale:
         raise NotNonnegativeError(

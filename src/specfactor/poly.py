@@ -334,8 +334,18 @@ def circle_grid(log2_points: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def circle_values(coeffs, lo: int, log2_points: int) -> np.ndarray:
+    """Values at circle_grid(g) of sum_k C_k z^k, C_k = coeffs[k - lo]:
+    index k folds onto k mod 2^g (z^k is periodic on the grid), then one
+    unscaled inverse DFT along the first axis gives the (2^g, ...) values."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    folded = np.zeros((1 << log2_points,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(folded, (lo + np.arange(len(coeffs))) % len(folded), coeffs)
+    return np.fft.ifft(folded, axis=0, norm="forward")
+
+
 def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a one-variable polynomial at many points: (T, r, r) stack."""
+    """Evaluate a one-variable polynomial at arbitrary points: (T, r, c) stack."""
     zs = np.asarray(zs, dtype=complex)
     if isinstance(p, MatrixAnalyticPoly1):
         items = list(enumerate(p.coeffs))

@@ -1,11 +1,11 @@
 # Independent verification: torus grid sampling for positivity estimates,
 # factorization residuals, and outerness certification through the roots
-# of the determinant polynomial.  It is independent of the construction
-# because it evaluates the polynomials on grids of its own and never
-# reuses the Schur limits, truncations or solves that built the factor.
-# A two-variable residual subtracts F* F for the row-stacked factor list F,
-# summed from its z1 Gram coefficients on the z2 grid; grid eigenvalue
-# extremes for r <= 2 are closed-form.
+# of the determinant polynomial.  It reads only Q and the factor
+# coefficients, never the Schur limits, truncations or solves that built
+# the factor.  A residual subtracts F* F for the row-stacked factor list F
+# from its z1 Gram coefficients: one inverse DFT of the coefficients of
+# Q - F* F in one variable, a z2 grid evaluation first in two.  Grid
+# eigenvalue extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ from .poly import (
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
     circle_grid,
-    eval1_grid,
+    circle_values,
     eval2_grid,
     eval2_z1,
     eval2_z2,
+    laurent_stack,
 )
 
 DET_ZERO_TOL = 1e-10
@@ -75,7 +76,8 @@ def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
     point, and the maximum eigenvalue over the grid from the same solve."""
     if isinstance(q, MatrixLaurentPoly1):
         zs = grid.points1()
-        mins, maxs = _eig_range_stack(eval1_grid(q, zs))
+        vals = circle_values(laurent_stack(q.coeff, q.degree), -q.degree - 1, grid.g1)
+        mins, maxs = _eig_range_stack(vals)
         idx = int(np.argmin(mins))
         return GridMin(
             min_eig=float(mins[idx]), point=(complex(zs[idx]),), max_eig=float(np.max(maxs))
@@ -101,39 +103,61 @@ def _op_norms_stack(vals: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(lo), np.abs(hi))
 
 
+def _sup_op_norm(vals: np.ndarray) -> float:
+    # max(_op_norms_stack(vals)); as ||A||_2 <= ||A||_F, for r >= 3 only points
+    # whose Frobenius norm reaches the opnorm at the Frobenius maximum are solved.
+    if vals.shape[-1] < 3:
+        return float(np.max(_op_norms_stack(vals)))
+    fro = np.linalg.norm(vals, axis=(-2, -1))
+    top = _op_norms_stack(vals[fro == fro.max()][:1])
+    return float(np.max(_op_norms_stack(vals[fro * (1 + 1e-12) >= top])))
+
+
+def _gram_coeffs(h: np.ndarray) -> np.ndarray:
+    # G_d = sum_j H_j* H_{j+d} at [J - 1 + d], |d| < J, for h = (H_0, ..., H_{J-1})
+    # stacked (J, ..., rows, c), from the blocks H_i* H_j of W* W, W = [H_0 | ... ].
+    n_j, batch, c = len(h), h.shape[1:-2], h.shape[-1]
+    w = np.moveaxis(h, 0, -2).reshape(batch + (h.shape[-2], n_j * c))
+    gram = (np.conj(np.swapaxes(w, -1, -2)) @ w).reshape(-1, n_j, c, n_j, c)
+    g = np.zeros((2 * n_j - 1, len(gram), c, c), dtype=complex)
+    for i in range(n_j):
+        g[n_j - 1 - i : 2 * n_j - 1 - i] += gram[:, i].transpose(2, 0, 1, 3)
+    return g.reshape((2 * n_j - 1,) + batch + (c, c))
+
+
 def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
     """Sup over the grid of opnorm(Q - sum_l F_l* F_l).  Every factor
-    must have q.size columns."""
+    must have as many variables as q and q.size columns."""
     if not isinstance(q, (MatrixLaurentPoly1, MatrixLaurentPoly2)):
         raise TypeError(f"cannot verify object of type {type(q).__name__}")
     single = isinstance(factors, (MatrixAnalyticPoly1, MatrixAnalyticPoly2))
     factors = [factors] if single else list(factors)
+    one_var = isinstance(q, MatrixLaurentPoly1)
+    kind = MatrixAnalyticPoly1 if one_var else MatrixAnalyticPoly2
     for i, f in enumerate(factors):
+        if not isinstance(f, kind):
+            raise TypeError(f"factor {i} is a {type(f).__name__}, expected {kind.__name__}")
         if f.cols != q.size:
             raise ValueError(f"factor {i} has width {f.cols}, expected {q.size}")
-    if isinstance(q, MatrixLaurentPoly1):
-        zs = grid.points1()
-        diff = eval1_grid(q, zs)
-        for f in factors:
-            fv = eval1_grid(f, zs)
-            diff = diff - np.conj(np.swapaxes(fv, -1, -2)) @ fv
+    # sum_l F_l* F_l = F* F = sum_d z1^d G_d on the circle for the row-stacked
+    # F = sum_j z1^j H_j (an empty list: no rows, G = 0).
+    if one_var:
+        tops = np.cumsum([0] + [f.rows for f in factors])
+        n_j = max((f.degree for f in factors), default=0) + 1
+        h = np.zeros((n_j, tops[-1], q.size), dtype=complex)
+        for f, top, bottom in zip(factors, tops, tops[1:]):
+            h[: f.degree + 1, top:bottom] = f.coeffs
+        span = max(q.degree, n_j - 1)
+        e = laurent_stack(q.coeff, span)  # Q_k at k + span + 1
+        e[span + 2 - n_j : span + 1 + n_j] -= _gram_coeffs(h)
+        diff = circle_values(e, -span - 1, grid.g1)
     else:
-        zs1 = grid.points1()
-        zs2 = grid.points2()
+        zs1, zs2 = grid.points1(), grid.points2()
         diff = eval2_grid(q, zs1, zs2)
         if factors:
-            # sum_l F_l* F_l = F* F for the row-stacked F = sum_j z1^j H_j(z2);
-            # on the circle F* F = sum_d z1^d G_d with G_d = sum_j H_j* H_{j+d}.
-            # Block (i, j) of W* W, W = [H_0 | ... | H_{J-1}], is H_i* H_j.
             half, _ = eval2_z2(factors, zs2)
-            n_j, c = len(half), q.size
-            w = half.transpose(1, 2, 0, 3).reshape(len(zs2), -1, n_j * c)
-            gram = (np.conj(np.swapaxes(w, -1, -2)) @ w).reshape(-1, n_j, c, n_j, c)
-            g = np.zeros((2 * n_j - 1,) + diff.shape[1:], dtype=complex)
-            for i in range(n_j):
-                g[n_j - 1 - i : 2 * n_j - 1 - i] += gram[:, i].transpose(2, 0, 1, 3)
-            diff -= eval2_z1(g, 1 - n_j, zs1)
-    return float(np.max(_op_norms_stack(diff)))
+            diff -= eval2_z1(_gram_coeffs(half), 1 - len(half), zs1)
+    return _sup_op_norm(diff)
 
 
 def det_poly(p: MatrixAnalyticPoly1) -> np.ndarray:
@@ -146,12 +170,10 @@ def det_poly(p: MatrixAnalyticPoly1) -> np.ndarray:
     if not p.is_square:
         raise ValueError("determinant needs square coefficients")
     deg = p.rows * p.degree
-    npts = 1 << max(int(np.ceil(np.log2(deg + 1))), 0)
-    zs = circle_grid(int(np.log2(npts)))
-    vals = np.linalg.det(eval1_grid(p, zs))
+    vals = np.linalg.det(circle_values(p.coeffs, 0, deg.bit_length()))  # 2^g > deg
     # vals[t] = sum_k c_k exp(+2 pi i t k / n), so the forward transform
     # divided by n recovers the coefficients.
-    coeffs = np.fft.fft(vals) / npts
+    coeffs = np.fft.fft(vals) / len(vals)
     return np.asarray(coeffs[: deg + 1], dtype=complex)
 
 

@@ -12,6 +12,7 @@ from specfactor.poly import (
     adjoint_product_list2,
     block_toeplitz,
     circle_grid,
+    circle_values,
     eval1,
     eval1_grid,
     eval2,
@@ -154,6 +155,48 @@ class TestEval2Grid:
             np.testing.assert_array_equal(eval2(q, z1, z2), got[0, 0])
             ref = eval2_reference(q, [z1], [z2])[0, 0]
             assert np.max(np.abs(got[0, 0] - ref)) <= 1e-14 * coeff_l1(q)
+
+
+def coeff_list(p):
+    # (coefficient stack, lowest index) of a one-variable polynomial
+    if isinstance(p, MatrixLaurentPoly1):
+        return [p.coeff(k) for k in range(-p.degree, p.degree + 1)], -p.degree
+    return p.coeffs, 0
+
+
+class TestCircleValues:
+    def test_matches_eval1_grid(self):
+        rng = np.random.default_rng(34)
+        laurent, _ = corpus.ridged_instance(rng, 3, 4)
+        square = corpus.random_analytic1(rng, 2, 5)
+        rect = MatrixAnalyticPoly1([corpus.disk_uniform(rng, (2, 3)) for _ in range(4)])
+        for p in (laurent, square, rect):
+            stack, lo = coeff_list(p)
+            scale = sum(float(np.max(np.abs(c))) for c in stack)
+            for g in (3, 6, 9):
+                got = circle_values(stack, lo, g)
+                ref = eval1_grid(p, circle_grid(g))
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_folds_degrees_past_the_grid_size(self):
+        rng = np.random.default_rng(35)
+        p = corpus.random_analytic1(rng, 2, 20)
+        q = adjoint_product(corpus.random_analytic1(rng, 1, 11))
+        for poly in (p, q):  # 21 and 23 coefficients on 8 points
+            stack, lo = coeff_list(poly)
+            zs = circle_grid(3)
+            ref = [sum(complex(z) ** (lo + i) * c for i, c in enumerate(stack)) for z in zs]
+            scale = sum(float(np.max(np.abs(c))) for c in stack)
+            assert np.max(np.abs(circle_values(stack, lo, 3) - ref)) <= 1e-13 * scale
+
+    def test_high_powers_are_exact_roots_of_unity(self):
+        # numpy's complex power misses z^320 on this grid by 2.5e-13
+        t = np.arange(64)
+        for k in (16, 100, 320, 321, -321):
+            exact = np.exp(2j * np.pi * ((t * k) % 64) / 64)
+            got = circle_values([1.0], k, 6)
+            assert np.max(np.abs(got - exact)) <= 4 * np.finfo(float).eps
 
 
 class TestAnalyticPoly2Construction:

@@ -12,7 +12,9 @@ from specfactor.poly import (
     MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
+    adjoint_product,
     adjoint_product_list2,
+    circle_grid,
     eval1,
     eval1_grid,
     eval2_grid,
@@ -21,6 +23,7 @@ from specfactor.verify import (
     GridSpec,
     _eig_range_stack,
     _op_norms_stack,
+    _sup_op_norm,
     det_poly,
     grid_min_eig,
     outer_check,
@@ -275,6 +278,130 @@ class TestFactorWidth:
             residual(q1, [wide1])
 
 
+class TestFactorKind:
+    def test_factor_of_the_other_variable_count_raises_in_both_branches(self):
+        rng = np.random.default_rng(79)
+        q1, _ = corpus.ridged_instance(rng, 2, 2)
+        q2 = corpus.sos_instance2(rng, 2, 1, 1)
+        f1 = corpus.random_analytic1(rng, 2, 2)
+        f2 = corpus.random_analytic2(rng, 2, 1, 1)
+        one, two = "MatrixAnalyticPoly1", "MatrixAnalyticPoly2"
+        cases = [
+            (q2, f1, f"factor 0 is a {one}, expected {two}"),
+            (q1, f2, f"factor 0 is a {two}, expected {one}"),
+            (q2, [f2, f1, f2], f"factor 1 is a {one}, expected {two}"),
+            (q1, [f1, f1, f2], f"factor 2 is a {two}, expected {one}"),
+        ]
+        for q, factors, message in cases:
+            with pytest.raises(TypeError, match=message):
+                residual(q, factors)
+
+
+def residual1_pointwise(q, factors, grid):
+    # The per-factor loop at each grid point: values by complex powers,
+    # one F_l* F_l per factor.  Returns the sup and the larger of
+    # sup ||Q|| and sup ||sum_l F_l* F_l|| as its scale.
+    zs = grid.points1()
+    qv = eval1_grid(q, zs)
+    gram = np.zeros_like(qv)
+    for f in factors:
+        fv = eval1_grid(f, zs)
+        gram = gram + np.conj(np.swapaxes(fv, -1, -2)) @ fv
+    sups = [float(np.max(np.linalg.norm(v, 2, axis=(-2, -1)))) for v in (qv - gram, qv, gram)]
+    return sups[0], max(sups[1:])
+
+
+class TestCoefficientResidual:
+    GRID = GridSpec(9)
+
+    def check(self, q, factors, grid=GRID):
+        listed = factors if isinstance(factors, list) else [factors]
+        ref, scale = residual1_pointwise(q, listed, grid)
+        assert abs(residual(q, factors, grid) - ref) <= 1e-13 * scale
+        return ref, scale
+
+    def test_one_factor(self):
+        rng = np.random.default_rng(82)
+        for r in (1, 2, 3):
+            q, _ = corpus.ridged_instance(rng, r, 3)
+            p, _ = factor(q)
+            self.check(q, p)
+            self.check(q, corpus.random_analytic1(rng, r, 3))
+
+    def test_factors_of_different_degrees_and_row_counts(self):
+        rng = np.random.default_rng(83)
+        fs = [
+            MatrixAnalyticPoly1([corpus.disk_uniform(rng, (rows, 3)) for _ in range(deg + 1)])
+            for rows, deg in ((1, 0), (4, 3), (2, 1), (3, 5))
+        ]
+        q, _ = corpus.ridged_instance(rng, 3, 2)
+        ref, scale = self.check(q, fs)
+        assert ref > 0.1 * scale
+        q = adjoint_product(fs[1])
+        self.check(q, fs[1:2])
+        assert residual(q, fs[1:2], self.GRID) <= 1e-13 * q.scale
+
+    def test_factor_degree_above_that_of_q(self):
+        # degree 6 against m = 2; on 8 points the Gram coefficients fold
+        rng = np.random.default_rng(84)
+        q, _ = corpus.ridged_instance(rng, 3, 2)
+        f = corpus.random_analytic1(rng, 3, 6)
+        for grid in (GridSpec(3), GridSpec(4), self.GRID):
+            ref, scale = self.check(q, [f, corpus.random_analytic1(rng, 3, 1)], grid)
+            assert ref > 0.1 * scale
+
+    def test_empty_list_gives_the_sup_norm_of_q(self):
+        rng = np.random.default_rng(85)
+        for r in (3, 5):
+            q, _ = corpus.ridged_instance(rng, r, 4)
+            ref, scale = self.check(q, [])
+            assert ref == pytest.approx(scale, rel=1e-15)
+
+
+def op_norm_stacks(rng, r):
+    def cnormal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    herm = cnormal((512, r, r))
+    u = cnormal((512, r))
+    return {
+        "random": cnormal((512, r, r)),
+        "random hermitian": herm + np.conj(np.swapaxes(herm, -1, -2)),
+        "rank one": u[:, :, None] * np.conj(u[:, None, :]) * rng.uniform(-1, 1, (512, 1, 1)),
+        "all equal": np.broadcast_to(herm[0] + np.conj(herm[0]).T, (512, r, r)),
+        "zero": np.zeros((512, r, r), dtype=complex),
+        "torus": cnormal((32, 16, r, r)),
+    }
+
+
+class TestSupOpNorm:
+    GRID = GridSpec(9)
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_equals_the_unpruned_maximum_bit_for_bit(self, r):
+        rng = np.random.default_rng(86 + r)
+        for vals in op_norm_stacks(rng, r).values():
+            assert _sup_op_norm(vals) == float(np.max(_op_norms_stack(vals)))
+
+    def test_rank_one_residual_solves_few_points(self, monkeypatch):
+        # Q(z) = (3 + z + 1/z) u u*: Frobenius and operator norms agree at
+        # every point, so only the points near z = 1 reach the solver.
+        u = np.array([1.0, 2.0j, -0.5])
+        uu = np.outer(u, u.conj())
+        q = MatrixLaurentPoly1.from_causal(3, {0: 3 * uu, 1: uu})
+        solved = []
+        original = verify._op_norms_stack
+
+        def spy(vals):
+            solved.append(vals.size // 9)
+            return original(vals)
+
+        monkeypatch.setattr(verify, "_op_norms_stack", spy)
+        got = residual(q, [], self.GRID)
+        assert got == pytest.approx(5 * np.vdot(u, u).real, rel=1e-14)
+        assert sum(solved) <= 2  # the Frobenius maximum, then the one point kept
+
+
 def exact_eig_range(vals):
     # Extremes of the Hermitian part of each 2 x 2 matrix, in 40-digit
     # decimal arithmetic from the exact binary inputs.
@@ -341,10 +468,21 @@ class TestClosedFormExtremes:
         np.testing.assert_array_equal(hi, vals[:, 0, 0].real)
 
 
+def det_poly_reference(p):
+    # det P at the roots of unity by complex powers, then the forward DFT
+    deg = p.rows * p.degree
+    g = int(np.ceil(np.log2(deg + 1)))
+    return np.fft.fft(np.linalg.det(eval1_grid(p, circle_grid(g))))[: deg + 1] / (1 << g)
+
+
 class TestDetPoly:
     def test_constant_identity(self):
         p = MatrixAnalyticPoly1([np.eye(2)])
         np.testing.assert_allclose(det_poly(p), [1.0], atol=1e-13)
+        # a constant samples one point (g = 0)
+        a = np.array([[1.0 + 2.0j, 0.5], [-1.0j, 3.0]])
+        got = det_poly(MatrixAnalyticPoly1([a]))
+        np.testing.assert_allclose(got, [np.linalg.det(a)], rtol=1e-15)
 
     def test_diagonal_product(self):
         p = MatrixAnalyticPoly1([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])])
@@ -396,6 +534,34 @@ class TestOuterCheck:
                 [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
             )
             assert outer_check(p).verdict == outer_check(normalize_gauge(p)).verdict
+
+    def test_verdicts_of_the_seeded_polynomials_are_unchanged(self):
+        # Random polynomials from the seeds of test_gauge_invariance_of_verdict
+        # and TestDetPoly.test_eval_consistency_random, with the verdicts they
+        # had when det P was sampled by complex powers.
+        def draws(seed, shapes):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                r, m = shapes(rng)
+                yield MatrixAnalyticPoly1(
+                    [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                     for _ in range(m + 1)]
+                )
+
+        def random_shape(rng):
+            return int(rng.integers(1, 4)), int(rng.integers(0, 4))
+
+        cases = [
+            (draws(37, lambda rng: (2, 2)), ["failed"] * 5),
+            (draws(23, random_shape), ["failed", "verified", "failed", "verified", "failed"]),
+        ]
+        for ps, expected in cases:
+            ps = list(ps)
+            assert [outer_check(p).verdict for p in ps] == expected
+            for p in ps:
+                ref = det_poly_reference(p)
+                scale = max(np.max(np.abs(ref)), 1.0)
+                assert np.max(np.abs(det_poly(p) - ref)) <= 1e-13 * scale
 
 
 class TestFactorReportConsistency:
