@@ -12,7 +12,6 @@ from .linalg import (
     eig_hermitian,
     psd_check,
     psd_sqrt,
-    contraction_extract,
     schur_complement,
     range_restricted_solve,
 )
@@ -50,7 +49,7 @@ from .factor2d import (
     factor_cesaro,
     factor_strict,
 )
-from .verify import GridSpec, grid_min_eig, residual, det_poly, outer_check
+from .verify import GridSpec, grid_min_eig, residual, outer_check
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "eig_hermitian",
     "psd_check",
     "psd_sqrt",
-    "contraction_extract",
     "schur_complement",
     "range_restricted_solve",
     "MatrixLaurentPoly1",
@@ -93,7 +91,6 @@ __all__ = [
     "GridSpec",
     "grid_min_eig",
     "residual",
-    "det_poly",
     "outer_check",
     "__version__",
 ]

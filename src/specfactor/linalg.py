@@ -1,10 +1,9 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
 # one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD
-# square roots with clamping, contraction extraction from PSD block
-# matrices, one Cholesky Schur-complement kernel, which every dense
-# elimination of the construction and the public schur_complement go
-# through, and range-restricted minimum-norm solves, whose rank decision
-# is one LAPACK SVD.
+# square roots with clamping, one Cholesky Schur-complement kernel, which
+# every dense elimination of the construction and the public
+# schur_complement go through, and range-restricted minimum-norm solves,
+# whose rank decision is one LAPACK SVD.
 
 from __future__ import annotations
 
@@ -56,11 +55,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or infinite entries")
     return m
-
-
-def hermitian_part(a) -> np.ndarray:
-    a = as_matrix(a)
-    return (a + a.conj().T) / 2
 
 
 def check_hermitian(h, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
@@ -128,54 +122,6 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
 def op_norm(a) -> float:
     """Spectral norm (largest singular value, LAPACK SVD)."""
     return float(np.linalg.norm(as_matrix(a), 2))
-
-
-def _half_powers(h, rank_tol):
-    """Eigen-based H^(1/2) and pseudo-inverse H^(-1/2) of a PSD matrix."""
-    pair = eig_hermitian(h)
-    vals = np.maximum(pair.values, 0.0)
-    top = float(vals[-1]) if vals.size else 0.0
-    thresh = rank_tol * top
-    keep = vals > thresh
-    sq = np.where(keep, np.sqrt(vals), 0.0)
-    with np.errstate(divide="ignore"):
-        inv = np.where(keep, 1.0 / np.where(keep, np.sqrt(vals), 1.0), 0.0)
-    half = (pair.basis * sq) @ pair.basis.conj().T
-    half_pinv = (pair.basis * inv) @ pair.basis.conj().T
-    return hermitian_part(half), hermitian_part(half_pinv), top
-
-
-def contraction_extract(a, b, c, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Extract the contraction G with C^(1/2) G A^(1/2) = B.
-
-    A and C are PSD; the block matrix [[A, B*], [B, C]] must be PSD for the
-    reconstruction to succeed.  G maps the numerical range of A into that
-    of C and is zero on the orthogonal complements; its operator norm is
-    at most 1 up to rounding.
-    """
-    a = check_hermitian(a)
-    c = check_hermitian(c)
-    b = as_matrix(b)
-    if b.shape != (c.shape[0], a.shape[0]):
-        raise ValueError(
-            f"block shapes not conformal: A {a.shape}, B {b.shape}, C {c.shape}"
-        )
-    a_half, a_pinv, a_top = _half_powers(a, rank_tol)
-    c_half, c_pinv, c_top = _half_powers(c, rank_tol)
-    g = c_pinv @ b @ a_pinv
-    resid = np.max(np.abs(c_half @ g @ a_half - b))
-    scale = max(np.sqrt(a_top * c_top), np.max(np.abs(b)), 1e-300)
-    if resid > 1e-8 * scale:
-        raise NotPSDError(
-            f"block not PSD: contraction reconstruction residual {resid:.3e} "
-            f"exceeds 1e-8 * scale = {1e-8 * scale:.3e}"
-        )
-    norm_g = op_norm(g)
-    if norm_g > 1.0 + 1e-8:
-        raise NotPSDError(
-            f"block not PSD: extracted operator has norm {norm_g:.6e} > 1"
-        )
-    return g
 
 
 def cholesky_complement(a, b, c, scale: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 # Independent verification: torus grid sampling for positivity estimates,
-# factorization residuals, and outerness certification through the roots
-# of the determinant polynomial.  It reads only Q and the factor
-# coefficients, never the Schur limits, truncations or solves that built
-# the factor.  A residual subtracts F* F for the row-stacked factor list F
-# from its z1 Gram coefficients: one inverse DFT of the coefficients of
-# Q - F* F in one variable, a z2 grid evaluation first in two.  Grid
-# eigenvalue extremes for r <= 2 are closed-form.
+# factorization residuals, and outerness certification through the zeros
+# of det P, the eigenvalues of the block-companion pencil from one QZ
+# solve.  It reads only Q and the factor coefficients, never the Schur
+# limits, truncations or solves that built the factor.  A residual
+# subtracts F* F for the row-stacked factor list F from its z1 Gram
+# coefficients: one inverse DFT of the coefficients of Q - F* F in one
+# variable, a z2 grid evaluation first in two.  Grid eigenvalue extremes
+# for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eig
 
 from .poly import (
     MatrixAnalyticPoly1,
@@ -27,7 +29,7 @@ from .poly import (
     laurent_stack,
 )
 
-DET_ZERO_TOL = 1e-10
+SINGULAR_TOL = 1e-10
 DEFAULT_RADIUS_TOL = 1e-6
 
 
@@ -160,54 +162,43 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
     return _sup_op_norm(diff)
 
 
-def det_poly(p: MatrixAnalyticPoly1) -> np.ndarray:
-    """Coefficients (ascending) of det P(z), degree at most r*m.
-
-    Computed by evaluation at enough roots of unity followed by an
-    inverse discrete Fourier transform, which is exact for polynomials up
-    to the sampling degree.
-    """
-    if not p.is_square:
-        raise ValueError("determinant needs square coefficients")
-    deg = p.rows * p.degree
-    vals = np.linalg.det(circle_values(p.coeffs, 0, deg.bit_length()))  # 2^g > deg
-    # vals[t] = sum_k c_k exp(+2 pi i t k / n), so the forward transform
-    # divided by n recovers the coefficients.
-    coeffs = np.fft.fft(vals) / len(vals)
-    return np.asarray(coeffs[: deg + 1], dtype=complex)
-
-
 class OuterVerdict(NamedTuple):
     verdict: str  # "verified" | "failed" | "inconclusive"
     witness: complex | None
 
 
+def _companion_pencil(p: MatrixAnalyticPoly1) -> tuple[np.ndarray, np.ndarray]:
+    # (A, B) with det(zB - A) = det P(z) / scale^r: identity blocks on the
+    # r-th superdiagonal of A over its last block row -[P_0 ... P_{m-1}],
+    # B = diag(I, ..., I, P_m), a constant P padded with P_1 = 0.
+    if not p.is_square:
+        raise ValueError("outerness needs square coefficients")
+    c = np.array(p.coeffs if p.degree else p.coeffs + [0 * p.coeffs[0]]) / (p.scale or 1.0)
+    r, n = p.rows, p.rows * (len(c) - 1)
+    a = np.eye(n, k=r, dtype=complex)
+    a[-r:] = -np.hstack(c[:-1])
+    b = np.eye(n, dtype=complex)
+    b[-r:, -r:] = c[-1]
+    return a, b
+
+
 def outer_check(p: MatrixAnalyticPoly1, radius_tol: float = DEFAULT_RADIUS_TOL) -> OuterVerdict:
     """Root criterion for outerness of a square matrix polynomial.
 
-    Verified when every root of det P(z) has modulus >= 1 - radius_tol
-    (boundary roots are legitimate); failed with a witness root otherwise;
-    inconclusive when the determinant is numerically zero, where the root
-    criterion does not apply.
+    The zeros of det P are the eigenvalues alpha/beta of the block-companion
+    pencil, from one QZ solve.  Verified when every one has modulus >=
+    1 - radius_tol (boundary zeros are legitimate; beta = 0 is a zero at
+    infinity); failed with the smallest zero inside as witness otherwise;
+    inconclusive when the pencil is singular (det P = 0 identically, some
+    alpha and beta both negligible), where the root criterion does not apply.
     """
-    coeffs = det_poly(p)
-    det_scale = (float(np.sum([np.linalg.norm(c) for c in p.coeffs])) or 1.0) ** p.rows
-    if np.max(np.abs(coeffs)) <= DET_ZERO_TOL * det_scale:
+    a, b = _companion_pencil(p)
+    alpha, beta = eig(a, b, right=False, homogeneous_eigvals=True)
+    tiny_a, tiny_b = SINGULAR_TOL * np.linalg.norm(a), SINGULAR_TOL * np.linalg.norm(b)
+    if np.any((np.abs(alpha) <= tiny_a) & (np.abs(beta) <= tiny_b)):
         return OuterVerdict(verdict="inconclusive", witness=None)
-    # Trim negligible top coefficients; their roots escape to infinity and
-    # cannot fail the modulus test anyway.
-    top = np.max(np.abs(coeffs))
-    hi = len(coeffs)
-    while hi > 1 and abs(coeffs[hi - 1]) <= 1e-14 * top:
-        hi -= 1
-    trimmed = coeffs[:hi]
-    if hi == 1:
+    inside = np.abs(alpha) < (1.0 - radius_tol) * np.abs(beta)
+    if not inside.any():
         return OuterVerdict(verdict="verified", witness=None)
-    roots = np.roots(trimmed[::-1])
-    if roots.size == 0:
-        return OuterVerdict(verdict="verified", witness=None)
-    moduli = np.abs(roots)
-    worst = int(np.argmin(moduli))
-    if moduli[worst] < 1.0 - radius_tol:
-        return OuterVerdict(verdict="failed", witness=complex(roots[worst]))
-    return OuterVerdict(verdict="verified", witness=None)
+    zeros = alpha[inside] / beta[inside]
+    return OuterVerdict(verdict="failed", witness=complex(zeros[np.argmin(np.abs(zeros))]))

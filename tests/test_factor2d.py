@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from specfactor import corpus, factor1d, factor2d, linalg, verify
 from specfactor.factor2d import (
@@ -443,6 +444,25 @@ class TestFactorStrict:
         assert not rep.converged
         assert "block cap N = 8" in rep.degraded_reason
         assert "block cap" not in str(rep.to_json())
+
+    @pytest.mark.parametrize("c0", [4.2, 4.1])
+    def test_lifted_planes_are_outer_verified(self, c0, monkeypatch):
+        # The lifted factors (sizes 17 and 35) are well conditioned, with
+        # every zero of det Phi outside the disc of radius 1.1, although the
+        # coefficients of det Phi are tiny.
+        lifted, check = [], verify.outer_check
+
+        def spy(p, **kw):
+            lifted.append(p)
+            return check(p, **kw)
+
+        monkeypatch.setattr(verify, "outer_check", spy)
+        factors, rep, plan = factor_strict(plane(c0))
+        assert rep.outer_verdict == "verified"
+        (phi,) = lifted
+        assert phi.rows == plan.n + 1
+        alpha, beta = eig(*verify._companion_pencil(phi), right=False, homogeneous_eigvals=True)
+        assert np.all(np.abs(alpha) > 1.1 * np.abs(beta))
 
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})

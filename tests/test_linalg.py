@@ -5,7 +5,6 @@ from specfactor import linalg
 from specfactor.linalg import (
     InconsistentSystemError,
     NotPSDError,
-    contraction_extract,
     eig_hermitian,
     embed_leading,
     psd_check,
@@ -160,39 +159,6 @@ class TestPsdSqrt:
         with pytest.raises(NotPSDError) as err:
             psd_sqrt(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert err.value.eigenvalue == pytest.approx(-1.0)
-
-
-class TestContractionExtract:
-    def test_zero_offdiagonal(self):
-        g = contraction_extract(np.eye(2), np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(g, np.zeros((2, 2)), atol=1e-14)
-
-    def test_scalar_identity(self):
-        g = contraction_extract(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        np.testing.assert_allclose(g, [[1.0]], atol=1e-12)
-
-    def test_scalar_half(self):
-        g = contraction_extract(np.array([[1.0]]), np.array([[1.0]]), np.array([[4.0]]))
-        np.testing.assert_allclose(g, [[0.5]], atol=1e-12)
-
-    def test_roundtrip_on_random_psd_blocks(self):
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, n))
-            m = random_psd(rng, n)
-            a, b, c = m[:k, :k], m[k:, :k], m[k:, k:]
-            g = contraction_extract(a, b, c)
-            scale = max(np.max(np.abs(m)), 1.0)
-            a_half = psd_sqrt(a)
-            c_half = psd_sqrt(c)
-            assert np.max(np.abs(c_half @ g @ a_half - b)) <= 1e-9 * scale
-            assert linalg.op_norm(g) <= 1.0 + 1e-10
-
-    def test_rejects_non_psd_block(self):
-        # B too large for [[A, B*], [B, C]] to be PSD
-        with pytest.raises(NotPSDError, match="block not PSD"):
-            contraction_extract(np.array([[1.0]]), np.array([[5.0]]), np.array([[1.0]]))
 
 
 class TestSchurComplement:

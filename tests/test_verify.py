@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from specfactor import corpus, verify
 from specfactor.factor1d import factor, normalize_gauge
@@ -21,10 +22,10 @@ from specfactor.poly import (
 )
 from specfactor.verify import (
     GridSpec,
+    _companion_pencil,
     _eig_range_stack,
     _op_norms_stack,
     _sup_op_norm,
-    det_poly,
     grid_min_eig,
     outer_check,
     residual,
@@ -475,40 +476,72 @@ def det_poly_reference(p):
     return np.fft.fft(np.linalg.det(eval1_grid(p, circle_grid(g))))[: deg + 1] / (1 << g)
 
 
+def reference_roots(p):
+    # np.roots of the reference det P, its negligible top coefficients trimmed
+    coeffs = det_poly_reference(p)
+    keep = np.nonzero(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)))[0]
+    return np.roots(coeffs[: keep[-1] + 1][::-1])
+
+
+def pencil_zeros(p):
+    # The finite eigenvalues alpha/beta of the block-companion pencil.
+    alpha, beta = eig(*_companion_pencil(p), right=False, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.abs(alpha)
+    return alpha[finite] / beta[finite]
+
+
+def assert_zeros_match(got, want, rtol):
+    assert len(got) == len(want)
+    for root in want:
+        nearest = got[np.argmin(np.abs(got - root))]
+        assert abs(nearest - root) <= rtol * max(abs(root), 1.0)
+
+
+def seeded_draws(seed, shapes):
+    # Five random complex polynomials with (r, m) = shapes(rng).
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        r, m = shapes(rng)
+        yield MatrixAnalyticPoly1(
+            [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(m + 1)]
+        )
+
+
+def random_shape(rng):
+    return int(rng.integers(1, 4)), int(rng.integers(0, 4))
+
+
 class TestDetPoly:
+    # The zeros of det P, read from the block-companion pencil of outer_check.
     def test_constant_identity(self):
-        p = MatrixAnalyticPoly1([np.eye(2)])
-        np.testing.assert_allclose(det_poly(p), [1.0], atol=1e-13)
-        # a constant samples one point (g = 0)
-        a = np.array([[1.0 + 2.0j, 0.5], [-1.0j, 3.0]])
-        got = det_poly(MatrixAnalyticPoly1([a]))
-        np.testing.assert_allclose(got, [np.linalg.det(a)], rtol=1e-15)
+        # A constant has every zero at infinity (beta = 0), for any scale.
+        for c in (np.eye(2), np.array([[1.0 + 2.0j, 0.5], [-1.0j, 3.0]]), 1e-9 * np.eye(3)):
+            p = MatrixAnalyticPoly1([c])
+            assert pencil_zeros(p).size == 0
+            assert outer_check(p) == ("verified", None)
 
     def test_diagonal_product(self):
+        # det = 2 + 2z: one finite zero at -1, one at infinity (singular P_1).
         p = MatrixAnalyticPoly1([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])])
-        np.testing.assert_allclose(det_poly(p), [2.0, 2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(pencil_zeros(p), [-1.0], atol=1e-12)
+        assert outer_check(p).verdict == "verified"
 
     def test_unipotent(self):
+        # det(I + zN) = 1 for nilpotent N: no finite zero.
         p = MatrixAnalyticPoly1([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
-        coeffs = det_poly(p)
-        np.testing.assert_allclose(coeffs[0], 1.0, atol=1e-13)
-        assert np.max(np.abs(coeffs[1:])) <= 1e-13
+        assert pencil_zeros(p).size == 0
+        assert outer_check(p).verdict == "verified"
 
     def test_eval_consistency_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            r = int(rng.integers(1, 4))
-            m = int(rng.integers(0, 4))
-            p = MatrixAnalyticPoly1(
-                [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(m + 1)]
-            )
-            coeffs = det_poly(p)
-            scale = max(np.max(np.abs(coeffs)), 1.0)
-            for t in rng.uniform(0, 1, size=3):
-                z = np.exp(2j * np.pi * t)
-                direct = np.linalg.det(eval1(p, z))
-                horner = sum(c * z**k for k, c in enumerate(coeffs))
-                assert abs(direct - horner) <= 1e-9 * scale
+        # On the seeded draws of test_verdicts_of_the_seeded_polynomials_are_unchanged
+        # the pencil's zeros are the roots of the reference det P, and P
+        # evaluated at each of them is singular up to rounding.
+        for p in [*seeded_draws(37, lambda rng: (2, 2)), *seeded_draws(23, random_shape)]:
+            zeros = pencil_zeros(p)
+            assert_zeros_match(zeros, reference_roots(p), 1e-8)
+            for z in zeros:
+                size = sum(abs(z) ** k * np.linalg.norm(c, 2) for k, c in enumerate(p.coeffs))
+                assert np.linalg.svd(eval1(p, z), compute_uv=False)[-1] <= 1e-12 * size
 
 
 class TestOuterCheck:
@@ -519,10 +552,25 @@ class TestOuterCheck:
         check = outer_check(scalar_analytic([1.0, 2.0]))
         assert check.verdict == "failed"
         assert check.witness == pytest.approx(-0.5)
+        # P(z) = z I: every zero at the origin, A = 0 in the pencil
+        for r in (1, 3):
+            assert outer_check(MatrixAnalyticPoly1([np.zeros((r, r)), np.eye(r)])) == ("failed", 0)
 
     def test_inconclusive_on_degenerate_determinant(self):
         p = MatrixAnalyticPoly1([np.array([[1.0, 0.0], [0.0, 0.0]])])
         assert outer_check(p).verdict == "inconclusive"
+        # det P = 0 identically: the zero polynomial, and P(z) = x(z) v* of
+        # rank one at every z
+        for m in (0, 1, 3):
+            assert outer_check(MatrixAnalyticPoly1([np.zeros((2, 2))] * (m + 1))).verdict == (
+                "inconclusive"
+            )
+        rng = np.random.default_rng(71)
+        for r in (2, 3, 5):
+            v = rng.standard_normal((1, r)) + 1j * rng.standard_normal((1, r))
+            for m in range(4):
+                p = MatrixAnalyticPoly1([rng.standard_normal((r, 1)) @ v for _ in range(m + 1)])
+                assert outer_check(p) == ("inconclusive", None)
 
     def test_boundary_root_is_legitimate(self):
         assert outer_check(scalar_analytic([1.0, 1.0])).verdict == "verified"
@@ -539,29 +587,45 @@ class TestOuterCheck:
         # Random polynomials from the seeds of test_gauge_invariance_of_verdict
         # and TestDetPoly.test_eval_consistency_random, with the verdicts they
         # had when det P was sampled by complex powers.
-        def draws(seed, shapes):
-            rng = np.random.default_rng(seed)
-            for _ in range(5):
-                r, m = shapes(rng)
-                yield MatrixAnalyticPoly1(
-                    [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-                     for _ in range(m + 1)]
-                )
-
-        def random_shape(rng):
-            return int(rng.integers(1, 4)), int(rng.integers(0, 4))
-
         cases = [
-            (draws(37, lambda rng: (2, 2)), ["failed"] * 5),
-            (draws(23, random_shape), ["failed", "verified", "failed", "verified", "failed"]),
+            (seeded_draws(37, lambda rng: (2, 2)), ["failed"] * 5),
+            (seeded_draws(23, random_shape), ["failed", "verified", "failed", "verified", "failed"]),
         ]
         for ps, expected in cases:
-            ps = list(ps)
             assert [outer_check(p).verdict for p in ps] == expected
-            for p in ps:
-                ref = det_poly_reference(p)
-                scale = max(np.max(np.abs(ref)), 1.0)
-                assert np.max(np.abs(det_poly(p) - ref)) <= 1e-13 * scale
+
+    def test_singular_top_coefficient_matches_the_determinant_roots(self):
+        # 3I + zT with a zero column of T: det P has degree below r, and the
+        # pencil's zeros at infinity must not change the verdict.
+        rng = np.random.default_rng(73)
+        for size in (0.5, 5.0):
+            for _ in range(3):
+                t = size * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                t[:, int(rng.integers(3))] = 0.0
+                p = MatrixAnalyticPoly1([3.0 * np.eye(3), t])
+                roots = reference_roots(p)
+                assert len(roots) <= 2
+                inside = roots[np.abs(roots) < 1.0 - 1e-6]
+                check = outer_check(p)
+                assert check.verdict == ("failed" if inside.size else "verified")
+                if inside.size:
+                    assert check.witness == pytest.approx(inside[np.argmin(np.abs(inside))])
+
+    @pytest.mark.parametrize("r", [2, 20, 40])
+    def test_verdict_does_not_depend_on_scale(self, r):
+        # det(sP) = s^r det P leaves the floating-point range at r = 40 for
+        # s = 1e8; its zeros, and so the verdict, do not depend on s.
+        rng = np.random.default_rng(79)
+        for t_size in (0.5, 3.0):
+            t = t_size * rng.standard_normal((r, r)) / np.sqrt(r)
+            p = [2.0 * np.eye(r), t]
+            verdicts = [outer_check(MatrixAnalyticPoly1([s * c for c in p])) for s in (1.0, 1e8, 1e-8)]
+            assert verdicts[0].verdict != "inconclusive"
+            assert [v.verdict for v in verdicts] == [verdicts[0].verdict] * 3
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            outer_check(MatrixAnalyticPoly1([np.ones((2, 3)), np.zeros((2, 3))]))
 
 
 class TestFactorReportConsistency:
