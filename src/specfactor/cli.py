@@ -20,9 +20,12 @@ from .factor1d import (
 )
 from .factor2d import NotStrictlyPositiveError, StrictificationError
 from .poly import (
+    MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
     PolyFormatError,
+    eval1,
+    eval2,
     load_poly,
     poly_to_json,
     save_poly,
@@ -99,7 +102,7 @@ def cmd_factor(args) -> int:
         q,
         residual_tol=args.tol,
         n_max=args.max_trunc,
-        grid=verify.GridSpec(args.grid.g1),
+        grid=verify.GridSpec(args.grid),
     )
     out = args.out or (args.file + ".factor.json")
     save_poly(out, phat)
@@ -156,17 +159,13 @@ def cmd_eval(args) -> int:
     p = load_poly(args.file)
     angles = [float(t) for t in args.point.split(",")]
     points = [complex(np.exp(2j * np.pi * t)) for t in angles]
-    if isinstance(p, (MatrixLaurentPoly2,)):
+    if isinstance(p, (MatrixLaurentPoly2, MatrixAnalyticPoly2)):
         if len(points) != 2:
             raise PolyFormatError("two-variable polynomial needs --point t1,t2")
-        from .poly import eval2
-
         val = eval2(p, points[0], points[1])
     else:
         if len(points) != 1:
             raise PolyFormatError("one-variable polynomial needs --point t1")
-        from .poly import eval1
-
         val = eval1(p, points[0])
     report = {
         "command": "eval",
@@ -255,32 +254,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="polynomial JSON file")
-        p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
-        p.add_argument(
-            "--grid",
+    shared = {
+        "--tol": dict(type=float, default=1e-8, help="relative tolerance"),
+        "--grid": dict(
             type=_parse_grid,
             default=verify.GridSpec(9),
             help="log2 grid sizes g or g1,g2 (default 9); for factor2d, the finest "
             "grid the delta bound may refine to",
-        )
-        p.add_argument(
-            "--max-trunc", type=int, default=4096, help="Schur truncation block cap"
-        )
-        p.add_argument("--out", default=None, help="output path for factor files")
+        ),
+        "--max-trunc": dict(type=int, default=4096, help="Schur truncation block cap"),
+        "--out": dict(default=None, help="output path for factor files"),
+    }
 
-    p = sub.add_parser("check", help="positivity checks on a polynomial file")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    def command(name, func, help, *flags, with_file=True):
+        p = sub.add_parser(name, help=help)
+        if with_file:
+            p.add_argument("file", help="polynomial JSON file")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("factor", help="one-variable spectral factorization")
-    common(p)
-    p.set_defaults(func=cmd_factor)
+    command("check", cmd_check, "positivity checks on a polynomial file", "--tol", "--grid")
 
-    p = sub.add_parser("factor2d", help="two-variable sum-of-squares factorization")
-    common(p)
+    p = command(
+        "factor", cmd_factor, "one-variable spectral factorization",
+        "--tol", "--max-trunc", "--out",
+    )
+    p.add_argument("--grid", type=int, default=9, help="log2 grid size g (default 9)")
+
+    p = command(
+        "factor2d", cmd_factor2d, "two-variable sum-of-squares factorization",
+        "--tol", "--grid", "--max-trunc", "--out",
+    )
     p.add_argument("--delta", type=float, default=None, help="torus lower bound override")
     p.add_argument(
         "--margin",
@@ -288,28 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=factor2d.DEFAULT_MARGIN,
         help="safety fraction of delta reserved against estimation error",
     )
-    p.set_defaults(func=cmd_factor2d)
 
-    p = sub.add_parser("eval", help="evaluate a polynomial file at a point")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a polynomial file at a point")
     p.add_argument(
         "--point",
         required=True,
         help="angles as fractions of a full turn: t1 or t1,t2",
     )
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("oracle", help="compare Schur factorization with root pairing")
-    common(p)
-    p.set_defaults(func=cmd_oracle)
+    command(
+        "oracle", cmd_oracle, "compare Schur factorization with root pairing",
+        "--tol", "--max-trunc",
+    )
 
-    p = sub.add_parser("roundtrip", help="seeded random factor-verify corpus")
-    common(p, with_file=False)
+    p = command(
+        "roundtrip", cmd_roundtrip, "seeded random factor-verify corpus",
+        "--tol", "--max-trunc", with_file=False,
+    )
     p.add_argument("--seed", type=int, default=0, help="PCG64 seed")
     p.add_argument("--count", type=int, default=10, help="number of instances")
     p.add_argument("--size", type=int, default=2, help="coefficient size r")
     p.add_argument("--degree", type=int, default=3, help="polynomial degree m")
-    p.set_defaults(func=cmd_roundtrip)
 
     return parser
 

@@ -1,7 +1,8 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
-# variables: representation with validated coefficient symmetry,
+# variables: representation, with the coefficient symmetry of both Laurent
+# kinds validated and made exact by one canonicalizer (_symmetric);
 # evaluation on the circle/torus, adjoint products, the one block-Toeplitz
-# indexer, and the shared JSON file format.
+# indexer, and the shared JSON file format with one encoder for all kinds.
 
 from __future__ import annotations
 
@@ -30,6 +31,39 @@ def _as_coeff(a, shape, what):
     return m
 
 
+def _symmetric(size: int, coeffs: dict, mirror) -> dict:
+    """The one canonicalizer of both Laurent kinds.  Each pair (i, mirror(i))
+    must satisfy Q_mirror = Q_i* within SYMMETRY_TOL * scale; it becomes
+    C_i = (Q_i + Q_mirror*)/2 and C_mirror = C_i*, keyed in the order the
+    pairs first appear in coeffs.  Pairs that come out zero are dropped."""
+    if size < 1:
+        raise ValueError("coefficient size must be >= 1")
+    shape = (int(size), int(size))
+    raw = {i: _as_coeff(v, shape, f"coefficient {i}") for i, v in coeffs.items()}
+    tol = SYMMETRY_TOL * _coeff_scale(list(raw.values()))
+    zeros = np.zeros(shape, dtype=complex)
+    canon = {}
+    for i, q in raw.items():
+        # A kept pair is skipped at its mirror; a dropped one is checked and
+        # dropped again there.
+        if i in canon:
+            continue
+        m = mirror(i)
+        qm = raw.get(m, zeros)
+        dev = np.max(np.abs(qm - q.conj().T))
+        if dev > tol:
+            raise ValueError(
+                f"coefficient symmetry violated at index {i}: "
+                f"max|Q_{m} - Q_{i}*| = {dev:.3e} exceeds {tol:.3e}"
+            )
+        c = (q + qm.conj().T) / 2
+        if np.any(c):
+            canon[i] = c
+            if m != i:
+                canon[m] = c.conj().T
+    return canon
+
+
 class MatrixLaurentPoly1:
     """One-variable Laurent polynomial sum_k Q_k z^k with r x r coefficients.
 
@@ -40,36 +74,18 @@ class MatrixLaurentPoly1:
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
-        if size < 1:
-            raise ValueError("coefficient size must be >= 1")
+        raw = {int(k): v for k, v in coeffs.items()}
+        # Pairs are formed from k >= 0 (C_k, then C_-k = C_k*), in the order
+        # 0, 1, -1, 2, -2, ...; absent or zero pairs below the top are zeros.
+        raw = {k: raw[k] for k in sorted(raw, key=lambda k: (abs(k), -k))}
+        canon = _symmetric(size, raw, lambda k: -k)
         self.size = int(size)
-        shape = (self.size, self.size)
-        raw = {int(k): _as_coeff(v, shape, f"coefficient {k}") for k, v in coeffs.items()}
-        scale = _coeff_scale(list(raw.values()))
-        tol = SYMMETRY_TOL * scale
-        top = max((abs(k) for k in raw), default=0)
-        canon: dict[int, np.ndarray] = {}
-        for k in range(0, top + 1):
-            qk = raw.get(k, np.zeros(shape, dtype=complex))
-            qmk = raw.get(-k, np.zeros(shape, dtype=complex))
-            dev = np.max(np.abs(qmk - qk.conj().T)) if k else np.max(np.abs(qk - qk.conj().T))
-            if dev > tol:
-                raise ValueError(
-                    f"coefficient symmetry violated at index {k}: "
-                    f"max|Q_-k - Q_k*| = {dev:.3e} exceeds {tol:.3e}"
-                )
-            sym = (qk + qmk.conj().T) / 2
-            canon[k] = sym
-            if k:
-                canon[-k] = sym.conj().T
-        # Tight degree: drop exactly-zero top coefficient pairs.
-        degree = top
-        while degree > 0 and not np.any(canon[degree]) and not np.any(canon[-degree]):
-            del canon[degree], canon[-degree]
-            degree -= 1
-        self.degree = degree
-        self.coeffs = canon
-        self.scale = _coeff_scale(list(canon.values()))
+        self.degree = max(map(abs, canon), default=0)
+        self.coeffs = {}
+        for k in range(self.degree + 1):
+            for d in (k, -k):
+                self.coeffs[d] = canon.get(d, np.zeros((self.size, self.size), dtype=complex))
+        self.scale = _coeff_scale(list(self.coeffs.values()))
 
     @classmethod
     def from_causal(cls, size: int, causal: dict[int, np.ndarray]) -> "MatrixLaurentPoly1":
@@ -133,41 +149,11 @@ class MatrixLaurentPoly2:
     """
 
     def __init__(self, size: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        if size < 1:
-            raise ValueError("coefficient size must be >= 1")
+        canon = _symmetric(
+            size, {(int(j), int(k)): v for (j, k), v in coeffs.items()}, lambda i: (-i[0], -i[1])
+        )
         self.size = int(size)
-        shape = (self.size, self.size)
-        raw = {
-            (int(j), int(k)): _as_coeff(v, shape, f"coefficient {(j, k)}")
-            for (j, k), v in coeffs.items()
-        }
-        scale = _coeff_scale(list(raw.values()))
-        tol = SYMMETRY_TOL * scale
-        zeros = np.zeros(shape, dtype=complex)
-        canon: dict[tuple[int, int], np.ndarray] = {}
-        seen = set()
-        for idx in raw:
-            if idx in seen:
-                continue
-            j, k = idx
-            mirror = (-j, -k)
-            seen.add(idx)
-            seen.add(mirror)
-            qa = raw.get(idx, zeros)
-            qb = raw.get(mirror, zeros)
-            dev = np.max(np.abs(qb - qa.conj().T))
-            if dev > tol:
-                raise ValueError(
-                    f"coefficient symmetry violated at index {idx}: "
-                    f"max|Q_-jk - Q_jk*| = {dev:.3e} exceeds {tol:.3e}"
-                )
-            sym = (qa + qb.conj().T) / 2
-            if np.any(sym):
-                canon[idx] = sym
-                if mirror != idx:
-                    canon[mirror] = sym.conj().T
-        if (0, 0) not in canon:
-            canon[(0, 0)] = zeros.copy()
+        canon.setdefault((0, 0), np.zeros((self.size, self.size), dtype=complex))
         self.coeffs = canon
         self.deg1 = max(abs(j) for j, _ in canon)
         self.deg2 = max(abs(k) for _, k in canon)
@@ -178,6 +164,11 @@ class MatrixLaurentPoly2:
         """Build from one coefficient per mirror pair; adjoints filled in."""
         full = {}
         for (j, k), v in causal.items():
+            if (j, k) in full:
+                raise ValueError(
+                    f"from_causal got both {(-int(j), -int(k))} and its mirror "
+                    f"{(int(j), int(k))}; give one coefficient per mirror pair"
+                )
             m = np.asarray(v, dtype=complex)
             full[(j, k)] = m
             if (j, k) != (0, 0):
@@ -441,67 +432,35 @@ def _matrix_from_json(obj, size, what):
     return m
 
 
+_FILE_KINDS = {
+    MatrixLaurentPoly1: ("laurent", 1),
+    MatrixAnalyticPoly1: ("analytic", 1),
+    MatrixLaurentPoly2: ("laurent", 2),
+    MatrixAnalyticPoly2: ("analytic", 2),
+}
+
+
 def poly_to_json(p) -> dict:
-    if isinstance(p, MatrixLaurentPoly1):
-        return {
-            "kind": "laurent",
-            "vars": 1,
-            "size": p.size,
-            "degrees": [p.degree],
-            "coeffs": [
-                {"index": [k], "matrix": _matrix_to_json(c)}
-                for k, c in sorted(p.coeffs.items())
-                if np.any(c) or k == 0
-            ],
-        }
-    if isinstance(p, MatrixAnalyticPoly1):
-        if not p.is_square:
-            raise ValueError("file format stores square coefficients only")
-        return {
-            "kind": "analytic",
-            "vars": 1,
-            "size": p.rows,
-            "degrees": [p.degree],
-            "coeffs": [
-                {"index": [k], "matrix": _matrix_to_json(c)}
-                for k, c in enumerate(p.coeffs)
-                if np.any(c) or k == 0
-            ],
-        }
-    if isinstance(p, MatrixLaurentPoly2):
-        return {
-            "kind": "laurent",
-            "vars": 2,
-            "size": p.size,
-            "degrees": [p.deg1, p.deg2],
-            "coeffs": [
-                {"index": [j, k], "matrix": _matrix_to_json(c)}
-                for (j, k), c in sorted(p.coeffs.items())
-                if np.any(c) or (j, k) == (0, 0)
-            ],
-        }
-    if isinstance(p, MatrixAnalyticPoly2):
-        if p.rows != p.cols:
-            raise ValueError("file format stores square coefficients only")
-        coeffs = [
-            {"index": [j, k], "matrix": _matrix_to_json(c)}
-            for (j, k), c in sorted(p.coeffs.items())
-        ]
-        if not coeffs:
-            coeffs = [
-                {
-                    "index": [0, 0],
-                    "matrix": _matrix_to_json(np.zeros((p.rows, p.rows), dtype=complex)),
-                }
-            ]
-        return {
-            "kind": "analytic",
-            "vars": 2,
-            "size": p.rows,
-            "degrees": [p.deg1, p.deg2],
-            "coeffs": coeffs,
-        }
-    raise TypeError(f"cannot serialize object of type {type(p).__name__}")
+    """File object of a polynomial of any of the four kinds: its nonzero
+    coefficients and the stored origin, in index order; an analytic 2-D
+    polynomial with no coefficients writes one zero (0, 0) entry."""
+    if type(p) not in _FILE_KINDS:
+        raise TypeError(f"cannot serialize object of type {type(p).__name__}")
+    kind, nvars = _FILE_KINDS[type(p)]
+    origin = (0,) * nvars
+    rows, cols = p.coeff(*origin).shape
+    if rows != cols:
+        raise ValueError("file format stores square coefficients only")
+    items = p.coeffs.items() if isinstance(p.coeffs, dict) else enumerate(p.coeffs)
+    items = [((i,) if nvars == 1 else i, c) for i, c in items]
+    indices = sorted(i for i, c in items if np.any(c) or i == origin) or [origin]
+    return {
+        "kind": kind,
+        "vars": nvars,
+        "size": rows,
+        "degrees": [p.degree] if nvars == 1 else [p.deg1, p.deg2],
+        "coeffs": [{"index": list(i), "matrix": _matrix_to_json(p.coeff(*i))} for i in indices],
+    }
 
 
 def poly_from_json(obj, kind: str | None = None):

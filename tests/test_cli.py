@@ -7,6 +7,7 @@ import pytest
 from specfactor import cli, verify
 from specfactor.poly import (
     MatrixAnalyticPoly1,
+    MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
     load_poly,
@@ -37,6 +38,14 @@ def strict_2d(tmp_path):
     )
     path = tmp_path / "q2.json"
     save_poly(path, q)
+    return str(path)
+
+
+@pytest.fixture
+def analytic_2d(tmp_path):
+    f = MatrixAnalyticPoly2(1, 1, {(0, 0): [[1.0]], (1, 1): [[2.0]]})
+    path = tmp_path / "f2.json"
+    save_poly(path, f)
     return str(path)
 
 
@@ -225,6 +234,31 @@ class TestEval:
     def test_arity_mismatch(self, capsys, strict_2d):
         code, _, _ = run(capsys, ["eval", strict_2d, "--point", "0.5"])
         assert code == 2
+
+    def test_two_variable_analytic(self, capsys, analytic_2d):
+        code, report, _ = run(capsys, ["eval", analytic_2d, "--point", "0.5,0.5"])
+        assert code == 0
+        assert report["value"][0][0][0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_two_variable_analytic_arity_mismatch(self, capsys, analytic_2d):
+        code, report, _ = run(capsys, ["eval", analytic_2d, "--point", "0.5"])
+        assert code == 2
+        assert "needs --point t1,t2" in report["error"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{file}", "--point", "0.5", "--tol", "1"],
+            ["factor", "{file}", "--grid", "5,7"],
+        ],
+        ids=["eval-has-no-tol", "factor-grid-is-one-value"],
+    )
+    def test_unread_flags_are_input_errors(self, capsys, strict_1d, argv):
+        code, _, err = run(capsys, [a.format(file=strict_1d) for a in argv])
+        assert code == 2
+        assert "usage:" in err
 
 
 class TestOracle:

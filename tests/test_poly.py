@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from specfactor.poly import (
     eval2_grid,
     load_poly,
     poly_from_json,
+    poly_to_json,
     save_poly,
     toeplitz_psd_check,
 )
@@ -50,6 +53,26 @@ class TestLaurentConstruction:
     def test_two_variable_symmetry(self):
         with pytest.raises(ValueError, match="symmetry"):
             MatrixLaurentPoly2(1, {(1, 1): [[1.0]], (-1, -1): [[2.0]]})
+
+    def test_two_variable_origin_is_its_own_mirror(self):
+        with pytest.raises(ValueError, match="symmetry"):
+            MatrixLaurentPoly2(2, {(0, 0): E12})
+
+    def test_pair_order_is_immaterial(self):
+        c1, c2 = E12 + 0.5j * np.eye(2), 2.0 * E12.T
+        pos_first = MatrixLaurentPoly1(
+            2, {0: np.eye(2), 1: c1, -1: c1.conj().T, 2: c2, -2: c2.T}
+        )
+        neg_first = MatrixLaurentPoly1(
+            2, {-2: c2.T, -1: c1.conj().T, 0: np.eye(2), 2: c2, 1: c1}
+        )
+        assert list(pos_first.coeffs) == list(neg_first.coeffs) == [0, 1, -1, 2, -2]
+        for k, c in pos_first.coeffs.items():
+            assert np.array_equal(c, neg_first.coeffs[k])
+
+    def test_two_variable_from_causal_rejects_a_mirror_pair(self):
+        with pytest.raises(ValueError, match=r"both \(1, 0\) and its mirror \(-1, 0\)"):
+            MatrixLaurentPoly2.from_causal(1, {(1, 0): [[1.0]], (-1, 0): [[2.0]]})
 
 
 class TestEval1:
@@ -361,7 +384,61 @@ class TestFourierDuality:
                 )
 
 
+def _entry(index, matrix):
+    return {"index": index, "matrix": matrix}
+
+
+# One literal file per kind: the origin is written for Laurent and analytic
+# 1-D polynomials even when zero, omitted for an analytic 2-D one, and the
+# empty analytic 2-D polynomial writes one zero origin entry.
+FILE_CASES = [
+    (
+        MatrixLaurentPoly1.from_causal(1, {0: [[0.0]], 1: [[1.0]]}),
+        {"kind": "laurent", "vars": 1, "size": 1, "degrees": [1], "coeffs": [
+            _entry([-1], [[[1.0, -0.0]]]),
+            _entry([0], [[[0.0, 0.0]]]),
+            _entry([1], [[[1.0, 0.0]]]),
+        ]},
+    ),
+    (
+        MatrixAnalyticPoly1([np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0 - 1.0j]])]),
+        {"kind": "analytic", "vars": 1, "size": 1, "degrees": [2], "coeffs": [
+            _entry([0], [[[0.0, 0.0]]]),
+            _entry([2], [[[2.0, -1.0]]]),
+        ]},
+    ),
+    (
+        MatrixLaurentPoly2.from_causal(2, {(0, 0): 2 * np.eye(2), (0, 1): E12}),
+        {"kind": "laurent", "vars": 2, "size": 2, "degrees": [0, 1], "coeffs": [
+            _entry([0, -1], [[[0.0, -0.0], [0.0, -0.0]], [[1.0, -0.0], [0.0, -0.0]]]),
+            _entry([0, 0], [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]),
+            _entry([0, 1], [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        ]},
+    ),
+    (
+        MatrixAnalyticPoly2(1, 1, {(0, 0): [[0.0]], (1, 0): [[1.0]], (0, 2): [[0.5j]]}),
+        {"kind": "analytic", "vars": 2, "size": 1, "degrees": [1, 2], "coeffs": [
+            _entry([0, 2], [[[0.0, 0.5]]]),
+            _entry([1, 0], [[[1.0, 0.0]]]),
+        ]},
+    ),
+    (
+        MatrixAnalyticPoly2(2, 2, {}),
+        {"kind": "analytic", "vars": 2, "size": 2, "degrees": [0, 0], "coeffs": [
+            _entry([0, 0], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        ]},
+    ),
+]
+
+
 class TestJsonFormat:
+    @pytest.mark.parametrize(
+        "p, expected", FILE_CASES, ids=["laurent1", "analytic1", "laurent2", "analytic2", "empty2"]
+    )
+    def test_literal_file(self, p, expected):
+        # Compared as text, so that signed zeros are pinned too.
+        assert json.dumps(poly_to_json(p), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
     def test_laurent1_roundtrip(self, tmp_path):
         q = MatrixLaurentPoly1.from_causal(2, {0: np.diag([1.0, 2.0]), 1: E12 + 0.5j * np.eye(2)})
         path = tmp_path / "q.json"
