@@ -69,8 +69,9 @@ def _point_json(point) -> list:
 
 def cmd_check(args) -> int:
     q = load_poly(args.file, kind="laurent")
-    grid = args.grid
-    gm = verify.grid_min_eig(q, grid)
+    if isinstance(q, MatrixLaurentPoly1) and args.grid.g2 is not None:
+        raise PolyFormatError("one-variable polynomial needs --grid g")
+    gm = verify.grid_min_eig(q, args.grid)
     scale = max(q.scale, 1e-300)
     grid_ok = gm.min_eig >= -args.tol * scale
     report = {

@@ -38,8 +38,9 @@ TRUNCATION_PSD_TOL = 1e-8
 # marginal negative eigenvalues in the square root giving P_0.
 RANK_TOL = linalg.DEFAULT_RANK_TOL
 CLAMP_TOL = 1e-7
-# Truncation doubling stops, as at the block cap, before a truncation
-# whose arrays would need more than half the physical memory.
+# Truncation doubling stops, as at the block cap, and factor2d refuses a
+# lift, before a truncation whose arrays would need more than half the
+# physical memory.
 MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -53,7 +54,7 @@ class NotNonnegativeError(ValueError):
 
 
 class SchurConvergenceError(RuntimeError):
-    """Truncation doubling hit the block cap before the gap closed."""
+    """Truncation hit the block cap or the memory budget before the gap closed."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
@@ -189,13 +190,15 @@ def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(abs(pair.values[0]), abs(pair.values[-1])))
 
 
-def truncation_bytes(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> int:
+def truncation_bytes(q, k: int, n_blocks: int) -> int:
     """Bytes of the complex band, right-hand side and solution that
     truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1)).
     schur_limit checks it before each doubling; the joins' arrays do not
     grow with N, and the one end-block banded solve, with 2b right-hand
-    sides, needs 16 r^2 (N-2b)(m+1 + 4b)."""
-    return 16 * q.size**2 * n_blocks * (q.degree + 1 + 2 * (k + 1))
+    sides, needs 16 r^2 (N-2b)(m+1 + 4b).  q is the polynomial, or the
+    pair (r, m) of one not built yet."""
+    r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
+    return 16 * r**2 * n_blocks * (m + 1 + 2 * (k + 1))
 
 
 def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarray:
@@ -275,6 +278,8 @@ def factor(
     n0: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     grid: verify.GridSpec | None = None,
+    *,
+    _skip_residual: bool = False,
 ) -> tuple[MatrixAnalyticPoly1, FactorReport]:
     """Factor a circle-nonnegative Laurent polynomial as Q = P*P with
     P analytic, degree <= deg Q, and P(0) Hermitian PSD.
@@ -283,7 +288,9 @@ def factor(
     rejected: the factorization completes with the convergence gap
     recorded in the report, and the residual is then gap-dominated.
     A block cap n_max below 2(m + 1) leaves no room to double the S(m)
-    truncation even once and raises ValueError.
+    truncation even once and raises ValueError.  The two-variable lift
+    alone passes _skip_residual: it reports NaN for a residual the caller
+    computes against its own target.
     """
     grid = grid or verify.GridSpec(9)
     m, r = q.degree, q.size
@@ -332,7 +339,7 @@ def factor(
         coeffs += np.split(x, m, axis=1)[::-1]  # x = [P_m | ... | P_1]
 
     phat = MatrixAnalyticPoly1(coeffs)
-    resid = verify.residual(q, phat, grid)
+    resid = math.nan if _skip_residual else verify.residual(q, phat, grid)
     outer = verify.outer_check(phat)
     report = FactorReport(
         residual_sup=resid,

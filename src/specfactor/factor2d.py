@@ -9,12 +9,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import factor1d, linalg, verify
+from . import factor1d, verify
 from .factor1d import FactorReport, NotNonnegativeError
 from .poly import (
     MatrixAnalyticPoly1,
@@ -82,10 +83,11 @@ def inverse_cesaro(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly2:
 
 
 def _offset_norms(q: MatrixLaurentPoly2) -> list[tuple[int, float]]:
-    """(|k|, operator norm of Q_jk) for every k != 0, in sorted order."""
-    return [
-        (abs(k), linalg.op_norm(c)) for (_, k), c in sorted(q.coeffs.items()) if k != 0
-    ]
+    """(|k|, operator norm of Q_jk) for every k != 0, in sorted order,
+    from one batched LAPACK SVD over the stacked coefficients."""
+    offsets = [(abs(k), c) for (_, k), c in sorted(q.coeffs.items()) if k != 0]
+    stack = np.array([c for _, c in offsets]).reshape(-1, q.size, q.size)
+    return list(zip([k for k, _ in offsets], np.linalg.norm(stack, 2, axis=(-2, -1)).tolist()))
 
 
 def remainder_bound(
@@ -187,8 +189,10 @@ def _factor_lifted(
     factor_opts: dict,
     **tolerances,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
-    # Screen q on the grid, factor its lift with factor1d.factor, split the
-    # factor back out, and report the residual against target.
+    # Screen q on the grid, refuse a lift whose first truncation (at
+    # schur_limit's n0) is over the memory budget before building it, and
+    # factor the lift with factor1d.factor: screened, constructed and
+    # outer-checked there, it is verified once, by the 2-D residual.
     screen = verify.grid_min_eig(q, grid)
     if screen.min_eig < -1e-9 * max(q.scale, 1e-300):
         raise NotNonnegativeError(
@@ -196,8 +200,19 @@ def _factor_lifted(
             f"at {screen.point}",
             min_eig=screen.min_eig,
         )
+    size, n0 = q.size * (n + 1), factor_opts.get("n0") or 4 * (q.deg1 + 1)
+    need = factor1d.truncation_bytes((size, q.deg1), q.deg1, n0)
+    if need > factor1d.MEMORY_BUDGET:
+        raise factor1d.SchurConvergenceError(
+            f"lift of size {size} not built: truncation N = {n0} would need about "
+            f"{need:.3e} B, over the memory budget of {factor1d.MEMORY_BUDGET:.3e} B",
+            gap=math.inf,
+            partial=None,
+        )
     psi = lift_to_block(q, n)
-    phi, rep1d = factor1d.factor(psi, grid=verify.GridSpec(grid.g1), **factor_opts)
+    phi, rep1d = factor1d.factor(
+        psi, grid=verify.GridSpec(grid.g1), _skip_residual=True, **factor_opts
+    )
     factors = unlift_factor(phi, q.size, n)
     report = FactorReport(
         residual_sup=verify.residual(target, factors, grid),

@@ -119,11 +119,6 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
-def op_norm(a) -> float:
-    """Spectral norm (largest singular value, LAPACK SVD)."""
-    return float(np.linalg.norm(as_matrix(a), 2))
-
-
 def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
     """a - b* c^(-1) b by Cholesky of the PSD block c.
 

@@ -79,6 +79,17 @@ class TestCheck:
         assert report["toeplitz_psd"]["ok"] is False
         assert report["toeplitz_psd"]["min_eig"] == pytest.approx(-1e-10, rel=1e-9)
 
+    def test_one_variable_file_takes_one_grid_value(self, capsys, strict_1d):
+        code, report, _ = run(capsys, ["check", strict_1d, "--grid", "5,7"])
+        assert code == 2
+        assert "--grid g" in report["error"]
+
+    def test_two_variable_file_takes_one_or_two_grid_values(self, capsys, strict_2d):
+        for grid in ("5", "5,7"):
+            code, report, _ = run(capsys, ["check", strict_2d, "--grid", grid])
+            assert code == 0
+            assert report["ok"] is True
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nonsense")
@@ -214,6 +225,22 @@ class TestFactor2d:
         assert "degraded: slow Schur convergence" in err
         assert "block cap N = 8" in err
         assert "block cap" not in json.dumps(report)
+
+    def test_lift_over_budget_exits_three(self, capsys, tmp_path, monkeypatch):
+        from specfactor import factor1d
+
+        q = MatrixLaurentPoly2.from_causal(
+            1, {(0, 0): [[4.2]], (1, 0): [[1.0]], (0, 1): [[1.0]]}
+        )
+        path = tmp_path / "q42.json"
+        save_poly(path, q)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 10_000)
+        code, report, err = run(capsys, ["factor2d", str(path)])
+        # plan N = 16: lift size 17, first truncation N = 8
+        need = factor1d.truncation_bytes((17, 1), 1, 8)
+        assert code == 3
+        assert f"would need about {need:.3e} B" in report["error"]
+        assert "convergence failure" in err
 
     def test_wrong_arity_is_input_error(self, capsys, strict_1d):
         code, _, _ = run(capsys, ["factor2d", strict_1d])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
 
-from specfactor import corpus, factor1d, factor2d, linalg, verify
+from specfactor import corpus, factor1d, factor2d, verify
 from specfactor.factor2d import (
     NotStrictlyPositiveError,
     _offset_norms,
@@ -133,18 +135,35 @@ class TestChooseTruncation:
         delta = estimate_delta(q, verify.GridSpec(9, 9))
         expected = choose_truncation(q, delta)
         calls = []
-        op_norm = linalg.op_norm
+        norm = np.linalg.norm
 
-        def counted(a):
-            calls.append(1)
-            return op_norm(a)
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return norm(a, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "op_norm", counted)
+        monkeypatch.setattr(np.linalg, "norm", counted)
         plan = choose_truncation(q, delta)
         assert plan.n == 8
-        assert len(calls) == sum(1 for _, k in q.coeffs if k != 0)
+        # one batched call over every k != 0 coefficient, not one per N
+        assert calls == [(sum(1 for _, k in q.coeffs if k != 0), 1, 1)]
         assert (plan.n, plan.bound_s) == (expected.n, expected.bound_s)
         assert plan.bound_s == remainder_bound(q, plan.n)
+
+
+class TestOffsetNorms:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_batched_norms_match_each_matrix(self, r):
+        rng = np.random.default_rng(70 + r)
+        for m1, m2 in ((1, 1), (2, 3), (0, 2)):
+            q = corpus.sos_instance2(rng, r, m1, m2)
+            offsets = [(abs(k), c) for (_, k), c in sorted(q.coeffs.items()) if k != 0]
+            expected = [(k, float(np.linalg.norm(c, 2))) for k, c in offsets]
+            norms = _offset_norms(q)
+            assert norms == expected  # bit for bit
+            assert all(type(norm) is float for _, norm in norms)
+
+    def test_no_second_variable(self):
+        assert _offset_norms(scalar_laurent2({(0, 0): 3.0, (1, 0): 1.0})) == []
 
 
 def linear_scan(q, delta, margin):
@@ -464,6 +483,22 @@ class TestFactorStrict:
         alpha, beta = eig(*verify._companion_pencil(phi), right=False, homogeneous_eigvals=True)
         assert np.all(np.abs(alpha) > 1.1 * np.abs(beta))
 
+    def test_lift_over_budget_is_refused_before_it_is_built(self, monkeypatch):
+        built, lift = [], factor2d.lift_to_block
+        monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
+        q = plane(4.2)
+        plan_n = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n
+        need = factor1d.truncation_bytes((plan_n + 1, 1), 1, 8)  # n0 = 4(m1 + 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(factor1d.SchurConvergenceError, match="over the memory budget") as info:
+            factor_strict(q)
+        assert built == []
+        assert f"{need:.3e} B" in str(info.value)
+        assert info.value.gap == math.inf and info.value.partial is None
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
+        factors, rep, plan = factor_strict(q)
+        assert built == [plan_n]
+
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})
         factors, rep, plan = factor_strict(q)
@@ -487,3 +522,50 @@ class TestFactorStrict:
     def test_estimate_delta_guard_is_conservative(self):
         est = estimate_delta(Q_PLANE, verify.GridSpec(9, 9))
         assert 0.0 < est < 1.0  # true minimum is exactly 1
+
+
+def _residual_spy(monkeypatch):
+    seen, residual = [], verify.residual
+
+    def spy(q, factors, grid=verify.GridSpec()):
+        seen.append(q)
+        return residual(q, factors, grid)
+
+    monkeypatch.setattr(verify, "residual", spy)
+    return seen
+
+
+class TestLiftedVerification:
+    """The lift is factored by factor1d.factor without its 1-D residual;
+    the 2-D residual against the target is the only one computed."""
+
+    def test_strict_computes_one_residual(self, monkeypatch):
+        seen = _residual_spy(monkeypatch)
+        factor_strict(plane(4.4))
+        assert [type(q) for q in seen] == [MatrixLaurentPoly2]
+
+    def test_cesaro_computes_one_residual(self, monkeypatch):
+        seen = _residual_spy(monkeypatch)
+        q = corpus.sos_instance2(np.random.default_rng(45), 2, 1, 1)
+        factor_cesaro(q, q.deg2 + 2)
+        assert [type(q) for q in seen] == [MatrixLaurentPoly2]
+
+    @pytest.mark.parametrize("c0", [5.0, 4.4, 4.2])
+    def test_report_matches_the_public_lifted_factorization(self, c0):
+        q = plane(c0)
+        factors, rep, plan = factor_strict(q)
+        lifted = lift_to_block(inverse_cesaro(q, plan.n), plan.n)
+        phi, rep1 = factor1d.factor(lifted, grid=verify.GridSpec(6))
+        assert math.isfinite(rep1.residual_sup)
+        assert (rep.outer_verdict, rep.n_used, rep.gap, rep.converged) == (
+            rep1.outer_verdict,
+            rep1.n_used,
+            rep1.gap,
+            rep1.converged,
+        )
+        assert {k: rep.tolerances[k] for k in rep1.tolerances} == rep1.tolerances
+        expected = unlift_factor(phi, q.size, plan.n)
+        assert len(factors) == len(expected)
+        for f, g in zip(factors, expected):
+            assert list(f.coeffs) == list(g.coeffs)
+            assert all(f.coeffs[i].tobytes() == g.coeffs[i].tobytes() for i in f.coeffs)
