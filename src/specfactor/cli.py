@@ -333,9 +333,11 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (SchurConvergenceError, StrictificationError, FactorNumericalError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"convergence failure: {exc}", file=sys.stderr)
+    except (SchurConvergenceError, StrictificationError, FactorNumericalError, MemoryError) as exc:
+        # MemoryError: an allocation the memory budget let through still failed.
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+        print(json.dumps({"error": reason}, sort_keys=True))
+        print(f"convergence failure: {reason}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (PolyFormatError, FileNotFoundError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,18 @@ TRUNCATION_PSD_TOL = 1e-8
 # marginal negative eigenvalues in the square root giving P_0.
 RANK_TOL = linalg.DEFAULT_RANK_TOL
 CLAMP_TOL = 1e-7
+
+
+def memory_budget() -> int:
+    """Half the physical memory, or half a smaller finite soft RLIMIT_AS."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft // 2)
+
+
 # Truncation doubling stops, as at the block cap, and factor2d refuses a
-# lift, before a truncation whose arrays would need more than half the
-# physical memory.
-MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+# lift, before a truncation whose arrays would need more than this.
+MEMORY_BUDGET = memory_budget()
 
 
 class NotNonnegativeError(ValueError):
@@ -147,12 +156,13 @@ def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.n
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
-    verdict = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
-    if not verdict.ok:
+    vals = linalg.eig_hermitian(s, vectors=False).values
+    lo = float(vals[0])
+    if lo < -TRUNCATION_PSD_TOL * float(np.max(np.abs(vals))):
         raise NotNonnegativeError(
             f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
-            f"corner complement eigenvalue {verdict.min_eig:.6e})",
-            min_eig=verdict.min_eig,
+            f"corner complement eigenvalue {lo:.6e})",
+            min_eig=lo,
             n_blocks=n_blocks,
         )
     return s
@@ -215,6 +225,12 @@ def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarr
     return _complement(kept, coupling, middle, False, scale, n_blocks)
 
 
+def start_blocks(m: int, k: int, n0: int | None, n_max: int) -> int:
+    """schur_limit's first N: n0 (default 4(m+1)) clamped into [b, max(n_max // 2, b)]."""
+    b = max(k + 1, m)
+    return max(b, min(4 * (m + 1) if n0 is None else n0, max(n_max // 2, b)))
+
+
 def schur_limit(
     q: MatrixLaurentPoly1,
     k: int,
@@ -239,9 +255,7 @@ def schur_limit(
     """
     m, r = q.degree, q.size
     b = max(k + 1, m)
-    if n0 is None:
-        n0 = 4 * (m + 1)
-    n0 = max(b, min(n0, max(n_max // 2, b)))
+    n0 = start_blocks(m, k, n0, n_max)
     scale = max(q.scale, 1e-300)
     stack = laurent_stack(q.coeff, q.degree)
     c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))

@@ -190,7 +190,7 @@ def _factor_lifted(
     **tolerances,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
     # Screen q on the grid, refuse a lift whose first truncation (at
-    # schur_limit's n0) is over the memory budget before building it, and
+    # schur_limit's clamped n0) is over the memory budget before building it, and
     # factor the lift with factor1d.factor: screened, constructed and
     # outer-checked there, it is verified once, by the 2-D residual.
     screen = verify.grid_min_eig(q, grid)
@@ -200,8 +200,10 @@ def _factor_lifted(
             f"at {screen.point}",
             min_eig=screen.min_eig,
         )
-    size, n0 = q.size * (n + 1), factor_opts.get("n0") or 4 * (q.deg1 + 1)
-    need = factor1d.truncation_bytes((size, q.deg1), q.deg1, n0)
+    size, m1 = q.size * (n + 1), q.deg1
+    n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
+    n0 = factor1d.start_blocks(m1, m1, factor_opts.get("n0"), n_max)
+    need = factor1d.truncation_bytes((size, m1), m1, n0)
     if need > factor1d.MEMORY_BUDGET:
         raise factor1d.SchurConvergenceError(
             f"lift of size {size} not built: truncation N = {n0} would need about "

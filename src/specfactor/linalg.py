@@ -1,9 +1,10 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
-# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigh), PSD
-# square roots with clamping, one Cholesky Schur-complement kernel, which
-# every dense elimination of the construction and the public
-# schur_complement go through, and range-restricted minimum-norm solves,
-# whose rank decision is one LAPACK SVD.
+# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigh, or
+# eigvalsh for eigenvalues alone), PSD square roots with clamping, one
+# Cholesky Schur-complement kernel on LAPACK potrf/potrs handles fetched
+# once at import, which every dense elimination of the construction and
+# the public schur_complement go through, and range-restricted
+# minimum-norm solves, whose rank decision is one LAPACK SVD.
 
 from __future__ import annotations
 
@@ -11,11 +12,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 DEFAULT_HERMITIAN_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
+
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=complex)
 
 
 class NotPSDError(ValueError):
@@ -36,10 +39,10 @@ class InconsistentSystemError(ValueError):
 
 @dataclass
 class EigenPair:
-    """Eigenvalues (real, ascending) and a unitary basis of eigenvectors."""
+    """Eigenvalues (real, ascending) and a unitary basis of eigenvectors, or None."""
 
     values: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
 
 
 class PsdVerdict(NamedTuple):
@@ -47,12 +50,12 @@ class PsdVerdict(NamedTuple):
     min_eig: float
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
+def as_matrix(a, finite: bool = True) -> np.ndarray:
+    """Coerce to a 2-d complex array and, if finite, reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if finite and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or infinite entries")
     return m
 
@@ -62,28 +65,34 @@ def check_hermitian(h, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
 
     The deviation max|H - H*| must not exceed tol * (1 + max|H|).
     """
-    h = as_matrix(h)
+    h = as_matrix(h, finite=False)
+    scale = 1.0 + np.max(np.abs(h))  # NaN or inf exactly when h is not finite
+    if not np.isfinite(scale):
+        raise ValueError("matrix contains NaN or infinite entries")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
-    dev = np.max(np.abs(h - h.conj().T))
-    scale = 1.0 + np.max(np.abs(h))
+    hc = h.conj().T
+    dev = np.max(np.abs(h - hc))
     if dev > tol * scale:
         raise ValueError(
             f"matrix is not Hermitian: max|H - H*| = {dev:.3e} exceeds "
             f"{tol:.1e} * (1 + max|H|) = {tol * scale:.3e}"
         )
-    return (h + h.conj().T) / 2
+    return (h + hc) / 2
 
 
-def eig_hermitian(h) -> EigenPair:
+def eig_hermitian(h, *, vectors: bool = True) -> EigenPair:
     """Eigendecomposition of a Hermitian matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns eigenvalues in ascending order and a unitary basis whose
-    columns are the corresponding eigenvectors.  Every eigensolve of the
-    construction goes through this function.
+    columns are the corresponding eigenvectors; vectors=False solves for
+    the eigenvalues alone (numpy.linalg.eigvalsh) and leaves basis None.
+    Every eigensolve of the construction goes through this function.
     """
-    values, basis = np.linalg.eigh(check_hermitian(h))
-    return EigenPair(values=values, basis=basis)
+    h = check_hermitian(h)
+    if not vectors:
+        return EigenPair(values=np.linalg.eigvalsh(h), basis=None)
+    return EigenPair(*np.linalg.eigh(h))
 
 
 def psd_check(h, tol: float = 0.0) -> PsdVerdict:
@@ -120,20 +129,22 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
 
 
 def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
-    """a - b* c^(-1) b by Cholesky of the PSD block c.
+    """a - b* c^(-1) b by Cholesky of the PSD block c (LAPACK potrf/potrs).
 
-    Singular c gets one retry with a 1e-13 * scale diagonal jitter; if
-    that fails too, c is not PSD and NotPSDError is raised.
+    Non-finite b or c raises ValueError.  Singular c gets one retry with a
+    1e-13 * scale diagonal jitter; if that fails too, c is not PSD and
+    NotPSDError is raised.
     """
-    try:
-        x = cho_solve(cho_factor(c, lower=True), b)
-    except np.linalg.LinAlgError:
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    chol, info = _potrf(c, lower=1, clean=0)
+    if info > 0:
         c = c.copy()
         c[np.diag_indices(len(c))] += 1e-13 * scale
-        try:
-            x = cho_solve(cho_factor(c, lower=True), b)
-        except np.linalg.LinAlgError as exc:
-            raise NotPSDError("matrix is not PSD: eliminated block not positive definite") from exc
+        chol, info = _potrf(c, lower=1, clean=0)
+        if info > 0:
+            raise NotPSDError("matrix is not PSD: eliminated block not positive definite")
+    x, _ = _potrs(chol, b, lower=1)
     s = a - b.conj().T @ x
     return (s + s.conj().T) / 2
 

@@ -124,6 +124,18 @@ class TestFactor:
         p = load_poly(report["out"], kind="analytic")
         assert p.coeff(0)[0, 0] == pytest.approx(2.0)
 
+    def test_out_of_memory_exits_three(self, capsys, strict_1d, monkeypatch):
+        from specfactor import factor1d
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(factor1d, "factor", exhausted)
+        code, report, err = run(capsys, ["factor", strict_1d])
+        assert code == 3
+        assert report == {"error": "out of memory: Unable to allocate 8.00 GiB"}
+        assert "convergence failure: out of memory: Unable to allocate 8.00 GiB" in err
+
     def test_rejects_indefinite(self, capsys, indefinite_1d):
         code, report, _ = run(capsys, ["factor", indefinite_1d])
         assert code == 1

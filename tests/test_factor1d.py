@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,32 @@ class TestSegmentDoubling:
         assert calls == [2]
 
 
+    def test_kernel_counts_of_the_limit(self, monkeypatch):
+        # |1+z|^2 up to N = 4096 from n0 = 8: 17 potrf calls (eight joins,
+        # nine corners) and no jitter retry; one values-only eigensolve per
+        # corner PSD verdict (n0 and the nine doublings) and one full
+        # eigensolve per gap.
+        factorizations, solves = [], []
+        potrf, eig = linalg._potrf, linalg.eig_hermitian
+
+        def counted_potrf(*args, **kwargs):
+            out = potrf(*args, **kwargs)
+            factorizations.append(out[1])
+            return out
+
+        def counted_eig(h, *, vectors=True):
+            solves.append(vectors)
+            return eig(h, vectors=vectors)
+
+        monkeypatch.setattr(linalg, "_potrf", counted_potrf)
+        monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
+        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        assert res.n_used == 4096
+        assert factorizations == [0] * 17
+        assert solves.count(True) == 9
+        assert solves.count(False) == 10
+
+
 def banded_reference(q, n_blocks):
     # Lower band storage read off the dense truncation, one diagonal at a time.
     t = block_toeplitz(q, n_blocks)
@@ -273,6 +301,25 @@ class TestEliminationStorage:
                 joined = factor1d._join(h, c, scale, n_blocks)
                 np.testing.assert_array_equal(joined, join_reference(h, c, scale, n_blocks))
                 h = joined
+
+
+class TestMemoryBudget:
+    def fake_limit(self, monkeypatch, soft):
+        monkeypatch.setattr(
+            factor1d.resource, "getrlimit", lambda which: (soft, factor1d.resource.RLIM_INFINITY)
+        )
+
+    def test_half_the_physical_memory_without_an_address_space_limit(self, monkeypatch):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+        self.fake_limit(monkeypatch, factor1d.resource.RLIM_INFINITY)
+        assert factor1d.memory_budget() == physical
+        self.fake_limit(monkeypatch, 4 * physical)
+        assert factor1d.memory_budget() == physical
+
+    def test_half_a_smaller_soft_address_space_limit(self, monkeypatch):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+        self.fake_limit(monkeypatch, physical + 1)
+        assert factor1d.memory_budget() == physical // 2
 
 
 class TestFactor:

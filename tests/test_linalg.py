@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from specfactor import linalg
 from specfactor.linalg import (
     InconsistentSystemError,
     NotPSDError,
+    check_hermitian,
     eig_hermitian,
     embed_leading,
     psd_check,
@@ -273,6 +275,108 @@ class TestCholeskyComplement:
     def test_rejects_indefinite_block_after_retry(self):
         with pytest.raises(NotPSDError, match="not positive definite"):
             linalg.cholesky_complement(np.eye(1), np.ones((1, 1)), -np.eye(1), 1.0)
+
+
+def cho_complement_reference(a, b, c, scale):
+    # The kernel through scipy.linalg's cho_factor/cho_solve wrappers.
+    try:
+        x = cho_solve(cho_factor(c, lower=True), b)
+    except np.linalg.LinAlgError:
+        c = c.copy()
+        c[np.diag_indices(len(c))] += 1e-13 * scale
+        try:
+            x = cho_solve(cho_factor(c, lower=True), b)
+        except np.linalg.LinAlgError as exc:
+            raise NotPSDError("not positive definite") from exc
+    s = a - b.conj().T @ x
+    return (s + s.conj().T) / 2
+
+
+class TestDirectCholesky:
+    # cholesky_complement calls LAPACK potrf/potrs itself; it must agree
+    # with the scipy.linalg wrappers bit for bit.
+    def test_matches_wrappers_on_views_and_copies(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 41):
+            k = int(rng.integers(1, 5))
+            m = random_psd(rng, n + k)
+            scale = float(np.max(np.abs(m)))
+            # the non-contiguous slices _lead_complement passes, then copies
+            for a, b, c in [(m[:k, :k], m[k:, :k], m[k:, k:]),
+                            (m[:k, :k].copy(), m[k:, :k].copy(), m[k:, k:].copy())]:
+                np.testing.assert_array_equal(
+                    linalg.cholesky_complement(a, b, c, scale),
+                    cho_complement_reference(a, b, c, scale),
+                )
+
+    def test_singular_block_takes_the_jitter_retry(self):
+        rng = np.random.default_rng(42)
+        for n in (2, 5, 12):
+            c = random_psd(rng, n, rank=n - 1)
+            c[:, -1] = c[-1, :] = 0.0  # exactly singular: the first potrf fails
+            b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            a = random_psd(rng, 2)
+            with pytest.raises(np.linalg.LinAlgError):
+                cho_factor(c, lower=True)
+            np.testing.assert_array_equal(
+                linalg.cholesky_complement(a, b, c, 3.0), cho_complement_reference(a, b, c, 3.0)
+            )
+
+    def test_indefinite_block_raises(self):
+        rng = np.random.default_rng(43)
+        c = random_hermitian(rng, 6) - 10.0 * np.eye(6)
+        b = rng.standard_normal((6, 1)) + 0j
+        with pytest.raises(NotPSDError, match="not positive definite"):
+            linalg.cholesky_complement(np.eye(1), b, c, 1.0)
+        with pytest.raises(NotPSDError):
+            cho_complement_reference(np.eye(1), b, c, 1.0)
+
+    def test_nonfinite_entries_raise_value_error(self):
+        c, b = np.eye(3, dtype=complex), np.ones((3, 1), dtype=complex)
+        nan_c, nan_b = c.copy(), b.copy()
+        nan_c[1, 0] = nan_b[2, 0] = np.nan
+        for cc, bb in [(nan_c, b), (c, nan_b)]:
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                linalg.cholesky_complement(np.eye(1), bb, cc, 1.0)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                cho_complement_reference(np.eye(1), bb, cc, 1.0)
+
+
+class TestValuesOnlyEigensolve:
+    def test_equals_eigvalsh_of_the_hermitian_part(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 5, 15, 16, 33):
+            h = random_hermitian(rng, n)
+            h += 1e-13 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            pair = eig_hermitian(h, vectors=False)
+            assert pair.basis is None
+            np.testing.assert_array_equal(pair.values, np.linalg.eigvalsh((h + h.conj().T) / 2))
+
+    def test_same_checks_as_the_full_solve(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=False)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]), vectors=False)
+
+
+class TestCheckHermitian:
+    def test_messages(self):
+        cases = [
+            (np.ones((2, 3)), "must be square"),
+            (np.zeros((0, 0)), "nonempty 2-d"),
+            (np.ones(3), "nonempty 2-d"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN or infinite"),
+            (np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), "NaN or infinite"),
+            (np.array([[1.0, 2.0, np.nan]]), "NaN or infinite"),  # before squareness
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+        ]
+        for h, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check_hermitian(h)
+
+    def test_returns_the_exact_hermitian_part(self):
+        h = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0 - 1e-13j]])
+        np.testing.assert_array_equal(check_hermitian(h), (h + h.conj().T) / 2)
 
 
 class TestRangeRestrictedSolve:

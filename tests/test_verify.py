@@ -628,6 +628,47 @@ class TestOuterCheck:
             outer_check(MatrixAnalyticPoly1([np.ones((2, 3)), np.zeros((2, 3))]))
 
 
+class TestDirectQZ:
+    # outer_check calls LAPACK ggev itself; its alpha and beta must equal
+    # scipy.linalg.eig's bit for bit.
+    def test_matches_scipy_eig(self, monkeypatch):
+        calls, ggev = [], verify._ggev
+
+        def spy(a, b, *args, **kwargs):
+            out = ggev(a, b, *args, **kwargs)
+            calls.append((a, b, out))
+            return out
+
+        monkeypatch.setattr(verify, "_ggev", spy)
+        rng = np.random.default_rng(83)
+        v = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+        singular_top = [3.0 * np.eye(3), rng.standard_normal((3, 3))]
+        singular_top[1][:, 1] = 0.0
+        pencils = [
+            *seeded_draws(37, lambda rng: (2, 2)),
+            *seeded_draws(23, random_shape),
+            *seeded_draws(89, lambda rng: (int(rng.integers(4, 9)), int(rng.integers(1, 5)))),
+            MatrixAnalyticPoly1(singular_top),  # singular B: zeros at infinity
+            MatrixAnalyticPoly1([rng.standard_normal((3, 1)) @ v for _ in range(3)]),  # det P = 0
+        ]
+        for p in pencils:
+            calls.clear()
+            verdict = outer_check(p).verdict
+            assert len(calls) == 2  # the workspace query, then the solve
+            a, b, (alpha, beta, *_, info) = calls[-1]
+            assert info == 0
+            want_alpha, want_beta = eig(a, b, right=False, homogeneous_eigvals=True)
+            np.testing.assert_array_equal(alpha, want_alpha)
+            np.testing.assert_array_equal(beta, want_beta)
+        assert verdict == "inconclusive"
+
+    def test_failed_solve_raises(self, monkeypatch):
+        ggev = verify._ggev
+        monkeypatch.setattr(verify, "_ggev", lambda *a, **k: ggev(*a, **k)[:-1] + (3,))
+        with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+            outer_check(scalar_analytic([2.0, 1.0]))
+
+
 class TestFactorReportConsistency:
     def test_reported_residual_matches_recheck(self):
         rng = np.random.default_rng(67)
