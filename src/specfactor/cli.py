@@ -99,17 +99,13 @@ def cmd_factor(args) -> int:
     q = load_poly(args.file, kind="laurent")
     if not isinstance(q, MatrixLaurentPoly1):
         raise PolyFormatError("factor expects a one-variable Laurent polynomial")
-    phat, rep = factor1d.factor(
-        q,
-        residual_tol=args.tol,
-        n_max=args.max_trunc,
-        grid=verify.GridSpec(args.grid),
-    )
+    phat, rep = factor1d.factor(q, n_max=args.max_trunc, grid=verify.GridSpec(args.grid))
     out = args.out or (args.file + ".factor.json")
     save_poly(out, phat)
     scale = max(q.scale, 1e-300)
     ok = rep.residual_sup <= args.tol * scale
     report = {"command": "factor", "out": out, **rep.to_json()}
+    report["tolerances"] = dict(report["tolerances"], residual_tol=args.tol)
     report["ok"] = ok
     _emit(
         report,
@@ -124,7 +120,7 @@ def cmd_factor2d(args) -> int:
     q = load_poly(args.file, kind="laurent")
     if not isinstance(q, MatrixLaurentPoly2):
         raise PolyFormatError("factor2d expects a two-variable Laurent polynomial")
-    g2 = args.grid.g2 if args.grid.g2 is not None else args.grid.g1
+    g2 = args.grid.axis2
     factors, rep, plan = factor2d.factor_strict(
         q,
         delta=args.delta,
@@ -146,6 +142,7 @@ def cmd_factor2d(args) -> int:
         "factor_count": len(factors),
         **rep.to_json(),
     }
+    report["tolerances"] = dict(report["tolerances"], residual_tol=args.tol)
     report["ok"] = ok
     _emit(
         report,

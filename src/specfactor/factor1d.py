@@ -32,7 +32,6 @@ from .poly import (
 )
 
 DEFAULT_CONV_TOL = 1e-10
-DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_N_MAX = 4096
 TRUNCATION_PSD_TOL = 1e-8
 # Rank threshold of the extension solve against P_0, and the clamp of
@@ -48,8 +47,8 @@ def memory_budget() -> int:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft // 2)
 
 
-# Truncation doubling stops, as at the block cap, and factor2d refuses a
-# lift, before a truncation whose arrays would need more than this.
+# Truncation doubling stops before its one banded solve, and factor2d
+# refuses a lift, when the arrays would need more than this.
 MEMORY_BUDGET = memory_budget()
 
 
@@ -63,7 +62,8 @@ class NotNonnegativeError(ValueError):
 
 
 class SchurConvergenceError(RuntimeError):
-    """Truncation hit the block cap or the memory budget before the gap closed."""
+    """Truncation hit the block cap, or its banded solve the memory budget,
+    before the gap closed."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
@@ -156,9 +156,8 @@ def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.n
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
-    vals = linalg.eig_hermitian(s, vectors=False).values
-    lo = float(vals[0])
-    if lo < -TRUNCATION_PSD_TOL * float(np.max(np.abs(vals))):
+    ok, lo = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
+    if not ok:
         raise NotNonnegativeError(
             f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
             f"corner complement eigenvalue {lo:.6e})",
@@ -196,17 +195,17 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
 
 
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
-    pair = linalg.eig_hermitian((a - b + (a - b).conj().T) / 2)
-    return float(max(abs(pair.values[0]), abs(pair.values[-1])))
+    vals = linalg.eig_hermitian((a - b + (a - b).conj().T) / 2, vectors=False).values
+    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def truncation_bytes(q, k: int, n_blocks: int) -> int:
     """Bytes of the complex band, right-hand side and solution that
     truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1)).
-    schur_limit checks it before each doubling; the joins' arrays do not
-    grow with N, and the one end-block banded solve, with 2b right-hand
-    sides, needs 16 r^2 (N-2b)(m+1 + 4b).  q is the polynomial, or the
-    pair (r, m) of one not built yet."""
+    schur_limit checks it once, at 2 n0, for its one banded solve (the
+    end blocks of the 2 n0-truncation, 16 r^2 (N-2b)(m+1 + 4b) bytes);
+    the joins after it work on 2b-block squares at every N.  q is the
+    polynomial, or the pair (r, m) of one not built yet."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
     return 16 * r**2 * n_blocks * (m + 1 + 2 * (k + 1))
 
@@ -250,8 +249,9 @@ def schur_limit(
 
     The truncation sequence is monotone nonincreasing in the PSD order,
     so the gap is a one-sided convergence certificate.  Doubling stops
-    with SchurConvergenceError at the block cap n_max, or earlier when
-    truncation_bytes of the next N exceeds MEMORY_BUDGET.
+    with SchurConvergenceError at the block cap n_max; before the banded
+    solve, it stops at n0 when truncation_bytes at 2 n0 exceeds
+    MEMORY_BUDGET.  The joins are never refused.
     """
     m, r = q.degree, q.size
     b = max(k + 1, m)
@@ -262,10 +262,10 @@ def schur_limit(
     s_prev = truncated_schur(q, k, n0)
     n, h = n0, None
     gap = math.inf
+    need = truncation_bytes(q, k, 2 * n0)
     while True:
         n_next = 2 * n
-        need = truncation_bytes(q, k, n_next)
-        if n_next > n_max or need > MEMORY_BUDGET:
+        if n_next > n_max or (h is None and need > MEMORY_BUDGET):
             partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
             if n_next > n_max:
                 cause = f"at block cap N = {n_max} (expected near boundary zeros of Q)"
@@ -288,7 +288,6 @@ def schur_limit(
 def factor(
     q: MatrixLaurentPoly1,
     conv_tol: float = DEFAULT_CONV_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     n0: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     grid: verify.GridSpec | None = None,
@@ -363,7 +362,6 @@ def factor(
         converged=res.converged,
         tolerances={
             "conv_tol": conv_tol,
-            "residual_tol": residual_tol,
             "rank_tol": RANK_TOL,
             "clamp_tol": CLAMP_TOL,
             "grid_g": grid.g1,

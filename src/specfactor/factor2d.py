@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -39,7 +39,8 @@ class NotStrictlyPositiveError(ValueError):
 
 
 class StrictificationError(RuntimeError):
-    """Reweighted polynomial failed the inner nonnegativity screen."""
+    """The lift of the reweighted polynomial failed its Toeplitz screen or
+    a Schur witness: it is not nonnegative."""
 
 
 @dataclass
@@ -189,17 +190,12 @@ def _factor_lifted(
     factor_opts: dict,
     **tolerances,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
-    # Screen q on the grid, refuse a lift whose first truncation (at
-    # schur_limit's clamped n0) is over the memory budget before building it, and
-    # factor the lift with factor1d.factor: screened, constructed and
+    # Refuse a lift whose first truncation (at schur_limit's clamped n0) is
+    # over the memory budget before building it, and factor the lift with
+    # factor1d.factor.  The operator Fejer-Riesz theorem factors the lift
+    # exactly when the lift is nonnegative, so its own Toeplitz screen and
+    # Schur witnesses decide, not a grid screen of q; constructed and
     # outer-checked there, it is verified once, by the 2-D residual.
-    screen = verify.grid_min_eig(q, grid)
-    if screen.min_eig < -1e-9 * max(q.scale, 1e-300):
-        raise NotNonnegativeError(
-            f"Q not nonnegative on sampling grid: eigenvalue {screen.min_eig:.6e} "
-            f"at {screen.point}",
-            min_eig=screen.min_eig,
-        )
     size, m1 = q.size * (n + 1), q.deg1
     n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
     n0 = factor1d.start_blocks(m1, m1, factor_opts.get("n0"), n_max)
@@ -216,14 +212,10 @@ def _factor_lifted(
         psi, grid=verify.GridSpec(grid.g1), _skip_residual=True, **factor_opts
     )
     factors = unlift_factor(phi, q.size, n)
-    report = FactorReport(
+    report = replace(
+        rep1d,
         residual_sup=verify.residual(target, factors, grid),
-        outer_verdict=rep1d.outer_verdict,
-        n_used=rep1d.n_used,
-        gap=rep1d.gap,
-        converged=rep1d.converged,
         tolerances=dict(rep1d.tolerances, lift_n=n, **tolerances),
-        degraded_reason=rep1d.degraded_reason,
     )
     return factors, report
 
@@ -261,7 +253,7 @@ def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
     Q is not strictly positive and is returned as it is.
     """
     degs = (q.deg1, q.deg2)
-    top = (grid.g1, grid.g2 if grid.g2 is not None else grid.g1)
+    top = (grid.g1, grid.axis2)
     for m, g in zip(degs, top):
         if 1 << g <= 2 * m:
             raise ValueError(

@@ -1,10 +1,11 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
-# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigh, or
-# eigvalsh for eigenvalues alone), PSD square roots with clamping, one
-# Cholesky Schur-complement kernel on LAPACK potrf/potrs handles fetched
-# once at import, which every dense elimination of the construction and
-# the public schur_complement go through, and range-restricted
-# minimum-norm solves, whose rank decision is one LAPACK SVD.
+# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigvalsh
+# wherever eigenvalues alone are read, eigh for the clamped PSD square
+# root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs
+# handles fetched once at import, which every dense elimination of the
+# construction and the public schur_complement go through, and
+# range-restricted minimum-norm solves, whose rank decision is one LAPACK
+# SVD.
 
 from __future__ import annotations
 
@@ -101,10 +102,9 @@ def psd_check(h, tol: float = 0.0) -> PsdVerdict:
     Passes iff min eig >= -tol * max |eig|, a test that does not change
     when h is rescaled.
     """
-    pair = eig_hermitian(h)
-    lo = float(pair.values[0])
-    hi = float(np.max(np.abs(pair.values)))
-    return PsdVerdict(ok=lo >= -tol * hi, min_eig=lo)
+    vals = eig_hermitian(h, vectors=False).values
+    lo = float(vals[0])
+    return PsdVerdict(ok=lo >= -tol * float(np.max(np.abs(vals))), min_eig=lo)
 
 
 def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
@@ -164,7 +164,7 @@ def schur_complement(m, k: int) -> np.ndarray:
         raise ValueError(f"split index k = {k} out of range [1, {n - 1}]")
     scale = max(float(np.max(np.abs(m))), 1e-300)
     s = cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale)
-    lo = float(eig_hermitian(s).values[0])
+    lo = float(eig_hermitian(s, vectors=False).values[0])
     if lo < -1e-8 * scale:
         raise NotPSDError(
             f"matrix is not PSD: Schur complement eigenvalue {lo:.6e}", eigenvalue=lo

@@ -48,11 +48,16 @@ class GridSpec:
             if g is not None and not 3 <= g <= 16:
                 raise ValueError(f"log2 grid size {g} out of range [3, 16]")
 
+    @property
+    def axis2(self) -> int:
+        """log2 size of the second axis: g2, or g1 when g2 is unset."""
+        return self.g1 if self.g2 is None else self.g2
+
     def points1(self) -> np.ndarray:
         return circle_grid(self.g1)
 
     def points2(self) -> np.ndarray:
-        return circle_grid(self.g2 if self.g2 is not None else self.g1)
+        return circle_grid(self.axis2)
 
 
 class GridMin(NamedTuple):

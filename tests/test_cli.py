@@ -124,6 +124,12 @@ class TestFactor:
         p = load_poly(report["out"], kind="analytic")
         assert p.coeff(0)[0, 0] == pytest.approx(2.0)
 
+    def test_reports_the_tolerance_it_applies(self, capsys, strict_1d, tmp_path):
+        out = str(tmp_path / "p.json")
+        code, report, _ = run(capsys, ["factor", strict_1d, "--out", out, "--tol", "1e-6"])
+        assert code == 0
+        assert report["tolerances"]["residual_tol"] == 1e-6
+
     def test_out_of_memory_exits_three(self, capsys, strict_1d, monkeypatch):
         from specfactor import factor1d
 
@@ -155,11 +161,12 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32))
+        # One byte below the estimate of the banded solve at 2 n0 = 32.
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32) - 1)
         code, report, _ = run(capsys, ["factor", str(path)])
         assert code == 3
         assert report["converged"] is False
-        assert report["N_used"] == 32
+        assert report["N_used"] == 16
 
     def test_infinite_gap_prints_strict_json(self, capsys, tmp_path, monkeypatch):
         # A budget that refuses the first doubling leaves gap = inf.
@@ -186,7 +193,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32))
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32) - 1)
         code, report, err = run(capsys, ["factor", str(path)])
         assert code == 3
         assert "would need about" in err
@@ -257,6 +264,12 @@ class TestFactor2d:
     def test_wrong_arity_is_input_error(self, capsys, strict_1d):
         code, _, _ = run(capsys, ["factor2d", strict_1d])
         assert code == 2
+
+    def test_reports_the_tolerance_it_applies(self, capsys, strict_2d, tmp_path):
+        out = str(tmp_path / "fs.json")
+        code, report, _ = run(capsys, ["factor2d", strict_2d, "--out", out, "--tol", "1e-6"])
+        assert code == 0
+        assert report["tolerances"]["residual_tol"] == 1e-6
 
 
 class TestEval:

@@ -119,23 +119,34 @@ class TestSchurLimit:
         assert not err.value.partial.converged
 
     def test_memory_budget_stops_doubling(self, monkeypatch):
-        # Budget for one doubling only: the second one stops through the
-        # block-cap path, with the byte estimate in the message.
+        # A budget one byte below the banded solve at 2 n0 stops the limit
+        # at n0, before any doubling, with the byte estimate in the message.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 4 * (m + 1)
-        need = factor1d.truncation_bytes(q, m, 4 * n0)
-        assert need == 3 * 16 * (m + 1) * q.size**2 * 4 * n0
+        need = factor1d.truncation_bytes(q, m, 2 * n0)
+        assert need == 3 * 16 * (m + 1) * q.size**2 * 2 * n0
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(SchurConvergenceError) as err:
             schur_limit(q, m)
         assert f"need about {need:.3e} B" in str(err.value)
-        assert err.value.partial.n_used == 2 * n0
-        assert 0 < err.value.gap < np.inf
+        assert err.value.partial.n_used == n0
+        assert err.value.gap == np.inf
         _, rep = factor(q)
         assert not rep.converged
-        assert rep.n_used == 2 * n0
-        assert rep.gap == err.value.gap
+        assert rep.n_used == n0
+        assert rep.gap == np.inf
+
+    def test_memory_budget_never_refuses_a_join(self, monkeypatch):
+        # The joins' arrays are 2b-block squares at every N: a budget that
+        # admits the banded solve at 2 n0 lets the limit run past 4 n0.
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        m = q.degree
+        n0 = 4 * (m + 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, m, 2 * n0))
+        res = schur_limit(q, m)
+        assert res.converged
+        assert res.n_used > 4 * n0
 
     def test_inheritance_of_nested_complements(self):
         rng = np.random.default_rng(31)
@@ -234,8 +245,8 @@ class TestSegmentDoubling:
     def test_kernel_counts_of_the_limit(self, monkeypatch):
         # |1+z|^2 up to N = 4096 from n0 = 8: 17 potrf calls (eight joins,
         # nine corners) and no jitter retry; one values-only eigensolve per
-        # corner PSD verdict (n0 and the nine doublings) and one full
-        # eigensolve per gap.
+        # corner PSD verdict (n0 and the nine doublings) and per gap, and
+        # no full eigensolve.
         factorizations, solves = [], []
         potrf, eig = linalg._potrf, linalg.eig_hermitian
 
@@ -253,8 +264,8 @@ class TestSegmentDoubling:
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
         assert factorizations == [0] * 17
-        assert solves.count(True) == 9
-        assert solves.count(False) == 10
+        assert solves.count(True) == 0
+        assert solves.count(False) == 19
 
 
 def banded_reference(q, n_blocks):

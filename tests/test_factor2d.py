@@ -7,6 +7,7 @@ from scipy.linalg import eig
 from specfactor import corpus, factor1d, factor2d, verify
 from specfactor.factor2d import (
     NotStrictlyPositiveError,
+    StrictificationError,
     _offset_norms,
     cesaro_smooth,
     choose_truncation,
@@ -539,6 +540,22 @@ class TestFactorStrict:
         est = estimate_delta(Q_PLANE, verify.GridSpec(9, 9))
         assert 0.0 < est < 1.0  # true minimum is exactly 1
 
+    def test_nonnegative_lift_is_factored_under_an_optimistic_delta(self):
+        # delta = 0.5 overstates the minimum 0.2 of plane(4.2): the widened
+        # polynomial dips below zero on the torus, but its lift at N = 7 is
+        # nonnegative, so the operator theorem factors it exactly.
+        q = plane(4.2)
+        factors, rep, plan = factor_strict(q, delta=0.5)
+        assert plan.n == 7
+        assert rep.converged
+        assert rep.residual_sup <= 1e-12 * q.scale
+
+    def test_indefinite_lift_is_a_strictification_error(self):
+        # delta = 1.0 for plane(4.05) gives a lift that is not PSD: the
+        # lift's own screen rejects it.
+        with pytest.raises(StrictificationError, match="not nonnegative on circle"):
+            factor_strict(plane(4.05), delta=1.0)
+
 
 def _residual_spy(monkeypatch):
     seen, residual = [], verify.residual
@@ -565,6 +582,22 @@ class TestLiftedVerification:
         q = corpus.sos_instance2(np.random.default_rng(45), 2, 1, 1)
         factor_cesaro(q, q.deg2 + 2)
         assert [type(q) for q in seen] == [MatrixLaurentPoly2]
+
+    def test_lift_is_not_grid_screened(self, monkeypatch):
+        # estimate_delta samples Q once on the grid for plane(5); the lift
+        # itself is decided by its Toeplitz screen and Schur witnesses.
+        calls, grid_min_eig = [], verify.grid_min_eig
+
+        def spy(q, grid=verify.GridSpec()):
+            calls.append(q)
+            return grid_min_eig(q, grid)
+
+        monkeypatch.setattr(verify, "grid_min_eig", spy)
+        factor_strict(Q_PLANE)
+        assert len(calls) == 1
+        calls.clear()
+        factor_cesaro(Q_PLANE, 4)
+        assert calls == []
 
     @pytest.mark.parametrize("c0", [5.0, 4.4, 4.2])
     def test_report_matches_the_public_lifted_factorization(self, c0):

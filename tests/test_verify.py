@@ -52,6 +52,11 @@ class TestGridSpec:
     def test_points(self):
         assert GridSpec(3).points1().size == 8
 
+    def test_second_axis_defaults_to_the_first(self):
+        assert (GridSpec(5).axis2, GridSpec(5, 4).axis2) == (5, 4)
+        assert GridSpec(5).points2().size == 32
+        assert GridSpec(5, 4).points2().size == 16
+
 
 class TestGridMinEig:
     def test_constant(self):
