@@ -6,10 +6,13 @@
 # the first two, and each later one joins two copies of the previous
 # truncation's end-block complement with one small dense solve.  That
 # solve, and every corner complement, is linalg.cholesky_complement, the
-# kernel that linalg.schur_complement is built on as well.  P_0 is
-# the square root of the corner block of S(m), and one range-restricted
-# solve against P_0 reads P_1..P_m off its last block row.  A classical
-# scalar root-pairing construction serves as an independent oracle.
+# kernel that linalg.schur_complement is built on as well; a corner's PSD
+# verdict is one more Cholesky, with eigenvalues only for a witness, and a
+# block PSD to working precision that still fails to eliminate stops the
+# limit at its conditioning floor.  P_0 is the square root of the corner
+# block of S(m), and one range-restricted solve against P_0 reads
+# P_1..P_m off its last block row.  A classical scalar root-pairing
+# construction serves as an independent oracle.
 
 from __future__ import annotations
 
@@ -62,8 +65,8 @@ class NotNonnegativeError(ValueError):
 
 
 class SchurConvergenceError(RuntimeError):
-    """Truncation hit the block cap, or its banded solve the memory budget,
-    before the gap closed."""
+    """Truncation hit the block cap, the conditioning floor or (before its
+    banded solve) the memory budget before the gap closed."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
@@ -128,7 +131,8 @@ def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarra
     """a - b* c^(-1) b for the PSD block c: banded (lower band storage)
     by solveh_banded with one 1e-13 scale jitter retry, dense by
     linalg.cholesky_complement.  If the retry fails, the truncation at
-    N = n_blocks is not PSD."""
+    N = n_blocks is not PSD, unless a dense c is PSD to working precision
+    (the conditioning floor: SchurConvergenceError with no partial)."""
     if not b.any():  # zero polynomial, or no blocks between the ends
         return a
     try:
@@ -141,9 +145,15 @@ def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarra
             c[0] += 1e-13 * scale
             x = solveh_banded(c, b, lower=True)
     except (np.linalg.LinAlgError, linalg.NotPSDError) as exc:
+        lo = None if banded else float(np.linalg.eigvalsh(c)[0])
+        if lo is not None and lo >= -TRUNCATION_PSD_TOL * scale:
+            raise SchurConvergenceError(
+                f"conditioning floor at truncation N = {n_blocks} (eliminated block "
+                f"eigenvalue {lo:.3e})", gap=math.inf, partial=None) from exc
         raise NotNonnegativeError(
             f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
             f"eliminated blocks not positive definite)",
+            min_eig=lo,
             n_blocks=n_blocks,
         ) from exc
     s = a - b.conj().T @ x
@@ -156,6 +166,9 @@ def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.n
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
+    # max|s_ii| <= max|eig|, so a Cholesky pass implies psd_check's test.
+    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL * float(np.max(np.abs(np.diagonal(s))))):
+        return s
     ok, lo = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
     if not ok:
         raise NotNonnegativeError(
@@ -195,19 +208,22 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
 
 
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
-    vals = linalg.eig_hermitian((a - b + (a - b).conj().T) / 2, vectors=False).values
+    # a and b are exactly Hermitian, and so is a - b.
+    vals = np.linalg.eigvalsh(a - b)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
-def truncation_bytes(q, k: int, n_blocks: int) -> int:
-    """Bytes of the complex band, right-hand side and solution that
-    truncated_schur(q, k, n_blocks) allocates: 16 r^2 N (m+1 + 2(k+1)).
-    schur_limit checks it once, at 2 n0, for its one banded solve (the
-    end blocks of the 2 n0-truncation, 16 r^2 (N-2b)(m+1 + 4b) bytes);
-    the joins after it work on 2b-block squares at every N.  q is the
-    polynomial, or the pair (r, m) of one not built yet."""
+def limit_bytes(q, k: int, n0: int) -> int:
+    """Peak bytes of _ends on the 2 n0-truncation, schur_limit's one banded
+    solve from its clamped start n0, for the polynomial q or the pair
+    (r, m): 16 (5 w^2 + d (3 w + 2 bw)) + 64 KiB, with w = 2br end and
+    d = (2 n0 - 2b) r interior columns and bw = min((m+1) r, d) band rows
+    (the end blocks and four w-square temporaries; the coupling, solution
+    and conjugate; the band and solveh_banded's copy; interpreter objects)."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
-    return 16 * r**2 * n_blocks * (m + 1 + 2 * (k + 1))
+    b = max(k + 1, m)
+    w, d = 2 * b * r, (2 * n0 - 2 * b) * r
+    return 16 * (5 * w * w + d * (3 * w + 2 * min((m + 1) * r, d))) + 2**16
 
 
 def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarray:
@@ -249,9 +265,10 @@ def schur_limit(
 
     The truncation sequence is monotone nonincreasing in the PSD order,
     so the gap is a one-sided convergence certificate.  Doubling stops
-    with SchurConvergenceError at the block cap n_max; before the banded
-    solve, it stops at n0 when truncation_bytes at 2 n0 exceeds
-    MEMORY_BUDGET.  The joins are never refused.
+    with SchurConvergenceError, the last corner its partial, at the block
+    cap n_max, at the conditioning floor (a failed join of blocks PSD to
+    working precision), or at n0 when limit_bytes exceeds MEMORY_BUDGET.
+    The joins are never refused.
     """
     m, r = q.degree, q.size
     b = max(k + 1, m)
@@ -260,29 +277,29 @@ def schur_limit(
     stack = laurent_stack(q.coeff, q.degree)
     c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     s_prev = truncated_schur(q, k, n0)
-    n, h = n0, None
-    gap = math.inf
-    need = truncation_bytes(q, k, 2 * n0)
-    while True:
-        n_next = 2 * n
-        if n_next > n_max or (h is None and need > MEMORY_BUDGET):
-            partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
-            if n_next > n_max:
-                cause = f"at block cap N = {n_max} (expected near boundary zeros of Q)"
-            else:
-                cause = (
-                    f"at N = {n}: truncation N = {n_next} would need about "
-                    f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B"
-                )
-            raise SchurConvergenceError(
-                f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
-            )
-        h = _ends(stack, b, b, n_next, scale) if h is None else _join(h, c, scale, n_next)
-        s_next = _checked_corner(_lead_complement(h, (k + 1) * r, scale, n_next), n_next)
+    n, h, gap = n0, None, math.inf
+    need = limit_bytes(q, k, n0)
+    while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
+        try:
+            h = _ends(stack, b, b, n_next, scale) if h is None else _join(h, c, scale, n_next)
+            s_next = _checked_corner(_lead_complement(h, (k + 1) * r, scale, n_next), n_next)
+        except SchurConvergenceError as floor:
+            cause = f"at N = {n}: {floor}"
+            break
         gap = _gap_norm(s_prev, s_next)
         if gap <= conv_tol * scale:
             return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
         s_prev, n = s_next, n_next
+    else:
+        cause = (
+            f"at block cap N = {n_max} (expected near boundary zeros of Q)" if n_next > n_max
+            else f"at N = {n}: truncation N = {n_next} would need about "
+            f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B"
+        )
+    partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
+    raise SchurConvergenceError(
+        f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
+    )
 
 
 def factor(

@@ -190,8 +190,8 @@ def _factor_lifted(
     factor_opts: dict,
     **tolerances,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
-    # Refuse a lift whose first truncation (at schur_limit's clamped n0) is
-    # over the memory budget before building it, and factor the lift with
+    # Refuse a lift over the memory budget before building it, priced by
+    # limit_bytes as schur_limit prices it, and factor the lift with
     # factor1d.factor.  The operator Fejer-Riesz theorem factors the lift
     # exactly when the lift is nonnegative, so its own Toeplitz screen and
     # Schur witnesses decide, not a grid screen of q; constructed and
@@ -199,10 +199,10 @@ def _factor_lifted(
     size, m1 = q.size * (n + 1), q.deg1
     n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
     n0 = factor1d.start_blocks(m1, m1, factor_opts.get("n0"), n_max)
-    need = factor1d.truncation_bytes((size, m1), m1, n0)
+    need = factor1d.limit_bytes((size, m1), m1, n0)
     if need > factor1d.MEMORY_BUDGET:
         raise factor1d.SchurConvergenceError(
-            f"lift of size {size} not built: truncation N = {n0} would need about "
+            f"lift of size {size} not built: truncation N = {2 * n0} would need about "
             f"{need:.3e} B, over the memory budget of {factor1d.MEMORY_BUDGET:.3e} B",
             gap=math.inf,
             partial=None,

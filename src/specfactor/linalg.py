@@ -3,9 +3,9 @@
 # wherever eigenvalues alone are read, eigh for the clamped PSD square
 # root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs
 # handles fetched once at import, which every dense elimination of the
-# construction and the public schur_complement go through, and
-# range-restricted minimum-norm solves, whose rank decision is one LAPACK
-# SVD.
+# construction and the public schur_complement go through, a one-potrf
+# PSD test tried before any eigensolve, and range-restricted minimum-norm
+# solves, whose rank decision is one LAPACK SVD.
 
 from __future__ import annotations
 
@@ -107,6 +107,14 @@ def psd_check(h, tol: float = 0.0) -> PsdVerdict:
     return PsdVerdict(ok=lo >= -tol * float(np.max(np.abs(vals))), min_eig=lo)
 
 
+def cholesky_psd(h: np.ndarray, floor: float) -> bool:
+    """True when LAPACK potrf factors h + (floor/2) I, which for Hermitian h
+    proves min eig(h) >= -floor (rounding, about n eps max|h|, lies far
+    below floor/2).  False decides nothing, and non-finite h gives False."""
+    chol, info = _potrf(h + np.diag(np.full(len(h), floor / 2)), lower=1, clean=0)
+    return info == 0 and bool(np.isfinite(chol).all())
+
+
 def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
     """Hermitian PSD square root, clamping marginal negative eigenvalues.
 
@@ -155,8 +163,8 @@ def schur_complement(m, k: int) -> np.ndarray:
     A - B* C^(-1) B from cholesky_complement with scale max|M|, so a
     singular C is eliminated with the same jitter retry as in the
     construction.  Raises NotPSDError when C is not PSD or the complement
-    has an eigenvalue below -1e-8 max|M|; the complement is returned
-    unclamped.
+    has an eigenvalue below -1e-8 max|M|, which cholesky_psd rules out
+    before any eigensolve; the complement is returned unclamped.
     """
     m = check_hermitian(m)
     n = m.shape[0]
@@ -164,7 +172,7 @@ def schur_complement(m, k: int) -> np.ndarray:
         raise ValueError(f"split index k = {k} out of range [1, {n - 1}]")
     scale = max(float(np.max(np.abs(m))), 1e-300)
     s = cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale)
-    lo = float(eig_hermitian(s, vectors=False).values[0])
+    lo = 0.0 if cholesky_psd(s, 1e-8 * scale) else float(eig_hermitian(s, vectors=False).values[0])
     if lo < -1e-8 * scale:
         raise NotPSDError(
             f"matrix is not PSD: Schur complement eigenvalue {lo:.6e}", eigenvalue=lo

@@ -161,8 +161,8 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        # One byte below the estimate of the banded solve at 2 n0 = 32.
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32) - 1)
+        # One byte below the price of the banded solve from n0 = 16.
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
         code, report, _ = run(capsys, ["factor", str(path)])
         assert code == 3
         assert report["converged"] is False
@@ -175,7 +175,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 16))
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
         code = cli.main(["factor", str(path)])
         out = capsys.readouterr().out
 
@@ -193,7 +193,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, 3, 32) - 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
         code, report, err = run(capsys, ["factor", str(path)])
         assert code == 3
         assert "would need about" in err
@@ -255,8 +255,8 @@ class TestFactor2d:
         save_poly(path, q)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 10_000)
         code, report, err = run(capsys, ["factor2d", str(path)])
-        # plan N = 16: lift size 17, first truncation N = 8
-        need = factor1d.truncation_bytes((17, 1), 1, 8)
+        # plan N = 16: lift size 17, start n0 = 8
+        need = factor1d.limit_bytes((17, 1), 1, 8)
         assert code == 3
         assert f"would need about {need:.3e} B" in report["error"]
         assert "convergence failure" in err

@@ -1,4 +1,6 @@
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,8 +126,7 @@ class TestSchurLimit:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 4 * (m + 1)
-        need = factor1d.truncation_bytes(q, m, 2 * n0)
-        assert need == 3 * 16 * (m + 1) * q.size**2 * 2 * n0
+        need = factor1d.limit_bytes(q, m, n0)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(SchurConvergenceError) as err:
             schur_limit(q, m)
@@ -143,10 +144,25 @@ class TestSchurLimit:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 4 * (m + 1)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.truncation_bytes(q, m, 2 * n0))
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, m, n0))
         res = schur_limit(q, m)
         assert res.converged
         assert res.n_used > 4 * n0
+
+    @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
+    def test_price_covers_the_traced_peak(self, r, m):
+        # limit_bytes against what _ends allocates at 2 n0, for the default
+        # start and a larger one.
+        q, _ = corpus.ridged_instance(np.random.default_rng(7), r, m)
+        stack = laurent_stack(q.coeff, m)
+        for n0 in (4 * (m + 1), 64):
+            tracemalloc.start()
+            try:
+                factor1d._ends(stack, m + 1, m + 1, 2 * n0, q.scale)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= factor1d.limit_bytes(q, m, n0)
 
     def test_inheritance_of_nested_complements(self):
         rng = np.random.default_rng(31)
@@ -201,6 +217,28 @@ class TestSegmentDoubling:
             schur_limit(q, 1)
         assert err.value.n_blocks == n_blocks
 
+    def test_conditioning_floor_ends_degraded(self):
+        # Past N = 2^31 the join of |1+z|^2 is PSD only to working
+        # precision: the limit stops at its last corner, not with a witness.
+        q = scalar_laurent({0: 2.0, 1: 1.0})
+        with pytest.raises(SchurConvergenceError) as err:
+            schur_limit(q, 1, n_max=2**32)
+        assert "conditioning floor at truncation N = 4294967296" in str(err.value)
+        assert err.value.partial.n_used == 2**31
+        assert 0 < err.value.gap < 1e-8
+        _, rep = factor(q, n_max=2**32)
+        assert not rep.converged
+        assert rep.n_used == 2**31
+        assert "conditioning floor" in rep.degraded_reason
+
+    def test_negative_input_is_still_a_witness_at_any_cap(self):
+        q = scalar_laurent({0: 2.0 - 1e-3, 1: 1.0})
+        for n_max in (4096, 2**32):
+            with pytest.raises(NotNonnegativeError, match="witness at truncation") as err:
+                schur_limit(q, 1, n_max=n_max)
+            assert err.value.n_blocks == 128
+            assert err.value.min_eig < -factor1d.TRUNCATION_PSD_TOL * q.scale
+
     def test_boundary_zero_degraded_gap(self):
         _, rep = factor(scalar_laurent({0: 2.0, 1: 1.0}))  # |1 + z|^2
         assert not rep.converged
@@ -243,10 +281,10 @@ class TestSegmentDoubling:
 
 
     def test_kernel_counts_of_the_limit(self, monkeypatch):
-        # |1+z|^2 up to N = 4096 from n0 = 8: 17 potrf calls (eight joins,
-        # nine corners) and no jitter retry; one values-only eigensolve per
-        # corner PSD verdict (n0 and the nine doublings) and per gap, and
-        # no full eigensolve.
+        # |1+z|^2 up to N = 4096 from n0 = 8: 27 potrf calls (eight joins,
+        # nine corners and ten corner PSD verdicts, for n0 and the nine
+        # doublings), none failing, so no jitter retry; no eigensolve
+        # through eig_hermitian, the gaps calling eigvalsh directly.
         factorizations, solves = [], []
         potrf, eig = linalg._potrf, linalg.eig_hermitian
 
@@ -263,9 +301,8 @@ class TestSegmentDoubling:
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert factorizations == [0] * 17
-        assert solves.count(True) == 0
-        assert solves.count(False) == 19
+        assert factorizations == [0] * 27
+        assert solves == []
 
 
 def banded_reference(q, n_blocks):
@@ -287,6 +324,73 @@ def join_reference(h, c, scale, n_blocks):
     # Rows and columns: kept E, G, then eliminated G, E.
     t = np.block([[e, z, f, z], [z, g, z, fh], [fh, z, g, c], [z, f, c.conj().T, e]])
     return factor1d._lead_complement(t, 2 * w, scale, n_blocks)
+
+
+def limit_reference(q, k, n_max):
+    # The doubling from the same per-doubling helpers, with a validated
+    # eigensolve for every corner PSD verdict and every gap.
+    m, r = q.degree, q.size
+    b, scale = max(k + 1, m), max(q.scale, 1e-300)
+    stack = laurent_stack(q.coeff, m)
+    c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+    n, h, gap = factor1d.start_blocks(m, k, None, n_max), None, math.inf
+    s_prev = factor1d._ends(stack, k + 1, 0, n, scale)
+    while True:
+        assert linalg.psd_check(s_prev, tol=factor1d.TRUNCATION_PSD_TOL).ok
+        if 2 * n > n_max or gap <= factor1d.DEFAULT_CONV_TOL * scale:
+            return s_prev, n, gap
+        n *= 2
+        h = factor1d._ends(stack, b, b, n, scale) if h is None else factor1d._join(h, c, scale, n)
+        s = factor1d._lead_complement(h, (k + 1) * r, scale, n)
+        d = s_prev - s
+        vals = linalg.eig_hermitian((d + d.conj().T) / 2, vectors=False).values
+        gap, s_prev = float(max(abs(vals[0]), abs(vals[-1]))), s
+
+
+class TestCholeskyVerdicts:
+    def test_failing_corner_raises_the_eigenvalue_witness(self):
+        # A corner the Cholesky cannot pass is decided by psd_check: the
+        # same message and min_eig as an eigensolve-only verdict.
+        rng = np.random.default_rng(61)
+        tol = factor1d.TRUNCATION_PSD_TOL
+        for vals in ([1.0, -1e-3], [-tol * (1 + 1e-3), 0.3, 1.0], [-tol * (1 - 1e-3), 0.3, 1.0]):
+            u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            s = (u[:, : len(vals)] * vals) @ u[:, : len(vals)].conj().T
+            s = (s + s.conj().T) / 2
+            ok, lo = linalg.psd_check(s, tol=tol)
+            if ok:
+                assert factor1d._checked_corner(s, 64) is s
+                continue
+            with pytest.raises(NotNonnegativeError) as err:
+                factor1d._checked_corner(s, 64)
+            assert str(err.value) == (
+                f"Q not nonnegative on circle (witness at truncation N = 64: "
+                f"corner complement eigenvalue {lo:.6e})"
+            )
+            assert err.value.min_eig == lo
+            assert err.value.n_blocks == 64
+
+    def test_gap_norm_matches_the_validated_eigensolve(self):
+        rng = np.random.default_rng(62)
+        for r in (1, 2, 3):
+            for q in (corpus.ridged_instance(rng, r, 2)[0], boundary_instance(rng, r, 2)):
+                for n in (4, 8, 16):
+                    a, b = truncated_schur(q, 2, n), truncated_schur(q, 2, 2 * n)
+                    d = a - b
+                    vals = linalg.eig_hermitian((d + d.conj().T) / 2, vectors=False).values
+                    assert factor1d._gap_norm(a, b) == max(abs(vals[0]), abs(vals[-1]))
+
+    def test_limit_matches_the_eigenvalue_reference(self):
+        # Bit for bit: value, N_used and gap, converged or at the cap.
+        rng = np.random.default_rng(63)
+        for r in (1, 2, 3):
+            for m in (1, 2, 3):
+                for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
+                    for k in sorted({m - 1, m}):
+                        res = limit_or_partial(q, k, n_max=512)
+                        value, n_used, gap = limit_reference(q, k, 512)
+                        np.testing.assert_array_equal(res.value, value)
+                        assert (res.n_used, res.gap) == (n_used, gap)
 
 
 class TestEliminationStorage:

@@ -489,7 +489,7 @@ class TestFactorStrict:
         monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
         q = plane(4.2)
         plan_n = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n
-        need = factor1d.truncation_bytes((plan_n + 1, 1), 1, 8)  # n0 = 4(m1 + 1)
+        need = factor1d.limit_bytes((plan_n + 1, 1), 1, 8)  # n0 = 4(m1 + 1)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(factor1d.SchurConvergenceError, match="over the memory budget") as info:
             factor_strict(q)
@@ -502,19 +502,19 @@ class TestFactorStrict:
 
     def test_lift_preflight_uses_the_clamped_start(self, monkeypatch):
         # n_max = 8 clamps n0 = 8 to 4 in schur_limit; the preflight must
-        # estimate that truncation, not the unclamped one, and build the lift.
+        # price that start, not the unclamped one, and build the lift.
         built, lift = [], factor2d.lift_to_block
         monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
         q = plane(4.2)
         size = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n + 1
-        clamped, unclamped = (factor1d.truncation_bytes((size, 1), 1, n) for n in (4, 8))
-        assert (clamped, unclamped) == (110976, 221952)
+        clamped, unclamped = (factor1d.limit_bytes((size, 1), 1, n) for n in (4, 8))
+        assert clamped < unclamped
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", (clamped + unclamped) // 2)
         factors, rep, plan = factor_strict(q, n_max=8)
         assert built == [plan.n] == [size - 1]
-        # the doubling guard then stops the limit at N = 4
-        assert rep.n_used == 4 and not rep.converged
-        assert "over the memory budget" in rep.degraded_reason
+        # the doubling guard checks the same price, so only the cap stops it
+        assert rep.n_used == 8 and not rep.converged
+        assert "block cap N = 8" in rep.degraded_reason
 
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})

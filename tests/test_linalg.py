@@ -7,6 +7,7 @@ from specfactor.linalg import (
     InconsistentSystemError,
     NotPSDError,
     check_hermitian,
+    cholesky_psd,
     eig_hermitian,
     embed_leading,
     psd_check,
@@ -126,6 +127,42 @@ class TestPsdCheck:
 
     def test_zero_matrix_passes(self):
         assert psd_check(np.zeros((2, 2))).ok
+
+
+def with_spectrum(rng, vals):
+    # A seeded unitary conjugate of diag(vals), exactly Hermitian.
+    n = len(vals)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = (u * vals) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+class TestCholeskyPsd:
+    TOL = 1e-8
+
+    def verdicts(self, h):
+        floor = self.TOL * float(np.max(np.abs(np.diagonal(h))))
+        return cholesky_psd(h, floor), psd_check(h, tol=self.TOL).ok
+
+    def test_never_passes_what_psd_check_fails(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 6, 12):
+            for scale in (1.0, 1e-9, 1e6):
+                full = scale * random_psd(rng, n)
+                deficient = scale * random_psd(rng, n, rank=max(n // 2, 1))
+                assert self.verdicts(full) == (True, True)
+                assert self.verdicts(deficient) == (True, True)
+                assert self.verdicts(np.zeros((n, n), dtype=complex)) == (False, True)
+                for side in (1 - 1e-3, 1 + 1e-3):
+                    vals = scale * np.r_[-self.TOL * side, rng.uniform(0.1, 1.0, n), 1.0]
+                    chol, ok = self.verdicts(with_spectrum(rng, vals))
+                    assert ok == (side < 1)
+                    assert not chol or ok
+
+    def test_decides_nothing_on_nonfinite_input(self):
+        for bad in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+            assert not cholesky_psd(bad.astype(complex), 1e-8)
+        assert not cholesky_psd(np.eye(2, dtype=complex), np.inf)
 
 
 class TestPsdSqrt:

@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the benchmark workloads' outputs of a checkout.
+
+    python3 tools/digest_outputs.py <checkout>
+
+For seeds 1-3 of every workload in <checkout>/bench/workloads.py, each
+input is run once through the workload's top-level call, and the
+digest of bench/checks.py (the default report JSON, every factor and
+oracle coefficient's bytes and the input screen) is folded into one
+hash.  The library is imported from <checkout>/src, and nothing in the
+checkout is written.  Two trees whose outputs are bit-identical print
+the same line; BLAS runs single-threaded, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import checks
+    import specfactor
+    import workloads
+
+    if not Path(specfactor.__file__).resolve().is_relative_to(root / "src"):
+        print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
+        return 2
+    total = hashlib.sha256()
+    for name, w in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            for case in workloads.build_inputs(name, seed):
+                total.update(f"{name} {seed} {case.label}".encode())
+                total.update(checks.digest(w.call(case)).encode())
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
