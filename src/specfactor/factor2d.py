@@ -2,10 +2,11 @@
 # into enlarged block coefficients: the Cesaro-weighted polynomial Q^(N)
 # is exactly the one-variable symbol of a compressed block Toeplitz
 # operator, so one-variable factorization applies; splitting the factor's
-# block columns back out produces at most N+1 analytic factors.  Strictly
-# positive polynomials are factored exactly by pre-applying the inverse
-# Cesaro weights, at the cost of choosing N large enough that the
-# reweighting error stays below the positivity margin.
+# block columns back out produces at most N+1 analytic factors, views of
+# one stacked copy of the lifted coefficients.  Strictly positive
+# polynomials are factored exactly by pre-applying the inverse Cesaro
+# weights, at the cost of choosing N large enough that the reweighting
+# error stays below the positivity margin.
 
 from __future__ import annotations
 
@@ -165,21 +166,20 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
 
     The block column at position c from the left of each coefficient
     carries second-variable exponent N-c; row block l across all
-    coefficients assembles the l-th factor.  One reshape of the stacked
-    coefficients indexes the blocks as [l, j, c], and each factor takes
-    views of its nonzero blocks.
+    coefficients assembles the l-th factor.  The coefficients are stacked
+    once with their block columns reversed, so one reshape indexes the
+    blocks as [l, j, k]; every factor is a view of that one buffer, its
+    nonzero blocks listed by j, then c.
     """
     big = r * (n + 1)
     if phi.rows != big or phi.cols != big:
         raise ValueError(
             f"lifted factor has shape ({phi.rows},{phi.cols}), expected ({big},{big})"
         )
-    blocks = np.array(phi.coeffs).reshape(-1, n + 1, r, n + 1, r).transpose(1, 0, 3, 2, 4)
-    factors = []
-    for ell, nonzero in enumerate(blocks.any(axis=(-2, -1))):
-        coeffs = {(j, n - pos): blocks[ell, j, pos] for j, pos in zip(*np.nonzero(nonzero))}
-        factors.append(MatrixAnalyticPoly2(r, r, coeffs))
-    return factors
+    flipped = np.array([c.reshape(big, n + 1, r)[:, ::-1] for c in phi.coeffs])
+    blocks = flipped.reshape(-1, n + 1, r, n + 1, r).transpose(1, 0, 3, 2, 4)
+    order = np.arange(blocks[0, ..., 0, 0].size).reshape(blocks.shape[1:3])
+    return MatrixAnalyticPoly2.from_stack(blocks, order[:, ::-1])
 
 
 def _factor_lifted(

@@ -1,12 +1,14 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
-# variables: representation, with the coefficient symmetry of both Laurent
-# kinds validated and made exact by one canonicalizer (_symmetric);
-# evaluation on the circle/torus, adjoint products, the one block-Toeplitz
-# indexer, and the shared JSON file format with one encoder for all kinds.
+# variables: representation (a two-variable analytic polynomial is one
+# dense read-only coefficient array; both Laurent kinds are made exactly
+# symmetric by one canonicalizer, _symmetric); evaluation on the
+# circle/torus over dense coefficient boxes, adjoint products, the one
+# block-Toeplitz indexer, and the JSON file format with one encoder.
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +180,15 @@ class MatrixLaurentPoly2:
     def coeff(self, j: int, k: int) -> np.ndarray:
         return self.coeffs.get((j, k), np.zeros((self.size, self.size), dtype=complex))
 
+    @property
+    def dense(self) -> np.ndarray:
+        """Q_jk at [j + deg1, k + deg2]: the dense box of the coefficients."""
+        d1, d2 = self.deg1, self.deg2
+        dense = np.zeros((2 * d1 + 1, 2 * d2 + 1, self.size, self.size), dtype=complex)
+        for (j, k), c in self.coeffs.items():
+            dense[j + d1, k + d2] = c
+        return dense
+
     def __repr__(self):
         return (
             f"MatrixLaurentPoly2(size={self.size}, degrees=({self.deg1},{self.deg2}))"
@@ -185,38 +196,77 @@ class MatrixLaurentPoly2:
 
 
 class MatrixAnalyticPoly2:
-    """Two-variable analytic polynomial with coefficients on [0,m1] x [0,m2]."""
+    """Two-variable analytic polynomial with coefficients on [0,m1] x [0,m2].
+
+    The coefficients are one dense, read-only (m1+1, m2+1, rows, cols)
+    array; coeff and coeffs are views of it.  coeffs lists the nonzero
+    blocks in the order of the input dict (for from_stack, of order).
+    """
+
+    __slots__ = ("rows", "cols", "deg1", "deg2", "scale", "dense", "_order")
 
     def __init__(self, rows: int, cols: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        shape = (int(rows), int(cols))
-        self.rows, self.cols = shape
-        keys, vals = [], []
+        shape, vals = (int(rows), int(cols)), {}
         for (j, k), v in coeffs.items():
             if j < 0 or k < 0:
                 raise ValueError(f"analytic coefficient {(j, k)} needs indices >= 0")
-            m = np.asarray(v, dtype=complex)
+            vals[int(j), int(k)] = m = np.asarray(v, dtype=complex)
             if m.shape != shape:
                 raise ValueError(f"coefficient {(j, k)} has shape {m.shape}, expected {shape}")
-            keys.append((int(j), int(k)))
-            vals.append(m)
-        # One stack for the finiteness test, the nonzero filter and the scale.
-        stack = np.array(vals, dtype=complex).reshape((len(vals),) + shape)
-        for key, finite in zip(keys, np.isfinite(stack).all(axis=(1, 2))):
-            if not finite:
-                raise ValueError(f"coefficient {key} contains NaN or infinite entries")
-        self.coeffs = {key: m for key, m, nz in zip(keys, stack, stack.any(axis=(1, 2))) if nz}
-        self.deg1 = max((j for j, _ in self.coeffs), default=0)
-        self.deg2 = max((k for _, k in self.coeffs), default=0)
-        self.scale = _coeff_scale([stack])
+        js, ks = np.array(list(vals) or [(0, 0)]).T
+        stack = np.zeros((1, js.max() + 1, ks.max() + 1) + shape, dtype=complex)
+        order = np.zeros(stack.shape[1:3], dtype=int)
+        if vals:
+            stack[0, js, ks], order[js, ks] = list(vals.values()), np.arange(len(vals))
+        (p,) = self.from_stack(stack, order)
+        for name in self.__slots__:
+            setattr(self, name, getattr(p, name))
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray, order: np.ndarray) -> list[MatrixAnalyticPoly2]:
+        """One polynomial per leading index of a (L, J, K, rows, cols) stack,
+        each a view of it trimmed to its degrees, whose coeffs lists nonzero
+        blocks by ascending order[j, k].  The one validation: the first
+        non-finite block by order raises, and one nonzero mask and one
+        max|.| give every polynomial's degrees and scale."""
+        stack = stack.view()
+        stack.flags.writeable = False
+        finite = np.isfinite(stack).all(axis=(-2, -1)).all(axis=0)
+        if not finite.all():
+            bad = np.unravel_index(np.argmin(np.where(finite, order.size, order)), order.shape)
+            raise ValueError(f"coefficient {tuple(map(int, bad))} contains NaN or infinite entries")
+        nonzero = stack.any(axis=(-2, -1))
+        deg1 = _last_true(nonzero.any(axis=2)).tolist()
+        deg2 = _last_true(nonzero.any(axis=1)).tolist()
+        scales = np.abs(stack).max(axis=(1, 2, 3, 4), initial=0.0).tolist()
+        polys = [cls.__new__(cls) for _ in stack]
+        for p, dense, d1, d2, scale in zip(polys, stack, deg1, deg2, scales):
+            p.rows, p.cols, p.deg1, p.deg2 = *stack.shape[-2:], d1, d2
+            p.dense, p.scale, p._order = dense[: d1 + 1, : d2 + 1], scale, order
+        return polys
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        js, ks = np.nonzero(self.dense.any(axis=(2, 3)))
+        rank = np.argsort(self._order[js, ks])
+        keys = zip(js[rank].tolist(), ks[rank].tolist())
+        return MappingProxyType({(j, k): self.dense[j, k] for j, k in keys})
 
     def coeff(self, j: int, k: int) -> np.ndarray:
-        return self.coeffs.get((j, k), np.zeros((self.rows, self.cols), dtype=complex))
+        if 0 <= j <= self.deg1 and 0 <= k <= self.deg2:
+            return self.dense[j, k]
+        return np.zeros((self.rows, self.cols), dtype=complex)
 
     def __repr__(self):
         return (
             f"MatrixAnalyticPoly2(shape=({self.rows},{self.cols}), "
             f"degrees=({self.deg1},{self.deg2}))"
         )
+
+
+def _last_true(mask: np.ndarray) -> np.ndarray:
+    # Per row of a 2-d mask, the index of its last True (0 for none).
+    return (mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)) * mask.any(axis=1)
 
 
 def _check_unimodular(zeta) -> None:
@@ -266,8 +316,9 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
     for f in fs:
         if f.cols != cols:
             raise ValueError("factors have mismatched coefficient sizes")
-        for (j1, k1), c1 in f.coeffs.items():
-            for (j2, k2), c2 in f.coeffs.items():
+        items = f.coeffs.items()
+        for (j1, k1), c1 in items:
+            for (j2, k2), c2 in items:
                 idx = (j2 - j1, k2 - k1)
                 term = c1.conj().T @ c2
                 if idx in acc:
@@ -365,20 +416,21 @@ def _vandermonde(zs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def eval2_z2(polys, zs2: np.ndarray) -> tuple[np.ndarray, int]:
     """First half of eval2_grid for two-variable polynomials of one width,
-    rows stacked in list order: their coefficients fill one dense block
-    over the joint index box (with (0, 0)), contracted with the z2
+    rows stacked in list order: each one's dense box fills its slice of
+    one block over the joint index box, contracted with the z2
     Vandermonde matrix.  Returns the (J, T2, rows, cols) coefficients of
     z1^(j0 + i), i < J, and j0."""
-    shapes = [p.coeff(0, 0).shape for p in polys]
-    keys = np.array([(0, 0)] + [idx for p in polys for idx in p.coeffs])
-    (j0, k0), (j1, k1) = keys.min(axis=0), keys.max(axis=0)
-    tops = np.cumsum([0] + [rows for rows, _ in shapes])
-    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], shapes[0][1]), dtype=complex)
-    for p, top, bottom in zip(polys, tops, tops[1:]):
-        for (j, k), c in p.coeffs.items():
-            block[j - j0, k - k0, top:bottom] = c
+    dense = [p.dense for p in polys]
+    # Every dense box ends at (deg1, deg2) and starts at (0, 0) or (-deg1, -deg2).
+    lo = [(p.deg1 + 1 - len(d), p.deg2 + 1 - d.shape[1]) for p, d in zip(polys, dense)]
+    j0, k0 = np.min(lo, axis=0).tolist()
+    j1, k1 = np.max([(p.deg1, p.deg2) for p in polys], axis=0).tolist()
+    tops = np.cumsum([0] + [d.shape[2] for d in dense])
+    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], dense[0].shape[3]), dtype=complex)
+    for d, (j, k), top, bottom in zip(dense, lo, tops, tops[1:]):
+        block[j - j0 : j - j0 + len(d), k - k0 : k - k0 + d.shape[1], top:bottom] = d
     half = _vandermonde(zs2, k0, k1) @ block.reshape(block.shape[:2] + (-1,))
-    return half.reshape(half.shape[:2] + block.shape[2:]), int(j0)
+    return half.reshape(half.shape[:2] + block.shape[2:]), j0
 
 
 def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
@@ -451,7 +503,7 @@ def poly_to_json(p) -> dict:
     rows, cols = p.coeff(*origin).shape
     if rows != cols:
         raise ValueError("file format stores square coefficients only")
-    items = p.coeffs.items() if isinstance(p.coeffs, dict) else enumerate(p.coeffs)
+    items = enumerate(p.coeffs) if isinstance(p.coeffs, list) else p.coeffs.items()
     items = [((i,) if nvars == 1 else i, c) for i, c in items]
     indices = sorted(i for i, c in items if np.any(c) or i == origin) or [origin]
     return {

@@ -1,9 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specfactor
 from specfactor import cli, verify
 from specfactor.poly import (
     MatrixAnalyticPoly1,
@@ -296,6 +301,32 @@ class TestEval:
         code, report, _ = run(capsys, ["eval", analytic_2d, "--point", "0.5"])
         assert code == 2
         assert "needs --point t1,t2" in report["error"]
+
+    def test_dense_box_over_the_memory_limit_exits_three(self, tmp_path):
+        # Two coefficients, but the dense (20001, 20001) box needs 6.4 GB.
+        path = tmp_path / "far.json"
+        one = [[[1.0, 0.0]]]
+        path.write_text(json.dumps({
+            "kind": "analytic", "vars": 2, "size": 1, "degrees": [20000, 20000],
+            "coeffs": [{"index": [0, 0], "matrix": one}, {"index": [20000, 20000], "matrix": one}],
+        }))
+
+        def limit_address_space():  # runs in the child only
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src = str(Path(specfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "specfactor.cli", "eval", str(path), "--point", "0.1,0.2"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["error"].startswith("out of memory: ")
+        assert "convergence failure: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestFlags:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,41 @@ class TestUnliftFactor:
         assert f1.coeffs == {} and f1.scale == 0.0
         assert sorted(f0.coeffs) == sorted(f2.coeffs) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
         np.testing.assert_array_equal(f2.coeff(1, 2), coeffs[1][4:, :2])
+
+    def test_blocks_listed_by_j_then_column(self):
+        # k descending within each j: the order the benchmark's residual sums in
+        rng = np.random.default_rng(46)
+        coeffs = [rng.standard_normal((3, 3)) + 1.0 for _ in range(2)]
+        coeffs[1][0, 1] = 0.0
+        f0, f1, _ = unlift_factor(MatrixAnalyticPoly1(coeffs), 1, 2)
+        assert list(f0.coeffs) == [(0, 2), (0, 1), (0, 0), (1, 2), (1, 0)]
+        assert list(f1.coeffs) == [(0, 2), (0, 1), (0, 0), (1, 2), (1, 1), (1, 0)]
+
+    def lifted_factor(self, c0):
+        q = plane(c0)
+        plan = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9)))
+        psi = lift_to_block(inverse_cesaro(q, plan.n), plan.n)
+        phi, _ = factor1d.factor(psi, grid=verify.GridSpec(6), _skip_residual=True)
+        return phi, plan.n
+
+    def test_factors_are_views_of_one_buffer(self):
+        phi, n = self.lifted_factor(4.2)
+        fs = unlift_factor(phi, 1, n)
+        buffer = fs[0].dense.base
+        assert buffer.nbytes == np.array(phi.coeffs).nbytes
+        assert all(np.shares_memory(f.dense, buffer) for f in fs)
+        assert all(np.shares_memory(c, buffer) for f in fs for c in f.coeffs.values())
+
+    def test_traced_peak_within_two_stacked_copies(self):
+        phi, n = self.lifted_factor(4.2)
+        one = np.array(phi.coeffs).nbytes
+        tracemalloc.start()
+        try:
+            unlift_factor(phi, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * one
 
 
 class TestFactorCesaro:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from specfactor import corpus
+from specfactor import corpus, factor1d
+from specfactor.factor2d import lift_to_block, unlift_factor
 from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixAnalyticPoly2,
@@ -19,6 +20,7 @@ from specfactor.poly import (
     eval1_grid,
     eval2,
     eval2_grid,
+    eval2_z2,
     load_poly,
     poly_from_json,
     poly_to_json,
@@ -247,6 +249,87 @@ class TestAnalyticPoly2Construction:
         assert (p.deg1, p.deg2, p.scale) == (1, 1, 4.0)
         empty = MatrixAnalyticPoly2(2, 2, {})
         assert (empty.coeffs, empty.deg1, empty.deg2, empty.scale) == ({}, 0, 0, 0.0)
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ({(0, 0): [[1.0]], (2, -1): [[1.0]]}, "analytic coefficient (2, -1) needs indices >= 0"),
+            ({(1, 0): [[1.0]], (0, 1): np.ones((2, 1))}, "coefficient (0, 1) has shape (2, 1), expected (1, 1)"),
+            # the first non-finite coefficient in dict order, not in index order
+            ({(2, 0): [[np.nan]], (0, 1): [[np.inf]]}, "coefficient (2, 0) contains NaN or infinite entries"),
+            ({(0, 0): [[1.0]], (3, 1): [[np.inf]], (1, 0): [[np.nan]]}, "coefficient (3, 1) contains NaN or infinite entries"),
+        ],
+    )
+    def test_error_messages(self, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            MatrixAnalyticPoly2(1, 1, coeffs)
+        assert str(info.value) == message
+
+    def test_one_dense_array_listed_in_dict_order(self):
+        rng = np.random.default_rng(36)
+        keys = [(2, 0), (0, 3), (1, 1), (0, 0)]
+        given = {key: corpus.disk_uniform(rng, (2, 3)) for key in keys}
+        p = MatrixAnalyticPoly2(2, 3, {**given, (1, 3): np.zeros((2, 3))})
+        assert p.dense.shape == (3, 4, 2, 3)
+        assert list(p.coeffs) == keys
+        for key, c in p.coeffs.items():
+            assert np.shares_memory(c, p.dense)
+            np.testing.assert_array_equal(c, given[key])
+            assert np.shares_memory(p.coeff(*key), p.dense)
+        np.testing.assert_array_equal(p.coeff(1, 3), np.zeros((2, 3)))
+        np.testing.assert_array_equal(p.coeff(3, 0), np.zeros((2, 3)))
+
+    def test_coefficients_are_read_only(self):
+        p = MatrixAnalyticPoly2(1, 1, {(0, 0): [[1.0]], (1, 1): [[2.0]]})
+        with pytest.raises(TypeError):
+            p.coeffs[(0, 0)] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            p.coeff(1, 1)[0, 0] = 0.0
+        assert p.coeff(1, 1)[0, 0] == 2.0
+
+
+def eval2_z2_packed(polys, zs2):
+    # eval2_z2 as it packed coefficients before dense storage: a block over
+    # the joint key box (with (0, 0)), filled one coefficient at a time.
+    shapes = [p.coeff(0, 0).shape for p in polys]
+    keys = np.array([(0, 0)] + [idx for p in polys for idx in p.coeffs])
+    (j0, k0), (j1, k1) = keys.min(axis=0), keys.max(axis=0)
+    tops = np.cumsum([0] + [rows for rows, _ in shapes])
+    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], shapes[0][1]), dtype=complex)
+    for p, top, bottom in zip(polys, tops, tops[1:]):
+        for (j, k), c in p.coeffs.items():
+            block[j - j0, k - k0, top:bottom] = c
+    ks = np.arange(k0, k1 + 1)
+    pw = np.asarray(zs2)[:, None] ** np.abs(ks)
+    half = np.where(ks >= 0, pw, np.conj(pw)) @ block.reshape(block.shape[:2] + (-1,))
+    return half.reshape(half.shape[:2] + block.shape[2:]), int(j0)
+
+
+class TestEval2Z2:
+    def assert_bit_equal(self, polys, zs2):
+        got, j0 = eval2_z2(polys, zs2)
+        want, want_j0 = eval2_z2_packed(polys, zs2)
+        assert j0 == want_j0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r, n", [(1, 6), (2, 3)])
+    def test_unlifted_factors(self, r, n):
+        q = corpus.sos_instance2(np.random.default_rng(50 + r), r, 2, 2)
+        phi, _ = factor1d.factor(lift_to_block(q, n))
+        self.assert_bit_equal(unlift_factor(phi, r, n), circle_grid(6))
+
+    def test_mixed_lists(self):
+        rng = np.random.default_rng(37)
+        zs2 = np.concatenate([circle_grid(4), 0.5 * unit_points(rng, 3)])
+        tall = MatrixAnalyticPoly2(3, 2, {(2, 1): corpus.disk_uniform(rng, (3, 2))})
+        wide_k = MatrixAnalyticPoly2(1, 2, {(0, 4): corpus.disk_uniform(rng, (1, 2))})
+        zero = MatrixAnalyticPoly2(2, 2, {(1, 1): np.zeros((2, 2))})
+        square = corpus.random_analytic2(rng, 2, 1, 2)
+        self.assert_bit_equal([tall, zero, wide_k, square], zs2)
+        self.assert_bit_equal([zero], zs2)
+        q = corpus.sos_instance2(rng, 2, 2, 3)
+        self.assert_bit_equal([q], circle_grid(5))
+        self.assert_bit_equal([square, q, tall], circle_grid(5))
 
 
 class TestAdjointProduct:

@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the benchmark workloads' outputs of a checkout.
+"""Print two SHA-256 digests over the benchmark workloads' outputs of a checkout.
 
     python3 tools/digest_outputs.py <checkout>
 
 For seeds 1-3 of every workload in <checkout>/bench/workloads.py, each
-input is run once through the workload's top-level call, and the
-digest of bench/checks.py (the default report JSON, every factor and
-oracle coefficient's bytes and the input screen) is folded into one
-hash.  The library is imported from <checkout>/src, and nothing in the
-checkout is written.  Two trees whose outputs are bit-identical print
-the same line; BLAS runs single-threaded, as in the benchmark.
+input is run once through the workload's top-level call.  The first
+line folds the digest of bench/checks.py (the default report JSON,
+every factor and oracle coefficient's bytes and the input screen) into
+one hash.  That digest sorts the coefficients, so it cannot see a change
+in the order a factor lists them; the second line folds the repr of the
+benchmark's own residual and oracle difference from checks.check, which
+sum over that order, so it moves with any rounding the benchmark reports.
+The library is imported from <checkout>/src, and nothing in the checkout
+is written.  Two trees whose outputs are bit-identical print the same
+two lines; BLAS runs single-threaded, as in the benchmark.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -38,13 +44,20 @@ def main(argv: list[str]) -> int:
     if not Path(specfactor.__file__).resolve().is_relative_to(root / "src"):
         print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
         return 2
-    total = hashlib.sha256()
+    outputs, checked = hashlib.sha256(), hashlib.sha256()
     for name, w in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for case in workloads.build_inputs(name, seed):
-                total.update(f"{name} {seed} {case.label}".encode())
-                total.update(checks.digest(w.call(case)).encode())
-    print(total.hexdigest())
+                label = f"{name} {seed} {case.label}".encode()
+                out = w.call(case)
+                outputs.update(label)
+                outputs.update(checks.digest(out).encode())
+                with contextlib.redirect_stdout(io.StringIO()):  # its "no oracle" notes
+                    res = checks.check(case, out)
+                checked.update(label)
+                checked.update(repr((res.rel_residual, res.oracle)).encode())
+    print(outputs.hexdigest())
+    print(checked.hexdigest())
     return 0
 
 
