@@ -331,10 +331,10 @@ def main(argv=None) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except (SchurConvergenceError, StrictificationError, FactorNumericalError, MemoryError) as exc:
-        # MemoryError: an allocation the memory budget let through still failed.
-        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+        oom = isinstance(exc, MemoryError)  # at any stage, loading a file included
+        reason = f"out of memory: {exc}" if oom else str(exc)
         print(json.dumps({"error": reason}, sort_keys=True))
-        print(f"convergence failure: {reason}", file=sys.stderr)
+        print(reason if oom else f"convergence failure: {reason}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (PolyFormatError, FileNotFoundError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

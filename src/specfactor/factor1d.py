@@ -41,6 +41,7 @@ TRUNCATION_PSD_TOL = 1e-8
 # marginal negative eigenvalues in the square root giving P_0.
 RANK_TOL = linalg.DEFAULT_RANK_TOL
 CLAMP_TOL = 1e-7
+PAIRING_TOL = 1e-6  # the root-pairing oracle's circle and cluster distance
 
 
 def memory_budget() -> int:
@@ -247,11 +248,7 @@ def start_blocks(m: int, k: int, n0: int | None, n_max: int) -> int:
 
 
 def schur_limit(
-    q: MatrixLaurentPoly1,
-    k: int,
-    conv_tol: float = DEFAULT_CONV_TOL,
-    n0: int | None = None,
-    n_max: int = DEFAULT_N_MAX,
+    q: MatrixLaurentPoly1, k: int, n0: int | None = None, n_max: int = DEFAULT_N_MAX
 ) -> SchurResult:
     """Approximate the infinite-operator corner Schur complement by
     doubling the truncation N = n0, 2 n0, ... (n0 >= b = max(k+1, m), so
@@ -287,7 +284,7 @@ def schur_limit(
             cause = f"at N = {n}: {floor}"
             break
         gap = _gap_norm(s_prev, s_next)
-        if gap <= conv_tol * scale:
+        if gap <= DEFAULT_CONV_TOL * scale:
             return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
         s_prev, n = s_next, n_next
     else:
@@ -304,7 +301,6 @@ def schur_limit(
 
 def factor(
     q: MatrixLaurentPoly1,
-    conv_tol: float = DEFAULT_CONV_TOL,
     n0: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     grid: verify.GridSpec | None = None,
@@ -346,7 +342,7 @@ def factor(
     # the rest.
     reason = ""
     try:
-        res = schur_limit(q, m, conv_tol=conv_tol, n0=n0, n_max=n_max)
+        res = schur_limit(q, m, n0=n0, n_max=n_max)
     except SchurConvergenceError as err:
         res, reason = err.partial, str(err)
     last = res.value[m * r :, :]
@@ -358,7 +354,7 @@ def factor(
                 p0,
                 last[:, : m * r],
                 rank_tol=RANK_TOL,
-                residual_atol=10.0 * (res.gap + conv_tol * scale) + 1e-12 * scale,
+                residual_atol=10.0 * (res.gap + DEFAULT_CONV_TOL * scale) + 1e-12 * scale,
             )
         except linalg.InconsistentSystemError as exc:
             raise FactorNumericalError(
@@ -378,7 +374,7 @@ def factor(
         gap=res.gap,
         converged=res.converged,
         tolerances={
-            "conv_tol": conv_tol,
+            "conv_tol": DEFAULT_CONV_TOL,
             "rank_tol": RANK_TOL,
             "clamp_tol": CLAMP_TOL,
             "grid_g": grid.g1,
@@ -412,9 +408,7 @@ def _poly_eval(coeffs_desc: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def scalar_root_factor(
-    q: MatrixLaurentPoly1, pairing_tol: float = 1e-6
-) -> MatrixAnalyticPoly1:
+def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
     """Classical root-pairing factorization for scalar Laurent polynomials.
 
     The roots of z^m q(z) come in conjugate-reciprocal pairs; the factor
@@ -452,19 +446,19 @@ def scalar_root_factor(
         polished.append(w)
     roots = np.array(polished)
 
-    outside = [w for w in roots if abs(w) > 1.0 + pairing_tol]
-    boundary = [w for w in roots if abs(abs(w) - 1.0) <= pairing_tol]
+    outside = [w for w in roots if abs(w) > 1.0 + PAIRING_TOL]
+    boundary = [w for w in roots if abs(abs(w) - 1.0) <= PAIRING_TOL]
 
     selected = list(outside)
     if boundary:
         boundary.sort(key=lambda w: math.atan2(w.imag, w.real))
         clusters: list[list[complex]] = [[boundary[0]]]
         for w in boundary[1:]:
-            if abs(w - clusters[-1][-1]) <= pairing_tol * (1.0 + abs(w)):
+            if abs(w - clusters[-1][-1]) <= PAIRING_TOL * (1.0 + abs(w)):
                 clusters[-1].append(w)
             else:
                 clusters.append([w])
-        if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= pairing_tol * (
+        if len(clusters) > 1 and abs(clusters[0][0] - clusters[-1][-1]) <= PAIRING_TOL * (
             1.0 + abs(clusters[0][0])
         ):
             clusters[0] = clusters.pop() + clusters[0]

@@ -1,18 +1,17 @@
 # Two-variable sum-of-squares pipeline.  The second variable is absorbed
 # into enlarged block coefficients: the Cesaro-weighted polynomial Q^(N)
 # is exactly the one-variable symbol of a compressed block Toeplitz
-# operator, so one-variable factorization applies; splitting the factor's
-# block columns back out produces at most N+1 analytic factors, views of
-# one stacked copy of the lifted coefficients.  Strictly positive
-# polynomials are factored exactly by pre-applying the inverse Cesaro
-# weights, at the cost of choosing N large enough that the reweighting
-# error stays below the positivity margin.
+# operator, read off Q's dense box, so one-variable factorization
+# applies; splitting the factor's block columns back out gives at most
+# N+1 analytic factors, views of one stacked copy of the lifted
+# coefficients.  Strictly positive polynomials are factored exactly by
+# pre-applying the inverse Cesaro weights, at the cost of choosing N
+# large enough that the reweighting error stays below the positivity margin.
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .poly import (
     MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
-    laurent_stack,
     toeplitz_entries,
 )
 
@@ -85,11 +83,11 @@ def inverse_cesaro(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly2:
 
 
 def _offset_norms(q: MatrixLaurentPoly2) -> list[tuple[int, float]]:
-    """(|k|, operator norm of Q_jk) for every k != 0, in sorted order,
-    from one batched LAPACK SVD over the stacked coefficients."""
-    offsets = [(abs(k), c) for (_, k), c in sorted(q.coeffs.items()) if k != 0]
-    stack = np.array([c for _, c in offsets]).reshape(-1, q.size, q.size)
-    return list(zip([k for k, _ in offsets], np.linalg.norm(stack, 2, axis=(-2, -1)).tolist()))
+    """(|k|, operator norm of Q_jk) for every nonzero Q_jk with k != 0, in
+    sorted order, from one batched LAPACK SVD over those blocks of q.dense."""
+    js, ks = np.nonzero(q.dense.any(axis=(2, 3)) & (np.arange(-q.deg2, q.deg2 + 1) != 0))
+    norms = np.linalg.norm(q.dense[js, ks], 2, axis=(-2, -1))
+    return list(zip(np.abs(ks - q.deg2).tolist(), norms.tolist()))
 
 
 def remainder_bound(
@@ -152,13 +150,13 @@ def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:
     """
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
+    # Row j of the dense box between zero slabs at k = +-(deg2 + 1), for clipped
+    # out-of-band lookups, is the laurent_stack of Q_j; one gather reads all rows.
+    stacks = np.zeros((len(q.dense), q.dense.shape[1] + 2, q.size, q.size), dtype=complex)
+    stacks[:, 1:-1] = q.dense / (n + 1)
     idx = np.arange(q.size * (n + 1))
-    coeffs = {}
-    for j in range(-q.deg1, q.deg1 + 1):
-        stack = laurent_stack(partial(q.coeff, j), q.deg2)
-        if stack.any() or j == 0:
-            coeffs[j] = toeplitz_entries(stack / (n + 1), idx[:, None], idx)
-    return MatrixLaurentPoly1(q.size * (n + 1), coeffs)
+    lifted = toeplitz_entries(stacks, idx[:, None], idx)
+    return MatrixLaurentPoly1(q.size * (n + 1), dict(enumerate(lifted, -q.deg1)))
 
 
 def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyticPoly2]:

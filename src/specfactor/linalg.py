@@ -15,9 +15,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-DEFAULT_HERMITIAN_TOL = 1e-10
+HERMITIAN_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
+RESIDUAL_RTOL = 1e-8
 
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=complex)
 
@@ -61,10 +62,10 @@ def as_matrix(a, finite: bool = True) -> np.ndarray:
     return m
 
 
-def check_hermitian(h, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(h) -> np.ndarray:
     """Validate near-Hermitian input and return its exact Hermitian part.
 
-    The deviation max|H - H*| must not exceed tol * (1 + max|H|).
+    The deviation max|H - H*| must not exceed HERMITIAN_TOL * (1 + max|H|).
     """
     h = as_matrix(h, finite=False)
     scale = 1.0 + np.max(np.abs(h))  # NaN or inf exactly when h is not finite
@@ -74,10 +75,10 @@ def check_hermitian(h, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
     hc = h.conj().T
     dev = np.max(np.abs(h - hc))
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max|H - H*| = {dev:.3e} exceeds "
-            f"{tol:.1e} * (1 + max|H|) = {tol * scale:.3e}"
+            f"{HERMITIAN_TOL:.1e} * (1 + max|H|) = {HERMITIAN_TOL * scale:.3e}"
         )
     return (h + hc) / 2
 
@@ -193,7 +194,6 @@ def range_restricted_solve(
     rstar,
     b,
     rank_tol: float = DEFAULT_RANK_TOL,
-    residual_rtol: float = 1e-8,
     residual_atol: float = 0.0,
 ) -> np.ndarray:
     """Minimum-norm solution X of Rstar X = B with ran X inside ran R.
@@ -201,7 +201,7 @@ def range_restricted_solve(
     The numerical range of R = Rstar* is fixed by the singular values of
     one thin LAPACK SVD above rank_tol times the largest one.  Raises
     InconsistentSystemError when the residual exceeds
-    residual_rtol * ||B||_F + residual_atol, which signals that B was not
+    RESIDUAL_RTOL * ||B||_F + residual_atol, which signals that B was not
     in the range of Rstar.
     """
     rstar = as_matrix(rstar)
@@ -217,10 +217,10 @@ def range_restricted_solve(
     x = vh[keep].conj().T @ ((u[:, keep].conj().T @ b) / sigma[keep, None])
     resid = float(np.linalg.norm(rstar @ x - b))
     bnorm = float(np.linalg.norm(b))
-    if resid > residual_rtol * bnorm + residual_atol:
+    if resid > RESIDUAL_RTOL * bnorm + residual_atol:
         raise InconsistentSystemError(
             f"inconsistent system: residual {resid:.3e} exceeds "
-            f"{residual_rtol:.1e} * ||B|| + {residual_atol:.3e}",
+            f"{RESIDUAL_RTOL:.1e} * ||B|| + {residual_atol:.3e}",
             residual=resid,
         )
     return x

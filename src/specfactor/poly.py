@@ -1,9 +1,9 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
-# variables: representation (a two-variable analytic polynomial is one
-# dense read-only coefficient array; both Laurent kinds are made exactly
-# symmetric by one canonicalizer, _symmetric); evaluation on the
-# circle/torus over dense coefficient boxes, adjoint products, the one
-# block-Toeplitz indexer, and the JSON file format with one encoder.
+# variables, laid out here only: one function (_box) puts a coefficient
+# dict in a dense box, one array pass (_symmetric) makes both Laurent
+# kinds exactly symmetric, and both two-variable kinds keep one read-only
+# box with coeff/coeffs as views.  Also circle/torus evaluation over those
+# boxes, adjoint products, the one block-Toeplitz indexer and JSON files.
 
 from __future__ import annotations
 
@@ -19,11 +19,6 @@ SYMMETRY_TOL = 1e-12
 UNIT_CIRCLE_TOL = 1e-12
 
 
-def _coeff_scale(arrays) -> float:
-    mags = [np.max(np.abs(a)) for a in arrays if a.size]
-    return float(max(mags)) if mags else 0.0
-
-
 def _as_coeff(a, shape, what):
     m = np.asarray(a, dtype=complex)
     if m.shape != shape:
@@ -33,37 +28,60 @@ def _as_coeff(a, shape, what):
     return m
 
 
-def _symmetric(size: int, coeffs: dict, mirror) -> dict:
-    """The one canonicalizer of both Laurent kinds.  Each pair (i, mirror(i))
-    must satisfy Q_mirror = Q_i* within SYMMETRY_TOL * scale; it becomes
-    C_i = (Q_i + Q_mirror*)/2 and C_mirror = C_i*, keyed in the order the
-    pairs first appear in coeffs.  Pairs that come out zero are dropped."""
+def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The one dict-to-box path: the blocks of coeffs, each checked by
+    _as_coeff, in a zero box reaching the largest |index| on each axis,
+    from minus it if centred, else from 0; and each place's rank, its
+    key's position in coeffs (len(coeffs) for none)."""
+    blocks = [_as_coeff(v, shape, f"coefficient {i}") for i, v in coeffs.items()]
+    idx = np.array(list(coeffs), dtype=int).reshape(-1, nvars)
+    hi = np.abs(idx).max(axis=0, initial=0)
+    lo = -hi if centred else 0 * hi
+    at = tuple((idx - lo).T)
+    box = np.zeros(tuple(hi - lo + 1) + shape, dtype=complex)
+    for i, block in zip(zip(*at), blocks):
+        box[i] = block
+    rank = np.full(box.shape[:nvars], len(blocks))
+    rank[at] = np.arange(len(blocks))
+    return box, rank
+
+
+def _symmetric(size: int, coeffs: dict, nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one canonicalizer of both Laurent kinds, over the box of coeffs
+    centred on the origin.  Q_-i must equal Q_i* within SYMMETRY_TOL *
+    scale (else the first offender in key order is named); each pair
+    becomes C_i = (Q_i + Q_-i*)/2 at the index met first and C_i* at its
+    mirror, zero pairs are dropped and the box is trimmed.  Returns C and
+    the rank listing pairs as met, an index before its mirror."""
     if size < 1:
         raise ValueError("coefficient size must be >= 1")
-    shape = (int(size), int(size))
-    raw = {i: _as_coeff(v, shape, f"coefficient {i}") for i, v in coeffs.items()}
-    tol = SYMMETRY_TOL * _coeff_scale(list(raw.values()))
-    zeros = np.zeros(shape, dtype=complex)
-    canon = {}
-    for i, q in raw.items():
-        # A kept pair is skipped at its mirror; a dropped one is checked and
-        # dropped again there.
-        if i in canon:
-            continue
-        m = mirror(i)
-        qm = raw.get(m, zeros)
-        dev = np.max(np.abs(qm - q.conj().T))
-        if dev > tol:
-            raise ValueError(
-                f"coefficient symmetry violated at index {i}: "
-                f"max|Q_{m} - Q_{i}*| = {dev:.3e} exceeds {tol:.3e}"
-            )
-        c = (q + qm.conj().T) / 2
-        if np.any(c):
-            canon[i] = c
-            if m != i:
-                canon[m] = c.conj().T
-    return canon
+    box, seen = _box(coeffs, (int(size),) * 2, nvars, centred=True)
+    rev = (slice(None, None, -1),) * nvars  # index i to -i
+
+    def adjoint(a):  # of each block, in C order for the passes that follow
+        return np.conjugate(a.swapaxes(-1, -2), order="C")
+
+    flipped = adjoint(box[rev])  # Q_-i* in the place of Q_i
+    canon = flipped - box  # the deviation; C takes over its buffer below
+    dev = np.abs(canon).max(axis=(-2, -1))
+    # The scale is read only when a block deviates: never for an exact lift.
+    tol = SYMMETRY_TOL * np.abs(box).max(initial=0.0) if dev.any() else 0.0
+    if (dev > tol).any():
+        at = np.argmin(np.where(dev > tol, seen, seen.size))
+        i = list(coeffs)[seen.flat[at]]
+        m = -i if nvars == 1 else (-i[0], -i[1])
+        raise ValueError(
+            f"coefficient symmetry violated at index {i}: "
+            f"max|Q_{m} - Q_{i}*| = {dev.flat[at]:.3e} exceeds {tol:.3e}"
+        )
+    lead = seen <= seen[rev]
+    np.divide(np.add(box, flipped, out=canon), 2, out=canon)
+    canon[~lead] = adjoint(canon[rev][~lead])
+    keep = canon.any(axis=(-2, -1))
+    canon[~keep] = 0  # a dropped pair holds +0.0, as an absent one does
+    deg = np.abs(np.argwhere(keep) - np.array(keep.shape) // 2).max(axis=0, initial=0)
+    trim = tuple(slice(n // 2 - d, n // 2 + d + 1) for n, d in zip(keep.shape, deg))
+    return canon[trim], (2 * np.minimum(seen, seen[rev]) + ~lead)[trim]
 
 
 class MatrixLaurentPoly1:
@@ -72,22 +90,19 @@ class MatrixLaurentPoly1:
     Self-adjoint on the unit circle: Q_{-k} must equal Q_k* within
     SYMMETRY_TOL * scale.  Coefficients are canonicalized on construction
     (exact symmetrization, zero top coefficients trimmed) so downstream
-    Toeplitz assembly is exactly Hermitian.
+    Toeplitz assembly is exactly Hermitian.  coeffs lists every |k| <=
+    degree in the order 0, 1, -1, 2, -2, ..., views of one array.
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
         raw = {int(k): v for k, v in coeffs.items()}
-        # Pairs are formed from k >= 0 (C_k, then C_-k = C_k*), in the order
-        # 0, 1, -1, 2, -2, ...; absent or zero pairs below the top are zeros.
+        # Keys in the order 0, 1, -1, 2, -2, ...: a pair leads from k >= 0.
         raw = {k: raw[k] for k in sorted(raw, key=lambda k: (abs(k), -k))}
-        canon = _symmetric(size, raw, lambda k: -k)
+        box, _ = _symmetric(size, raw, 1)
         self.size = int(size)
-        self.degree = max(map(abs, canon), default=0)
-        self.coeffs = {}
-        for k in range(self.degree + 1):
-            for d in (k, -k):
-                self.coeffs[d] = canon.get(d, np.zeros((self.size, self.size), dtype=complex))
-        self.scale = _coeff_scale(list(self.coeffs.values()))
+        self.degree = d = len(box) // 2
+        self.coeffs = {s * k: box[d + s * k] for k in range(d + 1) for s in (1, -1)}
+        self.scale = float(np.abs(box).max(initial=0.0))
 
     @classmethod
     def from_causal(cls, size: int, causal: dict[int, np.ndarray]) -> "MatrixLaurentPoly1":
@@ -125,7 +140,7 @@ class MatrixAnalyticPoly1:
         self.coeffs = [_as_coeff(c, shape, f"coefficient {i}") for i, c in enumerate(coeffs)]
         self.rows, self.cols = shape
         self.degree = len(self.coeffs) - 1
-        self.scale = _coeff_scale(self.coeffs)
+        self.scale = float(np.abs(self.coeffs).max(initial=0.0))
 
     @property
     def is_square(self) -> bool:
@@ -143,23 +158,55 @@ class MatrixAnalyticPoly1:
         )
 
 
-class MatrixLaurentPoly2:
+class _Poly2:
+    """What both two-variable kinds share: one dense, read-only box with
+    the coefficient of z1^j z2^k at dense[origin + (j, k)], and a rank
+    over the box in which coeffs lists its nonzero blocks (views)."""
+
+    __slots__ = ("dense", "origin", "rows", "cols", "deg1", "deg2", "scale", "_rank")
+
+    def _store(self, dense: np.ndarray, rank: np.ndarray, origin: tuple, scale: float):
+        dense.flags.writeable = False
+        self.dense, self._rank, self.origin, self.scale = dense, rank, origin, scale
+        self.rows, self.cols = dense.shape[2:]
+        self.deg1, self.deg2 = (n - 1 - o for n, o in zip(dense.shape, origin))
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        js, ks = np.nonzero(self.dense.any(axis=(2, 3)))
+        rank = np.argsort(self._rank[js, ks])
+        (o1, o2), dense = self.origin, self.dense
+        keys = zip((js[rank] - o1).tolist(), (ks[rank] - o2).tolist())
+        return MappingProxyType({(j, k): dense[j + o1, k + o2] for j, k in keys})
+
+    def coeff(self, j: int, k: int) -> np.ndarray:
+        j, k = j + self.origin[0], k + self.origin[1]
+        if 0 <= j < len(self.dense) and 0 <= k < self.dense.shape[1]:
+            return self.dense[j, k]
+        return np.zeros((self.rows, self.cols), dtype=complex)
+
+
+class MatrixLaurentPoly2(_Poly2):
     """Two-variable Laurent polynomial sum_{j,k} Q_jk z1^j z2^k.
 
     Self-adjoint on the torus: Q_{-j,-k} = Q_jk* within tolerance;
-    canonicalized exactly on construction.
+    canonicalized exactly on construction.  dense holds Q_jk at
+    [j + deg1, k + deg2]; coeffs lists the pairs as they first appear in
+    the input, an index before its mirror, and Q_00 always, last if zero.
     """
 
+    __slots__ = ("size",)
+
     def __init__(self, size: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        canon = _symmetric(
-            size, {(int(j), int(k)): v for (j, k), v in coeffs.items()}, lambda i: (-i[0], -i[1])
-        )
+        coeffs = {(int(j), int(k)): v for (j, k), v in coeffs.items()}
+        box, rank = _symmetric(size, coeffs, 2)
         self.size = int(size)
-        canon.setdefault((0, 0), np.zeros((self.size, self.size), dtype=complex))
-        self.coeffs = canon
-        self.deg1 = max(abs(j) for j, _ in canon)
-        self.deg2 = max(abs(k) for _, k in canon)
-        self.scale = _coeff_scale(list(canon.values()))
+        origin = (len(box) // 2, box.shape[1] // 2)
+        self._store(box, rank, origin, float(np.abs(box).max(initial=0.0)))
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        return MappingProxyType({**super().coeffs, (0, 0): self.coeff(0, 0)})
 
     @classmethod
     def from_causal(cls, size, causal):
@@ -177,85 +224,43 @@ class MatrixLaurentPoly2:
                 full[(-j, -k)] = m.conj().T
         return cls(size, full)
 
-    def coeff(self, j: int, k: int) -> np.ndarray:
-        return self.coeffs.get((j, k), np.zeros((self.size, self.size), dtype=complex))
-
-    @property
-    def dense(self) -> np.ndarray:
-        """Q_jk at [j + deg1, k + deg2]: the dense box of the coefficients."""
-        d1, d2 = self.deg1, self.deg2
-        dense = np.zeros((2 * d1 + 1, 2 * d2 + 1, self.size, self.size), dtype=complex)
-        for (j, k), c in self.coeffs.items():
-            dense[j + d1, k + d2] = c
-        return dense
-
     def __repr__(self):
         return (
             f"MatrixLaurentPoly2(size={self.size}, degrees=({self.deg1},{self.deg2}))"
         )
 
 
-class MatrixAnalyticPoly2:
+class MatrixAnalyticPoly2(_Poly2):
     """Two-variable analytic polynomial with coefficients on [0,m1] x [0,m2].
 
-    The coefficients are one dense, read-only (m1+1, m2+1, rows, cols)
-    array; coeff and coeffs are views of it.  coeffs lists the nonzero
-    blocks in the order of the input dict (for from_stack, of order).
+    dense is the (m1+1, m2+1, rows, cols) box; coeffs lists the nonzero
+    blocks in the order of the input dict (for from_stack, of rank).
     """
 
-    __slots__ = ("rows", "cols", "deg1", "deg2", "scale", "dense", "_order")
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        shape, vals = (int(rows), int(cols)), {}
-        for (j, k), v in coeffs.items():
+        for j, k in coeffs:
             if j < 0 or k < 0:
                 raise ValueError(f"analytic coefficient {(j, k)} needs indices >= 0")
-            vals[int(j), int(k)] = m = np.asarray(v, dtype=complex)
-            if m.shape != shape:
-                raise ValueError(f"coefficient {(j, k)} has shape {m.shape}, expected {shape}")
-        js, ks = np.array(list(vals) or [(0, 0)]).T
-        stack = np.zeros((1, js.max() + 1, ks.max() + 1) + shape, dtype=complex)
-        order = np.zeros(stack.shape[1:3], dtype=int)
-        if vals:
-            stack[0, js, ks], order[js, ks] = list(vals.values()), np.arange(len(vals))
-        (p,) = self.from_stack(stack, order)
-        for name in self.__slots__:
-            setattr(self, name, getattr(p, name))
+        box, rank = _box(coeffs, (int(rows), int(cols)), 2, centred=False)
+        (p,) = self.from_stack(box[None], rank)
+        self._store(p.dense, rank, p.origin, p.scale)
 
     @classmethod
-    def from_stack(cls, stack: np.ndarray, order: np.ndarray) -> list[MatrixAnalyticPoly2]:
-        """One polynomial per leading index of a (L, J, K, rows, cols) stack,
-        each a view of it trimmed to its degrees, whose coeffs lists nonzero
-        blocks by ascending order[j, k].  The one validation: the first
-        non-finite block by order raises, and one nonzero mask and one
-        max|.| give every polynomial's degrees and scale."""
-        stack = stack.view()
-        stack.flags.writeable = False
-        finite = np.isfinite(stack).all(axis=(-2, -1)).all(axis=0)
-        if not finite.all():
-            bad = np.unravel_index(np.argmin(np.where(finite, order.size, order)), order.shape)
-            raise ValueError(f"coefficient {tuple(map(int, bad))} contains NaN or infinite entries")
+    def from_stack(cls, stack: np.ndarray, rank: np.ndarray) -> list[MatrixAnalyticPoly2]:
+        """One polynomial per leading index of a (L, J, K, rows, cols) stack
+        of checked blocks, each a read-only view of it trimmed to its
+        degrees, whose coeffs lists nonzero blocks by ascending rank[j, k].
+        One nonzero mask and one max|.| give every degree and scale."""
         nonzero = stack.any(axis=(-2, -1))
         deg1 = _last_true(nonzero.any(axis=2)).tolist()
         deg2 = _last_true(nonzero.any(axis=1)).tolist()
         scales = np.abs(stack).max(axis=(1, 2, 3, 4), initial=0.0).tolist()
         polys = [cls.__new__(cls) for _ in stack]
         for p, dense, d1, d2, scale in zip(polys, stack, deg1, deg2, scales):
-            p.rows, p.cols, p.deg1, p.deg2 = *stack.shape[-2:], d1, d2
-            p.dense, p.scale, p._order = dense[: d1 + 1, : d2 + 1], scale, order
+            p._store(dense[: d1 + 1, : d2 + 1], rank, (0, 0), scale)
         return polys
-
-    @property
-    def coeffs(self) -> MappingProxyType:
-        js, ks = np.nonzero(self.dense.any(axis=(2, 3)))
-        rank = np.argsort(self._order[js, ks])
-        keys = zip(js[rank].tolist(), ks[rank].tolist())
-        return MappingProxyType({(j, k): self.dense[j, k] for j, k in keys})
-
-    def coeff(self, j: int, k: int) -> np.ndarray:
-        if 0 <= j <= self.deg1 and 0 <= k <= self.deg2:
-            return self.dense[j, k]
-        return np.zeros((self.rows, self.cols), dtype=complex)
 
     def __repr__(self):
         return (
@@ -340,10 +345,10 @@ def laurent_stack(coeff, degree: int) -> np.ndarray:
 
 def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
-    Q_{p-s}, at the broadcast scalar indices rows, cols."""
-    h, r = len(stack) // 2, stack.shape[1]
+    Q_{p-s} at the broadcast scalar indices rows, cols, per leading index."""
+    h, r = stack.shape[-3] // 2, stack.shape[-1]
     d = np.clip(rows // r - cols // r, -h, h)
-    return stack[d + h, rows % r, cols % r]
+    return stack[..., d + h, rows % r, cols % r]
 
 
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
@@ -417,20 +422,18 @@ def _vandermonde(zs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def eval2_z2(polys, zs2: np.ndarray) -> tuple[np.ndarray, int]:
     """First half of eval2_grid for two-variable polynomials of one width,
     rows stacked in list order: each one's dense box fills its slice of
-    one block over the joint index box, contracted with the z2
-    Vandermonde matrix.  Returns the (J, T2, rows, cols) coefficients of
-    z1^(j0 + i), i < J, and j0."""
-    dense = [p.dense for p in polys]
-    # Every dense box ends at (deg1, deg2) and starts at (0, 0) or (-deg1, -deg2).
-    lo = [(p.deg1 + 1 - len(d), p.deg2 + 1 - d.shape[1]) for p, d in zip(polys, dense)]
-    j0, k0 = np.min(lo, axis=0).tolist()
+    one block over the joint index box, its origin on the joint origin,
+    contracted with the z2 Vandermonde matrix.  Returns the (J, T2, rows,
+    cols) coefficients of z1^(j0 + i), i < J, and j0."""
+    o1, o2 = np.max([p.origin for p in polys], axis=0).tolist()
     j1, k1 = np.max([(p.deg1, p.deg2) for p in polys], axis=0).tolist()
-    tops = np.cumsum([0] + [d.shape[2] for d in dense])
-    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], dense[0].shape[3]), dtype=complex)
-    for d, (j, k), top, bottom in zip(dense, lo, tops, tops[1:]):
-        block[j - j0 : j - j0 + len(d), k - k0 : k - k0 + d.shape[1], top:bottom] = d
-    half = _vandermonde(zs2, k0, k1) @ block.reshape(block.shape[:2] + (-1,))
-    return half.reshape(half.shape[:2] + block.shape[2:]), j0
+    tops = np.cumsum([0] + [p.dense.shape[2] for p in polys])
+    block = np.zeros((o1 + j1 + 1, o2 + k1 + 1, tops[-1], polys[0].dense.shape[3]), dtype=complex)
+    for p, top, bottom in zip(polys, tops, tops[1:]):
+        j, k = o1 - p.origin[0], o2 - p.origin[1]
+        block[j : j + len(p.dense), k : k + p.dense.shape[1], top:bottom] = p.dense
+    half = _vandermonde(zs2, -o2, k1) @ block.reshape(block.shape[:2] + (-1,))
+    return half.reshape(half.shape[:2] + block.shape[2:]), -o1
 
 
 def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
@@ -564,12 +567,7 @@ def poly_from_json(obj, kind: str | None = None):
         if nvars == 1:
             if kind == "laurent":
                 return MatrixLaurentPoly1(size, {k: m for (k,), m in coeffs.items()})
-            top = max((k for (k,) in coeffs), default=0)
-            dense = [
-                coeffs.get((k,), np.zeros((size, size), dtype=complex))
-                for k in range(top + 1)
-            ]
-            return MatrixAnalyticPoly1(dense)
+            return MatrixAnalyticPoly1(_box(coeffs, (size, size), 1, centred=False)[0])
         if kind == "laurent":
             return MatrixLaurentPoly2(size, coeffs)
         return MatrixAnalyticPoly2(size, size, coeffs)

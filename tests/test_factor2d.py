@@ -22,8 +22,13 @@ from specfactor.factor2d import (
 )
 from specfactor.poly import (
     MatrixAnalyticPoly1,
+    MatrixAnalyticPoly2,
+    MatrixLaurentPoly1,
     MatrixLaurentPoly2,
+    adjoint_product_list2,
     eval2_grid,
+    laurent_stack,
+    toeplitz_entries,
 )
 
 
@@ -291,7 +296,49 @@ class TestEstimateDelta:
             estimate_delta(q, verify.GridSpec(3, 9))
 
 
+def lift_per_row(q, n):
+    # lift_to_block as it was built before it read q.dense: one laurent_stack
+    # of the row q.coeff(j, .) per first-variable index j, all-zero rows but
+    # j = 0 left out.
+    idx = np.arange(q.size * (n + 1))
+    coeffs = {}
+    for j in range(-q.deg1, q.deg1 + 1):
+        stack = laurent_stack(lambda k: q.coeff(j, k), q.deg2)
+        if stack.any() or j == 0:
+            coeffs[j] = toeplitz_entries(stack / (n + 1), idx[:, None], idx)
+    return MatrixLaurentPoly1(q.size * (n + 1), coeffs)
+
+
+def assert_same_laurent1(a, b):
+    assert (a.size, a.degree, a.scale) == (b.size, b.degree, b.scale)
+    assert list(a.coeffs) == list(b.coeffs)
+    for k, c in a.coeffs.items():
+        assert c.tobytes() == b.coeffs[k].tobytes()
+
+
 class TestLiftToBlock:
+    @pytest.mark.parametrize(
+        "seed, r, m1, m2, n", [(70, 1, 2, 1, 3), (71, 2, 1, 2, 2), (72, 3, 2, 2, 5)]
+    )
+    def test_bit_equal_to_the_per_row_lift(self, seed, r, m1, m2, n):
+        q = corpus.sos_instance2(np.random.default_rng(seed), r, m1, m2)
+        assert_same_laurent1(lift_to_block(q, n), lift_per_row(q, n))
+
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 4)])
+    def test_bit_equal_with_all_zero_inner_rows(self, r, n):
+        # Factors in z1^2 only: Q has rows j in {-2, 0, 2}, rows -1 and 1 zero.
+        rng = np.random.default_rng(73 + r)
+        blocks = [(j, k) for j in (0, 2) for k in (0, 1)]
+        fs = [
+            MatrixAnalyticPoly2(r, r, {i: corpus.disk_uniform(rng, (r, r)) for i in blocks})
+            for _ in range(2)
+        ]
+        q = adjoint_product_list2(fs)
+        assert q.deg1 == 2 and not q.coeff(1, 0).any() and not q.dense[1].any()
+        psi = lift_to_block(q, n)
+        assert_same_laurent1(psi, lift_per_row(q, n))
+        assert not psi.coeff(1).any() and psi.coeff(2).any()
+
     def test_constant_scalar(self):
         q = scalar_laurent2({(0, 0): 3.0})
         psi = lift_to_block(q, 1)

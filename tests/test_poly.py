@@ -77,6 +77,83 @@ class TestLaurentConstruction:
             MatrixLaurentPoly2.from_causal(1, {(1, 0): [[1.0]], (-1, 0): [[2.0]]})
 
 
+class TestLaurentBox:
+    """Both Laurent kinds are canonicalized in one array pass over a box
+    centred on the origin; these pin what that pass keeps of the old
+    pair-by-pair walk."""
+
+    def test_two_variable_listing_order(self):
+        rng = np.random.default_rng(60)
+        a, b, e = (corpus.disk_uniform(rng, (2, 2)) for _ in range(3))
+        tiny = 1e-14 * E12  # its absent mirror is within the symmetry tolerance
+        q = MatrixLaurentPoly2(2, {
+            (1, 0): a, (0, 0): np.zeros((2, 2)), (2, -1): b.conj().T, (-1, 0): a.conj().T,
+            (-2, 1): b, (0, 1): tiny, (1, 1): np.zeros((2, 2)), (-1, -1): np.zeros((2, 2)),
+        })
+        # pairs by first appearance, an index before its mirror, zero pairs
+        # dropped, and a zero Q_00 last
+        assert list(q.coeffs) == [(1, 0), (-1, 0), (2, -1), (-2, 1), (0, 1), (0, -1), (0, 0)]
+        h = a + a.conj().T
+        q = MatrixLaurentPoly2(2, {(-1, -1): e.conj().T, (0, 0): h, (1, 1): e})
+        assert list(q.coeffs) == [(-1, -1), (1, 1), (0, 0)]
+        q = MatrixLaurentPoly2(
+            2, {(0, 1): e, (0, -1): e.conj().T, (0, 0): h, (2, 0): b, (-2, 0): b.conj().T}
+        )
+        assert list(q.coeffs) == [(0, 1), (0, -1), (0, 0), (2, 0), (-2, 0)]
+        q = MatrixLaurentPoly2(2, {(1, 2): e, (-1, -2): e.conj().T})
+        assert list(q.coeffs) == [(1, 2), (-1, -2), (0, 0)]
+        assert not q.coeffs[(0, 0)].any()
+
+    @pytest.mark.parametrize(
+        "cls, coeffs, message",
+        [
+            # one variable: offenders are met in the order 0, 1, -1, 2, -2
+            (MatrixLaurentPoly1, {1: [[1.0]], -1: [[2.0]]},
+             "index 1: max|Q_-1 - Q_1*| = 1.000e+00 exceeds 2.000e-12"),
+            (MatrixLaurentPoly1, {-2: [[1.0]], 2: [[3.0]], -1: [[1.0]], 0: [[1.0]]},
+             "index -1: max|Q_1 - Q_-1*| = 1.000e+00 exceeds 3.000e-12"),
+            (MatrixLaurentPoly1, {0: [[1j]], 1: [[2.0]]},
+             "index 0: max|Q_0 - Q_0*| = 2.000e+00 exceeds 2.000e-12"),
+            # two variables: the first offender in input order, as plain ints
+            (MatrixLaurentPoly2, {(0, 0): [[1.0]], (-1, -1): [[3.0]], (1, 1): [[1.0]]},
+             "index (-1, -1): max|Q_(1, 1) - Q_(-1, -1)*| = 2.000e+00 exceeds 3.000e-12"),
+            (MatrixLaurentPoly2, {(np.int64(1), np.int64(1)): [[1.0]], (2, 0): [[4.0]]},
+             "index (1, 1): max|Q_(-1, -1) - Q_(1, 1)*| = 1.000e+00 exceeds 4.000e-12"),
+        ],
+    )
+    def test_symmetry_message_names_the_first_offender(self, cls, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            cls(1, coeffs)
+        assert str(info.value) == "coefficient symmetry violated at " + message
+
+    def test_mirror_is_the_exact_adjoint_of_the_index_met_first(self):
+        # Real blocks given at both indices: the mirror of the index met first
+        # is its adjoint bit for bit, signed zeros included.
+        q = MatrixLaurentPoly1(1, {-1: [[1.0]], 0: [[2.0]], 1: [[1.0]]})
+        assert not np.signbit(q.coeff(1).imag) and np.signbit(q.coeff(-1).imag)
+        q = MatrixLaurentPoly2(1, {(-1, 0): [[1.0]], (0, 0): [[2.0]], (1, 0): [[1.0]]})
+        assert not np.signbit(q.coeff(-1, 0).imag) and np.signbit(q.coeff(1, 0).imag)
+
+    def test_two_variable_dense_is_read_only_and_shared(self):
+        q = corpus.sos_instance2(np.random.default_rng(61), 2, 1, 2)
+        assert q.dense.shape == (3, 5, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            q.dense[1, 2, 0, 0] = 0.0
+        with pytest.raises(TypeError):
+            q.coeffs[(0, 0)] = np.zeros((2, 2))
+        for (j, k), c in q.coeffs.items():
+            assert np.shares_memory(c, q.dense) and np.shares_memory(q.coeff(j, k), q.dense)
+            assert c.tobytes() == q.dense[j + 1, k + 2].tobytes()
+        assert not q.coeff(2, 0).any() and not q.coeff(0, -3).any()
+
+    def test_one_variable_coeffs_are_views_of_one_array(self):
+        c2 = E12 + 0.5j * np.eye(2)
+        q = MatrixLaurentPoly1(2, {2: c2, 0: np.eye(2), -2: c2.conj().T})
+        assert list(q.coeffs) == [0, 1, -1, 2, -2]
+        assert len({id(c.base) for c in q.coeffs.values()}) == 1
+        assert not q.coeffs[1].any() and not q.coeffs[-1].any()
+
+
 class TestEval1:
     def test_scalar_at_one(self):
         q = scalar_laurent({0: 5.0, 1: 2.0})

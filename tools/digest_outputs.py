@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two SHA-256 digests over the benchmark workloads' outputs of a checkout.
+"""Print three SHA-256 digests over the benchmark workloads of a checkout.
 
     python3 tools/digest_outputs.py <checkout>
 
@@ -11,9 +11,13 @@ one hash.  That digest sorts the coefficients, so it cannot see a change
 in the order a factor lists them; the second line folds the repr of the
 benchmark's own residual and oracle difference from checks.check, which
 sum over that order, so it moves with any rounding the benchmark reports.
-The library is imported from <checkout>/src, and nothing in the checkout
-is written.  Two trees whose outputs are bit-identical print the same
-two lines; BLAS runs single-threaded, as in the benchmark.
+The third line folds every input polynomial itself: the keys of q.coeffs
+in listing order and the bytes of each block, so it moves with any change
+to the canonicalizer or to the listing order, even where the outputs do
+not show it.  The library is imported from <checkout>/src, and nothing
+in the checkout is written.  Two trees whose inputs and outputs are
+bit-identical print the same three lines; BLAS runs single-threaded, as
+in the benchmark.
 """
 
 from __future__ import annotations
@@ -44,11 +48,15 @@ def main(argv: list[str]) -> int:
     if not Path(specfactor.__file__).resolve().is_relative_to(root / "src"):
         print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
         return 2
-    outputs, checked = hashlib.sha256(), hashlib.sha256()
+    outputs, checked, inputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name, w in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for case in workloads.build_inputs(name, seed):
                 label = f"{name} {seed} {case.label}".encode()
+                inputs.update(label)
+                for index, block in case.q.coeffs.items():
+                    inputs.update(repr(index).encode())
+                    inputs.update(block.tobytes())
                 out = w.call(case)
                 outputs.update(label)
                 outputs.update(checks.digest(out).encode())
@@ -58,6 +66,7 @@ def main(argv: list[str]) -> int:
                 checked.update(repr((res.rel_residual, res.oracle)).encode())
     print(outputs.hexdigest())
     print(checked.hexdigest())
+    print(inputs.hexdigest())
     return 0
 
 
