@@ -62,8 +62,7 @@ def _symmetric(size: int, coeffs: dict, nvars: int) -> tuple[np.ndarray, np.ndar
         return np.conjugate(a.swapaxes(-1, -2), order="C")
 
     flipped = adjoint(box[rev])  # Q_-i* in the place of Q_i
-    canon = flipped - box  # the deviation; C takes over its buffer below
-    dev = np.abs(canon).max(axis=(-2, -1))
+    dev = np.abs(flipped - box).max(axis=(-2, -1))
     # The scale is read only when a block deviates: never for an exact lift.
     tol = SYMMETRY_TOL * np.abs(box).max(initial=0.0) if dev.any() else 0.0
     if (dev > tol).any():
@@ -75,7 +74,7 @@ def _symmetric(size: int, coeffs: dict, nvars: int) -> tuple[np.ndarray, np.ndar
             f"max|Q_{m} - Q_{i}*| = {dev.flat[at]:.3e} exceeds {tol:.3e}"
         )
     lead = seen <= seen[rev]
-    np.divide(np.add(box, flipped, out=canon), 2, out=canon)
+    canon = np.divide(np.add(box, flipped, out=box), 2, out=box)  # C in place of the box
     canon[~lead] = adjoint(canon[rev][~lead])
     keep = canon.any(axis=(-2, -1))
     canon[~keep] = 0  # a dropped pair holds +0.0, as an absent one does
