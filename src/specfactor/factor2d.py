@@ -1,12 +1,12 @@
 # Two-variable sum-of-squares pipeline.  The second variable is absorbed
-# into enlarged block coefficients: the Cesaro-weighted polynomial Q^(N)
-# is exactly the one-variable symbol of a compressed block Toeplitz
-# operator, read off Q's dense box, so one-variable factorization
-# applies; splitting the factor's block columns back out gives at most
-# N+1 analytic factors, views of one stacked copy of the lifted
-# coefficients.  Strictly positive polynomials are factored exactly by
-# pre-applying the inverse Cesaro weights, at the cost of choosing N
-# large enough that the reweighting error stays below the positivity margin.
+# into enlarged block coefficients: the Cesaro-weighted polynomial Q^(N),
+# Q's dense box times the column weights, is exactly the one-variable
+# symbol of a compressed block Toeplitz operator, read off that box by
+# sliding windows, so one-variable factorization applies; splitting the
+# factor's block columns back out gives at most N+1 analytic factors,
+# views of one stacked copy of the lifted coefficients.  Strictly positive
+# polynomials are factored exactly by pre-applying the inverse weights, with
+# N large enough that the reweighting error stays below the positivity margin.
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import factor1d, verify
 from .factor1d import FactorReport, NotNonnegativeError
@@ -22,7 +23,6 @@ from .poly import (
     MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
-    toeplitz_entries,
 )
 
 DEFAULT_MARGIN = 1.0 / 3.0
@@ -65,11 +65,9 @@ class LiftPlan:
 def _reweight(q: MatrixLaurentPoly2, n: int, inverse: bool) -> MatrixLaurentPoly2:
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
-    coeffs = {}
-    for (j, k), c in q.coeffs.items():
-        w = (n + 1 - abs(k)) / (n + 1)
-        coeffs[(j, k)] = c / w if inverse else c * w
-    return MatrixLaurentPoly2(q.size, coeffs)
+    # Column k of the exact box scales by one real weight, so it stays exact.
+    w = ((n + 1 - np.abs(np.arange(-q.deg2, q.deg2 + 1))) / (n + 1))[:, None, None]
+    return MatrixLaurentPoly2._from_box(q.dense / w if inverse else q.dense * w, q._rank)
 
 
 def cesaro_smooth(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly2:
@@ -150,13 +148,12 @@ def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:
     """
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
-    # Row j of the dense box between zero slabs at k = +-(deg2 + 1), for clipped
-    # out-of-band lookups, is the laurent_stack of Q_j; one gather reads all rows.
-    stacks = np.zeros((len(q.dense), q.dense.shape[1] + 2, q.size, q.size), dtype=complex)
-    stacks[:, 1:-1] = q.dense / (n + 1)
-    idx = np.arange(q.size * (n + 1))
-    lifted = toeplitz_entries(stacks, idx[:, None], idx)
-    return MatrixLaurentPoly1(q.size * (n + 1), dict(enumerate(lifted, -q.deg1)))
+    # Row j reversed, padded to k = N..-N: its window p holds Q_{j, p-s} at s.
+    rev = np.zeros((len(q.dense), 2 * n + 1) + q.dense.shape[2:], dtype=complex)
+    rev[:, n - q.deg2 : n + q.deg2 + 1] = q.dense[:, ::-1] / (n + 1)
+    win = sliding_window_view(rev, n + 1, axis=1)[:, ::-1].transpose(0, 1, 2, 4, 3)
+    lifted = win.reshape(len(rev), q.size * (n + 1), -1)  # a read-only view if r = 1
+    return MatrixLaurentPoly1._from_box(np.require(lifted, requirements="CW"))
 
 
 def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyticPoly2]:

@@ -1,9 +1,9 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
-# dict in a dense box, one array pass (_symmetric) makes both Laurent
-# kinds exactly symmetric, and both two-variable kinds keep one read-only
-# box with coeff/coeffs as views.  Also circle/torus evaluation over those
-# boxes, adjoint products, the one block-Toeplitz indexer and JSON files.
+# dict in a dense box, one array pass (_symmetric) makes a box of either
+# Laurent kind exactly symmetric, from a dict or a box constructor, and
+# both two-variable kinds keep one read-only box with coeff/coeffs as
+# views.  Also circle/torus evaluation, adjoint products, Toeplitz, JSON.
 
 from __future__ import annotations
 
@@ -31,8 +31,11 @@ def _as_coeff(a, shape, what):
 def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
     """The one dict-to-box path: the blocks of coeffs, each checked by
     _as_coeff, in a zero box reaching the largest |index| on each axis,
-    from minus it if centred, else from 0; and each place's rank, its
-    key's position in coeffs (len(coeffs) for none)."""
+    from minus it if centred (Laurent, size >= 1), else from 0; and each
+    place's rank, its key's position in coeffs (len(coeffs) for none)."""
+    if centred and shape[0] < 1:
+        raise ValueError("coefficient size must be >= 1")
+    shape = tuple(int(n) for n in shape)
     blocks = [_as_coeff(v, shape, f"coefficient {i}") for i, v in coeffs.items()]
     idx = np.array(list(coeffs), dtype=int).reshape(-1, nvars)
     hi = np.abs(idx).max(axis=0, initial=0)
@@ -46,41 +49,40 @@ def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> tuple[np.ndar
     return box, rank
 
 
-def _symmetric(size: int, coeffs: dict, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one canonicalizer of both Laurent kinds, over the box of coeffs
-    centred on the origin.  Q_-i must equal Q_i* within SYMMETRY_TOL *
-    scale (else the first offender in key order is named); each pair
-    becomes C_i = (Q_i + Q_-i*)/2 at the index met first and C_i* at its
-    mirror, zero pairs are dropped and the box is trimmed.  Returns C and
-    the rank listing pairs as met, an index before its mirror."""
-    if size < 1:
-        raise ValueError("coefficient size must be >= 1")
-    box, seen = _box(coeffs, (int(size),) * 2, nvars, centred=True)
-    rev = (slice(None, None, -1),) * nvars  # index i to -i
+def _symmetric(box: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one canonicalizer of both Laurent kinds, over a box centred on the
+    origin whose places were met in the order of seen.  Unless Q_-i = Q_i*
+    exactly, it must hold within SYMMETRY_TOL * scale (else the offender met
+    first is named).  Each pair becomes C_i = (Q_i + Q_-i*)/2 at the index
+    met first and C_i* at its mirror; zero pairs are dropped, the box is
+    trimmed.  Returns C, in place of the box, and the rank listing pairs."""
+    rev = (slice(None, None, -1),) * seen.ndim  # index i to -i
 
     def adjoint(a):  # of each block, in C order for the passes that follow
         return np.conjugate(a.swapaxes(-1, -2), order="C")
 
     flipped = adjoint(box[rev])  # Q_-i* in the place of Q_i
-    dev = np.abs(flipped - box).max(axis=(-2, -1))
-    # The scale is read only when a block deviates: never for an exact lift.
-    tol = SYMMETRY_TOL * np.abs(box).max(initial=0.0) if dev.any() else 0.0
-    if (dev > tol).any():
-        at = np.argmin(np.where(dev > tol, seen, seen.size))
-        i = list(coeffs)[seen.flat[at]]
-        m = -i if nvars == 1 else (-i[0], -i[1])
-        raise ValueError(
-            f"coefficient symmetry violated at index {i}: "
-            f"max|Q_{m} - Q_{i}*| = {dev.flat[at]:.3e} exceeds {tol:.3e}"
-        )
+    if not (flipped == box).all():  # the tolerance test, skipped by an exact box
+        dev = np.abs(flipped - box).max(axis=(-2, -1))
+        tol = SYMMETRY_TOL * np.abs(box).max(initial=0.0)
+        if (dev > tol).any():
+            at = np.unravel_index(np.argmin(np.where(dev > tol, seen, np.inf)), seen.shape)
+            i = [int(a) - n // 2 for a, n in zip(at, seen.shape)]
+            i, m = (tuple(i), (-i[0], -i[1])) if len(i) > 1 else (i[0], -i[0])
+            raise ValueError(
+                f"coefficient symmetry violated at index {i}: "
+                f"max|Q_{m} - Q_{i}*| = {dev[at]:.3e} exceeds {tol:.3e}"
+            )
     lead = seen <= seen[rev]
     canon = np.divide(np.add(box, flipped, out=box), 2, out=box)  # C in place of the box
-    canon[~lead] = adjoint(canon[rev][~lead])
-    keep = canon.any(axis=(-2, -1))
+    np.copyto(canon, adjoint(canon[rev]), where=~lead[..., None, None])
+    rank = 2 * np.minimum(seen, seen[rev]) + ~lead
+    if (keep := canon.any(axis=(-2, -1))).all():
+        return canon, rank
     canon[~keep] = 0  # a dropped pair holds +0.0, as an absent one does
     deg = np.abs(np.argwhere(keep) - np.array(keep.shape) // 2).max(axis=0, initial=0)
     trim = tuple(slice(n // 2 - d, n // 2 + d + 1) for n, d in zip(keep.shape, deg))
-    return canon[trim], (2 * np.minimum(seen, seen[rev]) + ~lead)[trim]
+    return canon[trim], rank[trim]
 
 
 class MatrixLaurentPoly1:
@@ -97,11 +99,20 @@ class MatrixLaurentPoly1:
         raw = {int(k): v for k, v in coeffs.items()}
         # Keys in the order 0, 1, -1, 2, -2, ...: a pair leads from k >= 0.
         raw = {k: raw[k] for k in sorted(raw, key=lambda k: (abs(k), -k))}
-        box, _ = _symmetric(size, raw, 1)
-        self.size = int(size)
+        self._canonical(*_box(raw, (size, size), 1, centred=True))
+
+    @classmethod
+    def _from_box(cls, box: np.ndarray) -> "MatrixLaurentPoly1":  # Q_k at box[degree + k]
+        k = np.arange(len(box)) - len(box) // 2  # pairs met as above: leads k >= 0
+        return cls.__new__(cls)._canonical(box, 2 * np.abs(k) - (k > 0))
+
+    def _canonical(self, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly1":
+        box, _ = _symmetric(box, seen)
+        self.size = box.shape[-1]
         self.degree = d = len(box) // 2
         self.coeffs = {s * k: box[d + s * k] for k in range(d + 1) for s in (1, -1)}
         self.scale = float(np.abs(box).max(initial=0.0))
+        return self
 
     @classmethod
     def from_causal(cls, size: int, causal: dict[int, np.ndarray]) -> "MatrixLaurentPoly1":
@@ -117,7 +128,7 @@ class MatrixLaurentPoly1:
         return cls(size, full)
 
     def coeff(self, k: int) -> np.ndarray:
-        return self.coeffs.get(k, np.zeros((self.size, self.size), dtype=complex))
+        return self.coeffs[k] if k in self.coeffs else np.zeros((self.size,) * 2, dtype=complex)
 
     def __repr__(self):
         return f"MatrixLaurentPoly1(size={self.size}, degree={self.degree})"
@@ -198,10 +209,17 @@ class MatrixLaurentPoly2(_Poly2):
 
     def __init__(self, size: int, coeffs: dict[tuple[int, int], np.ndarray]):
         coeffs = {(int(j), int(k)): v for (j, k), v in coeffs.items()}
-        box, rank = _symmetric(size, coeffs, 2)
-        self.size = int(size)
-        origin = (len(box) // 2, box.shape[1] // 2)
+        self._canonical(*_box(coeffs, (size, size), 2, centred=True))
+
+    @classmethod
+    def _from_box(cls, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly2":
+        return cls.__new__(cls)._canonical(box, seen)  # pairs met in the order of seen
+
+    def _canonical(self, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly2":
+        box, rank = _symmetric(box, seen)
+        self.size, origin = box.shape[-1], (len(box) // 2, box.shape[1] // 2)
         self._store(box, rank, origin, float(np.abs(box).max(initial=0.0)))
+        return self
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -242,7 +260,7 @@ class MatrixAnalyticPoly2(_Poly2):
         for j, k in coeffs:
             if j < 0 or k < 0:
                 raise ValueError(f"analytic coefficient {(j, k)} needs indices >= 0")
-        box, rank = _box(coeffs, (int(rows), int(cols)), 2, centred=False)
+        box, rank = _box(coeffs, (rows, cols), 2, centred=False)
         (p,) = self.from_stack(box[None], rank)
         self._store(p.dense, rank, p.origin, p.scale)
 
@@ -344,10 +362,10 @@ def laurent_stack(coeff, degree: int) -> np.ndarray:
 
 def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
-    Q_{p-s} at the broadcast scalar indices rows, cols, per leading index."""
-    h, r = stack.shape[-3] // 2, stack.shape[-1]
+    Q_{p-s}, at the broadcast scalar indices rows, cols."""
+    h, r = len(stack) // 2, stack.shape[1]
     d = np.clip(rows // r - cols // r, -h, h)
-    return stack[..., d + h, rows % r, cols % r]
+    return stack[d + h, rows % r, cols % r]
 
 
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:

@@ -83,6 +83,97 @@ class TestCesaroWeights:
                     np.testing.assert_allclose(back.coeff(*idx), c, rtol=1e-15, atol=0)
 
 
+def reweight_per_block(q, n, inverse):
+    # cesaro_smooth / inverse_cesaro as they were built before they read
+    # q.dense: each listed block scaled by its column weight, and the dict
+    # sent back through the dict constructor.
+    coeffs = {}
+    for (j, k), c in q.coeffs.items():
+        w = (n + 1 - abs(k)) / (n + 1)
+        coeffs[(j, k)] = c / w if inverse else c * w
+    return MatrixLaurentPoly2(q.size, coeffs)
+
+
+def assert_same_laurent2(a, b):
+    assert (a.size, a.deg1, a.deg2, a.origin) == (b.size, b.deg1, b.deg2, b.origin)
+    assert a.scale == b.scale
+    assert a.dense.tobytes() == b.dense.tobytes()  # signed zeros included
+    assert list(a.coeffs) == list(b.coeffs)
+    for i, c in a.coeffs.items():
+        assert c.tobytes() == b.coeffs[i].tobytes()
+
+
+def z2_free(seed):
+    q1, _ = corpus.ridged_instance(np.random.default_rng(seed), 2, 2)
+    return MatrixLaurentPoly2(2, {(j, 0): c for j, c in q1.coeffs.items()})
+
+
+REWEIGHT_INPUTS = [
+    pytest.param(lambda: corpus.sos_instance2(np.random.default_rng(80), 1, 2, 1), id="sos-r1"),
+    pytest.param(lambda: corpus.sos_instance2(np.random.default_rng(81), 2, 1, 2), id="sos-r2"),
+    pytest.param(lambda: corpus.sos_instance2(np.random.default_rng(82), 3, 2, 3), id="sos-r3"),
+    pytest.param(lambda: plane(4.2), id="plane"),
+    pytest.param(lambda: z2_free(83), id="z2-free"),
+]
+
+
+class TestReweightFromTheBox:
+    """cesaro_smooth and inverse_cesaro scale q.dense by the column weights
+    in one array operation; these pin them to the per-block dict walk."""
+
+    @pytest.mark.parametrize("make", REWEIGHT_INPUTS)
+    @pytest.mark.parametrize("extra", [0, 3, 17])
+    def test_bit_equal_to_the_per_block_walk(self, make, extra):
+        q = make()
+        n = q.deg2 + extra
+        assert_same_laurent2(cesaro_smooth(q, n), reweight_per_block(q, n, False))
+        assert_same_laurent2(inverse_cesaro(q, n), reweight_per_block(q, n, True))
+
+    def test_a_block_scaled_to_zero_is_dropped_and_trimmed(self):
+        # The smallest subnormal times the weight 1/2 rounds to zero: the
+        # pair (1, 1) drops out, and with it the column k = +-1 of the box.
+        q = scalar_laurent2({(0, 0): 2.0, (2, 0): 0.5, (1, 1): 5e-324})
+        out = cesaro_smooth(q, 1)
+        assert_same_laurent2(out, reweight_per_block(q, 1, False))
+        assert (out.deg1, out.deg2) == (2, 0) and list(out.coeffs) == [(0, 0), (2, 0), (-2, 0)]
+        # an inner pair scaled to zero keeps the degrees
+        q = scalar_laurent2({(0, 0): 2.0, (2, 0): 0.5, (1, 1): 5e-324, (0, 1): 0.5})
+        out = cesaro_smooth(q, 1)
+        assert_same_laurent2(out, reweight_per_block(q, 1, False))
+        assert (out.deg1, out.deg2) == (2, 1) and not out.coeff(1, 1).any()
+        for i in ((1, 1), (-1, -1)):  # the dropped pair holds +0.0
+            assert not np.signbit(out.coeff(*i).view(float)).any()
+
+    @pytest.mark.parametrize("make", REWEIGHT_INPUTS[:4])
+    def test_factor_cesaro_unchanged(self, make, monkeypatch):
+        q = make()
+        n = q.deg2 + 1
+        factors, report = factor_cesaro(q, n)
+        monkeypatch.setattr(factor2d, "lift_to_block", lift_per_row)
+        monkeypatch.setattr(
+            factor2d, "cesaro_smooth", lambda q, n: reweight_per_block(q, n, False)
+        )
+        ref_factors, ref_report = factor_cesaro(q, n)
+        assert report.to_json() == ref_report.to_json()
+        assert len(factors) == len(ref_factors)
+        for f, g in zip(factors, ref_factors):
+            assert f.dense.tobytes() == g.dense.tobytes()
+            assert list(f.coeffs) == list(g.coeffs)
+
+    def test_factor_strict_unchanged(self, monkeypatch):
+        q = corpus.sos_instance2(np.random.default_rng(84), 2, 1, 1)
+        q = MatrixLaurentPoly2(2, {**q.coeffs, (0, 0): q.coeff(0, 0) + 0.6 * q.scale * np.eye(2)})
+        factors, report, plan = factor_strict(q)
+        monkeypatch.setattr(factor2d, "lift_to_block", lift_per_row)
+        monkeypatch.setattr(
+            factor2d, "inverse_cesaro", lambda q, n: reweight_per_block(q, n, True)
+        )
+        ref_factors, ref_report, ref_plan = factor_strict(q)
+        assert (report.to_json(), plan.to_json()) == (ref_report.to_json(), ref_plan.to_json())
+        for f, g in zip(factors, ref_factors, strict=True):
+            assert f.dense.tobytes() == g.dense.tobytes()
+
+
 class TestRemainderBound:
     def test_zero_without_second_variable(self):
         q = scalar_laurent2({(0, 0): 3.0, (1, 0): 1.0})

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specfactor import corpus, factor1d
+from specfactor import corpus, factor1d, poly
 from specfactor.factor2d import lift_to_block, unlift_factor
 from specfactor.poly import (
     MatrixAnalyticPoly1,
@@ -152,6 +152,104 @@ class TestLaurentBox:
         assert list(q.coeffs) == [0, 1, -1, 2, -2]
         assert len({id(c.base) for c in q.coeffs.values()}) == 1
         assert not q.coeffs[1].any() and not q.coeffs[-1].any()
+
+
+def box_of(coeffs, size, deg):
+    # A centred box holding each key's block at deg + key, and a rank giving
+    # each place its key's position in coeffs (len(coeffs) for none).
+    shape = tuple(2 * d + 1 for d in deg)
+    box = np.zeros(shape + (size, size), dtype=complex)
+    rank = np.full(shape, len(coeffs))
+    for r, (i, c) in enumerate(coeffs.items()):
+        at = tuple(np.add(i, deg))
+        box[at], rank[at] = c, r
+    return box, rank
+
+
+def one_variable_box(coeffs, size):
+    # Every index -d..d as the box constructor takes them, in the order 0, 1, -1, ...
+    d = max(abs(k) for k in coeffs)
+    box = np.array([coeffs.get(k, np.zeros((size, size))) for k in range(-d, d + 1)], complex)
+    order = sorted(range(-d, d + 1), key=lambda k: (abs(k), -k))
+    return box, {k: box[d + k].copy() for k in order}
+
+
+def assert_same_laurent(a, b):
+    assert (type(a), a.size, a.scale) == (type(b), b.size, b.scale)
+    assert list(a.coeffs) == list(b.coeffs)
+    for i, c in a.coeffs.items():
+        assert c.tobytes() == b.coeffs[i].tobytes()
+    if isinstance(a, MatrixLaurentPoly2):
+        assert (a.deg1, a.deg2, a.dense.tobytes()) == (b.deg1, b.deg2, b.dense.tobytes())
+    else:
+        assert a.degree == b.degree
+
+
+class TestLaurentBoxConstructors:
+    """The private box constructors of both Laurent kinds go through the
+    dict constructors' canonicalizer: an exactly self-adjoint box skips the
+    tolerance test, any other box takes it, and both give the dict path's
+    bytes, listing order and messages."""
+
+    def sos(self, seed):
+        q = corpus.sos_instance2(np.random.default_rng(seed), 2, 1, 2)
+        return dict(q.coeffs), (q.deg1, q.deg2)
+
+    def test_exact_box_matches_the_dict_path(self):
+        coeffs, deg = self.sos(90)
+        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+        assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
+        p = corpus.ridged_instance(np.random.default_rng(91), 2, 3)[0]
+        box, coeffs = one_variable_box(p.coeffs, 2)
+        assert_same_laurent(MatrixLaurentPoly1._from_box(box), MatrixLaurentPoly1(2, coeffs))
+
+    def test_one_ulp_off_takes_the_tolerance_test(self, monkeypatch):
+        coeffs, deg = self.sos(92)
+        coeffs[(-1, -2)] = off = coeffs[(-1, -2)].copy()
+        off.real[0, 1] = np.nextafter(off.real[0, 1], np.inf)
+        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+        assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
+        assert q.coeff(-1, -2).tobytes() == q.coeff(1, 2).conj().T.tobytes()
+        p = corpus.ridged_instance(np.random.default_rng(93), 1, 2)[0]
+        box, coeffs = one_variable_box(p.coeffs, 1)
+        box.real[0, 0, 0] = coeffs[-2].real[0, 0] = np.nextafter(box.real[0, 0, 0], -np.inf)
+        p_box = MatrixLaurentPoly1._from_box(box.copy())
+        assert_same_laurent(p_box, MatrixLaurentPoly1(1, coeffs))
+        # with no tolerance left, only an exactly self-adjoint box passes
+        monkeypatch.setattr(poly, "SYMMETRY_TOL", 0.0)
+        with pytest.raises(ValueError, match="index 2: max"):
+            MatrixLaurentPoly1._from_box(box.copy())
+        MatrixLaurentPoly1._from_box(one_variable_box(p.coeffs, 1)[0])
+
+    def test_over_tolerance_raises_the_dict_message(self):
+        coeffs, deg = self.sos(94)
+        coeffs[(0, -1)] = coeffs[(0, -1)] + 1e-6
+        with pytest.raises(ValueError) as dict_path:
+            MatrixLaurentPoly2(2, coeffs)
+        with pytest.raises(ValueError) as box_path:
+            MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+        assert str(box_path.value) == str(dict_path.value)
+        assert "coefficient symmetry violated at index (0, 1)" in str(box_path.value)
+        box, coeffs = one_variable_box({0: [[2.0]], 1: [[1.0]], -1: [[1.5]]}, 1)
+        with pytest.raises(ValueError) as dict_path:
+            MatrixLaurentPoly1(1, coeffs)
+        with pytest.raises(ValueError) as box_path:
+            MatrixLaurentPoly1._from_box(box)
+        assert str(box_path.value) == str(dict_path.value)
+        assert str(box_path.value).startswith("coefficient symmetry violated at index 1:")
+
+    def test_zero_pairs_are_dropped_and_trimmed(self):
+        coeffs, deg = self.sos(95)
+        coeffs[(1, 2)] = coeffs[(-1, -2)] = np.zeros((2, 2))  # listed, zero
+        coeffs[(0, 0)] = -0.0 * coeffs[(0, 0)]
+        wide = (deg[0] + 1, deg[1] + 2)  # a ring of absent zero blocks
+        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, wide))
+        assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
+        assert (q.deg1, q.deg2) == deg and (1, 2) not in q.coeffs
+        box, coeffs = one_variable_box({0: [[2.0]], 1: [[0.0]], -1: [[-0.0]], 3: [[0.0]]}, 1)
+        p = MatrixLaurentPoly1._from_box(box)
+        assert_same_laurent(p, MatrixLaurentPoly1(1, coeffs))
+        assert p.degree == 0 and not np.signbit(p.coeff(-1).view(float)).any()
 
 
 class TestEval1:

@@ -1,0 +1,45 @@
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def checkout_copy(dest: Path) -> Path:
+    # What a worker of tools/ab_calls.py imports: src/ and bench/workloads.py.
+    shutil.copytree(ROOT / "src" / "specfactor", dest / "src" / "specfactor",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (dest / "bench").mkdir()
+    shutil.copy(ROOT / "bench" / "workloads.py", dest / "bench")
+    return dest
+
+
+def test_ab_calls_a_a_smoke(tmp_path):
+    tree = checkout_copy(tmp_path / "tree")
+    before = sorted(tree.rglob("*"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_calls.py"), str(tree), str(tree),
+         "--workload", "strict_2d", "--reps", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "workload strict_2d  seed 1  pairs 14"
+    medians = [float(re.search(r"median ([0-9.]+) s", line)[1]) for line in lines[1:3]]
+    assert all(m > 0 for m in medians)
+    ratio = float(re.fullmatch(r"paired median change/base ([0-9.]+)", lines[3])[1])
+    assert 0.2 < ratio < 5
+    share = float(re.fullmatch(r"change faster in ([0-9.]+) of pairs", lines[4])[1])
+    assert 0 <= share <= 1
+    assert sorted(tree.rglob("*")) == before  # nothing written in the checkout
+
+
+def test_ab_calls_rejects_zero_reps(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_calls.py"), str(tmp_path), str(tmp_path),
+         "--workload", "strict_2d", "--reps", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2 and "--reps must be >= 1" in run.stderr
