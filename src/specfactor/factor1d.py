@@ -7,7 +7,8 @@
 # truncation's end-block complement with one small dense solve.  That
 # solve, and every corner complement, is linalg.cholesky_complement, the
 # kernel that linalg.schur_complement is built on as well; a corner's PSD
-# verdict is one more Cholesky, with eigenvalues only for a witness, and a
+# verdict is one more Cholesky, with eigenvalues only for a witness; a gap
+# is solved only where it can decide or is reported; and a
 # block PSD to working precision that still fails to eliminate stops the
 # limit at its conditioning floor.  P_0 is the square root of the corner
 # block of S(m), and one range-restricted solve against P_0 reads
@@ -135,7 +136,7 @@ def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarra
     N = n_blocks is not PSD, unless a dense c is PSD to working precision
     (the conditioning floor: SchurConvergenceError with no partial)."""
     if not b.any():  # zero polynomial, or no blocks between the ends
-        return a
+        return a.copy()  # never a's memory: a join's a is its workspace
     try:
         if not banded:
             return linalg.cholesky_complement(a, b, c, scale)
@@ -227,17 +228,27 @@ def limit_bytes(q, k: int, n0: int) -> int:
     return 16 * (5 * w * w + d * (3 * w + 2 * min((m + 1) * r, d))) + 2**16
 
 
-def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int) -> np.ndarray:
+def _join_workspace(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The kept, coupling and middle arrays of _join, C and C* in place.
+    w = len(c)
+    kept, coupling, middle = (np.zeros((2 * w, 2 * w), dtype=complex) for _ in range(3))
+    middle[:w, w:], middle[w:, :w] = c, c.conj().T
+    return kept, coupling, middle
+
+
+def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int, work=None) -> np.ndarray:
     # Two copies of the end-block complement H = [[E, F], [F*, G]] of the
     # N/2-truncation, coupled by the Toeplitz block C: eliminating the middle
     # M = [[G, C], [C*, E]] leaves diag(E, G) - U M^(-1) U*, U = diag(F, F*),
-    # the end-block complement of the N-truncation.
+    # the end-block complement of the N-truncation.  work, from
+    # _join_workspace(c), is overwritten on H's blocks only (the elimination
+    # reads it without writing).
     w = len(h) // 2
     e, f, g = h[:w, :w], h[:w, w:], h[w:, w:]
-    kept, coupling, middle = np.zeros_like(h), np.zeros_like(h), np.empty_like(h)
+    kept, coupling, middle = _join_workspace(c) if work is None else work
     kept[:w, :w], kept[w:, w:] = e, g
     coupling[:w, :w], coupling[w:, w:] = f.conj().T, f
-    middle[:w, :w], middle[:w, w:], middle[w:, :w], middle[w:, w:] = g, c, c.conj().T, e
+    middle[:w, :w], middle[w:, w:] = g, e
     return _complement(kept, coupling, middle, False, scale, n_blocks)
 
 
@@ -261,7 +272,10 @@ def schur_limit(
     leading k+1 blocks.
 
     The truncation sequence is monotone nonincreasing in the PSD order,
-    so the gap is a one-sided convergence certificate.  Doubling stops
+    so the gap is a one-sided convergence certificate.  Its eigensolve
+    runs only where the largest diagonal entry of the difference, a lower
+    bound for the gap, lets it pass, or where it is reported.  All joins
+    share one workspace.  Doubling stops
     with SchurConvergenceError, the last corner its partial, at the block
     cap n_max, at the conditioning floor (a failed join of blocks PSD to
     working precision), or at n0 when limit_bytes exceeds MEMORY_BUDGET.
@@ -274,25 +288,36 @@ def schur_limit(
     stack = laurent_stack(q.coeff, q.degree)
     c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     s_prev = truncated_schur(q, k, n0)
-    n, h, gap = n0, None, math.inf
-    need = limit_bytes(q, k, n0)
+    n, h, work, older, gap = n0, None, None, None, math.inf
+    need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
         try:
-            h = _ends(stack, b, b, n_next, scale) if h is None else _join(h, c, scale, n_next)
+            if h is None:
+                h = _ends(stack, b, b, n_next, scale)
+            else:
+                work = work or _join_workspace(c)
+                h = _join(h, c, scale, n_next, work)
             s_next = _checked_corner(_lead_complement(h, (k + 1) * r, scale, n_next), n_next)
         except SchurConvergenceError as floor:
             cause = f"at N = {n}: {floor}"
             break
-        gap = _gap_norm(s_prev, s_next)
-        if gap <= DEFAULT_CONV_TOL * scale:
-            return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
-        s_prev, n = s_next, n_next
+        # max|D_ii| <= ||D||_2 for D = s_prev - s_next: the gap is solved
+        # only where it may pass (the margin is far above eigvalsh's
+        # rounding) or, below, where it is reported.
+        gap = None
+        if np.abs(np.diagonal(s_prev) - np.diagonal(s_next)).max() <= tol * (1 + 1e-8):
+            gap = _gap_norm(s_prev, s_next)
+            if gap <= tol:
+                return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
+        older, s_prev, n = s_prev, s_next, n_next
     else:
         cause = (
             f"at block cap N = {n_max} (expected near boundary zeros of Q)" if n_next > n_max
             else f"at N = {n}: truncation N = {n_next} would need about "
             f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B"
         )
+    if gap is None:
+        gap = _gap_norm(older, s_prev)
     partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
     raise SchurConvergenceError(
         f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial

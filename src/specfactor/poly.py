@@ -3,13 +3,14 @@
 # dict in a dense box, one array pass (_symmetric) makes a box of either
 # Laurent kind exactly symmetric, from a dict or a box constructor, and
 # both two-variable kinds keep one read-only box with coeff/coeffs as
-# views.  Also circle/torus evaluation, adjoint products, Toeplitz, JSON.
+# views.  Also circle/torus evaluation, adjoint products, Toeplitz
+# matrices and their Cholesky-first PSD screen, JSON.
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def _symmetric(box: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The one canonicalizer of both Laurent kinds, over a box centred on the
     origin whose places were met in the order of seen.  Unless Q_-i = Q_i*
     exactly, it must hold within SYMMETRY_TOL * scale (else the offender met
-    first is named).  Each pair becomes C_i = (Q_i + Q_-i*)/2 at the index
+    first is named).  Each pair becomes C_i = Q_i/2 + Q_-i*/2 at the index
     met first and C_i* at its mirror; zero pairs are dropped, the box is
     trimmed.  Returns C, in place of the box, and the rank listing pairs."""
     rev = (slice(None, None, -1),) * seen.ndim  # index i to -i
@@ -74,7 +75,9 @@ def _symmetric(box: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 f"max|Q_{m} - Q_{i}*| = {dev[at]:.3e} exceeds {tol:.3e}"
             )
     lead = seen <= seen[rev]
-    canon = np.divide(np.add(box, flipped, out=box), 2, out=box)  # C in place of the box
+    # C in place of the box, each term halved first: exact for normal
+    # numbers, and no overflow for entries near the largest double.
+    canon = np.add(np.multiply(box, 0.5, out=box), np.multiply(flipped, 0.5, out=flipped), out=box)
     np.copyto(canon, adjoint(canon[rev]), where=~lead[..., None, None])
     rank = 2 * np.minimum(seen, seen[rev]) + ~lead
     if (keep := canon.any(axis=(-2, -1))).all():
@@ -376,17 +379,33 @@ def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
     return toeplitz_entries(laurent_stack(q.coeff, q.degree), idx[:, None], idx)
 
 
-class ToeplitzVerdict(NamedTuple):
-    ok: bool
-    min_eig: float
-    n_blocks: int
+class ToeplitzVerdict:
+    """linalg.psd_check's verdict on the N-block Toeplitz truncation of q;
+    min_eig, the truncation's smallest eigenvalue, is solved on first read
+    (from q: the truncation itself is not kept)."""
+
+    def __init__(self, q: MatrixLaurentPoly1, n_blocks: int, ok: bool, min_eig: float | None = None):
+        self._q, self.n_blocks, self.ok = q, n_blocks, ok
+        if min_eig is not None:
+            self.min_eig = min_eig
+
+    @cached_property
+    def min_eig(self) -> float:
+        return linalg.psd_check(block_toeplitz(self._q, self.n_blocks)).min_eig
 
 
 def toeplitz_psd_check(q: MatrixLaurentPoly1, n_blocks: int, tol: float = 0.0) -> ToeplitzVerdict:
     """PSD test of the N-block Toeplitz truncation (necessary for circle
-    nonnegativity at every N)."""
-    verdict = linalg.psd_check(block_toeplitz(q, n_blocks), tol=tol)
-    return ToeplitzVerdict(ok=verdict.ok, min_eig=verdict.min_eig, n_blocks=n_blocks)
+    nonnegativity at every N): psd_check(T, tol).ok, decided by one
+    Cholesky where tol * max|T_ii| / 2 lies far above rounding (max|T_ii|
+    <= max|eig|, so a pass implies psd_check's test), else by psd_check."""
+    t = block_toeplitz(q, n_blocks)
+    if tol >= 2**10 * len(t) * np.finfo(float).eps and linalg.cholesky_psd(
+        t, tol * float(np.max(np.abs(np.diagonal(t))))
+    ):
+        return ToeplitzVerdict(q, n_blocks, True)
+    ok, lo = linalg.psd_check(t, tol=tol)
+    return ToeplitzVerdict(q, n_blocks, ok, lo)
 
 
 # -- vectorized grid evaluation (used by the verification module) ------------

@@ -231,6 +231,22 @@ class TestSegmentDoubling:
         assert rep.n_used == 2**31
         assert "conditioning floor" in rep.degraded_reason
 
+    @pytest.mark.parametrize("n_max", [4096, 2**20])
+    def test_rank_deficient_inputs_converge(self, n_max):
+        # Valid inputs whose eliminated middle blocks are singular (condition
+        # numbers about 1e13): a stop rule reading cond(M) must not cut them
+        # short.  Q = P*P with P = v v^T (2 + z), v = [1 1]^T / sqrt(2), and
+        # diag(5 + 2z + 2/z, 0).
+        vv = np.full((2, 2), 0.5)
+        for q in (
+            adjoint_product(MatrixAnalyticPoly1([2 * vv, vv])),
+            MatrixLaurentPoly1.from_causal(2, {0: np.diag([5.0, 0.0]), 1: np.diag([2.0, 0.0])}),
+        ):
+            _, rep = factor(q, n_max=n_max)
+            assert rep.converged and rep.n_used == 64
+            assert rep.residual_sup <= 1e-12 * q.scale
+            assert "conditioning floor" not in rep.degraded_reason
+
     def test_negative_input_is_still_a_witness_at_any_cap(self):
         q = scalar_laurent({0: 2.0 - 1e-3, 1: 1.0})
         for n_max in (4096, 2**32):
@@ -369,6 +385,27 @@ class TestCholeskyVerdicts:
             )
             assert err.value.min_eig == lo
             assert err.value.n_blocks == 64
+
+    def test_gaps_solved_only_to_decide_or_report(self, monkeypatch):
+        # max|D_ii| <= ||D||_2: |1+z|^2 up to the cap N = 4096 solves only
+        # the reported gap (nine doublings), and factor on a ridged input
+        # converging at N = 160 from n0 = 20 makes three eigvalsh calls in all.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        assert (res.n_used, calls) == (4096, [2])  # one 2 x 2 gap
+        assert res.gap == pytest.approx(2.443e-4, rel=1e-3)
+        calls.clear()
+        q, _ = corpus.ridged_instance(np.random.default_rng(0), 3, 4)
+        _, rep = factor(q)
+        assert rep.converged and rep.n_used == 160
+        assert len(calls) == 3
 
     def test_gap_norm_matches_the_validated_eigensolve(self):
         rng = np.random.default_rng(62)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specfactor import corpus, factor1d, poly
+from specfactor import corpus, factor1d, linalg, poly
 from specfactor.factor2d import lift_to_block, unlift_factor
 from specfactor.poly import (
     MatrixAnalyticPoly1,
@@ -250,6 +250,23 @@ class TestLaurentBoxConstructors:
         p = MatrixLaurentPoly1._from_box(box)
         assert_same_laurent(p, MatrixLaurentPoly1(1, coeffs))
         assert p.degree == 0 and not np.signbit(p.coeff(-1).view(float)).any()
+
+    def test_entries_near_the_largest_double_do_not_overflow(self):
+        # Each term of a pair is halved before the two are added: Q_0 and
+        # the pair Q_1, Q_-1 sum past the largest double, and must not.
+        big = 1.7e308
+        one = {0: [[big]], 1: [[-big + 1e307j]], -1: [[-big - 1e307j]]}
+        box, coeffs = one_variable_box(one, 1)
+        p = MatrixLaurentPoly1._from_box(box)
+        assert_same_laurent(p, MatrixLaurentPoly1(1, coeffs))
+        assert p.coeff(0)[0, 0] == big and p.coeff(-1)[0, 0] == -big - 1e307j
+        assert p.scale == abs(-big + 1e307j)
+        herm = np.array([[big, -big + 1e307j], [-big - 1e307j, big / 4]])
+        two = {(0, 0): herm, (1, -1): herm / 2, (-1, 1): herm.conj().T / 2}
+        q = MatrixLaurentPoly2._from_box(*box_of(two, 2, (1, 1)))
+        assert_same_laurent(q, MatrixLaurentPoly2(2, two))
+        assert q.coeff(0, 0).tobytes() == herm.tobytes()
+        assert np.isfinite(q.dense).all() and q.scale == abs(herm[0, 1])
 
 
 class TestEval1:
@@ -621,6 +638,65 @@ class TestToeplitzPsdCheck:
 
     def test_constant_one(self):
         assert toeplitz_psd_check(scalar_laurent({0: 1.0}), 8, tol=1e-12).ok
+
+    @staticmethod
+    def truncations():
+        # PSD, rank-deficient (a common kernel for r > 1), indefinite and
+        # zero symbols, each at four truncation sizes.
+        rng = np.random.default_rng(71)
+        qs = [MatrixLaurentPoly1(1, {0: [[0.0]]})]
+        for r in (1, 2, 3):
+            for m in (1, 3):
+                p = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(m + 1)]
+                u = rng.standard_normal((r, 1)) + 1j * rng.standard_normal((r, 1))
+                qs.append(adjoint_product(MatrixAnalyticPoly1(p)))
+                qs.append(adjoint_product(MatrixAnalyticPoly1([c @ u @ u.conj().T for c in p])))
+                qs.append(MatrixLaurentPoly1.from_causal(r, {**dict(enumerate(p)), 0: p[0] + p[0].conj().T}))
+        for q in qs:
+            for n in sorted({1, 2, q.degree + 1, 3 * (q.degree + 1)}):
+                yield q, n
+
+    @staticmethod
+    def shifted(q, n, tol, rel):
+        # Q - c I, with c putting the truncation's min eig at -tol max|eig| rel.
+        vals = np.linalg.eigvalsh(block_toeplitz(q, n))
+        c = (vals[0] + tol * rel * vals[-1]) / (1 + tol * rel)
+        coeffs = dict(q.coeffs)
+        coeffs[0] = coeffs[0] - c * np.eye(q.size)
+        return MatrixLaurentPoly1(q.size, coeffs)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    def test_cholesky_verdict_is_the_eigenvalue_verdict(self, tol):
+        # ok and min_eig equal psd_check(T, tol)'s, min_eig bit for bit
+        # also where the Cholesky decided and it is solved on first read.
+        for q, n in self.truncations():
+            cases = [q]
+            if tol > 0 and q.scale > 0 and q.size * n > 1:  # a spectrum to shift apart
+                cases += [self.shifted(q, n, tol, 1 + 1e-3), self.shifted(q, n, tol, 1 - 1e-3)]
+            for case in cases:
+                ref = linalg.psd_check(block_toeplitz(case, n), tol=tol)
+                verdict = toeplitz_psd_check(case, n, tol=tol)
+                assert (verdict.ok, verdict.n_blocks) == (ref.ok, n)
+                assert verdict.min_eig == ref.min_eig
+            if len(cases) == 3:  # the shifts straddle psd_check's threshold
+                assert [toeplitz_psd_check(c, n, tol=tol).ok for c in cases[1:]] == [False, True]
+
+    def test_min_eig_is_solved_on_first_read(self, monkeypatch):
+        calls = []
+        eig = linalg.eig_hermitian
+
+        def counted(h, *, vectors=True):
+            calls.append(len(h))
+            return eig(h, vectors=vectors)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counted)
+        verdict = toeplitz_psd_check(scalar_laurent({0: 2.0, 1: 1.0}), 4, tol=1e-9)
+        assert verdict.ok and calls == []
+        assert verdict.min_eig == pytest.approx(2 - 2 * np.cos(np.pi / 5))
+        assert verdict.min_eig == verdict.min_eig and calls == [4]
+        failed = toeplitz_psd_check(scalar_laurent({0: 0.0, 1: 1.0}), 2, tol=1e-9)
+        assert not failed.ok and calls == [4, 2]
+        assert failed.min_eig == pytest.approx(-1.0) and calls == [4, 2]
 
 
 class TestFourierDuality:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,15 @@ def test_ab_calls_a_a_smoke(tmp_path):
     assert 0.2 < ratio < 5
     share = float(re.fullmatch(r"change faster in ([0-9.]+) of pairs", lines[4])[1])
     assert 0 <= share <= 1
+    for line, label, median in zip(lines[5:7], ("base   quartiles", "change quartiles"), medians):
+        q1, q2, q3 = map(float, re.fullmatch(label + r" ([0-9.]+) ([0-9.]+) ([0-9.]+) s", line).groups())
+        assert 0 < q1 <= q2 <= q3
+        assert q2 == median
+    q1, q2, q3 = map(float, re.fullmatch(
+        r"paired change/base quartiles ([0-9.]+) ([0-9.]+) ([0-9.]+)", lines[7]).groups())
+    assert q1 <= q2 <= q3
+    assert q2 == pytest.approx(ratio, abs=1e-4)  # the paired median, to its 4 printed digits
+    assert len(lines) == 8
     assert sorted(tree.rglob("*")) == before  # nothing written in the checkout
 
 

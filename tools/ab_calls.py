@@ -10,7 +10,9 @@ Then, N times over the inputs, the same input is called once in each
 worker, alternately base first and change first (ABBA order), each call
 timed in its worker by time.perf_counter.  Prints the median call time
 of each checkout, the median over pairs of change/base and the share of
-pairs in which the change was faster.  Nothing in either checkout is
+pairs in which the change was faster, then the quartiles of each
+checkout's call times and of the paired change/base, so that a gain can
+be set against the base's own spread.  Nothing in either checkout is
 written.  Pairing the two calls on one input, back to back, cancels most
 of the host's drift, which spreads whole benchmark runs of the same code
 close to their bounds.
@@ -27,6 +29,12 @@ import time
 from pathlib import Path
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def quartiles(xs: list[float]) -> str:
+    """Lower quartile, median and upper quartile, inclusive method."""
+    qs = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else list(xs) * 3
+    return " ".join(f"{q:.6f}" for q in qs)
 
 
 def worker(root: str, workload: str, seed: int) -> int:
@@ -100,6 +108,9 @@ def main(argv: list[str]) -> int:
     print(f"change median {statistics.median(change):.6f} s  ({args.change})")
     print(f"paired median change/base {statistics.median(ratios):.4f}")
     print(f"change faster in {sum(r < 1 for r in ratios) / len(ratios):.3f} of pairs")
+    print(f"base   quartiles {quartiles(base)} s")
+    print(f"change quartiles {quartiles(change)} s")
+    print(f"paired change/base quartiles {quartiles(ratios)}")
     return 0
 
 
