@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--tol": dict(type=float, default=1e-8, help="relative tolerance"),
+        "--tol": dict(type=float, default=factor1d.BACKWARD_TOL, help="relative tolerance"),
         "--grid": dict(
             type=_parse_grid,
             default=verify.GridSpec(9),

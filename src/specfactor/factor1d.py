@@ -4,16 +4,17 @@
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
 # L of the P_k.  The truncations double in size; two banded solves give
 # the first two, and each later one joins two copies of the previous
-# truncation's end-block complement with one small dense solve.  That
-# solve, and every corner complement, is linalg.cholesky_complement, the
+# truncation's end-block complement with one small dense solve (every
+# Toeplitz piece is read off q.stack).  That solve, and every corner
+# complement, is linalg.cholesky_complement, the
 # kernel that linalg.schur_complement is built on as well; a corner's PSD
 # verdict is one more Cholesky, with eigenvalues only for a witness; a gap
 # is solved only where it can decide or is reported; and a
 # block PSD to working precision that still fails to eliminate stops the
 # limit at its conditioning floor.  P_0 is the square root of the corner
 # block of S(m), and one range-restricted solve against P_0 reads
-# P_1..P_m off its last block row.  A classical scalar root-pairing
-# construction serves as an independent oracle.
+# P_1..P_m off its last block row; converged also means backward stable.
+# A classical scalar root-pairing construction serves as an independent oracle.
 
 from __future__ import annotations
 
@@ -30,12 +31,13 @@ from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
     circle_values,
-    laurent_stack,
     toeplitz_entries,
     toeplitz_psd_check,
 )
 
 DEFAULT_CONV_TOL = 1e-10
+# Converged also needs residual_sup <= BACKWARD_TOL * scale (the CLI's default --tol).
+BACKWARD_TOL = 100 * DEFAULT_CONV_TOL
 DEFAULT_N_MAX = 4096
 TRUNCATION_PSD_TOL = 1e-8
 # Rank threshold of the extension solve against P_0, and the clamp of
@@ -103,7 +105,7 @@ class FactorReport:
     gap: float = 0.0
     converged: bool = True
     tolerances: dict = field(default_factory=dict)
-    # Why the Schur limit did not converge; not in to_json.
+    # Why the limit did not converge, or its residual (backward_checked); not in to_json.
     degraded_reason: str = ""
 
     def to_json(self) -> dict:
@@ -117,15 +119,24 @@ class FactorReport:
         }
 
 
+def backward_checked(report: FactorReport, scale: float) -> FactorReport:
+    """report, made unconverged with its residual as the reason when a
+    converged limit left residual_sup above BACKWARD_TOL * scale."""
+    if report.converged and report.residual_sup > BACKWARD_TOL * scale:
+        report.converged = False
+        report.degraded_reason = f"residual {report.residual_sup:.3e} above {BACKWARD_TOL:g} * scale"
+    return report
+
+
 def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
-    # Lower band storage of the n_blocks-truncation: ab[i, j] = T[i+j, j].
+    # Lower band storage of the n_blocks-truncation: ab[i, j] = T[i+j, j],
+    # r-periodic in j, one pattern tiled, zero where i + j >= dim.
     r = stack.shape[1]
     dim = n_blocks * r
     bw = min(len(stack) // 2 * r - 1, dim - 1)
-    cols = np.arange(dim)
-    rows = np.arange(bw + 1)[:, None] + cols
-    ab = toeplitz_entries(stack, rows, cols)
-    ab[rows >= dim] = 0
+    band = np.arange(bw + 1)[:, None]
+    ab = np.tile(toeplitz_entries(stack, band + np.arange(r), np.arange(r)), n_blocks)
+    ab[:, dim - bw :][band + np.arange(bw) >= bw] = 0
     return ab
 
 
@@ -169,7 +180,7 @@ def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.n
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
     # max|s_ii| <= max|eig|, so a Cholesky pass implies psd_check's test.
-    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL * float(np.max(np.abs(np.diagonal(s))))):
+    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL * float(np.abs(s.diagonal()).max())):
         return s
     ok, lo = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
     if not ok:
@@ -187,7 +198,7 @@ def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float)
     # trail blocks: one banded solve over the blocks between them.
     r = stack.shape[1]
     dim = n_blocks * r
-    ends = np.r_[0 : lead * r, dim - trail * r : dim]
+    ends = np.concatenate((np.arange(lead * r), np.arange(dim - trail * r, dim)))
     a = toeplitz_entries(stack, ends[:, None], ends)
     coupling = toeplitz_entries(stack, np.arange(lead * r, dim - trail * r)[:, None], ends)
     ab = _banded_lower(stack, n_blocks - lead - trail)
@@ -205,7 +216,7 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
         raise ValueError("block index k must be >= 0")
     if n_blocks < k + 1:
         raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
-    s = _ends(laurent_stack(q.coeff, q.degree), k + 1, 0, n_blocks, max(q.scale, 1e-300))
+    s = _ends(q.stack, k + 1, 0, n_blocks, max(q.scale, 1e-300))
     return s if n_blocks == k + 1 else _checked_corner(s, n_blocks)
 
 
@@ -247,7 +258,8 @@ def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int, work=None) 
     e, f, g = h[:w, :w], h[:w, w:], h[w:, w:]
     kept, coupling, middle = _join_workspace(c) if work is None else work
     kept[:w, :w], kept[w:, w:] = e, g
-    coupling[:w, :w], coupling[w:, w:] = f.conj().T, f
+    np.conjugate(f.T, out=coupling[:w, :w])
+    coupling[w:, w:] = f
     middle[:w, :w], middle[w:, w:] = g, e
     return _complement(kept, coupling, middle, False, scale, n_blocks)
 
@@ -285,15 +297,14 @@ def schur_limit(
     b = max(k + 1, m)
     n0 = start_blocks(m, k, n0, n_max)
     scale = max(q.scale, 1e-300)
-    stack = laurent_stack(q.coeff, q.degree)
-    c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+    c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     s_prev = truncated_schur(q, k, n0)
     n, h, work, older, gap = n0, None, None, None, math.inf
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
         try:
             if h is None:
-                h = _ends(stack, b, b, n_next, scale)
+                h = _ends(q.stack, b, b, n_next, scale)
             else:
                 work = work or _join_workspace(c)
                 h = _join(h, c, scale, n_next, work)
@@ -305,7 +316,7 @@ def schur_limit(
         # only where it may pass (the margin is far above eigvalsh's
         # rounding) or, below, where it is reported.
         gap = None
-        if np.abs(np.diagonal(s_prev) - np.diagonal(s_next)).max() <= tol * (1 + 1e-8):
+        if np.abs(s_prev.diagonal() - s_next.diagonal()).max() <= tol * (1 + 1e-8):
             gap = _gap_norm(s_prev, s_next)
             if gap <= tol:
                 return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
@@ -407,7 +418,7 @@ def factor(
         },
         degraded_reason=reason,
     )
-    return phat, report
+    return phat, backward_checked(report, scale)
 
 
 def normalize_gauge(p: MatrixAnalyticPoly1) -> MatrixAnalyticPoly1:
@@ -448,19 +459,18 @@ def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
     if scale == 0.0:
         return MatrixAnalyticPoly1([np.zeros((1, 1))])
 
-    vals = circle_values(laurent_stack(q.coeff, m), -m - 1, 10)[:, 0, 0].real
+    vals = circle_values(q.stack, -m - 1, 10)[:, 0, 0].real
     vmin = float(np.min(vals))
     if vmin < -1e-9 * scale:
         raise NotNonnegativeError(
             f"q not nonnegative on circle: sampled value {vmin:.6e}", min_eig=vmin
         )
-    q0 = float(q.coeff(0)[0, 0].real)
+    q0 = float(q.stack[m + 1, 0, 0].real)
     if m == 0:
         return MatrixAnalyticPoly1([np.array([[np.sqrt(max(q0, 0.0))]])])
 
-    # Coefficients of c(z) = z^m q(z), ascending then flipped for np.roots.
-    asc = np.array([q.coeff(k - m)[0, 0] for k in range(2 * m + 1)], dtype=complex)
-    desc = asc[::-1]
+    # Coefficients of c(z) = z^m q(z), descending for np.roots.
+    desc = q.stack[-2:0:-1, 0, 0]
     roots = np.roots(desc)
     deriv = (desc[:-1] * np.arange(2 * m, 0, -1)).astype(complex)
     polished = []

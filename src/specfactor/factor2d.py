@@ -190,7 +190,8 @@ def _factor_lifted(
     # factor1d.factor.  The operator Fejer-Riesz theorem factors the lift
     # exactly when the lift is nonnegative, so its own Toeplitz screen and
     # Schur witnesses decide, not a grid screen of q; constructed and
-    # outer-checked there, it is verified once, by the 2-D residual.
+    # outer-checked there, it is verified once, by the 2-D residual, then
+    # held to factor1d.BACKWARD_TOL.
     size, m1 = q.size * (n + 1), q.deg1
     n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
     n0 = factor1d.start_blocks(m1, m1, factor_opts.get("n0"), n_max)
@@ -212,7 +213,7 @@ def _factor_lifted(
         residual_sup=verify.residual(target, factors, grid),
         tolerances=dict(rep1d.tolerances, lift_n=n, **tolerances),
     )
-    return factors, report
+    return factors, factor1d.backward_checked(report, max(target.scale, 1e-300))
 
 
 def factor_cesaro(

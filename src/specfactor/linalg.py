@@ -112,7 +112,9 @@ def cholesky_psd(h: np.ndarray, floor: float) -> bool:
     """True when LAPACK potrf factors h + (floor/2) I, which for Hermitian h
     proves min eig(h) >= -floor (rounding, about n eps max|h|, lies far
     below floor/2).  False decides nothing, and non-finite h gives False."""
-    chol, info = _potrf(h + np.diag(np.full(len(h), floor / 2)), lower=1, clean=0)
+    shifted = np.array(h, dtype=complex)
+    shifted.reshape(-1)[:: len(h) + 1] += floor / 2  # one copy, its diagonal in place
+    chol, info = _potrf(shifted, lower=1, clean=0)
     return info == 0 and bool(np.isfinite(chol).all())
 
 

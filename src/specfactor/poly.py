@@ -1,10 +1,11 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
 # dict in a dense box, one array pass (_symmetric) makes a box of either
-# Laurent kind exactly symmetric, from a dict or a box constructor, and
-# both two-variable kinds keep one read-only box with coeff/coeffs as
-# views.  Also circle/torus evaluation, adjoint products, Toeplitz
-# matrices and their Cholesky-first PSD screen, JSON.
+# Laurent kind exactly symmetric, from a dict or a box constructor; the
+# one-variable Laurent kind keeps its padded coefficient stack for every
+# Toeplitz gather, both two-variable kinds one box, all read-only with
+# coeff/coeffs as views.  Also circle/torus evaluation, adjoint products,
+# Toeplitz matrices and their Cholesky-first PSD screen, JSON.
 
 from __future__ import annotations
 
@@ -20,31 +21,34 @@ SYMMETRY_TOL = 1e-12
 UNIT_CIRCLE_TOL = 1e-12
 
 
-def _as_coeff(a, shape, what):
-    m = np.asarray(a, dtype=complex)
-    if m.shape != shape:
-        raise ValueError(f"{what} has shape {m.shape}, expected {shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} contains NaN or infinite entries")
-    return m
+def _stacked(blocks, shape: tuple, names) -> np.ndarray:
+    # The blocks in one (len, *shape) complex array: each block's shape is
+    # checked, then one finiteness pass names the first bad one, names[i].
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    for name, b in zip(names, blocks):
+        if b.shape != shape:
+            raise ValueError(f"coefficient {name} has shape {b.shape}, expected {shape}")
+    stack = np.array(blocks).reshape((len(blocks),) + shape)
+    if not (finite := np.isfinite(stack).all(axis=(1, 2))).all():
+        raise ValueError(f"coefficient {names[int(np.argmin(finite))]} contains NaN or infinite entries")
+    return stack
 
 
 def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The one dict-to-box path: the blocks of coeffs, each checked by
-    _as_coeff, in a zero box reaching the largest |index| on each axis,
+    """The one dict-to-box path: the blocks of coeffs, checked by
+    _stacked, in a zero box reaching the largest |index| on each axis,
     from minus it if centred (Laurent, size >= 1), else from 0; and each
     place's rank, its key's position in coeffs (len(coeffs) for none)."""
     if centred and shape[0] < 1:
         raise ValueError("coefficient size must be >= 1")
     shape = tuple(int(n) for n in shape)
-    blocks = [_as_coeff(v, shape, f"coefficient {i}") for i, v in coeffs.items()]
+    blocks = _stacked(coeffs.values(), shape, list(coeffs))
     idx = np.array(list(coeffs), dtype=int).reshape(-1, nvars)
     hi = np.abs(idx).max(axis=0, initial=0)
     lo = -hi if centred else 0 * hi
     at = tuple((idx - lo).T)
     box = np.zeros(tuple(hi - lo + 1) + shape, dtype=complex)
-    for i, block in zip(zip(*at), blocks):
-        box[i] = block
+    box[at] = blocks
     rank = np.full(box.shape[:nvars], len(blocks))
     rank[at] = np.arange(len(blocks))
     return box, rank
@@ -94,8 +98,9 @@ class MatrixLaurentPoly1:
     Self-adjoint on the unit circle: Q_{-k} must equal Q_k* within
     SYMMETRY_TOL * scale.  Coefficients are canonicalized on construction
     (exact symmetrization, zero top coefficients trimmed) so downstream
-    Toeplitz assembly is exactly Hermitian.  coeffs lists every |k| <=
-    degree in the order 0, 1, -1, 2, -2, ..., views of one array.
+    Toeplitz assembly is exactly Hermitian.  stack, read-only, is
+    laurent_stack(coeff, degree), built once; coeffs lists every |k| <=
+    degree in the order 0, 1, -1, 2, -2, ..., views of stack.
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
@@ -113,22 +118,20 @@ class MatrixLaurentPoly1:
         box, _ = _symmetric(box, seen)
         self.size = box.shape[-1]
         self.degree = d = len(box) // 2
-        self.coeffs = {s * k: box[d + s * k] for k in range(d + 1) for s in (1, -1)}
+        self.stack = np.zeros((2 * d + 3,) + box.shape[1:], dtype=complex)
+        self.stack[1:-1] = box
+        self.stack.flags.writeable = False
+        self.coeffs = {s * k: self.stack[d + 1 + s * k] for k in range(d + 1) for s in (1, -1)}
         self.scale = float(np.abs(box).max(initial=0.0))
         return self
 
     @classmethod
     def from_causal(cls, size: int, causal: dict[int, np.ndarray]) -> "MatrixLaurentPoly1":
         """Build from coefficients with k >= 0; negative side filled by adjoints."""
-        full: dict[int, np.ndarray] = {}
-        for k, v in causal.items():
-            if k < 0:
-                raise ValueError("from_causal expects indices k >= 0")
-            m = np.asarray(v, dtype=complex)
-            full[k] = m
-            if k > 0:
-                full[-k] = m.conj().T
-        return cls(size, full)
+        if any(k < 0 for k in causal):
+            raise ValueError("from_causal expects indices k >= 0")
+        full = {k: np.asarray(v, dtype=complex) for k, v in causal.items()}
+        return cls(size, {**full, **{-k: m.conj().T for k, m in full.items() if k > 0}})
 
     def coeff(self, k: int) -> np.ndarray:
         return self.coeffs[k] if k in self.coeffs else np.zeros((self.size,) * 2, dtype=complex)
@@ -141,19 +144,21 @@ class MatrixAnalyticPoly1:
     """One-variable analytic polynomial P_0 + P_1 z + ... + P_m z^m.
 
     Coefficients may be rectangular (r_out x r_in); all must share a shape.
+    coeffs are views of one stacked copy of the input.
     """
 
     def __init__(self, coeffs):
-        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
+        coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("analytic polynomial needs at least one coefficient")
-        shape = coeffs[0].shape
+        shape = np.shape(coeffs[0])
         if len(shape) != 2:
             raise ValueError("coefficients must be 2-d matrices")
-        self.coeffs = [_as_coeff(c, shape, f"coefficient {i}") for i, c in enumerate(coeffs)]
+        stack = _stacked(coeffs, shape, range(len(coeffs)))
+        self.coeffs = list(stack)
         self.rows, self.cols = shape
         self.degree = len(self.coeffs) - 1
-        self.scale = float(np.abs(self.coeffs).max(initial=0.0))
+        self.scale = float(np.abs(stack).max(initial=0.0))
 
     @property
     def is_square(self) -> bool:
@@ -346,10 +351,7 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
             for (j2, k2), c2 in items:
                 idx = (j2 - j1, k2 - k1)
                 term = c1.conj().T @ c2
-                if idx in acc:
-                    acc[idx] = acc[idx] + term
-                else:
-                    acc[idx] = term
+                acc[idx] = acc[idx] + term if idx in acc else term
     return MatrixLaurentPoly2(cols, acc)
 
 
@@ -367,8 +369,8 @@ def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
     Q_{p-s}, at the broadcast scalar indices rows, cols."""
     h, r = len(stack) // 2, stack.shape[1]
-    d = np.clip(rows // r - cols // r, -h, h)
-    return stack[d + h, rows % r, cols % r]
+    d = rows // r - cols // r + h  # a fresh array, clamped in place to [0, 2h]
+    return stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d), rows % r, cols % r]
 
 
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
@@ -376,7 +378,7 @@ def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
     if n_blocks < 1:
         raise ValueError("need at least one block")
     idx = np.arange(n_blocks * q.size)
-    return toeplitz_entries(laurent_stack(q.coeff, q.degree), idx[:, None], idx)
+    return toeplitz_entries(q.stack, idx[:, None], idx)
 
 
 class ToeplitzVerdict:
@@ -401,7 +403,7 @@ def toeplitz_psd_check(q: MatrixLaurentPoly1, n_blocks: int, tol: float = 0.0) -
     <= max|eig|, so a pass implies psd_check's test), else by psd_check."""
     t = block_toeplitz(q, n_blocks)
     if tol >= 2**10 * len(t) * np.finfo(float).eps and linalg.cholesky_psd(
-        t, tol * float(np.max(np.abs(np.diagonal(t))))
+        t, tol * float(np.abs(t.diagonal()).max())
     ):
         return ToeplitzVerdict(q, n_blocks, True)
     ok, lo = linalg.psd_check(t, tol=tol)

@@ -27,7 +27,6 @@ from .poly import (
     eval2_grid,
     eval2_z1,
     eval2_z2,
-    laurent_stack,
 )
 
 SINGULAR_TOL = 1e-10
@@ -86,7 +85,7 @@ def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
     point, and the maximum eigenvalue over the grid from the same solve."""
     if isinstance(q, MatrixLaurentPoly1):
         zs = grid.points1()
-        vals = circle_values(laurent_stack(q.coeff, q.degree), -q.degree - 1, grid.g1)
+        vals = circle_values(q.stack, -q.degree - 1, grid.g1)
         mins, maxs = _eig_range_stack(vals)
         idx = int(np.argmin(mins))
         return GridMin(
@@ -158,7 +157,8 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
         for f, top, bottom in zip(factors, tops, tops[1:]):
             h[: f.degree + 1, top:bottom] = f.coeffs
         span = max(q.degree, n_j - 1)
-        e = laurent_stack(q.coeff, span)  # Q_k at k + span + 1
+        e = np.zeros((2 * span + 3, q.size, q.size), dtype=complex)  # Q_k at k + span + 1
+        e[span - q.degree : span + q.degree + 3] = q.stack
         e[span + 2 - n_j : span + 1 + n_j] -= _gram_coeffs(h)
         diff = circle_values(e, -span - 1, grid.g1)
     else:

@@ -205,6 +205,12 @@ class TestFactor:
         assert "would need about" in err
         assert "would need about" not in json.dumps(report)
 
+    def test_default_tol_is_the_backward_stability_bound(self):
+        from specfactor import factor1d
+
+        for command in ("check", "factor", "factor2d", "oracle"):
+            assert cli.build_parser().parse_args([command, "q.json"]).tol == factor1d.BACKWARD_TOL
+
     def test_cap_below_one_doubling_exits_two(self, capsys, strict_1d):
         code, report, _ = run(capsys, ["factor", strict_1d, "--max-trunc", "3"])
         assert code == 2

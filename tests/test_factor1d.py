@@ -321,6 +321,56 @@ class TestSegmentDoubling:
         assert solves == []
 
 
+def binomial_square(p):
+    # |1 + z|^(2p) = P*P for P = (1 + z)^p: a zero of order 2p at z = -1.
+    return adjoint_product(scalar_analytic([math.comb(p, k) for k in range(p + 1)]))
+
+
+class TestBackwardStable:
+    def test_a_converged_limit_with_a_large_residual_is_degraded(self):
+        # The gap of |1+z|^8 closes at N = 5120 (9e-14 * scale), but the
+        # factor's residual is 3.4e-5 * scale: converged means backward stable.
+        q = binomial_square(4)
+        res = schur_limit(q, 4, n_max=2**32)
+        assert res.converged and res.n_used == 5120
+        _, rep = factor(q, n_max=2**32)
+        assert rep.residual_sup > 1e-6 * q.scale
+        assert not rep.converged and (rep.n_used, rep.gap) == (res.n_used, res.gap)
+        assert rep.degraded_reason == (
+            f"residual {rep.residual_sup:.3e} above 1e-08 * scale"
+        )
+        assert "residual_sup" in rep.to_json() and "degraded_reason" not in rep.to_json()
+
+    def test_a_backward_stable_limit_stays_converged(self):
+        # |1+z|^4 at n_max = 2^32 converges at N = 393216, 7e-14 * scale.
+        q = binomial_square(2)
+        _, rep = factor(q, n_max=2**32)
+        assert rep.converged and rep.n_used == 393216 and rep.degraded_reason == ""
+        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+
+    def test_unconverged_limits_keep_their_reason(self):
+        # |1+z|^2, ^4, ^6 and ^8 at the default cap stop unconverged, with
+        # the limit's reason and gap as before.
+        for p in (1, 2, 3, 4):
+            _, rep = factor(binomial_square(p))
+            assert not rep.converged and rep.degraded_reason.startswith("slow Schur convergence")
+
+    def test_the_bound(self):
+        # 100 conv_tol, the CLI's default --tol and the benchmark's residual tolerance.
+        assert factor1d.BACKWARD_TOL == 100 * factor1d.DEFAULT_CONV_TOL == 1e-8
+        cases = [  # converged and reason before, residual, converged and reason after
+            (True, "", 1e-8, True, ""),
+            (True, "", math.nan, True, ""),  # the residual the lift skips
+            (True, "", 2e-8, False, "residual 2.000e-08 above 1e-08 * scale"),
+            (False, "cap", 1.0, False, "cap"),
+        ]
+        for converged, reason, resid, converged_after, reason_after in cases:
+            rep = factor1d.FactorReport(resid, "verified", 8, converged=converged,
+                                        degraded_reason=reason)
+            assert factor1d.backward_checked(rep, 1.0) is rep
+            assert (rep.converged, rep.degraded_reason) == (converged_after, reason_after)
+
+
 def banded_reference(q, n_blocks):
     # Lower band storage read off the dense truncation, one diagonal at a time.
     t = block_toeplitz(q, n_blocks)

@@ -639,6 +639,20 @@ class TestFactorStrict:
         assert "block cap N = 8" in rep.degraded_reason
         assert "block cap" not in str(rep.to_json())
 
+    def test_lifted_plane_stays_converged(self):
+        # The 2-D residual is held to factor1d.BACKWARD_TOL like a 1-D one.
+        q = plane(4.2)
+        _, rep, _ = factor_strict(q)
+        assert rep.converged and rep.degraded_reason == ""
+        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+
+    def test_a_large_2d_residual_degrades_the_report(self, monkeypatch):
+        q = plane(4.2)
+        monkeypatch.setattr(verify, "residual", lambda target, factors, grid: 2e-8 * q.scale)
+        _, rep, _ = factor_strict(q)
+        assert not rep.converged
+        assert rep.degraded_reason == f"residual {2e-8 * q.scale:.3e} above 1e-08 * scale"
+
     @pytest.mark.parametrize("c0", [4.2, 4.1])
     def test_lifted_planes_are_outer_verified(self, c0, monkeypatch):
         # The lifted factors (sizes 17 and 35) are well conditioned, with

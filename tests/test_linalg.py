@@ -164,6 +164,38 @@ class TestCholeskyPsd:
             assert not cholesky_psd(bad.astype(complex), 1e-8)
         assert not cholesky_psd(np.eye(2, dtype=complex), np.inf)
 
+    @staticmethod
+    def summed_form(h, floor):
+        # The verdict as potrf of h + diag(floor/2) (fresh +0.0 off the diagonal).
+        chol, info = linalg._potrf(h + np.diag(np.full(len(h), floor / 2)), lower=1, clean=0)
+        return info == 0 and bool(np.isfinite(chol).all())
+
+    def test_matches_the_summed_form_at_the_shifted_edge(self):
+        # Smallest eigenvalue +-(floor/2)(1 +- 1e-3): h + (floor/2) I is just
+        # definite or just indefinite, and both forms decide alike.
+        # A block of -0.0 entries couples the spectrum to two more diagonal
+        # entries: the one place the two forms' shifted copies differ.
+        rng = np.random.default_rng(42)
+        floor = 1e-6
+        for n in (1, 2, 5, 12):
+            for sign in (-1, 1):
+                for side in (1 - 1e-3, 1 + 1e-3):
+                    edge = sign * floor / 2 * side
+                    h = np.full((n + 2, n + 2), complex(-0.0, -0.0))
+                    h[:n, :n] = with_spectrum(rng, np.r_[edge, rng.uniform(0.1, 1.0, n - 1)])
+                    h[n, n], h[n + 1, n + 1] = 0.5, 0.7
+                    before = h.tobytes()
+                    assert cholesky_psd(h, floor) == self.summed_form(h, floor) == (sign > 0 or side < 1)
+                    assert h.tobytes() == before  # the input is not written
+
+    def test_matches_the_summed_form_on_nonfinite_input(self):
+        for bad in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                    np.array([[1.0, -np.inf], [-np.inf, 4.0]])):
+            bad = bad.astype(complex)
+            before = bad.tobytes()
+            assert cholesky_psd(bad, 1e-8) == self.summed_form(bad, 1e-8) is False
+            assert bad.tobytes() == before  # the input is not written
+
 
 class TestPsdSqrt:
     def test_identity(self):

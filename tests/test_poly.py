@@ -480,6 +480,34 @@ class TestAnalyticPoly2Construction:
         assert p.coeff(1, 1)[0, 0] == 2.0
 
 
+class TestAnalyticPoly1Construction:
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([np.eye(2), np.ones((2, 2)), np.ones((1, 2))], "coefficient 2 has shape (1, 2), expected (2, 2)"),
+            # the first non-finite coefficient in list order
+            ([[[1.0]], [[np.inf]], [[np.nan]]], "coefficient 1 contains NaN or infinite entries"),
+            ([[[np.nan, 0.0]], [[1.0, 2.0]]], "coefficient 0 contains NaN or infinite entries"),
+        ],
+    )
+    def test_error_messages(self, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            MatrixAnalyticPoly1(coeffs)
+        assert str(info.value) == message
+
+    def test_one_stacked_copy_and_its_scale(self):
+        given = [np.array([[1.0, -3.0j]]), np.array([[0.5, 2.0]]), np.zeros((1, 2))]
+        p = MatrixAnalyticPoly1(given)
+        assert (p.rows, p.cols, p.degree, p.scale) == (1, 2, 2, 3.0)
+        assert len({id(c.base) for c in p.coeffs}) == 1
+        for c, g in zip(p.coeffs, given):
+            assert c.dtype == complex and not np.shares_memory(c, g)
+            np.testing.assert_array_equal(c, g)
+        given[0][0, 1] = 7.0  # the input is copied, not kept
+        assert p.coeffs[0][0, 1] == -3.0j
+        assert MatrixAnalyticPoly1([np.zeros((2, 2))]).scale == 0.0
+
+
 def eval2_z2_packed(polys, zs2):
     # eval2_z2 as it packed coefficients before dense storage: a block over
     # the joint key box (with (0, 0)), filled one coefficient at a time.
@@ -622,6 +650,49 @@ class TestBlockToeplitz:
             [[q.coeff(row - col) for col in range(n_blocks)] for row in range(n_blocks)]
         )
         np.testing.assert_array_equal(block_toeplitz(q, n_blocks), expected)
+
+
+def laurent_instances():
+    rng = np.random.default_rng(15)
+    yield scalar_laurent({0: 2.0, 1: 1.0})
+    yield MatrixLaurentPoly1(2, {})  # zero polynomial, degree 0
+    yield MatrixLaurentPoly1.from_causal(2, {0: np.diag([1.0, 3.0])})
+    for r, m in ((1, 3), (2, 2), (3, 4)):
+        yield corpus.ridged_instance(rng, r, m)[0]
+    plane = MatrixLaurentPoly2(1, {(0, 0): [[4.0]], (1, 1): [[0.5]], (-1, -1): [[0.5]]})
+    yield lift_to_block(plane, 3)  # a box constructor
+
+
+class TestStoredStack:
+    def test_is_the_padded_stack_and_read_only(self):
+        for q in laurent_instances():
+            stack = poly.laurent_stack(q.coeff, q.degree)
+            assert q.stack.shape == (2 * q.degree + 3, q.size, q.size)
+            assert q.stack.tobytes() == stack.tobytes()
+            assert all(np.shares_memory(c, q.stack) for c in q.coeffs.values())
+            with pytest.raises(ValueError, match="read-only"):
+                q.stack[q.degree + 1, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                q.coeffs[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_entries_far_outside_the_band(self, r):
+        # Block offsets up to +-2^20, at the corner and 2^20 blocks down the
+        # diagonal, against the centre block column of a dense truncation of
+        # 2m + 3 blocks: Q_d at block c + d for |d| <= c = m + 1, zero at c.
+        rng = np.random.default_rng(16 + r)
+        q = corpus.ridged_instance(rng, r, 2)[0]
+        c = q.degree + 1
+        column = np.concatenate([q.coeff(d) for d in range(-c, c + 1)])
+        np.testing.assert_array_equal(block_toeplitz(q, 2 * c + 1)[:, c * r : (c + 1) * r], column)
+        for shift in (0, 2**20):
+            near = shift * r + np.arange(3 * r)
+            far = shift * r + np.concatenate((np.arange(6 * r), rng.integers(0, 2**20 * r, 300)))
+            for rows, cols in ((far, near[:, None]), (near[:, None], far)):
+                got = poly.toeplitz_entries(q.stack, rows, cols)
+                d = np.clip(rows // r - cols // r, -c, c)
+                np.testing.assert_array_equal(got, column[(c + d) * r + rows % r, cols % r])
+                assert abs(rows // r - cols // r).max() >= 2**19  # far outside the band
 
 
 class TestToeplitzPsdCheck:

@@ -54,3 +54,41 @@ def test_ab_calls_rejects_zero_reps(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 2 and "--reps must be >= 1" in run.stderr
+
+
+def test_digest_outputs_per_input(tmp_path):
+    # What tools/digest_outputs.py imports: src/, bench/workloads.py and bench/checks.py.
+    tree = checkout_copy(tmp_path / "tree")
+    shutil.copy(ROOT / "bench" / "checks.py", tree / "bench")
+    before = sorted(tree.rglob("*"))
+
+    def digest(*flags):
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "digest_outputs.py"), str(tree), *flags],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()
+
+    plain, per_input = digest(), digest("--per-input")
+    assert len(plain) == 3 and all(re.fullmatch(r"[0-9a-f]{64}", line) for line in plain)
+    assert per_input[:3] == plain
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    labels = [f"{name} {seed} {case.label}" for name in workloads.WORKLOADS for seed in (1, 2, 3)
+              for case in workloads.build_inputs(name, seed)]
+    rows = [re.fullmatch(r"(.+) ([0-9a-f]{64})", line) for line in per_input[3:]]
+    assert [row[1] for row in rows] == labels  # one line per input, in run order
+    assert len({row[2] for row in rows}) == len(rows)
+    assert sorted(tree.rglob("*")) == before  # nothing written in the checkout
+
+
+def test_digest_outputs_rejects_an_unknown_flag(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digest_outputs.py"), str(tmp_path), "--per-inputs"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2 and "--per-input" in run.stderr

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print three SHA-256 digests over the benchmark workloads of a checkout.
 
-    python3 tools/digest_outputs.py <checkout>
+    python3 tools/digest_outputs.py <checkout> [--per-input]
 
 For seeds 1-3 of every workload in <checkout>/bench/workloads.py, each
 input is run once through the workload's top-level call.  The first
@@ -17,7 +17,10 @@ to the canonicalizer or to the listing order, even where the outputs do
 not show it.  The library is imported from <checkout>/src, and nothing
 in the checkout is written.  Two trees whose inputs and outputs are
 bit-identical print the same three lines; BLAS runs single-threaded, as
-in the benchmark.
+in the benchmark.  With --per-input, one line per input follows the
+three: its workload, seed and label, then one SHA-256 over everything
+that input folds into the three, so diffing two trees' outputs names
+the inputs that moved.
 """
 
 from __future__ import annotations
@@ -32,8 +35,15 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 
+def fold(hashes, *parts: bytes) -> None:
+    for h in hashes:
+        for part in parts:
+            h.update(part)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    per_input = argv[1:] == ["--per-input"]
+    if len(argv) != 1 + per_input:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
@@ -49,24 +59,26 @@ def main(argv: list[str]) -> int:
         print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
         return 2
     outputs, checked, inputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    lines = []
     for name, w in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for case in workloads.build_inputs(name, seed):
-                label = f"{name} {seed} {case.label}".encode()
-                inputs.update(label)
+                label = f"{name} {seed} {case.label}"
+                own = hashlib.sha256()  # this input's share of all three
+                fold((inputs, own), label.encode())
                 for index, block in case.q.coeffs.items():
-                    inputs.update(repr(index).encode())
-                    inputs.update(block.tobytes())
+                    fold((inputs, own), repr(index).encode(), block.tobytes())
                 out = w.call(case)
-                outputs.update(label)
-                outputs.update(checks.digest(out).encode())
+                fold((outputs, own), label.encode(), checks.digest(out).encode())
                 with contextlib.redirect_stdout(io.StringIO()):  # its "no oracle" notes
                     res = checks.check(case, out)
-                checked.update(label)
-                checked.update(repr((res.rel_residual, res.oracle)).encode())
+                fold((checked, own), label.encode(), repr((res.rel_residual, res.oracle)).encode())
+                lines.append(f"{label} {own.hexdigest()}")
     print(outputs.hexdigest())
     print(checked.hexdigest())
     print(inputs.hexdigest())
+    if per_input:
+        print("\n".join(lines))
     return 0
 
 
