@@ -2,19 +2,20 @@
 # of degree m is factored as Q = P*P from one Schur complement: S(m), the
 # limit of the complements of truncated block Toeplitz matrices on their
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
-# L of the P_k.  The truncations double in size; two banded solves give
-# the first two, and each later one joins two copies of the previous
-# truncation's end-block complement with one small dense solve (every
-# Toeplitz piece is read off q.stack).  That solve, and every corner
-# complement, is linalg.cholesky_complement, the
-# kernel that linalg.schur_complement is built on as well; a corner's PSD
-# verdict is one more Cholesky, with eigenvalues only for a witness; a gap
-# is solved only where it can decide or is reported; and a
-# block PSD to working precision that still fails to eliminate stops the
-# limit at its conditioning floor.  P_0 is the square root of the corner
-# block of S(m), and one range-restricted solve against P_0 reads
-# P_1..P_m off its last block row; converged also means backward stable.
-# A classical scalar root-pairing construction serves as an independent oracle.
+# L of the P_k.  The truncations double in size; two banded solves on
+# LAPACK handles (linalg.solveh_banded; the band is one broadcast pattern)
+# give the first two, and each later one joins two copies of the previous
+# truncation's end-block complement with one small dense solve (whole
+# Toeplitz blocks are gathered off q.stack).  That solve, and every corner
+# complement, is linalg.cholesky_complement, the kernel of
+# linalg.schur_complement as well; a corner's PSD verdict is one more
+# Cholesky, with eigenvalues only for a witness; a gap is solved only
+# where it can decide or is reported; and a block PSD to working
+# precision that still fails to eliminate stops the limit at its
+# conditioning floor.  P_0 is the square root of the corner block of
+# S(m), and one range-restricted solve against P_0 reads P_1..P_m off its
+# last block row; converged also means backward stable.  A classical
+# scalar root-pairing construction serves as an independent oracle.
 
 from __future__ import annotations
 
@@ -24,13 +25,14 @@ import resource
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import linalg, verify
+from .linalg import solveh_banded
 from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
     circle_values,
+    toeplitz_blocks,
     toeplitz_entries,
     toeplitz_psd_check,
 )
@@ -130,12 +132,14 @@ def backward_checked(report: FactorReport, scale: float) -> FactorReport:
 
 def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     # Lower band storage of the n_blocks-truncation: ab[i, j] = T[i+j, j],
-    # r-periodic in j, one pattern tiled, zero where i + j >= dim.
+    # r-periodic in j, zero where i + j >= dim.
     r = stack.shape[1]
     dim = n_blocks * r
     bw = min(len(stack) // 2 * r - 1, dim - 1)
     band = np.arange(bw + 1)[:, None]
-    ab = np.tile(toeplitz_entries(stack, band + np.arange(r), np.arange(r)), n_blocks)
+    pattern = toeplitz_entries(stack, band + np.arange(r), np.arange(r))
+    ab = np.empty((bw + 1, dim), dtype=complex)
+    ab.reshape(bw + 1, n_blocks, r)[:] = pattern[:, None]  # one broadcast over the block columns
     ab[:, dim - bw :][band + np.arange(bw) >= bw] = 0
     return ab
 
@@ -170,7 +174,7 @@ def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarra
             n_blocks=n_blocks,
         ) from exc
     s = a - b.conj().T @ x
-    return (s + s.conj().T) / 2
+    return np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
 
 
 def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.ndarray:
@@ -196,11 +200,9 @@ def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
 def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float) -> np.ndarray:
     # Complement of the n_blocks-truncation on its first lead and last
     # trail blocks: one banded solve over the blocks between them.
-    r = stack.shape[1]
-    dim = n_blocks * r
-    ends = np.concatenate((np.arange(lead * r), np.arange(dim - trail * r, dim)))
-    a = toeplitz_entries(stack, ends[:, None], ends)
-    coupling = toeplitz_entries(stack, np.arange(lead * r, dim - trail * r)[:, None], ends)
+    ends = np.concatenate((np.arange(lead), np.arange(n_blocks - trail, n_blocks)))
+    a = toeplitz_blocks(stack, ends, ends)
+    coupling = toeplitz_blocks(stack, np.arange(lead, n_blocks - trail), ends)
     ab = _banded_lower(stack, n_blocks - lead - trail)
     return _complement(a, coupling, ab, True, scale, n_blocks)
 
@@ -232,7 +234,7 @@ def limit_bytes(q, k: int, n0: int) -> int:
     (r, m): 16 (5 w^2 + d (3 w + 2 bw)) + 64 KiB, with w = 2br end and
     d = (2 n0 - 2b) r interior columns and bw = min((m+1) r, d) band rows
     (the end blocks and four w-square temporaries; the coupling, solution
-    and conjugate; the band and solveh_banded's copy; interpreter objects)."""
+    and conjugate; the band and the copy pbsv makes of it; interpreter objects)."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
     b = max(k + 1, m)
     w, d = 2 * b * r, (2 * n0 - 2 * b) * r
@@ -297,7 +299,7 @@ def schur_limit(
     b = max(k + 1, m)
     n0 = start_blocks(m, k, n0, n_max)
     scale = max(q.scale, 1e-300)
-    c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+    c = toeplitz_blocks(q.stack, np.arange(b), np.arange(b, 2 * b))
     s_prev = truncated_schur(q, k, n0)
     n, h, work, older, gap = n0, None, None, None, math.inf
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
@@ -398,7 +400,7 @@ def factor(
                 f"(solve residual {exc.residual:.3e}; tolerance too tight for "
                 f"this input)"
             ) from exc
-        coeffs += np.split(x, m, axis=1)[::-1]  # x = [P_m | ... | P_1]
+        coeffs += [x[:, k * r : (k + 1) * r] for k in range(m - 1, -1, -1)]  # x = [P_m | ... | P_1]
 
     phat = MatrixAnalyticPoly1(coeffs)
     resid = math.nan if _skip_residual else verify.residual(q, phat, grid)

@@ -4,7 +4,8 @@
 # root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs
 # handles fetched once at import, which every dense elimination of the
 # construction and the public schur_complement go through, a one-potrf
-# PSD test tried before any eigensolve, and range-restricted minimum-norm
+# PSD test tried before any eigensolve, scipy's banded Hermitian solve on
+# pbsv/ptsv handles fetched alike, and range-restricted minimum-norm
 # solves, whose rank decision is one LAPACK SVD.
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+_potrf, _potrs, _pbsv, _ptsv = get_lapack_funcs(("potrf", "potrs", "pbsv", "ptsv"), dtype=complex)
 
 
 class NotPSDError(ValueError):
@@ -118,6 +119,22 @@ def cholesky_psd(h: np.ndarray, floor: float) -> bool:
     return info == 0 and bool(np.isfinite(chol).all())
 
 
+def solveh_banded(ab, b, lower=True) -> np.ndarray:
+    """scipy.linalg.solveh_banded(ab, b, lower=True) bit for bit, without its
+    wrapper: a two-row band by ptsv, a wider one by pbsv, inputs kept, and
+    scipy's errors; only lower band storage, ab[i, j] = H[i + j, j]."""
+    if lower is not True:
+        raise ValueError("only lower band storage (lower=True) is implemented")
+    ab, b = np.asarray_chkfinite(ab), np.asarray_chkfinite(b)
+    if len(ab) == 2:
+        *_, x, info = _ptsv(ab[0].real, ab[1, :-1], b)
+    else:
+        _, x, info = _pbsv(ab, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
+
+
 def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
     """Hermitian PSD square root, clamping marginal negative eigenvalues.
 
@@ -157,7 +174,7 @@ def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
             raise NotPSDError("matrix is not PSD: eliminated block not positive definite")
     x, _ = _potrs(chol, b, lower=1)
     s = a - b.conj().T @ x
-    return (s + s.conj().T) / 2
+    return np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
 
 
 def schur_complement(m, k: int) -> np.ndarray:

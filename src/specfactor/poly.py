@@ -373,12 +373,21 @@ def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     return stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d), rows % r, cols % r]
 
 
+def toeplitz_blocks(stack: np.ndarray, block_rows: np.ndarray, block_cols: np.ndarray) -> np.ndarray:
+    """toeplitz_entries at all scalar rows and columns of the 1-d block rows
+    and columns, from one clamped offset per block and one gather."""
+    h, r = len(stack) // 2, stack.shape[1]
+    d = block_rows[:, None] - block_cols + h  # a fresh array, clamped in place to [0, 2h]
+    blocks = stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d)].transpose(0, 2, 1, 3)
+    return blocks.reshape(len(block_rows) * r, len(block_cols) * r)
+
+
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
     """N x N block Toeplitz matrix with block (p, s) = Q_{p-s}."""
     if n_blocks < 1:
         raise ValueError("need at least one block")
-    idx = np.arange(n_blocks * q.size)
-    return toeplitz_entries(q.stack, idx[:, None], idx)
+    idx = np.arange(n_blocks)
+    return toeplitz_blocks(q.stack, idx, idx)
 
 
 class ToeplitzVerdict:
@@ -510,21 +519,6 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def _matrix_from_json(obj, size, what):
-    try:
-        m = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in obj],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise PolyFormatError(f"{what}: malformed matrix entries") from exc
-    if m.shape != (size, size):
-        raise PolyFormatError(f"{what}: matrix shape {m.shape}, expected ({size},{size})")
-    if not np.all(np.isfinite(m)):
-        raise PolyFormatError(f"{what}: non-finite matrix entries")
-    return m
-
-
 _FILE_KINDS = {
     MatrixLaurentPoly1: ("laurent", 1),
     MatrixAnalyticPoly1: ("analytic", 1),
@@ -599,17 +593,30 @@ def poly_from_json(obj, kind: str | None = None):
             raise PolyFormatError(f"coefficient {i}: analytic index must be >= 0")
         if index in coeffs:
             raise PolyFormatError(f"coefficient {i}: duplicate index {index}")
-        coeffs[index] = _matrix_from_json(mat, size, f"coefficient {i}")
+        try:  # parsed only: the constructor checks each block's shape and finiteness
+            coeffs[index] = np.array([[complex(c[0], c[1]) for c in row] for row in mat], dtype=complex)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise PolyFormatError(f"coefficient {i}: malformed matrix entries") from exc
 
     try:
         if nvars == 1:
             if kind == "laurent":
                 return MatrixLaurentPoly1(size, {k: m for (k,), m in coeffs.items()})
-            return MatrixAnalyticPoly1(_box(coeffs, (size, size), 1, centred=False)[0])
+            deg = max((k for (k,) in coeffs), default=0)
+            p = MatrixAnalyticPoly1([coeffs.get((k,), np.zeros((size, size))) for k in range(deg + 1)])
+            if (p.rows, p.cols) != (size, size):  # all blocks of one shape, not the file's size
+                raise ValueError("blocks of the wrong shape")
+            return p
         if kind == "laurent":
             return MatrixLaurentPoly2(size, coeffs)
         return MatrixAnalyticPoly2(size, size, coeffs)
-    except ValueError as exc:
+    except ValueError as exc:  # a failed block check is reported by the file's entry number
+        for i, m in enumerate(coeffs.values()):
+            if m.shape != (size, size):
+                raise PolyFormatError(
+                    f"coefficient {i}: matrix shape {m.shape}, expected ({size},{size})") from exc
+            if not np.isfinite(m).all():
+                raise PolyFormatError(f"coefficient {i}: non-finite matrix entries") from exc
         raise PolyFormatError(str(exc)) from exc
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from specfactor import linalg
@@ -409,6 +410,63 @@ class TestDirectCholesky:
                 linalg.cholesky_complement(np.eye(1), bb, cc, 1.0)
             with pytest.raises(ValueError, match="infs or NaNs"):
                 cho_complement_reference(np.eye(1), bb, cc, 1.0)
+
+
+def hermitian_band(rng, n, bw):
+    # Lower band storage ab[i, j] = H[i + j, j] of a Hermitian positive
+    # definite H with bw subdiagonals (diagonally dominant), zero where
+    # i + j >= n, as factor1d._banded_lower leaves it.
+    ab = np.zeros((bw + 1, n), dtype=complex)
+    ab[1:] = rng.random((bw, n)) - 0.5 + 1j * (rng.random((bw, n)) - 0.5)  # |entry| < 1
+    ab[0] = 2.0 * bw + 1.0 + rng.random(n)
+    for i in range(1, bw + 1):
+        ab[i, n - i :] = 0.0
+    return ab
+
+
+class TestSolvehBanded:
+    # linalg.solveh_banded calls LAPACK ptsv/pbsv itself; it must agree
+    # with scipy.linalg.solveh_banded bit for bit, on both of its branches.
+    @pytest.mark.parametrize("bw", [0, 1, 2, 5])  # bw = 1: the two-row band, ptsv
+    def test_matches_scipy_bit_for_bit(self, bw):
+        rng = np.random.default_rng(50 + bw)
+        for n in (bw + 1, bw + 2, 7, 30):  # from the smallest order with bw subdiagonals
+            ab = hermitian_band(rng, n, bw)
+            for shape in ((n,), (n, 3)):
+                b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                kept = ab.copy(), b.copy()
+                got = linalg.solveh_banded(ab, b, lower=True)
+                want = scipy.linalg.solveh_banded(ab, b, lower=True)
+                assert got.shape == want.shape == shape
+                assert got.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(ab, kept[0])  # inputs are not overwritten
+                np.testing.assert_array_equal(b, kept[1])
+
+    @pytest.mark.parametrize("bw", [1, 3])
+    def test_not_positive_definite_raises_scipys_error(self, bw):
+        ab = hermitian_band(np.random.default_rng(60 + bw), 6, bw)
+        ab[0, 3] = -1.0
+        b = np.ones(6, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.solveh_banded(ab, b, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            linalg.solveh_banded(ab, b, lower=True)
+        assert str(got.value) == str(want.value) == "4th leading minor not positive definite"
+
+    @pytest.mark.parametrize("bw", [1, 3])
+    def test_nonfinite_input_raises_value_error(self, bw):
+        ab, b = hermitian_band(np.random.default_rng(70 + bw), 5, bw), np.ones((5, 2), dtype=complex)
+        nan_ab, nan_b = ab.copy(), b.copy()
+        nan_ab[1, 2], nan_b[4, 1] = np.nan, complex(0.0, np.inf)
+        for aa, bb in [(nan_ab, b), (ab, nan_b)]:
+            for solve in (linalg.solveh_banded, scipy.linalg.solveh_banded):
+                with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                    solve(aa, bb, lower=True)
+
+    def test_only_lower_storage(self):
+        ab = hermitian_band(np.random.default_rng(80), 4, 2)
+        with pytest.raises(ValueError, match="lower=True"):
+            linalg.solveh_banded(ab, np.ones(4), lower=False)
 
 
 class TestValuesOnlyEigensolve:

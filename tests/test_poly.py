@@ -693,6 +693,13 @@ class TestStoredStack:
                 d = np.clip(rows // r - cols // r, -c, c)
                 np.testing.assert_array_equal(got, column[(c + d) * r + rows % r, cols % r])
                 assert abs(rows // r - cols // r).max() >= 2**19  # far outside the band
+            # The block gather at whole blocks: every row and column of the
+            # blocks holding far and near, against toeplitz_entries there.
+            for block_rows, block_cols in ((far // r, near // r), (near // r, far // r)):
+                rows, cols = ((x[:, None] * r + np.arange(r)).ravel() for x in (block_rows, block_cols))
+                got = poly.toeplitz_blocks(q.stack, block_rows, block_cols)
+                np.testing.assert_array_equal(got, poly.toeplitz_entries(q.stack, rows[:, None], cols))
+                assert got.shape == (len(rows), len(cols))
 
 
 class TestToeplitzPsdCheck:
@@ -940,3 +947,22 @@ class TestJsonFormat:
         }
         with pytest.raises(PolyFormatError, match="shape"):
             poly_from_json(obj)
+
+    @pytest.mark.parametrize("kind, nvars", [("laurent", 1), ("analytic", 1), ("laurent", 2), ("analytic", 2)])
+    def test_block_errors_name_the_file_entry(self, kind, nvars):
+        # Each block is checked once, by the constructor; the error names
+        # the file's entry number, the first bad one, for every kind.
+        ok = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+        small, nan = [[[1.0, 0.0]]], [[[1.0, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        last = -1 if kind == "laurent" else 2  # a Laurent file may list both sides of a pair
+        index = [[0], [1], [last]] if nvars == 1 else [[0, 0], [1, 0], [last, 0]]
+        for mats, message in [
+            ([ok, small, small], "coefficient 1: matrix shape (1, 1), expected (2,2)"),
+            ([small, small, small], "coefficient 0: matrix shape (1, 1), expected (2,2)"),
+            ([ok, nan, small], "coefficient 1: non-finite matrix entries"),
+        ]:
+            obj = {"kind": kind, "vars": nvars, "size": 2,
+                   "coeffs": [{"index": i, "matrix": m} for i, m in zip(index, mats)]}
+            with pytest.raises(PolyFormatError) as err:
+                poly_from_json(obj)
+            assert str(err.value) == message

@@ -92,3 +92,35 @@ def test_digest_outputs_rejects_an_unknown_flag(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 2 and "--per-input" in run.stderr
+
+
+def test_boundary_table_rows(tmp_path):
+    # What tools/boundary_table.py imports: src/ alone.
+    tree = checkout_copy(tmp_path / "tree")
+    before = sorted(tree.rglob("*"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "boundary_table.py"), str(tree)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *lines = run.stdout.splitlines()
+    assert header.split() == ["p", "n_max", "converged", "N_used", "residual/scale",
+                              "coeff_error", "outer", "degraded_reason"]
+    rows = [line.split(maxsplit=7) for line in lines]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(p, n) for p in (1, 2, 3, 4) for n in (4096, 2**32)]
+    for p, n_max, converged, n_used, residual, error, outer, reason in rows:
+        assert converged in ("yes", "no") and 1 <= int(n_used) <= int(n_max)
+        assert 0.0 <= float(residual) < 1.0 and 0.0 <= float(error) < 1.0
+        assert outer in ("verified", "failed", "inconclusive")
+        assert (reason == "-") == (converged == "yes")
+    # |1+z|^2 at the default cap stops there, gap-dominated, and still outer.
+    assert rows[0][2:4] == ["no", "4096"] and rows[0][6] == "verified"
+    assert sorted(tree.rglob("*")) == before  # nothing written in the checkout
+
+
+def test_boundary_table_needs_one_checkout(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "boundary_table.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2 and "boundary_table.py <checkout>" in run.stderr
