@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="log2 grid sizes g or g1,g2 (default 9); for factor2d, the finest "
             "grid the delta bound may refine to",
         ),
-        "--max-trunc": dict(type=int, default=4096, help="Schur truncation block cap"),
+        "--max-trunc": dict(type=int, default=factor1d.DEFAULT_N_MAX, help="Schur truncation block cap"),
         "--out": dict(default=None, help="output path for factor files"),
     }
 

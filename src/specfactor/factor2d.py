@@ -67,7 +67,7 @@ def _reweight(q: MatrixLaurentPoly2, n: int, inverse: bool) -> MatrixLaurentPoly
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
     # Column k of the exact box scales by one real weight, so it stays exact.
     w = ((n + 1 - np.abs(np.arange(-q.deg2, q.deg2 + 1))) / (n + 1))[:, None, None]
-    return MatrixLaurentPoly2._from_box(q.dense / w if inverse else q.dense * w, q._rank)
+    return MatrixLaurentPoly2._from_box(q.dense / w if inverse else q.dense * w)
 
 
 def cesaro_smooth(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly2:
@@ -164,7 +164,7 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
     coefficients assembles the l-th factor.  The coefficients are stacked
     once with their block columns reversed, so one reshape indexes the
     blocks as [l, j, k]; every factor is a view of that one buffer, its
-    nonzero blocks listed by j, then c.
+    nonzero blocks listed in index order, j then k.
     """
     big = r * (n + 1)
     if phi.rows != big or phi.cols != big:
@@ -173,8 +173,7 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
         )
     flipped = np.array([c.reshape(big, n + 1, r)[:, ::-1] for c in phi.coeffs])
     blocks = flipped.reshape(-1, n + 1, r, n + 1, r).transpose(1, 0, 3, 2, 4)
-    order = np.arange(blocks[0, ..., 0, 0].size).reshape(blocks.shape[1:3])
-    return MatrixAnalyticPoly2.from_stack(blocks, order[:, ::-1])
+    return MatrixAnalyticPoly2.from_stack(blocks)
 
 
 def _factor_lifted(

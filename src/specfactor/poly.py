@@ -3,9 +3,9 @@
 # dict in a dense box, one array pass (_symmetric) makes a box of either
 # Laurent kind exactly symmetric, from a dict or a box constructor; the
 # one-variable Laurent kind keeps its padded coefficient stack for every
-# Toeplitz gather, both two-variable kinds one box, all read-only with
-# coeff/coeffs as views.  Also circle/torus evaluation, adjoint products,
-# Toeplitz matrices and their Cholesky-first PSD screen, JSON.
+# Toeplitz gather, both two-variable kinds one box listed in index order;
+# all read-only, coeff/coeffs as views.  Also circle/torus evaluation,
+# adjoint products, Toeplitz matrices, their Cholesky-first PSD screen, JSON.
 
 from __future__ import annotations
 
@@ -34,34 +34,33 @@ def _stacked(blocks, shape: tuple, names) -> np.ndarray:
     return stack
 
 
-def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The one dict-to-box path: the blocks of coeffs, checked by
-    _stacked, in a zero box reaching the largest |index| on each axis,
-    from minus it if centred (Laurent, size >= 1), else from 0; and each
-    place's rank, its key's position in coeffs (len(coeffs) for none)."""
+def _box(coeffs: dict, shape: tuple, nvars: int, centred: bool) -> np.ndarray:
+    """The one dict-to-box path: the blocks of coeffs, checked by _stacked
+    and named by their indices as plain ints, in a zero box reaching the
+    largest |index| on each axis, from minus it if centred (Laurent, size
+    >= 1), else from 0 (analytic, indices >= 0)."""
     if centred and shape[0] < 1:
         raise ValueError("coefficient size must be >= 1")
-    shape = tuple(int(n) for n in shape)
-    blocks = _stacked(coeffs.values(), shape, list(coeffs))
-    idx = np.array(list(coeffs), dtype=int).reshape(-1, nvars)
+    idx = np.array(list(coeffs), dtype=int).reshape(len(coeffs), nvars)
+    names = [tuple(i) if nvars > 1 else i[0] for i in idx.tolist()]
+    if not centred and (neg := (idx < 0).any(axis=1)).any():
+        raise ValueError(f"analytic coefficient {names[int(np.argmax(neg))]} needs indices >= 0")
+    blocks = _stacked(coeffs.values(), tuple(int(n) for n in shape), names)
     hi = np.abs(idx).max(axis=0, initial=0)
     lo = -hi if centred else 0 * hi
-    at = tuple((idx - lo).T)
-    box = np.zeros(tuple(hi - lo + 1) + shape, dtype=complex)
-    box[at] = blocks
-    rank = np.full(box.shape[:nvars], len(blocks))
-    rank[at] = np.arange(len(blocks))
-    return box, rank
+    box = np.zeros(tuple(hi - lo + 1) + blocks.shape[1:], dtype=complex)
+    box[tuple((idx - lo).T)] = blocks
+    return box
 
 
-def _symmetric(box: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric(box: np.ndarray) -> np.ndarray:
     """The one canonicalizer of both Laurent kinds, over a box centred on the
-    origin whose places were met in the order of seen.  Unless Q_-i = Q_i*
-    exactly, it must hold within SYMMETRY_TOL * scale (else the offender met
-    first is named).  Each pair becomes C_i = Q_i/2 + Q_-i*/2 at the index
-    met first and C_i* at its mirror; zero pairs are dropped, the box is
-    trimmed.  Returns C, in place of the box, and the rank listing pairs."""
-    rev = (slice(None, None, -1),) * seen.ndim  # index i to -i
+    origin.  Unless Q_-i = Q_i* exactly, it must hold within SYMMETRY_TOL *
+    scale (else the first offender i >= 0 in index order is named).  Each
+    pair becomes C_i = Q_i/2 + Q_-i*/2 at its index i >= 0 and C_i* at its
+    mirror; zero pairs are dropped, the box is trimmed.  Returns C, in place
+    of the box."""
+    rev = (slice(None, None, -1),) * (box.ndim - 2)  # index i to -i
 
     def adjoint(a):  # of each block, in C order for the passes that follow
         return np.conjugate(a.swapaxes(-1, -2), order="C")
@@ -70,26 +69,26 @@ def _symmetric(box: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if not (flipped == box).all():  # the tolerance test, skipped by an exact box
         dev = np.abs(flipped - box).max(axis=(-2, -1))
         tol = SYMMETRY_TOL * np.abs(box).max(initial=0.0)
-        if (dev > tol).any():
-            at = np.unravel_index(np.argmin(np.where(dev > tol, seen, np.inf)), seen.shape)
-            i = [int(a) - n // 2 for a, n in zip(at, seen.shape)]
+        if (off := np.flatnonzero(dev > tol)).size:  # paired about the origin: the middle is i >= 0
+            at = np.unravel_index(off[len(off) // 2], dev.shape)
+            i = [int(a) - n // 2 for a, n in zip(at, dev.shape)]
             i, m = (tuple(i), (-i[0], -i[1])) if len(i) > 1 else (i[0], -i[0])
             raise ValueError(
                 f"coefficient symmetry violated at index {i}: "
                 f"max|Q_{m} - Q_{i}*| = {dev[at]:.3e} exceeds {tol:.3e}"
             )
-    lead = seen <= seen[rev]
     # C in place of the box, each term halved first: exact for normal
     # numbers, and no overflow for entries near the largest double.
     canon = np.add(np.multiply(box, 0.5, out=box), np.multiply(flipped, 0.5, out=flipped), out=box)
-    np.copyto(canon, adjoint(canon[rev]), where=~lead[..., None, None])
-    rank = 2 * np.minimum(seen, seen[rev]) + ~lead
+    # Each index before the origin in C order takes its mirror's exact adjoint, in place.
+    flat = np.arange(box[..., 0, 0].size).reshape(box.shape[:-2] + (1, 1))
+    np.copyto(canon, adjoint(canon[rev]), where=flat < flat.size // 2)
     if (keep := canon.any(axis=(-2, -1))).all():
-        return canon, rank
+        return canon
     canon[~keep] = 0  # a dropped pair holds +0.0, as an absent one does
     deg = np.abs(np.argwhere(keep) - np.array(keep.shape) // 2).max(axis=0, initial=0)
     trim = tuple(slice(n // 2 - d, n // 2 + d + 1) for n, d in zip(keep.shape, deg))
-    return canon[trim], rank[trim]
+    return canon[trim]
 
 
 class MatrixLaurentPoly1:
@@ -99,29 +98,27 @@ class MatrixLaurentPoly1:
     SYMMETRY_TOL * scale.  Coefficients are canonicalized on construction
     (exact symmetrization, zero top coefficients trimmed) so downstream
     Toeplitz assembly is exactly Hermitian.  stack, read-only, is
-    laurent_stack(coeff, degree), built once; coeffs lists every |k| <=
-    degree in the order 0, 1, -1, 2, -2, ..., views of stack.
+    laurent_stack(coeff, degree), built once; coeffs, a read-only mapping,
+    lists every |k| <= degree in the order 0, 1, -1, 2, -2, ..., views of
+    stack.
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
-        raw = {int(k): v for k, v in coeffs.items()}
-        # Keys in the order 0, 1, -1, 2, -2, ...: a pair leads from k >= 0.
-        raw = {k: raw[k] for k in sorted(raw, key=lambda k: (abs(k), -k))}
-        self._canonical(*_box(raw, (size, size), 1, centred=True))
+        self._canonical(_box(coeffs, (size, size), 1, centred=True))
 
     @classmethod
     def _from_box(cls, box: np.ndarray) -> "MatrixLaurentPoly1":  # Q_k at box[degree + k]
-        k = np.arange(len(box)) - len(box) // 2  # pairs met as above: leads k >= 0
-        return cls.__new__(cls)._canonical(box, 2 * np.abs(k) - (k > 0))
+        return cls.__new__(cls)._canonical(box)
 
-    def _canonical(self, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly1":
-        box, _ = _symmetric(box, seen)
+    def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly1":
+        box = _symmetric(box)
         self.size = box.shape[-1]
         self.degree = d = len(box) // 2
         self.stack = np.zeros((2 * d + 3,) + box.shape[1:], dtype=complex)
         self.stack[1:-1] = box
         self.stack.flags.writeable = False
-        self.coeffs = {s * k: self.stack[d + 1 + s * k] for k in range(d + 1) for s in (1, -1)}
+        order = (s * k for k in range(d + 1) for s in (1, -1))  # 0, 1, -1, 2, -2, ...
+        self.coeffs = MappingProxyType({k: self.stack[d + 1 + k] for k in order})
         self.scale = float(np.abs(box).max(initial=0.0))
         return self
 
@@ -178,24 +175,22 @@ class MatrixAnalyticPoly1:
 
 class _Poly2:
     """What both two-variable kinds share: one dense, read-only box with
-    the coefficient of z1^j z2^k at dense[origin + (j, k)], and a rank
-    over the box in which coeffs lists its nonzero blocks (views)."""
+    the coefficient of z1^j z2^k at dense[origin + (j, k)], whose nonzero
+    blocks coeffs lists (views) in index order, j then k."""
 
-    __slots__ = ("dense", "origin", "rows", "cols", "deg1", "deg2", "scale", "_rank")
+    __slots__ = ("dense", "origin", "rows", "cols", "deg1", "deg2", "scale")
 
-    def _store(self, dense: np.ndarray, rank: np.ndarray, origin: tuple, scale: float):
+    def _store(self, dense: np.ndarray, origin: tuple, scale: float):
         dense.flags.writeable = False
-        self.dense, self._rank, self.origin, self.scale = dense, rank, origin, scale
+        self.dense, self.origin, self.scale = dense, origin, scale
         self.rows, self.cols = dense.shape[2:]
         self.deg1, self.deg2 = (n - 1 - o for n, o in zip(dense.shape, origin))
 
     @property
     def coeffs(self) -> MappingProxyType:
-        js, ks = np.nonzero(self.dense.any(axis=(2, 3)))
-        rank = np.argsort(self._rank[js, ks])
         (o1, o2), dense = self.origin, self.dense
-        keys = zip((js[rank] - o1).tolist(), (ks[rank] - o2).tolist())
-        return MappingProxyType({(j, k): dense[j + o1, k + o2] for j, k in keys})
+        at = np.argwhere(dense.any(axis=(2, 3))).tolist()  # in C order
+        return MappingProxyType({(j - o1, k - o2): dense[j, k] for j, k in at})
 
     def coeff(self, j: int, k: int) -> np.ndarray:
         j, k = j + self.origin[0], k + self.origin[1]
@@ -209,24 +204,23 @@ class MatrixLaurentPoly2(_Poly2):
 
     Self-adjoint on the torus: Q_{-j,-k} = Q_jk* within tolerance;
     canonicalized exactly on construction.  dense holds Q_jk at
-    [j + deg1, k + deg2]; coeffs lists the pairs as they first appear in
-    the input, an index before its mirror, and Q_00 always, last if zero.
+    [j + deg1, k + deg2]; coeffs lists the nonzero blocks in index order,
+    and Q_00 always, last if zero.
     """
 
     __slots__ = ("size",)
 
     def __init__(self, size: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        coeffs = {(int(j), int(k)): v for (j, k), v in coeffs.items()}
-        self._canonical(*_box(coeffs, (size, size), 2, centred=True))
+        self._canonical(_box(coeffs, (size, size), 2, centred=True))
 
     @classmethod
-    def _from_box(cls, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly2":
-        return cls.__new__(cls)._canonical(box, seen)  # pairs met in the order of seen
+    def _from_box(cls, box: np.ndarray) -> "MatrixLaurentPoly2":  # Q_jk at box[deg1 + j, deg2 + k]
+        return cls.__new__(cls)._canonical(box)
 
-    def _canonical(self, box: np.ndarray, seen: np.ndarray) -> "MatrixLaurentPoly2":
-        box, rank = _symmetric(box, seen)
+    def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly2":
+        box = _symmetric(box)
         self.size, origin = box.shape[-1], (len(box) // 2, box.shape[1] // 2)
-        self._store(box, rank, origin, float(np.abs(box).max(initial=0.0)))
+        self._store(box, origin, float(np.abs(box).max(initial=0.0)))
         return self
 
     @property
@@ -259,32 +253,29 @@ class MatrixAnalyticPoly2(_Poly2):
     """Two-variable analytic polynomial with coefficients on [0,m1] x [0,m2].
 
     dense is the (m1+1, m2+1, rows, cols) box; coeffs lists the nonzero
-    blocks in the order of the input dict (for from_stack, of rank).
+    blocks in index order.
     """
 
     __slots__ = ()
 
     def __init__(self, rows: int, cols: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        for j, k in coeffs:
-            if j < 0 or k < 0:
-                raise ValueError(f"analytic coefficient {(j, k)} needs indices >= 0")
-        box, rank = _box(coeffs, (rows, cols), 2, centred=False)
-        (p,) = self.from_stack(box[None], rank)
-        self._store(p.dense, rank, p.origin, p.scale)
+        box = _box(coeffs, (rows, cols), 2, centred=False)
+        (p,) = self.from_stack(box[None])
+        self._store(p.dense, p.origin, p.scale)
 
     @classmethod
-    def from_stack(cls, stack: np.ndarray, rank: np.ndarray) -> list[MatrixAnalyticPoly2]:
+    def from_stack(cls, stack: np.ndarray) -> list[MatrixAnalyticPoly2]:
         """One polynomial per leading index of a (L, J, K, rows, cols) stack
         of checked blocks, each a read-only view of it trimmed to its
-        degrees, whose coeffs lists nonzero blocks by ascending rank[j, k].
-        One nonzero mask and one max|.| give every degree and scale."""
+        degrees.  One nonzero mask and one max|.| give every degree and
+        scale."""
         nonzero = stack.any(axis=(-2, -1))
         deg1 = _last_true(nonzero.any(axis=2)).tolist()
         deg2 = _last_true(nonzero.any(axis=1)).tolist()
         scales = np.abs(stack).max(axis=(1, 2, 3, 4), initial=0.0).tolist()
         polys = [cls.__new__(cls) for _ in stack]
         for p, dense, d1, d2, scale in zip(polys, stack, deg1, deg2, scales):
-            p._store(dense[: d1 + 1, : d2 + 1], rank, (0, 0), scale)
+            p._store(dense[: d1 + 1, : d2 + 1], (0, 0), scale)
         return polys
 
     def __repr__(self):

@@ -211,6 +211,12 @@ class TestFactor:
         for command in ("check", "factor", "factor2d", "oracle"):
             assert cli.build_parser().parse_args([command, "q.json"]).tol == factor1d.BACKWARD_TOL
 
+    def test_default_cap_is_the_engine_default(self):
+        from specfactor import factor1d
+
+        for argv in (["factor", "q.json"], ["factor2d", "q.json"], ["oracle", "q.json"], ["roundtrip"]):
+            assert cli.build_parser().parse_args(argv).max_trunc == factor1d.DEFAULT_N_MAX
+
     def test_cap_below_one_doubling_exits_two(self, capsys, strict_1d):
         code, report, _ = run(capsys, ["factor", strict_1d, "--max-trunc", "3"])
         assert code == 2

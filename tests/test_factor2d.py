@@ -135,7 +135,7 @@ class TestReweightFromTheBox:
         q = scalar_laurent2({(0, 0): 2.0, (2, 0): 0.5, (1, 1): 5e-324})
         out = cesaro_smooth(q, 1)
         assert_same_laurent2(out, reweight_per_block(q, 1, False))
-        assert (out.deg1, out.deg2) == (2, 0) and list(out.coeffs) == [(0, 0), (2, 0), (-2, 0)]
+        assert (out.deg1, out.deg2) == (2, 0) and list(out.coeffs) == [(-2, 0), (0, 0), (2, 0)]
         # an inner pair scaled to zero keeps the degrees
         q = scalar_laurent2({(0, 0): 2.0, (2, 0): 0.5, (1, 1): 5e-324, (0, 1): 0.5})
         out = cesaro_smooth(q, 1)
@@ -515,13 +515,14 @@ class TestUnliftFactor:
         np.testing.assert_array_equal(f2.coeff(1, 2), coeffs[1][4:, :2])
 
     def test_blocks_listed_by_j_then_column(self):
-        # k descending within each j: the order the benchmark's residual sums in
+        # index order: j, then k = N - column ascending, the order the
+        # benchmark's residual sums in
         rng = np.random.default_rng(46)
         coeffs = [rng.standard_normal((3, 3)) + 1.0 for _ in range(2)]
         coeffs[1][0, 1] = 0.0
         f0, f1, _ = unlift_factor(MatrixAnalyticPoly1(coeffs), 1, 2)
-        assert list(f0.coeffs) == [(0, 2), (0, 1), (0, 0), (1, 2), (1, 0)]
-        assert list(f1.coeffs) == [(0, 2), (0, 1), (0, 0), (1, 2), (1, 1), (1, 0)]
+        assert list(f0.coeffs) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)]
+        assert list(f1.coeffs) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
     def lifted_factor(self, c0):
         q = plane(c0)

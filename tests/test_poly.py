@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specfactor import corpus, factor1d, linalg, poly
-from specfactor.factor2d import lift_to_block, unlift_factor
+from specfactor.factor2d import cesaro_smooth, inverse_cesaro, lift_to_block, unlift_factor
 from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixAnalyticPoly2,
@@ -90,33 +90,33 @@ class TestLaurentBox:
             (1, 0): a, (0, 0): np.zeros((2, 2)), (2, -1): b.conj().T, (-1, 0): a.conj().T,
             (-2, 1): b, (0, 1): tiny, (1, 1): np.zeros((2, 2)), (-1, -1): np.zeros((2, 2)),
         })
-        # pairs by first appearance, an index before its mirror, zero pairs
+        # index order, j then k, whatever the input's order; zero pairs
         # dropped, and a zero Q_00 last
-        assert list(q.coeffs) == [(1, 0), (-1, 0), (2, -1), (-2, 1), (0, 1), (0, -1), (0, 0)]
+        assert list(q.coeffs) == [(-2, 1), (-1, 0), (0, -1), (0, 1), (1, 0), (2, -1), (0, 0)]
         h = a + a.conj().T
-        q = MatrixLaurentPoly2(2, {(-1, -1): e.conj().T, (0, 0): h, (1, 1): e})
-        assert list(q.coeffs) == [(-1, -1), (1, 1), (0, 0)]
+        q = MatrixLaurentPoly2(2, {(1, 1): e, (0, 0): h, (-1, -1): e.conj().T})
+        assert list(q.coeffs) == [(-1, -1), (0, 0), (1, 1)]
         q = MatrixLaurentPoly2(
             2, {(0, 1): e, (0, -1): e.conj().T, (0, 0): h, (2, 0): b, (-2, 0): b.conj().T}
         )
-        assert list(q.coeffs) == [(0, 1), (0, -1), (0, 0), (2, 0), (-2, 0)]
+        assert list(q.coeffs) == [(-2, 0), (0, -1), (0, 0), (0, 1), (2, 0)]
         q = MatrixLaurentPoly2(2, {(1, 2): e, (-1, -2): e.conj().T})
-        assert list(q.coeffs) == [(1, 2), (-1, -2), (0, 0)]
+        assert list(q.coeffs) == [(-1, -2), (1, 2), (0, 0)]
         assert not q.coeffs[(0, 0)].any()
 
     @pytest.mark.parametrize(
         "cls, coeffs, message",
         [
-            # one variable: offenders are met in the order 0, 1, -1, 2, -2
+            # the first offender i >= 0 in index order, whichever side is given
             (MatrixLaurentPoly1, {1: [[1.0]], -1: [[2.0]]},
              "index 1: max|Q_-1 - Q_1*| = 1.000e+00 exceeds 2.000e-12"),
             (MatrixLaurentPoly1, {-2: [[1.0]], 2: [[3.0]], -1: [[1.0]], 0: [[1.0]]},
-             "index -1: max|Q_1 - Q_-1*| = 1.000e+00 exceeds 3.000e-12"),
+             "index 1: max|Q_-1 - Q_1*| = 1.000e+00 exceeds 3.000e-12"),
             (MatrixLaurentPoly1, {0: [[1j]], 1: [[2.0]]},
              "index 0: max|Q_0 - Q_0*| = 2.000e+00 exceeds 2.000e-12"),
-            # two variables: the first offender in input order, as plain ints
+            # two variables: lexicographically, as plain ints
             (MatrixLaurentPoly2, {(0, 0): [[1.0]], (-1, -1): [[3.0]], (1, 1): [[1.0]]},
-             "index (-1, -1): max|Q_(1, 1) - Q_(-1, -1)*| = 2.000e+00 exceeds 3.000e-12"),
+             "index (1, 1): max|Q_(-1, -1) - Q_(1, 1)*| = 2.000e+00 exceeds 3.000e-12"),
             (MatrixLaurentPoly2, {(np.int64(1), np.int64(1)): [[1.0]], (2, 0): [[4.0]]},
              "index (1, 1): max|Q_(-1, -1) - Q_(1, 1)*| = 1.000e+00 exceeds 4.000e-12"),
         ],
@@ -126,13 +126,24 @@ class TestLaurentBox:
             cls(1, coeffs)
         assert str(info.value) == "coefficient symmetry violated at " + message
 
-    def test_mirror_is_the_exact_adjoint_of_the_index_met_first(self):
-        # Real blocks given at both indices: the mirror of the index met first
-        # is its adjoint bit for bit, signed zeros included.
+    def test_mirror_is_the_exact_adjoint_of_the_nonnegative_index(self):
+        # Real blocks given at both indices, the negative one first: the
+        # mirror of the lexicographically non-negative index is its adjoint
+        # bit for bit, signed zeros included.
         q = MatrixLaurentPoly1(1, {-1: [[1.0]], 0: [[2.0]], 1: [[1.0]]})
         assert not np.signbit(q.coeff(1).imag) and np.signbit(q.coeff(-1).imag)
-        q = MatrixLaurentPoly2(1, {(-1, 0): [[1.0]], (0, 0): [[2.0]], (1, 0): [[1.0]]})
-        assert not np.signbit(q.coeff(-1, 0).imag) and np.signbit(q.coeff(1, 0).imag)
+        for i in ((1, 0), (0, 1), (1, -1)):
+            m = (-i[0], -i[1])
+            q = MatrixLaurentPoly2(1, {m: [[1.0]], (0, 0): [[2.0]], i: [[1.0]]})
+            assert not np.signbit(q.coeff(*i).imag) and np.signbit(q.coeff(*m).imag)
+
+    def test_one_variable_coeffs_are_read_only(self):
+        q = MatrixLaurentPoly1.from_causal(1, {0: [[2.0]], 1: [[0.5]]})
+        with pytest.raises(TypeError):
+            q.coeffs[0] = np.array([[100.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            q.coeffs[0][0, 0] = 100.0
+        assert eval1(q, 1)[0, 0] == 3.0 and q.stack[2, 0, 0] == 2.0
 
     def test_two_variable_dense_is_read_only_and_shared(self):
         q = corpus.sos_instance2(np.random.default_rng(61), 2, 1, 2)
@@ -155,23 +166,18 @@ class TestLaurentBox:
 
 
 def box_of(coeffs, size, deg):
-    # A centred box holding each key's block at deg + key, and a rank giving
-    # each place its key's position in coeffs (len(coeffs) for none).
-    shape = tuple(2 * d + 1 for d in deg)
-    box = np.zeros(shape + (size, size), dtype=complex)
-    rank = np.full(shape, len(coeffs))
-    for r, (i, c) in enumerate(coeffs.items()):
-        at = tuple(np.add(i, deg))
-        box[at], rank[at] = c, r
-    return box, rank
+    # A centred box holding each key's block at deg + key.
+    box = np.zeros(tuple(2 * d + 1 for d in deg) + (size, size), dtype=complex)
+    for i, c in coeffs.items():
+        box[tuple(np.add(i, deg))] = c
+    return box
 
 
 def one_variable_box(coeffs, size):
-    # Every index -d..d as the box constructor takes them, in the order 0, 1, -1, ...
+    # Every index -d..d as the box constructor takes them, and as a dict.
     d = max(abs(k) for k in coeffs)
     box = np.array([coeffs.get(k, np.zeros((size, size))) for k in range(-d, d + 1)], complex)
-    order = sorted(range(-d, d + 1), key=lambda k: (abs(k), -k))
-    return box, {k: box[d + k].copy() for k in order}
+    return box, {k: box[d + k].copy() for k in range(-d, d + 1)}
 
 
 def assert_same_laurent(a, b):
@@ -197,7 +203,7 @@ class TestLaurentBoxConstructors:
 
     def test_exact_box_matches_the_dict_path(self):
         coeffs, deg = self.sos(90)
-        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+        q = MatrixLaurentPoly2._from_box(box_of(coeffs, 2, deg))
         assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
         p = corpus.ridged_instance(np.random.default_rng(91), 2, 3)[0]
         box, coeffs = one_variable_box(p.coeffs, 2)
@@ -207,7 +213,7 @@ class TestLaurentBoxConstructors:
         coeffs, deg = self.sos(92)
         coeffs[(-1, -2)] = off = coeffs[(-1, -2)].copy()
         off.real[0, 1] = np.nextafter(off.real[0, 1], np.inf)
-        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+        q = MatrixLaurentPoly2._from_box(box_of(coeffs, 2, deg))
         assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
         assert q.coeff(-1, -2).tobytes() == q.coeff(1, 2).conj().T.tobytes()
         p = corpus.ridged_instance(np.random.default_rng(93), 1, 2)[0]
@@ -227,7 +233,7 @@ class TestLaurentBoxConstructors:
         with pytest.raises(ValueError) as dict_path:
             MatrixLaurentPoly2(2, coeffs)
         with pytest.raises(ValueError) as box_path:
-            MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, deg))
+            MatrixLaurentPoly2._from_box(box_of(coeffs, 2, deg))
         assert str(box_path.value) == str(dict_path.value)
         assert "coefficient symmetry violated at index (0, 1)" in str(box_path.value)
         box, coeffs = one_variable_box({0: [[2.0]], 1: [[1.0]], -1: [[1.5]]}, 1)
@@ -243,7 +249,7 @@ class TestLaurentBoxConstructors:
         coeffs[(1, 2)] = coeffs[(-1, -2)] = np.zeros((2, 2))  # listed, zero
         coeffs[(0, 0)] = -0.0 * coeffs[(0, 0)]
         wide = (deg[0] + 1, deg[1] + 2)  # a ring of absent zero blocks
-        q = MatrixLaurentPoly2._from_box(*box_of(coeffs, 2, wide))
+        q = MatrixLaurentPoly2._from_box(box_of(coeffs, 2, wide))
         assert_same_laurent(q, MatrixLaurentPoly2(2, coeffs))
         assert (q.deg1, q.deg2) == deg and (1, 2) not in q.coeffs
         box, coeffs = one_variable_box({0: [[2.0]], 1: [[0.0]], -1: [[-0.0]], 3: [[0.0]]}, 1)
@@ -263,10 +269,85 @@ class TestLaurentBoxConstructors:
         assert p.scale == abs(-big + 1e307j)
         herm = np.array([[big, -big + 1e307j], [-big - 1e307j, big / 4]])
         two = {(0, 0): herm, (1, -1): herm / 2, (-1, 1): herm.conj().T / 2}
-        q = MatrixLaurentPoly2._from_box(*box_of(two, 2, (1, 1)))
+        q = MatrixLaurentPoly2._from_box(box_of(two, 2, (1, 1)))
         assert_same_laurent(q, MatrixLaurentPoly2(2, two))
         assert q.coeff(0, 0).tobytes() == herm.tobytes()
         assert np.isfinite(q.dense).all() and q.scale == abs(herm[0, 1])
+
+
+def one_variable_order(degree):
+    return [s * k for k in range(degree + 1) for s in (1, -1)][1:]  # 0, 1, -1, 2, -2, ...
+
+
+def reorderings(coeffs, rng):
+    # The same coefficient function listed as given, reversed and shuffled.
+    keys = list(coeffs)
+    orders = [keys, keys[::-1]] + [[keys[i] for i in rng.permutation(len(keys))] for _ in range(3)]
+    return [{key: coeffs[key] for key in order} for order in orders]
+
+
+class TestInputOrder:
+    """A coefficient dict is a function on the indices: the order its keys
+    are listed in moves no byte, no listing and no message, and every
+    two-variable coeffs, built or derived, lists in index order."""
+
+    def laurent_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        one = dict(corpus.ridged_instance(rng, 2, 3)[0].coeffs)
+        two = dict(corpus.sos_instance2(rng, 2, 2, 2).coeffs)
+
+        def nudged(coeffs):  # within the symmetry tolerance, not exact: every pair is averaged
+            return {i: c * (1 + 1e-14 * rng.standard_normal(c.shape)) for i, c in coeffs.items()}
+
+        return rng, [(MatrixLaurentPoly1, nudged(one)), (MatrixLaurentPoly2, nudged(two))]
+
+    @pytest.mark.parametrize("seed", [110, 111, 112])
+    def test_laurent_bytes_and_listing(self, seed):
+        rng, inputs = self.laurent_inputs(seed)
+        for cls, coeffs in inputs:
+            qs = [cls(2, c) for c in reorderings(coeffs, rng)]
+            for q in qs:
+                assert_same_laurent(q, qs[0])
+                if cls is MatrixLaurentPoly1:
+                    assert q.stack.tobytes() == qs[0].stack.tobytes()
+                    assert list(q.coeffs) == one_variable_order(q.degree)
+                else:
+                    assert list(q.coeffs) == sorted(q.coeffs)
+
+    @pytest.mark.parametrize("seed", [113, 114, 115])
+    def test_laurent_symmetry_messages(self, seed):
+        rng, inputs = self.laurent_inputs(seed)
+        for cls, coeffs in inputs:
+            keys = [i for i in coeffs if np.any(i)]  # blocks off by more than the tolerance
+            for i in (keys[0], keys[1], keys[-1]):
+                coeffs[i] = coeffs[i] + 1e-6j
+            messages = set()
+            for c in reorderings(coeffs, rng):
+                with pytest.raises(ValueError, match="symmetry violated") as info:
+                    cls(2, c)
+                messages.add(str(info.value))
+            assert len(messages) == 1
+
+    @pytest.mark.parametrize("seed", [116, 117, 118])
+    def test_analytic_bytes_and_listing(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = {(int(j), int(k)) for j, k in rng.integers(0, 4, size=(8, 2))}
+        coeffs = {key: corpus.disk_uniform(rng, (2, 3)) for key in keys}
+        ps = [MatrixAnalyticPoly2(2, 3, c) for c in reorderings(coeffs, rng)]
+        for p in ps:
+            assert p.dense.tobytes() == ps[0].dense.tobytes()
+            assert list(p.coeffs) == sorted(coeffs)
+
+    def test_derived_polynomials_list_in_index_order(self):
+        rng = np.random.default_rng(119)
+        q = corpus.sos_instance2(rng, 2, 1, 2)
+        for out in (cesaro_smooth(q, 3), inverse_cesaro(q, 3)):
+            assert list(out.coeffs) == sorted(out.coeffs)
+        psi = lift_to_block(q, 3)
+        assert list(psi.coeffs) == one_variable_order(psi.degree)
+        blocks = [rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.5) for _ in range(3)]
+        for f in unlift_factor(MatrixAnalyticPoly1(blocks), 2, 3):
+            assert list(f.coeffs) == sorted(f.coeffs)
 
 
 class TestEval1:
@@ -457,13 +538,13 @@ class TestAnalyticPoly2Construction:
             MatrixAnalyticPoly2(1, 1, coeffs)
         assert str(info.value) == message
 
-    def test_one_dense_array_listed_in_dict_order(self):
+    def test_one_dense_array_listed_in_index_order(self):
         rng = np.random.default_rng(36)
         keys = [(2, 0), (0, 3), (1, 1), (0, 0)]
         given = {key: corpus.disk_uniform(rng, (2, 3)) for key in keys}
         p = MatrixAnalyticPoly2(2, 3, {**given, (1, 3): np.zeros((2, 3))})
         assert p.dense.shape == (3, 4, 2, 3)
-        assert list(p.coeffs) == keys
+        assert list(p.coeffs) == [(0, 0), (0, 3), (1, 1), (2, 0)]
         for key, c in p.coeffs.items():
             assert np.shares_memory(c, p.dense)
             np.testing.assert_array_equal(c, given[key])
