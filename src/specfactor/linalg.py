@@ -1,27 +1,54 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
 # one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigvalsh
 # wherever eigenvalues alone are read, eigh for the clamped PSD square
-# root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs
-# handles fetched once at import, which every dense elimination of the
-# construction and the public schur_complement go through, a one-potrf
-# PSD test tried before any eigensolve, scipy's banded Hermitian solve on
-# pbsv/ptsv handles fetched alike, and range-restricted minimum-norm
-# solves, whose rank decision is one LAPACK SVD.
+# root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs,
+# which every dense elimination of the construction and the public
+# schur_complement go through, a one-potrf PSD test tried before any
+# eigensolve, scipy's banded Hermitian solve on pbsv/ptsv, and
+# range-restricted minimum-norm solves, whose rank decision is one LAPACK
+# SVD.  The LAPACK routines (and verify's ggev) are the complex ones of
+# scipy's compiled module scipy.linalg._flapack, loaded at import without
+# the scipy.linalg package: the very objects get_lapack_funcs returns, at
+# a fraction of the import time.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 HERMITIAN_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 
-_potrf, _potrs, _pbsv, _ptsv = get_lapack_funcs(("potrf", "potrs", "pbsv", "ptsv"), dtype=complex)
+
+def _load_flapack():
+    # scipy.linalg._flapack as scipy.linalg itself would import it: the one
+    # already loaded, else found in scipy's linalg directory (after `import
+    # scipy` has set up its bundled libraries) and registered under its full
+    # name, so a later `import scipy.linalg` reuses it.
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"no {name} in the scipy installed at {scipy.__path__}", name=name)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_potrf, _potrs, _pbsv, _ptsv = _flapack.zpotrf, _flapack.zpotrs, _flapack.zpbsv, _flapack.zptsv
 
 
 class NotPSDError(ValueError):
@@ -61,6 +88,15 @@ def as_matrix(a, finite: bool = True) -> np.ndarray:
     if finite and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or infinite entries")
     return m
+
+
+def pow2_scale(a) -> float:
+    """The power of two s that puts s * max|a| in [0.5, 1) (s = 1 for a zero
+    a; s stays within 2^(+-1021)).  s * a is exact above the subnormal range,
+    so norms read on it neither overflow nor underflow at any scale of a,
+    and compare as those of a would in exact arithmetic."""
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    return math.ldexp(1.0, -min(max(e, -1021), 1021))
 
 
 def check_hermitian(h) -> np.ndarray:
@@ -234,12 +270,15 @@ def range_restricted_solve(
     # X = V diag(1/sigma) U* B over the kept singular triples: minimum
     # norm, supported on ran R = ran(V); zero when nothing is kept.
     x = vh[keep].conj().T @ ((u[:, keep].conj().T @ b) / sigma[keep, None])
-    resid = float(np.linalg.norm(rstar @ x - b))
-    bnorm = float(np.linalg.norm(b))
-    if resid > RESIDUAL_RTOL * bnorm + residual_atol:
+    # Both norms are read on R* X - B and B scaled by pow2_scale(B):
+    # unscaled, both overflow to inf above about 1e154 and their squares
+    # underflow to 0 below about 1e-154, and either way any residual passes.
+    s = pow2_scale(b)
+    resid = float(np.linalg.norm((rstar @ x - b) * s))
+    if resid > RESIDUAL_RTOL * float(np.linalg.norm(b * s)) + residual_atol * s:
         raise InconsistentSystemError(
-            f"inconsistent system: residual {resid:.3e} exceeds "
+            f"inconsistent system: residual {resid / s:.3e} exceeds "
             f"{RESIDUAL_RTOL:.1e} * ||B|| + {residual_atol:.3e}",
-            residual=resid,
+            residual=resid / s,
         )
     return x

@@ -1,9 +1,9 @@
 # Independent verification: torus grid sampling for positivity estimates,
 # factorization residuals, and outerness certification through the zeros
 # of det P, the eigenvalues of the block-companion pencil from one QZ
-# solve (LAPACK ggev on a handle fetched once at import).  It reads only Q
-# and the factor coefficients, never the Schur limits, truncations or
-# solves that built the factor.  A residual
+# solve (LAPACK zggev of scipy.linalg._flapack, the module linalg loads).
+# It reads only Q and the factor coefficients, never the Schur limits,
+# truncations or solves that built the factor.  A residual
 # subtracts F* F for the row-stacked factor list F from its z1 Gram
 # coefficients: one inverse DFT of the coefficients of Q - F* F in one
 # variable, a z2 grid evaluation first in two.  Grid eigenvalue extremes
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .poly import (
     MatrixAnalyticPoly1,
@@ -28,11 +27,12 @@ from .poly import (
     eval2_z1,
     eval2_z2,
 )
+from .linalg import _flapack, pow2_scale
 
 SINGULAR_TOL = 1e-10
 DEFAULT_RADIUS_TOL = 1e-6
 
-(_ggev,) = get_lapack_funcs(("ggev",), dtype=complex)
+_ggev = _flapack.zggev
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,13 @@ def _op_norms_stack(vals: np.ndarray) -> np.ndarray:
 def _sup_op_norm(vals: np.ndarray) -> float:
     # max(_op_norms_stack(vals)); as ||A||_2 <= ||A||_F, for r >= 3 only points
     # whose Frobenius norm reaches the opnorm at the Frobenius maximum are solved.
+    # The norms are compared on vals scaled by pow2_scale, whose squares
+    # neither underflow nor overflow.
     if vals.shape[-1] < 3:
         return float(np.max(_op_norms_stack(vals)))
-    fro = np.linalg.norm(vals, axis=(-2, -1))
-    top = _op_norms_stack(vals[fro == fro.max()][:1])
+    s = pow2_scale(vals)
+    fro = np.linalg.norm(vals * s, axis=(-2, -1))
+    top = _op_norms_stack(vals[fro == fro.max()][:1]) * s
     return float(np.max(_op_norms_stack(vals[fro * (1 + 1e-12) >= top])))
 
 

@@ -161,6 +161,18 @@ class TestFactor:
         assert code == 3
         assert report["converged"] is False
 
+    def test_tiny_three_by_three_input_factors(self, capsys, tmp_path):
+        # once "input error" (exit 2): the residual sup's prefilter underflowed
+        from specfactor import corpus
+
+        q, _ = corpus.ridged_instance(np.random.Generator(np.random.PCG64(1)), 3, 2)
+        path = tmp_path / "tiny.json"
+        save_poly(path, MatrixLaurentPoly1(3, {k: c * 1e-150 for k, c in q.coeffs.items()}))
+        code, report, _ = run(capsys, ["factor", str(path)])
+        assert code == 0
+        assert report["outer_verdict"] == "verified"
+        assert report["residual_sup"] <= 1e-12 * 1e-150 * q.scale
+
     def test_memory_budget_exits_three(self, capsys, tmp_path, monkeypatch):
         from specfactor import corpus, factor1d
 

@@ -759,3 +759,28 @@ class TestScalarRootFactor:
             p = scalar_root_factor(q)
             check = verify.outer_check(p)
             assert check.verdict == "verified"
+
+
+def rescaled(q, s):
+    return type(q)(q.size, {k: c * s for k, c in q.coeffs.items()})
+
+
+class TestAnyScale:
+    # A rescaled Q factors like Q.  At 2^-500 the r >= 3 residual sup once
+    # raised on an empty prefilter (its Frobenius squares underflowed); at
+    # 2^+520 the extension solve's norms overflowed to inf, which both warned
+    # and let any residual pass.
+    Q, _ = corpus.ridged_instance(np.random.Generator(np.random.PCG64(1)), 3, 2)
+
+    @pytest.mark.parametrize("s", [2.0**-500, 1e-150, 2.0**520], ids=["2^-500", "1e-150", "2^520"])
+    def test_same_factorization_at_any_scale(self, s):
+        _, want = factor(self.Q)
+        _, got = factor(rescaled(self.Q, s))
+        assert (got.n_used, got.converged, got.outer_verdict) == (
+            want.n_used,
+            want.converged,
+            want.outer_verdict,
+        )
+        assert got.residual_sup / (s * self.Q.scale) == pytest.approx(
+            want.residual_sup / self.Q.scale, abs=1e-13
+        )

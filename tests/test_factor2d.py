@@ -807,3 +807,28 @@ class TestLiftedVerification:
         for f, g in zip(factors, expected):
             assert list(f.coeffs) == list(g.coeffs)
             assert all(f.coeffs[i].tobytes() == g.coeffs[i].tobytes() for i in f.coeffs)
+
+
+class TestAnyScale:
+    # The two-variable counterpart of test_factor1d.py's TestAnyScale, on an
+    # r = 3 sum of squares plus a ridge.
+    @staticmethod
+    def instance(s):
+        base = corpus.sos_instance2(np.random.Generator(np.random.PCG64(2)), 3, 1, 1)
+        coeffs = {k: c * s for k, c in base.coeffs.items()}
+        coeffs[(0, 0)] = coeffs[(0, 0)] + 0.5 * s * base.scale * np.eye(3)
+        return MatrixLaurentPoly2(3, coeffs)
+
+    @pytest.mark.parametrize("s", [2.0**-500, 1e-150, 2.0**520], ids=["2^-500", "1e-150", "2^520"])
+    def test_same_factorization_at_any_scale(self, s):
+        q = self.instance(1.0)
+        _, want, _ = factor_strict(q)
+        _, got, _ = factor_strict(self.instance(s))
+        assert (got.n_used, got.converged, got.outer_verdict) == (
+            want.n_used,
+            want.converged,
+            want.outer_verdict,
+        )
+        assert got.residual_sup / (s * q.scale) == pytest.approx(
+            want.residual_sup / q.scale, abs=1e-13
+        )

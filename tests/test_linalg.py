@@ -540,3 +540,20 @@ class TestRangeRestrictedSolve:
         with pytest.raises(InconsistentSystemError) as err:
             range_restricted_solve(rstar, b)
         assert err.value.residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_inconsistent_system_raises_at_any_scale(self, k):
+        # at 2^1000 both norms once overflowed to inf, and inf > inf passed
+        rstar = np.diag([1.0, 0.0]) * 2.0**k
+        b = np.array([[0.0], [1.0]]) * 2.0**k
+        with pytest.raises(InconsistentSystemError) as err:
+            range_restricted_solve(rstar, b)
+        assert err.value.residual == 2.0**k
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_consistent_system_passes_at_any_scale(self, k):
+        rng = np.random.default_rng(52)
+        rstar = random_psd(rng, 3, rank=2) * 2.0**k
+        b = rstar @ (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        x = range_restricted_solve(rstar, b)
+        assert np.max(np.abs(rstar @ x - b)) <= 1e-12 * np.max(np.abs(b))

@@ -1,7 +1,60 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import specfactor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The five LAPACK routines the library calls, as scipy.linalg hands them out,
+# against the module-level names it calls them by.
+SAME_ROUTINES = """
+import sys
+import scipy.linalg
+from specfactor import linalg, verify
+
+got = (linalg._potrf, linalg._potrs, linalg._pbsv, linalg._ptsv, verify._ggev)
+want = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "pbsv", "ptsv", "ggev"), dtype=complex)
+assert all(a is b for a, b in zip(got, want)), (got, want)
+# one extension module, initialised once, serves both
+assert linalg._flapack is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+"""
+
+
+def run_fresh(code):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in specfactor.__all__ if not hasattr(specfactor, name)]
     assert missing == []
     assert len(set(specfactor.__all__)) == len(specfactor.__all__)
+
+
+def test_import_leaves_the_scipy_linalg_package_out():
+    run_fresh(
+        "import sys, specfactor, specfactor.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "assert 'scipy.linalg._flapack' in sys.modules"
+    )
+
+
+@pytest.mark.parametrize("first", ["import specfactor", "import scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    run_fresh(first + "\n" + SAME_ROUTINES)
+
+
+def test_lapack_routines_are_scipys_in_this_process():
+    # the routines TestSolvehBanded and TestDirectCholesky compare against
+    exec(SAME_ROUTINES, {})

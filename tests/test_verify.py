@@ -389,6 +389,30 @@ class TestSupOpNorm:
         for vals in op_norm_stacks(rng, r).values():
             assert _sup_op_norm(vals) == float(np.max(_op_norms_stack(vals)))
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_any_scale(self, r):
+        # the Frobenius squares underflow below about 2^-510 and overflow
+        # above 2^+510; the prefilter reads them on a stack scaled to 1
+        rng = np.random.default_rng(90 + r)
+        for name, vals in op_norm_stacks(rng, r).items():
+            want = _sup_op_norm(vals)
+            for k in (-1000, -544, -540, -536, -531, -500, 500, 520, 1000):
+                scaled = vals * 2.0**k
+                got = _sup_op_norm(scaled)
+                assert got == float(np.max(_op_norms_stack(scaled))), (name, k)
+                assert got == pytest.approx(want * 2.0**k, rel=1e-13, abs=0.0), (name, k)
+
+    def test_tiny_residual_of_a_three_by_three_factor(self):
+        # the sup was 27% low or raised on a zero-size array near 2^-531
+        rng = np.random.default_rng(89)
+        q, _ = corpus.ridged_instance(rng, 3, 2)
+        f = corpus.random_analytic1(rng, 3, 1)
+        want = residual(q, f)
+        for k in range(-544, -530):
+            qs = MatrixLaurentPoly1(3, {i: c * 2.0**k for i, c in q.coeffs.items()})
+            fs = MatrixAnalyticPoly1([c * 2.0 ** (k / 2) for c in f.coeffs])
+            assert residual(qs, fs) == pytest.approx(want * 2.0**k, rel=1e-12)
+
     def test_rank_one_residual_solves_few_points(self, monkeypatch):
         # Q(z) = (3 + z + 1/z) u u*: Frobenius and operator norms agree at
         # every point, so only the points near z = 1 reach the solver.
