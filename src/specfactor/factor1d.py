@@ -1,21 +1,21 @@
-# One-variable factorization engine.  A nonnegative Laurent polynomial Q
-# of degree m is factored as Q = P*P from one Schur complement: S(m), the
+# One-variable factorization engine.  A nonnegative Laurent polynomial Q of
+# degree m is factored as Q = P*P from one Schur complement: S(m), the
 # limit of the complements of truncated block Toeplitz matrices on their
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
-# L of the P_k.  The truncations double in size; two banded solves on
-# LAPACK handles (linalg.solveh_banded; the band is one broadcast pattern)
-# give the first two, and each later one joins two copies of the previous
-# truncation's end-block complement with one small dense solve (whole
-# Toeplitz blocks are gathered off q.stack).  That solve, and every corner
-# complement, is linalg.cholesky_complement, the kernel of
-# linalg.schur_complement as well; a corner's PSD verdict is one more
-# Cholesky, with eigenvalues only for a witness; a gap is solved only
-# where it can decide or is reported; and a block PSD to working
-# precision that still fails to eliminate stops the limit at its
-# conditioning floor.  P_0 is the square root of the corner block of
-# S(m), and one range-restricted solve against P_0 reads P_1..P_m off its
-# last block row; converged also means backward stable.  A classical
-# scalar root-pairing construction serves as an independent oracle.
+# L of the P_k.  The truncations double in size; one banded solve on LAPACK
+# handles (linalg.solveh_banded; the band is one broadcast pattern) gives
+# the first, and later ones join end-block complements of two shorter
+# segments with one small dense solve, lower triangles only.  That solve,
+# and every corner complement, is linalg.cholesky_complement, as in
+# linalg.schur_complement; a corner's PSD verdict is one more Cholesky,
+# with eigenvalues only for a witness, which the banded truncation must
+# confirm; a gap is solved only where it can decide or is reported; and a
+# block PSD to working precision that still fails to eliminate stops the
+# limit at its conditioning floor.  P_0 is the square root of the corner
+# block of S(m), and one range-restricted solve against P_0 reads P_1..P_m
+# off its last block row; converged also means backward stable.  A
+# classical scalar root-pairing construction serves as an independent
+# oracle.
 
 from __future__ import annotations
 
@@ -56,8 +56,8 @@ def memory_budget() -> int:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft // 2)
 
 
-# Truncation doubling stops before its one banded solve, and factor2d
-# refuses a lift, when the arrays would need more than this.
+# The Schur limit stops before its first doubling, and factor2d refuses a
+# lift, when its arrays (limit_bytes) would need more than this.
 MEMORY_BUDGET = memory_budget()
 
 
@@ -72,7 +72,7 @@ class NotNonnegativeError(ValueError):
 
 class SchurConvergenceError(RuntimeError):
     """Truncation hit the block cap, the conditioning floor or (before its
-    banded solve) the memory budget before the gap closed."""
+    first doubling) the memory budget before the gap closed."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
@@ -145,9 +145,9 @@ def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
 
 
 def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarray:
-    """a - b* c^(-1) b for the PSD block c: banded (lower band storage)
-    by solveh_banded with one 1e-13 scale jitter retry, dense by
-    linalg.cholesky_complement.  If the retry fails, the truncation at
+    """a - b* c^(-1) b for the PSD block c: banded (lower band storage) by
+    solveh_banded with one 1e-13 scale jitter retry, dense (lower triangle)
+    by linalg.cholesky_complement.  If the retry fails, the truncation at
     N = n_blocks is not PSD, unless a dense c is PSD to working precision
     (the conditioning floor: SchurConvergenceError with no partial)."""
     if not b.any():  # zero polynomial, or no blocks between the ends
@@ -177,16 +177,11 @@ def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarra
     return np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
 
 
-def _lead_complement(t: np.ndarray, n: int, scale: float, n_blocks: int) -> np.ndarray:
-    # Complement of the dense PSD t on its leading n coordinates.
-    return _complement(t[:n, :n], t[n:, :n], t[n:, n:], False, scale, n_blocks)
-
-
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
     # max|s_ii| <= max|eig|, so a Cholesky pass implies psd_check's test.
     if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL * float(np.abs(s.diagonal()).max())):
         return s
-    ok, lo = linalg.psd_check(s, tol=TRUNCATION_PSD_TOL)
+    ok, lo = linalg.psd_check(linalg.from_lower(s), tol=TRUNCATION_PSD_TOL)
     if not ok:
         raise NotNonnegativeError(
             f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
@@ -197,14 +192,17 @@ def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
     return s
 
 
-def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float) -> np.ndarray:
+def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float, banded=True):
     # Complement of the n_blocks-truncation on its first lead and last
-    # trail blocks: one banded solve over the blocks between them.
+    # trail blocks: one banded (or dense) solve over the blocks between them.
     ends = np.concatenate((np.arange(lead), np.arange(n_blocks - trail, n_blocks)))
+    mid = np.arange(lead, n_blocks - trail)
     a = toeplitz_blocks(stack, ends, ends)
-    coupling = toeplitz_blocks(stack, np.arange(lead, n_blocks - trail), ends)
-    ab = _banded_lower(stack, n_blocks - lead - trail)
-    return _complement(a, coupling, ab, True, scale, n_blocks)
+    if not len(mid):  # the truncation is its own end complement
+        return a
+    coupling = toeplitz_blocks(stack, mid, ends)
+    c = _banded_lower(stack, len(mid)) if banded else toeplitz_blocks(stack, mid, mid)
+    return _complement(a, coupling, c, banded, scale, n_blocks)
 
 
 def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
@@ -223,47 +221,55 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
 
 
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
-    # a and b are exactly Hermitian, and so is a - b.
+    # ||a - b||_2 from the lower triangles of a and b.
     vals = np.linalg.eigvalsh(a - b)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def limit_bytes(q, k: int, n0: int) -> int:
-    """Peak bytes of _ends on the 2 n0-truncation, schur_limit's one banded
-    solve from its clamped start n0, for the polynomial q or the pair
-    (r, m): 16 (5 w^2 + d (3 w + 2 bw)) + 64 KiB, with w = 2br end and
-    d = (2 n0 - 2b) r interior columns and bw = min((m+1) r, d) band rows
-    (the end blocks and four w-square temporaries; the coupling, solution
-    and conjugate; the band and the copy pbsv makes of it; interpreter objects)."""
+    """Bytes schur_limit holds from its clamped start n0, for q or the pair
+    (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v +
+    2 bw)) for v = (k+1) r corner and d = (n0-k-1) r interior columns, bw =
+    min((m+1) r, d) band rows (ends and corner temporaries; coupling,
+    solution, conjugate; band and pbsv's copy), then the joins, 16 * 11 w^2
+    for w = 2br (two segments of a level, one of the next, three workspace
+    arrays, the kernel's factor, solve, result and jitter copy), + 64 KiB."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
-    b = max(k + 1, m)
-    w, d = 2 * b * r, (2 * n0 - 2 * b) * r
-    return 16 * (5 * w * w + d * (3 * w + 2 * min((m + 1) * r, d))) + 2**16
+    v, d, w = (k + 1) * r, (n0 - k - 1) * r, 2 * max(k + 1, m) * r
+    return 16 * (5 * v * v + d * (3 * v + 2 * min((m + 1) * r, d)) + 11 * w * w) + 2**16
 
 
 def _join_workspace(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The kept, coupling and middle arrays of _join, C and C* in place.
+    # The kept, coupling and middle arrays of _join, C* in place.
     w = len(c)
     kept, coupling, middle = (np.zeros((2 * w, 2 * w), dtype=complex) for _ in range(3))
-    middle[:w, w:], middle[w:, :w] = c, c.conj().T
+    middle[w:, :w] = c.conj().T
     return kept, coupling, middle
 
 
-def _join(h: np.ndarray, c: np.ndarray, scale: float, n_blocks: int, work=None) -> np.ndarray:
-    # Two copies of the end-block complement H = [[E, F], [F*, G]] of the
-    # N/2-truncation, coupled by the Toeplitz block C: eliminating the middle
-    # M = [[G, C], [C*, E]] leaves diag(E, G) - U M^(-1) U*, U = diag(F, F*),
-    # the end-block complement of the N-truncation.  work, from
-    # _join_workspace(c), is overwritten on H's blocks only (the elimination
-    # reads it without writing).
-    w = len(h) // 2
-    e, f, g = h[:w, :w], h[:w, w:], h[w:, w:]
+def _join(left, right, c: np.ndarray, scale: float, n_blocks: int, work=None) -> np.ndarray:
+    # End-block complements (lower triangles) [[E, F], [F*, G]] and [[E', F'],
+    # [F'*, G']] of two segments coupled by the Toeplitz block C: eliminating
+    # M = [[G, C], [C*, E']] leaves diag(E, G') - U M^(-1) U*, U = diag(F, F'*),
+    # that of the joined N = n_blocks segment.  work, from _join_workspace(c),
+    # is overwritten on the segments' blocks only.
+    w = len(left) // 2
     kept, coupling, middle = _join_workspace(c) if work is None else work
-    kept[:w, :w], kept[w:, w:] = e, g
-    np.conjugate(f.T, out=coupling[:w, :w])
-    coupling[w:, w:] = f
-    middle[:w, :w], middle[w:, w:] = g, e
+    kept[:w, :w], kept[w:, w:] = left[:w, :w], right[w:, w:]
+    coupling[:w, :w] = left[w:, :w]
+    np.conjugate(right[w:, :w].T, out=coupling[w:, w:])
+    middle[:w, :w], middle[w:, w:] = left[w:, w:], right[:w, :w]
     return _complement(kept, coupling, middle, False, scale, n_blocks)
+
+
+def _segments(stack: np.ndarray, b: int, lengths: set, c, scale: float, work) -> dict:
+    # {N: end-block complement of the N-truncation} for lengths N >= 2b of at
+    # most two values: 2b blocks are their own, fewer than 4b eliminate their
+    # interior, more join their halves (memoized, freed once joined).
+    halves = {h for n in lengths if n >= 4 * b for h in (n // 2, n - n // 2)}
+    segs = _segments(stack, b, halves, c, scale, work) if halves else {}
+    return {n: _join(segs[n // 2], segs[n - n // 2], c, scale, n, work) if n >= 4 * b
+            else _ends(stack, b, b, n, scale, banded=False) for n in lengths}
 
 
 def start_blocks(m: int, k: int, n0: int | None, n_max: int) -> int:
@@ -279,40 +285,48 @@ def schur_limit(
     doubling the truncation N = n0, 2 n0, ... (n0 >= b = max(k+1, m), so
     segments couple only through their end b blocks) until the gap closes.
 
-    S_n0 is truncated_schur(q, k, n0).  One banded solve over the interior
-    of the 2 n0-truncation gives its complement H on its first and last b
-    blocks; each later doubling joins two copies of H with one dense
-    2b-block Cholesky solve, whatever N is.  S_N is H's complement on its
-    leading k+1 blocks.
+    S_n0 is truncated_schur(q, k, n0), the one banded solve.  H, the
+    complement of the 2 n0-truncation on its first and last b blocks, is
+    joined from dense segments (_segments); each later doubling joins two
+    copies of H with one dense 2b-block Cholesky solve, whatever N is.
+    S_N is H's complement on its leading k+1 blocks.  Lower triangles
+    alone are kept until the value, exactly Hermitian, is returned.
 
     The truncation sequence is monotone nonincreasing in the PSD order,
     so the gap is a one-sided convergence certificate.  Its eigensolve
     runs only where the largest diagonal entry of the difference, a lower
     bound for the gap, lets it pass, or where it is reported.  All joins
-    share one workspace.  Doubling stops
-    with SchurConvergenceError, the last corner its partial, at the block
-    cap n_max, at the conditioning floor (a failed join of blocks PSD to
-    working precision), or at n0 when limit_bytes exceeds MEMORY_BUDGET.
-    The joins are never refused.
+    share one workspace.  Doubling stops with SchurConvergenceError, the
+    last corner its partial, at the block cap n_max, at the conditioning
+    floor (a failed join of blocks PSD to working precision, or a witness
+    that truncated_schur, within budget, does not confirm), or at n0 when
+    limit_bytes exceeds MEMORY_BUDGET.  The joins are never refused.
     """
-    m, r = q.degree, q.size
+    m, v = q.degree, (k + 1) * q.size  # v: the corner's order
     b = max(k + 1, m)
     n0 = start_blocks(m, k, n0, n_max)
     scale = max(q.scale, 1e-300)
     c = toeplitz_blocks(q.stack, np.arange(b), np.arange(b, 2 * b))
+    need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     s_prev = truncated_schur(q, k, n0)
     n, h, work, older, gap = n0, None, None, None, math.inf
-    need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
         try:
-            if h is None:
-                h = _ends(q.stack, b, b, n_next, scale)
-            else:
-                work = work or _join_workspace(c)
-                h = _join(h, c, scale, n_next, work)
-            s_next = _checked_corner(_lead_complement(h, (k + 1) * r, scale, n_next), n_next)
+            work = work or _join_workspace(c)
+            h = _segments(q.stack, b, {n_next}, c, scale, work)[n_next] if h is None else _join(
+                h, h, c, scale, n_next, work)
+            corner = _complement(h[:v, :v], h[v:, :v], h[v:, v:], False, scale, n_next)
+            s_next = _checked_corner(corner, n_next)
         except SchurConvergenceError as floor:
             cause = f"at N = {n}: {floor}"
+            break
+        except NotNonnegativeError as witness:
+            try:  # joins round unlike the banded truncation, which must confirm
+                if limit_bytes(q, k, n_next) <= MEMORY_BUDGET:
+                    truncated_schur(q, k, n_next)
+            except NotNonnegativeError:
+                raise witness
+            cause = f"at N = {n}: conditioning floor, unconfirmed: {witness}"
             break
         # max|D_ii| <= ||D||_2 for D = s_prev - s_next: the gap is solved
         # only where it may pass (the margin is far above eigvalsh's
@@ -321,7 +335,7 @@ def schur_limit(
         if np.abs(s_prev.diagonal() - s_next.diagonal()).max() <= tol * (1 + 1e-8):
             gap = _gap_norm(s_prev, s_next)
             if gap <= tol:
-                return SchurResult(value=s_next, k=k, n_used=n_next, gap=gap, converged=True)
+                return SchurResult(linalg.from_lower(s_next), k, n_next, gap, converged=True)
         older, s_prev, n = s_prev, s_next, n_next
     else:
         cause = (
@@ -331,7 +345,7 @@ def schur_limit(
         )
     if gap is None:
         gap = _gap_norm(older, s_prev)
-    partial = SchurResult(value=s_prev, k=k, n_used=n, gap=gap, converged=False)
+    partial = SchurResult(value=linalg.from_lower(s_prev), k=k, n_used=n, gap=gap, converged=False)
     raise SchurConvergenceError(
         f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
     )

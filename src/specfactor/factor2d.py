@@ -197,7 +197,7 @@ def _factor_lifted(
     need = factor1d.limit_bytes((size, m1), m1, n0)
     if need > factor1d.MEMORY_BUDGET:
         raise factor1d.SchurConvergenceError(
-            f"lift of size {size} not built: truncation N = {2 * n0} would need about "
+            f"lift of size {size} not built: its Schur limit from N = {n0} would need about "
             f"{need:.3e} B, over the memory budget of {factor1d.MEMORY_BUDGET:.3e} B",
             gap=math.inf,
             partial=None,

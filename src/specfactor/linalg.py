@@ -1,15 +1,15 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
 # one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigvalsh
 # wherever eigenvalues alone are read, eigh for the clamped PSD square
-# root), one Cholesky Schur-complement kernel on LAPACK potrf/potrs,
-# which every dense elimination of the construction and the public
+# root), one Cholesky Schur-complement kernel on potrf/trtrs/herk, which
+# every dense elimination of the construction and the public
 # schur_complement go through, a one-potrf PSD test tried before any
 # eigensolve, scipy's banded Hermitian solve on pbsv/ptsv, and
 # range-restricted minimum-norm solves, whose rank decision is one LAPACK
-# SVD.  The LAPACK routines (and verify's ggev) are the complex ones of
-# scipy's compiled module scipy.linalg._flapack, loaded at import without
-# the scipy.linalg package: the very objects get_lapack_funcs returns, at
-# a fraction of the import time.
+# SVD.  These routines (and verify's ggev) are the complex ones of scipy's
+# compiled scipy.linalg._flapack and _fblas, loaded at import without the
+# scipy.linalg package: the very objects get_lapack_funcs and
+# get_blas_funcs return, at a fraction of the import time.
 
 from __future__ import annotations
 
@@ -30,12 +30,12 @@ DEFAULT_CLAMP_TOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 
 
-def _load_flapack():
-    # scipy.linalg._flapack as scipy.linalg itself would import it: the one
-    # already loaded, else found in scipy's linalg directory (after `import
-    # scipy` has set up its bundled libraries) and registered under its full
-    # name, so a later `import scipy.linalg` reuses it.
-    name = "scipy.linalg._flapack"
+def _load(name: str):
+    # scipy.linalg's compiled module name as scipy.linalg itself would import
+    # it: the one already loaded, else found in scipy's linalg directory
+    # (after `import scipy` has set up its bundled libraries) and registered
+    # under its full name, so a later `import scipy.linalg` reuses it.
+    name = f"scipy.linalg.{name}"
     if name in sys.modules:
         return sys.modules[name]
     spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
@@ -47,8 +47,9 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-_potrf, _potrs, _pbsv, _ptsv = _flapack.zpotrf, _flapack.zpotrs, _flapack.zpbsv, _flapack.zptsv
+_flapack, _fblas = _load("_flapack"), _load("_fblas")
+_potrf, _trtrs, _pbsv, _ptsv = _flapack.zpotrf, _flapack.ztrtrs, _flapack.zpbsv, _flapack.zptsv
+_herk = _fblas.zherk
 
 
 class NotPSDError(ValueError):
@@ -193,7 +194,9 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
 
 
 def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
-    """a - b* c^(-1) b by Cholesky of the PSD block c (LAPACK potrf/potrs).
+    """Lower triangle of a - b* c^(-1) b by Cholesky c = L L* of the PSD block
+    c (LAPACK potrf), y = L^(-1) b (trtrs) and a - y* y (BLAS herk), which
+    read lower triangles alone; above the real diagonal, a's is copied.
 
     Non-finite b or c raises ValueError.  Singular c gets one retry with a
     1e-13 * scale diagonal jitter; if that fails too, c is not PSD and
@@ -208,26 +211,29 @@ def cholesky_complement(a, b, c, scale: float) -> np.ndarray:
         chol, info = _potrf(c, lower=1, clean=0)
         if info > 0:
             raise NotPSDError("matrix is not PSD: eliminated block not positive definite")
-    x, _ = _potrs(chol, b, lower=1)
-    s = a - b.conj().T @ x
-    return np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
+    return _herk(-1.0, _trtrs(chol, b, lower=1)[0], beta=1.0, c=a, trans=2, lower=1)
+
+
+def from_lower(s) -> np.ndarray:
+    """The exactly Hermitian matrix with the lower triangle of s (real diagonal)."""
+    return np.tril(s) + np.tril(s, -1).conj().T
 
 
 def schur_complement(m, k: int) -> np.ndarray:
     """Schur complement of a PSD matrix supported on the leading k coordinates.
 
-    A - B* C^(-1) B from cholesky_complement with scale max|M|, so a
-    singular C is eliminated with the same jitter retry as in the
-    construction.  Raises NotPSDError when C is not PSD or the complement
-    has an eigenvalue below -1e-8 max|M|, which cholesky_psd rules out
-    before any eigensolve; the complement is returned unclamped.
+    A - B* C^(-1) B, exactly Hermitian, from cholesky_complement with scale
+    max|M|, so a singular C is eliminated with the same jitter retry as in
+    the construction.  Raises NotPSDError when C is not PSD or the
+    complement has an eigenvalue below -1e-8 max|M|, which cholesky_psd
+    rules out before any eigensolve; the complement is returned unclamped.
     """
     m = check_hermitian(m)
     n = m.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"split index k = {k} out of range [1, {n - 1}]")
     scale = max(float(np.max(np.abs(m))), 1e-300)
-    s = cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale)
+    s = from_lower(cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale))
     lo = 0.0 if cholesky_psd(s, 1e-8 * scale) else float(eig_hermitian(s, vectors=False).values[0])
     if lo < -1e-8 * scale:
         raise NotPSDError(

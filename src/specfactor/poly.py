@@ -449,11 +449,13 @@ def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vandermonde(zs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # (T, hi - lo + 1) matrix of z^k, lo <= k <= hi; a negative power is
-    # conj(z)^|k| = conj(z^|k|) (bit for bit), the inverse on the circle.
+def _vandermonde(zs, lo: int, hi: int) -> np.ndarray:
+    # (T, hi - lo + 1) matrix of z^k, lo <= k <= hi: for zs = g, circle_grid(g)'s
+    # point t k mod 2^g, exact at any k; at points, z^-k = conj(z^k) (bit for bit).
     ks = np.arange(lo, hi + 1)
-    pw = zs[:, None] ** np.abs(ks)
+    if isinstance(zs, int):
+        return circle_grid(zs)[np.outer(np.arange(1 << zs), ks) % (1 << zs)]
+    pw = np.asarray(zs, dtype=complex)[:, None] ** np.abs(ks)
     return np.where(ks >= 0, pw, np.conj(pw))
 
 
@@ -478,17 +480,17 @@ def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
     """Second half of eval2_grid: contract eval2_z2's output with the z1
     Vandermonde matrix, giving the (T1, T2, rows, cols) values."""
     v1 = _vandermonde(zs1, j0, j0 + len(half) - 1)
-    return (v1 @ half.reshape(len(half), -1)).reshape((len(zs1),) + half.shape[1:])
+    return (v1 @ half.reshape(len(half), -1)).reshape((len(v1),) + half.shape[1:])
 
 
 def eval2_grid(p, zs1: np.ndarray, zs2: np.ndarray) -> np.ndarray:
     """Evaluate a two-variable polynomial on a product grid: (T1, T2, r, c),
     as one Vandermonde product per variable over the dense coefficient
-    block (eval2_z2, then eval2_z1); negative powers are conj(z)^|k|."""
+    block (eval2_z2, then eval2_z1), for points or an int g, circle_grid(g)."""
     if not isinstance(p, (MatrixAnalyticPoly2, MatrixLaurentPoly2)):
         raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
-    half, j0 = eval2_z2([p], np.asarray(zs2, dtype=complex))
-    return eval2_z1(half, j0, np.asarray(zs1, dtype=complex))
+    half, j0 = eval2_z2([p], zs2)
+    return eval2_z1(half, j0, zs1)
 
 
 # -- shared JSON file format --------------------------------------------------

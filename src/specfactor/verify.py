@@ -6,8 +6,9 @@
 # truncations or solves that built the factor.  A residual
 # subtracts F* F for the row-stacked factor list F from its z1 Gram
 # coefficients: one inverse DFT of the coefficients of Q - F* F in one
-# variable, a z2 grid evaluation first in two.  Grid eigenvalue extremes
-# for r <= 2 are closed-form.
+# variable, a z2 grid evaluation first in two, whose powers z^k are read
+# off the roots-of-unity grid at k mod 2^g, as the DFT folds them.  Grid
+# eigenvalue extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -92,13 +93,11 @@ def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
             min_eig=float(mins[idx]), point=(complex(zs[idx]),), max_eig=float(np.max(maxs))
         )
     if isinstance(q, MatrixLaurentPoly2):
-        zs1 = grid.points1()
-        zs2 = grid.points2()
-        mins, maxs = _eig_range_stack(eval2_grid(q, zs1, zs2))
+        mins, maxs = _eig_range_stack(eval2_grid(q, grid.g1, grid.axis2))
         i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
         return GridMin(
             min_eig=float(mins[i, j]),
-            point=(complex(zs1[i]), complex(zs2[j])),
+            point=(complex(grid.points1()[i]), complex(grid.points2()[j])),
             max_eig=float(np.max(maxs)),
         )
     raise TypeError(f"cannot grid-sample object of type {type(q).__name__}")
@@ -165,11 +164,10 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
         e[span + 2 - n_j : span + 1 + n_j] -= _gram_coeffs(h)
         diff = circle_values(e, -span - 1, grid.g1)
     else:
-        zs1, zs2 = grid.points1(), grid.points2()
-        diff = eval2_grid(q, zs1, zs2)
+        diff = eval2_grid(q, grid.g1, grid.axis2)
         if factors:
-            half, _ = eval2_z2(factors, zs2)
-            diff -= eval2_z1(_gram_coeffs(half), 1 - len(half), zs1)
+            half, _ = eval2_z2(factors, grid.axis2)
+            diff -= eval2_z1(_gram_coeffs(half), 1 - len(half), grid.g1)
     return _sup_op_norm(diff)
 
 

@@ -179,7 +179,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        # One byte below the price of the banded solve from n0 = 16.
+        # One byte below the price of the limit from n0 = 16.
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
         code, report, _ = run(capsys, ["factor", str(path)])
         assert code == 3

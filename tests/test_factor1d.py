@@ -121,8 +121,8 @@ class TestSchurLimit:
         assert not err.value.partial.converged
 
     def test_memory_budget_stops_doubling(self, monkeypatch):
-        # A budget one byte below the banded solve at 2 n0 stops the limit
-        # at n0, before any doubling, with the byte estimate in the message.
+        # A budget one byte below the limit's price from n0 stops it at n0,
+        # before any doubling, with the byte estimate in the message.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 4 * (m + 1)
@@ -140,7 +140,7 @@ class TestSchurLimit:
 
     def test_memory_budget_never_refuses_a_join(self, monkeypatch):
         # The joins' arrays are 2b-block squares at every N: a budget that
-        # admits the banded solve at 2 n0 lets the limit run past 4 n0.
+        # admits the first doubling lets the limit run past 4 n0.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 4 * (m + 1)
@@ -151,18 +151,43 @@ class TestSchurLimit:
 
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
     def test_price_covers_the_traced_peak(self, r, m):
-        # limit_bytes against what _ends allocates at 2 n0, for the default
-        # start and a larger one.
+        # limit_bytes against what the limit allocates from the default start,
+        # an odd one (two segment lengths per level) and a larger one: each
+        # phase against its term, the joins' 16 * 11 w^2 (w = 2br) from the
+        # segments of 2 n0 on and truncated_schur at n0 the rest, each with
+        # the 64 KiB of interpreter objects, and the whole limit up to 8 n0
+        # against the sum.
         q, _ = corpus.ridged_instance(np.random.default_rng(7), r, m)
-        stack = laurent_stack(q.coeff, m)
-        for n0 in (4 * (m + 1), 64):
+        b = m + 1
+        c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+
+        def traced_peak(run):
             tracemalloc.start()
             try:
-                factor1d._ends(stack, m + 1, m + 1, 2 * n0, q.scale)
-                peak = tracemalloc.get_traced_memory()[1]
+                run()
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= factor1d.limit_bytes(q, m, n0)
+
+        def joins():
+            work = factor1d._join_workspace(c)
+            h = factor1d._segments(q.stack, b, {2 * n0}, c, q.scale, work)[2 * n0]
+            factor1d._join(h, h, c, q.scale, 4 * n0, work)
+
+        for n0 in (4 * (m + 1), 17, 64):
+            price, joined = factor1d.limit_bytes(q, m, n0), 16 * 11 * (2 * b * r) ** 2
+            assert traced_peak(lambda: truncated_schur(q, m, n0)) <= price - joined
+            assert traced_peak(joins) <= joined + 2**16
+            assert traced_peak(lambda: limit_or_partial(q, m, n0=n0, n_max=8 * n0)) <= price
+
+    def test_values_leave_the_limit_exactly_hermitian(self):
+        # Inside the limit only lower triangles are kept; its converged value,
+        # its partial and truncated_schur are exactly Hermitian.
+        rng = np.random.default_rng(8)
+        for q in (corpus.ridged_instance(rng, 3, 2)[0], boundary_instance(rng, 2, 2)):
+            for s in (limit_or_partial(q, 2).value, limit_or_partial(q, 2, n_max=32).value,
+                      truncated_schur(q, 2, 24)):
+                np.testing.assert_array_equal(s, s.conj().T)
 
     def test_inheritance_of_nested_complements(self):
         rng = np.random.default_rng(31)
@@ -218,18 +243,66 @@ class TestSegmentDoubling:
         assert err.value.n_blocks == n_blocks
 
     def test_conditioning_floor_ends_degraded(self):
-        # Past N = 2^31 the join of |1+z|^2 is PSD only to working
-        # precision: the limit stops at its last corner, not with a witness.
+        # Past N = 2^30 the joins of |1+z|^2 are PSD only to working
+        # precision.  Whether the last doublings stop at the floor or close
+        # the gap is up to rounding; either way there is no witness, a stop
+        # is labelled, and a converged report is backward stable.
         q = scalar_laurent({0: 2.0, 1: 1.0})
-        with pytest.raises(SchurConvergenceError) as err:
-            schur_limit(q, 1, n_max=2**32)
-        assert "conditioning floor at truncation N = 4294967296" in str(err.value)
-        assert err.value.partial.n_used == 2**31
-        assert 0 < err.value.gap < 1e-8
+        res = limit_or_partial(q, 1, n_max=2**32)
+        assert res.n_used >= 2**30 and 0 <= res.gap < 1e-8
         _, rep = factor(q, n_max=2**32)
-        assert not rep.converged
-        assert rep.n_used == 2**31
-        assert "conditioning floor" in rep.degraded_reason
+        assert (rep.n_used, rep.gap, rep.converged) == (res.n_used, res.gap, res.converged)
+        if rep.converged:
+            assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+        else:
+            assert "conditioning floor" in rep.degraded_reason
+
+    def test_a_first_doubling_at_the_floor_keeps_the_start(self, monkeypatch):
+        # A floor in the first doubling's segments leaves gap = inf and the
+        # n0 corner, truncated_schur's, as the partial.
+        def floored(a, b, c, scale):
+            raise linalg.NotPSDError("not positive definite")
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        start = truncated_schur(q, 3, 16)
+        monkeypatch.setattr(linalg, "cholesky_complement", floored)
+        with pytest.raises(SchurConvergenceError, match="conditioning floor at truncation N = ") as err:
+            schur_limit(q, 3)
+        assert err.value.gap == np.inf
+        assert err.value.partial.n_used == 16 and err.value.partial.gap == np.inf
+        np.testing.assert_array_equal(err.value.partial.value, start)
+        _, rep = factor(q)
+        assert not rep.converged and rep.n_used == 16 and rep.gap == np.inf
+
+    def test_a_witness_the_truncation_does_not_confirm_is_a_floor(self, monkeypatch):
+        # A join witness at N = 64 on a valid input: truncated_schur(q, k, 64)
+        # is PSD, so the limit stops at the floor with its N = 32 partial.
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        join = factor1d._join
+
+        def witness_at_64(left, right, c, scale, n_blocks, work=None):
+            if n_blocks == 64:
+                raise NotNonnegativeError("witness at truncation N = 64", min_eig=-1.0, n_blocks=64)
+            return join(left, right, c, scale, n_blocks, work)
+
+        monkeypatch.setattr(factor1d, "_join", witness_at_64)
+        with pytest.raises(SchurConvergenceError, match="at N = 32: conditioning floor, "
+                           "unconfirmed: witness at truncation N = 64") as err:
+            schur_limit(q, 3)
+        assert err.value.partial.n_used == 32 and 0 < err.value.gap < np.inf
+
+    def test_a_witness_is_confirmed_only_within_the_budget(self, monkeypatch):
+        # The negative input's witness at N = 128 stands when truncated_schur
+        # at 128 fits the budget, and is a floor stop at N = 64 when it does not.
+        q = scalar_laurent({0: 2.0 - 1e-3, 1: 1.0})
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 1, 128))
+        with pytest.raises(NotNonnegativeError, match="witness at truncation N = 128"):
+            schur_limit(q, 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 1, 128) - 1)
+        with pytest.raises(SchurConvergenceError, match="at N = 64: conditioning floor, "
+                           "unconfirmed: Q not nonnegative") as err:
+            schur_limit(q, 1)
+        assert err.value.partial.n_used == 64
 
     @pytest.mark.parametrize("n_max", [4096, 2**20])
     def test_rank_deficient_inputs_converge(self, n_max):
@@ -261,9 +334,10 @@ class TestSegmentDoubling:
         assert rep.n_used == 4096
         assert rep.gap == pytest.approx(2.443e-4, rel=1e-3)
 
-    def test_two_banded_solves_per_limit(self, monkeypatch):
-        # The n0 truncation and the first doubling are banded solves; the
-        # nine later doublings up to N = 4096 are small dense joins.
+    def test_one_banded_solve_per_limit(self, monkeypatch):
+        # The n0 truncation is the one banded solve; the first doubling is
+        # joined from dense segments, and the nine later doublings up to
+        # N = 4096 are small dense joins.
         calls = []
         banded = factor1d.solveh_banded
 
@@ -274,12 +348,13 @@ class TestSegmentDoubling:
         monkeypatch.setattr(factor1d, "solveh_banded", counted)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert len(calls) <= 2
+        assert calls == [6]  # the 6 blocks of the n0 = 8 truncation past its corner
 
     def test_one_kernel_for_joins_corners_and_schur_complement(self, monkeypatch):
-        # Up to N = 4096 from n0 = 8: eight joins (N = 32 ... 4096) and nine
-        # corner complements (N = 16 ... 4096), and the public
-        # schur_complement, all through linalg.cholesky_complement.
+        # Up to N = 4096 from n0 = 8 (b = 2): two joins of the start (N = 8
+        # from two copies of T_4, then N = 16), eight later joins (N = 32
+        # ... 4096) and nine corner complements (N = 16 ... 4096), and the
+        # public schur_complement, all through linalg.cholesky_complement.
         calls = []
         kernel = linalg.cholesky_complement
 
@@ -290,17 +365,17 @@ class TestSegmentDoubling:
         monkeypatch.setattr(linalg, "cholesky_complement", counted)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert len(calls) == 17
+        assert len(calls) == 19
         calls.clear()
         linalg.schur_complement(np.eye(3), 1)
         assert calls == [2]
 
 
     def test_kernel_counts_of_the_limit(self, monkeypatch):
-        # |1+z|^2 up to N = 4096 from n0 = 8: 27 potrf calls (eight joins,
-        # nine corners and ten corner PSD verdicts, for n0 and the nine
-        # doublings), none failing, so no jitter retry; no eigensolve
-        # through eig_hermitian, the gaps calling eigvalsh directly.
+        # |1+z|^2 up to N = 4096 from n0 = 8: 29 potrf calls (ten joins,
+        # two of them the start's, nine corners and ten corner PSD verdicts,
+        # for n0 and the nine doublings), none failing, so no jitter retry;
+        # no eigensolve through eig_hermitian, the gaps calling eigvalsh directly.
         factorizations, solves = [], []
         potrf, eig = linalg._potrf, linalg.eig_hermitian
 
@@ -317,7 +392,7 @@ class TestSegmentDoubling:
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert factorizations == [0] * 27
+        assert factorizations == [0] * 29
         assert solves == []
 
 
@@ -342,11 +417,21 @@ class TestBackwardStable:
         assert "residual_sup" in rep.to_json() and "degraded_reason" not in rep.to_json()
 
     def test_a_backward_stable_limit_stays_converged(self):
-        # |1+z|^4 at n_max = 2^32 converges at N = 393216, 7e-14 * scale.
-        q = binomial_square(2)
-        _, rep = factor(q, n_max=2**32)
-        assert rep.converged and rep.n_used == 393216 and rep.degraded_reason == ""
-        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+        # |1+z|^2 ... |1+z|^8 at n_max = 2^32: no valid input is rejected, a
+        # limit that converged with a residual within BACKWARD_TOL * scale
+        # stays converged with no reason, and one that did not is degraded
+        # with its limit's reason or its residual.
+        converged = 0
+        for p in (1, 2, 3, 4):
+            q = binomial_square(p)
+            res = limit_or_partial(q, p, n_max=2**32)
+            _, rep = factor(q, n_max=2**32)
+            assert (rep.n_used, rep.gap) == (res.n_used, res.gap)
+            stable = rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+            assert rep.converged == (res.converged and stable)
+            assert (rep.degraded_reason == "") == rep.converged
+            converged += rep.converged
+        assert converged >= 1
 
     def test_unconverged_limits_keep_their_reason(self):
         # |1+z|^2, ^4, ^6 and ^8 at the default cap stop unconverged, with
@@ -382,14 +467,23 @@ def banded_reference(q, n_blocks):
     return ab
 
 
-def join_reference(h, c, scale, n_blocks):
-    # The join as one 4 x 4 block matrix, complemented on its leading half.
-    w = len(h) // 2
-    e, f, g, z = h[:w, :w], h[:w, w:], h[w:, w:], np.zeros((w, w))
-    fh = f.conj().T
-    # Rows and columns: kept E, G, then eliminated G, E.
-    t = np.block([[e, z, f, z], [z, g, z, fh], [fh, z, g, c], [z, f, c.conj().T, e]])
-    return factor1d._lead_complement(t, 2 * w, scale, n_blocks)
+def lead_complement(t, n, scale, n_blocks):
+    # Complement (lower triangle) of t on its leading n coordinates, as the
+    # limit forms its corners.
+    return factor1d._complement(t[:n, :n], t[n:, :n], t[n:, n:], False, scale, n_blocks)
+
+
+def join_reference(left, right, c, scale, n_blocks):
+    # The join as one 4 x 4 block matrix, complemented on its leading half,
+    # from the Hermitian segments.
+    w = len(left) // 2
+    left, right = linalg.from_lower(left), linalg.from_lower(right)
+    e, f, g, z = left[:w, :w], left[:w, w:], left[w:, w:], np.zeros((w, w))
+    e2, f2, g2 = right[:w, :w], right[:w, w:], right[w:, w:]
+    # Rows and columns: kept E, G', then eliminated G, E'.
+    t = np.block([[e, z, f, z], [z, g2, z, f2.conj().T], [f.conj().T, z, g, c],
+                  [z, f2, c.conj().T, e2]])
+    return lead_complement(t, 2 * w, scale, n_blocks)
 
 
 def limit_reference(q, k, n_max):
@@ -406,8 +500,9 @@ def limit_reference(q, k, n_max):
         if 2 * n > n_max or gap <= factor1d.DEFAULT_CONV_TOL * scale:
             return s_prev, n, gap
         n *= 2
-        h = factor1d._ends(stack, b, b, n, scale) if h is None else factor1d._join(h, c, scale, n)
-        s = factor1d._lead_complement(h, (k + 1) * r, scale, n)
+        h = factor1d._segments(stack, b, {n}, c, scale, None)[n] if h is None else factor1d._join(
+            h, h, c, scale, n)
+        s = linalg.from_lower(lead_complement(h, (k + 1) * r, scale, n))
         d = s_prev - s
         vals = linalg.eig_hermitian((d + d.conj().T) / 2, vectors=False).values
         gap, s_prev = float(max(abs(vals[0]), abs(vals[-1]))), s
@@ -493,16 +588,33 @@ class TestEliminationStorage:
 
     @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 3)])
     def test_join_matches_the_block_formula(self, r, m):
+        # Two different segments, then two copies of one; the join reads the
+        # lower triangles, so its F* is the lower block of each segment.
         rng = np.random.default_rng(20 + r)
         for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
             b, scale = m, q.scale
             stack = laurent_stack(q.coeff, q.degree)
             c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
-            h = factor1d._ends(stack, b, b, 4 * b, scale)
+            left, h = (factor1d._ends(stack, b, b, n, scale, banded=False) for n in (2 * b, 3 * b))
+            joined = factor1d._join(left, h, c, scale, 5 * b)
+            np.testing.assert_array_equal(np.tril(joined), np.tril(join_reference(left, h, c, scale, 5 * b)))
             for n_blocks in (8 * b, 16 * b, 32 * b):
-                joined = factor1d._join(h, c, scale, n_blocks)
-                np.testing.assert_array_equal(joined, join_reference(h, c, scale, n_blocks))
+                joined = factor1d._join(h, h, c, scale, n_blocks)
+                want = join_reference(h, h, c, scale, n_blocks)
+                np.testing.assert_array_equal(np.tril(joined), np.tril(want))
                 h = joined
+
+    @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 3)])
+    def test_start_matches_the_banded_end_complement(self, r, m):
+        # Every length from 2b, through the dense eliminations below 4b and
+        # the joins of unequal halves above it, against one banded solve.
+        q, _ = corpus.ridged_instance(np.random.default_rng(30 + r), r, m)
+        b, scale = m, q.scale
+        c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
+        for n_blocks in range(2 * b, 12 * b + 2):
+            got = linalg.from_lower(factor1d._segments(q.stack, b, {n_blocks}, c, scale, None)[n_blocks])
+            want = factor1d._ends(q.stack, b, b, n_blocks, scale)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestMemoryBudget:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve
+import scipy.linalg.blas
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from specfactor import linalg
 from specfactor.linalg import (
@@ -11,6 +12,7 @@ from specfactor.linalg import (
     cholesky_psd,
     eig_hermitian,
     embed_leading,
+    from_lower,
     psd_check,
     psd_sqrt,
     range_restricted_solve,
@@ -234,6 +236,12 @@ class TestPsdSqrt:
 
 
 class TestSchurComplement:
+    def test_result_is_exactly_hermitian(self):
+        rng = np.random.default_rng(7)
+        for n, k in [(6, 2), (9, 5), (3, 1)]:
+            s = schur_complement(random_psd(rng, n), k)
+            np.testing.assert_array_equal(s, s.conj().T)
+
     def test_familiar_formula_2x2(self):
         s = schur_complement(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
         np.testing.assert_allclose(s, [[1.5]], atol=1e-12)
@@ -336,48 +344,72 @@ class TestCholeskyComplement:
         s = linalg.cholesky_complement(a, b, c, 4.0)
         np.testing.assert_allclose(s, [[1.75]], atol=1e-14)
 
-    def test_result_is_exactly_hermitian(self):
-        rng = np.random.default_rng(7)
-        m = random_psd(rng, 6)
+    def test_result_is_the_lower_triangle(self):
+        # Only the lower triangle of the result is the complement; from_lower
+        # mirrors it into the exactly Hermitian matrix.
+        m = from_lower(random_psd(np.random.default_rng(7), 6))
         s = linalg.cholesky_complement(m[:2, :2], m[2:, :2], m[2:, 2:], 1.0)
-        np.testing.assert_array_equal(s, s.conj().T)
+        h = from_lower(s)
+        np.testing.assert_array_equal(h, h.conj().T)
+        np.testing.assert_array_equal(np.tril(h), np.tril(s))
+        np.testing.assert_array_equal(h, schur_complement(m, 2))
 
     def test_rejects_indefinite_block_after_retry(self):
         with pytest.raises(NotPSDError, match="not positive definite"):
             linalg.cholesky_complement(np.eye(1), np.ones((1, 1)), -np.eye(1), 1.0)
 
 
-def cho_complement_reference(a, b, c, scale):
-    # The kernel through scipy.linalg's cho_factor/cho_solve wrappers.
+def cho_factor_jittered(c, scale):
+    # scipy.linalg's cho_factor, with the kernel's one jitter retry.
     try:
-        x = cho_solve(cho_factor(c, lower=True), b)
+        return cho_factor(c, lower=True)[0]
     except np.linalg.LinAlgError:
         c = c.copy()
         c[np.diag_indices(len(c))] += 1e-13 * scale
         try:
-            x = cho_solve(cho_factor(c, lower=True), b)
+            return cho_factor(c, lower=True)[0]
         except np.linalg.LinAlgError as exc:
             raise NotPSDError("not positive definite") from exc
-    s = a - b.conj().T @ x
+
+
+def cho_complement_reference(a, b, c, scale):
+    # The kernel through scipy.linalg's cho_factor, solve_triangular (trtrs)
+    # and blas.zherk wrappers: the lower triangle of a - y* y, y = L^(-1) b.
+    y = solve_triangular(cho_factor_jittered(c, scale), b, lower=True)
+    return np.tril(scipy.linalg.blas.zherk(-1.0, y, beta=1.0, c=a, trans=2, lower=1))
+
+
+def cho_solve_complement(a, b, c, scale):
+    # The kernel's earlier formula: a - b* (c^(-1) b) by cho_solve, symmetrized.
+    s = a - b.conj().T @ cho_solve((cho_factor_jittered(c, scale), True), b)
     return (s + s.conj().T) / 2
 
 
 class TestDirectCholesky:
-    # cholesky_complement calls LAPACK potrf/potrs itself; it must agree
-    # with the scipy.linalg wrappers bit for bit.
+    # cholesky_complement calls LAPACK potrf/trtrs and BLAS herk itself; its
+    # lower triangle must agree with the scipy.linalg wrappers bit for bit.
     def test_matches_wrappers_on_views_and_copies(self):
         rng = np.random.default_rng(41)
         for n in range(1, 41):
             k = int(rng.integers(1, 5))
             m = random_psd(rng, n + k)
             scale = float(np.max(np.abs(m)))
-            # the non-contiguous slices _lead_complement passes, then copies
+            # the non-contiguous slices a corner complement passes, then copies
             for a, b, c in [(m[:k, :k], m[k:, :k], m[k:, k:]),
                             (m[:k, :k].copy(), m[k:, :k].copy(), m[k:, k:].copy())]:
-                np.testing.assert_array_equal(
-                    linalg.cholesky_complement(a, b, c, scale),
-                    cho_complement_reference(a, b, c, scale),
-                )
+                got = linalg.cholesky_complement(a, b, c, scale)
+                np.testing.assert_array_equal(np.tril(got), cho_complement_reference(a, b, c, scale))
+
+    def test_agrees_with_the_cho_solve_formula(self):
+        # y* y in place of b* (c^(-1) b): the same complement up to rounding.
+        rng = np.random.default_rng(44)
+        for n in range(1, 41):
+            k = int(rng.integers(1, 5))
+            m = random_psd(rng, n + k)
+            scale = float(np.max(np.abs(m)))
+            a, b, c = m[:k, :k], m[k:, :k], m[k:, k:]
+            got = from_lower(linalg.cholesky_complement(a, b, c, scale))
+            assert np.max(np.abs(got - cho_solve_complement(a, b, c, scale))) <= 1e-14 * scale
 
     def test_singular_block_takes_the_jitter_retry(self):
         rng = np.random.default_rng(42)
@@ -389,7 +421,7 @@ class TestDirectCholesky:
             with pytest.raises(np.linalg.LinAlgError):
                 cho_factor(c, lower=True)
             np.testing.assert_array_equal(
-                linalg.cholesky_complement(a, b, c, 3.0), cho_complement_reference(a, b, c, 3.0)
+                np.tril(linalg.cholesky_complement(a, b, c, 3.0)), cho_complement_reference(a, b, c, 3.0)
             )
 
     def test_indefinite_block_raises(self):

@@ -9,18 +9,20 @@ import specfactor
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# The five LAPACK routines the library calls, as scipy.linalg hands them out,
-# against the module-level names it calls them by.
+# The five LAPACK routines and the BLAS routine the library calls, as
+# scipy.linalg hands them out, against the module-level names it calls them by.
 SAME_ROUTINES = """
 import sys
 import scipy.linalg
 from specfactor import linalg, verify
 
-got = (linalg._potrf, linalg._potrs, linalg._pbsv, linalg._ptsv, verify._ggev)
-want = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "pbsv", "ptsv", "ggev"), dtype=complex)
+got = (linalg._potrf, linalg._trtrs, linalg._pbsv, linalg._ptsv, verify._ggev)
+want = scipy.linalg.get_lapack_funcs(("potrf", "trtrs", "pbsv", "ptsv", "ggev"), dtype=complex)
 assert all(a is b for a, b in zip(got, want)), (got, want)
-# one extension module, initialised once, serves both
+assert linalg._herk is scipy.linalg.get_blas_funcs("herk", dtype=complex)
+# one extension module each, initialised once, serves both
 assert linalg._flapack is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+assert linalg._fblas is sys.modules["scipy.linalg._fblas"] is scipy.linalg.blas._fblas
 """
 
 
@@ -46,7 +48,7 @@ def test_import_leaves_the_scipy_linalg_package_out():
     run_fresh(
         "import sys, specfactor, specfactor.cli\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
-        "assert 'scipy.linalg._flapack' in sys.modules"
+        "assert 'scipy.linalg._flapack' in sys.modules and 'scipy.linalg._fblas' in sys.modules"
     )
 
 

@@ -455,6 +455,26 @@ class TestEval2Grid:
             assert np.max(np.abs(got[0, 0] - ref)) <= 1e-14 * coeff_l1(q)
 
 
+    def test_grid_powers_are_read_off_the_grid(self):
+        # On circle_grid(g), given as g, z_t^k is the grid point t k mod 2^g:
+        # z^320 on the 64-point grid within 4 eps of exp(2 pi i (320 t mod 64)
+        # / 64), where the complex power misses by about 2.5e-13.
+        t, eps = np.arange(64), np.finfo(float).eps
+        for k in (320, -320, 17, 0):
+            exact = np.exp(2j * np.pi * ((t * k) % 64) / 64)
+            assert np.max(np.abs(poly._vandermonde(6, k, k)[:, 0] - exact)) <= 4 * eps
+        z320 = MatrixAnalyticPoly2(1, 1, {(0, 320): [[1.0]]})
+        assert np.max(np.abs(eval2_grid(z320, 3, 6) - 1.0)) <= 4 * eps  # 320 t = 0 mod 64
+        assert np.max(np.abs(circle_grid(6) ** 320 - 1.0)) > 1e-13
+
+    def test_grid_given_by_size_agrees_with_its_points(self):
+        q = corpus.sos_instance2(np.random.default_rng(34), 2, 2, 3)
+        got = eval2_grid(q, 4, 3)
+        assert got.shape == (16, 8, 2, 2)
+        want = eval2_grid(q, circle_grid(4), circle_grid(3))
+        assert np.max(np.abs(got - want)) <= 1e-14 * coeff_l1(q)
+
+
 def coeff_list(p):
     # (coefficient stack, lowest index) of a one-variable polynomial
     if isinstance(p, MatrixLaurentPoly1):

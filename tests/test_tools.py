@@ -106,6 +106,7 @@ def test_boundary_table_rows(tmp_path):
     header, *lines = run.stdout.splitlines()
     assert header.split() == ["p", "n_max", "converged", "N_used", "residual/scale",
                               "coeff_error", "outer", "degraded_reason"]
+    assert [line for line in lines if line.split()[2] == "raised"] == []  # no valid input rejected
     rows = [line.split(maxsplit=7) for line in lines]
     assert [(int(r[0]), int(r[1])) for r in rows] == [(p, n) for p in (1, 2, 3, 4) for n in (4096, 2**32)]
     for p, n_max, converged, n_used, residual, error, outer, reason in rows:
@@ -116,6 +117,26 @@ def test_boundary_table_rows(tmp_path):
     # |1+z|^2 at the default cap stops there, gap-dominated, and still outer.
     assert rows[0][2:4] == ["no", "4096"] and rows[0][6] == "verified"
     assert sorted(tree.rglob("*")) == before  # nothing written in the checkout
+
+
+def test_boundary_table_prints_a_raising_row(tmp_path):
+    # A call that raises is one row, "raised <type>", and the table goes on.
+    tree = checkout_copy(tmp_path / "tree")
+    factor1d = tree / "src" / "specfactor" / "factor1d.py"
+    factor1d.write_text(factor1d.read_text() + (
+        "\n_factor = factor\n\n\ndef factor(q, **kwargs):\n"
+        "    if kwargs['n_max'] == 4096 and q.degree == 2:\n"
+        "        raise FactorNumericalError('injected')\n"
+        "    return _factor(q, **kwargs)\n"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "boundary_table.py"), str(tree)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()[1:]
+    assert len(lines) == 8
+    assert lines[2].split() == ["2", "4096", "raised", "FactorNumericalError"]
+    assert all(line.split()[2] in ("yes", "no") for i, line in enumerate(lines) if i != 2)
 
 
 def test_boundary_table_needs_one_checkout(tmp_path):

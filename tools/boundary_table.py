@@ -11,7 +11,9 @@ defaults otherwise: converged, N_used, residual_sup / scale, the largest
 coefficient error max_k |P_k - C(p, k)| against the exact binomial
 factor (both in the gauge with P(0) >= 0), the outer verdict and
 degraded_reason ("-" when empty).  Fields are separated by runs of
-spaces; degraded_reason, which has spaces of its own, is the last.
+spaces; degraded_reason, which has spaces of its own, is the last.  A
+call that raises gives the row "raised <exception type>" after n_max,
+and the table goes on.
 
 The library is imported from <checkout>/src, with BLAS on one thread
 and nothing in the checkout written.  A change that keeps the limit's
@@ -54,11 +56,15 @@ def main(argv: list[str]) -> int:
         exact = np.array([math.comb(p, k) for k in range(p + 1)], dtype=float)
         q = adjoint_product(MatrixAnalyticPoly1([[[c]] for c in exact]))
         for n_max in N_MAX:
-            phat, rep = factor(q, n_max=n_max)
-            error = max(abs(complex(phat.coeff(k)[0, 0]) - exact[k]) for k in range(p + 1))
-            row = (p, n_max, "yes" if rep.converged else "no", rep.n_used,
-                   f"{rep.residual_sup / q.scale:.2e}", f"{error:.2e}", rep.outer_verdict,
-                   rep.degraded_reason or "-")
+            try:
+                phat, rep = factor(q, n_max=n_max)
+            except Exception as exc:  # one row, not the whole table
+                row = (p, n_max, f"raised {type(exc).__name__}")
+            else:
+                error = max(abs(complex(phat.coeff(k)[0, 0]) - exact[k]) for k in range(p + 1))
+                row = (p, n_max, "yes" if rep.converged else "no", rep.n_used,
+                       f"{rep.residual_sup / q.scale:.2e}", f"{error:.2e}", rep.outer_verdict,
+                       rep.degraded_reason or "-")
             print("  ".join(f"{v:<{w}}" for v, w in zip(map(str, row), WIDTHS + (0,))))
     return 0
 
