@@ -54,6 +54,15 @@ def _emit(report: dict, summary: str, degraded_reason: str = "") -> None:
         print(f"degraded: {degraded_reason}", file=sys.stderr)
 
 
+def _emit_factor(report: dict, rep, tol: float, scale: float, summary: str) -> int:
+    # factor and factor2d: report with rep's fields and tol as residual_tol,
+    # ok (exit 0, else 3) when rep's residual is within tol * scale.
+    report.update(rep.to_json(), ok=rep.residual_sup <= tol * scale)
+    report["tolerances"] = dict(report["tolerances"], residual_tol=tol)
+    _emit(report, summary, rep.degraded_reason)
+    return EXIT_OK if report["ok"] else EXIT_CONVERGENCE
+
+
 def _parse_grid(text: str) -> verify.GridSpec:
     parts = text.split(",")
     if len(parts) == 1:
@@ -103,17 +112,11 @@ def cmd_factor(args) -> int:
     out = args.out or (args.file + ".factor.json")
     save_poly(out, phat)
     scale = max(q.scale, 1e-300)
-    ok = rep.residual_sup <= args.tol * scale
-    report = {"command": "factor", "out": out, **rep.to_json()}
-    report["tolerances"] = dict(report["tolerances"], residual_tol=args.tol)
-    report["ok"] = ok
-    _emit(
-        report,
+    summary = (
         f"factor: residual {rep.residual_sup:.3e} (tol {args.tol * scale:.3e}), "
-        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}",
-        rep.degraded_reason,
+        f"outer {rep.outer_verdict}, N_used {rep.n_used} -> {out}"
     )
-    return EXIT_OK if ok else EXIT_CONVERGENCE
+    return _emit_factor({"command": "factor", "out": out}, rep, args.tol, scale, summary)
 
 
 def cmd_factor2d(args) -> int:
@@ -133,24 +136,12 @@ def cmd_factor2d(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump([poly_to_json(f) for f in factors], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    scale = max(q.scale, 1e-300)
-    ok = rep.residual_sup <= args.tol * scale
-    report = {
-        "command": "factor2d",
-        "out": out,
-        "plan": plan.to_json(),
-        "factor_count": len(factors),
-        **rep.to_json(),
-    }
-    report["tolerances"] = dict(report["tolerances"], residual_tol=args.tol)
-    report["ok"] = ok
-    _emit(
-        report,
+    report = {"command": "factor2d", "out": out, "plan": plan.to_json(), "factor_count": len(factors)}
+    summary = (
         f"factor2d: {len(factors)} factors, plan N = {plan.n}, residual "
-        f"{rep.residual_sup:.3e} -> {out}",
-        rep.degraded_reason,
+        f"{rep.residual_sup:.3e} -> {out}"
     )
-    return EXIT_OK if ok else EXIT_CONVERGENCE
+    return _emit_factor(report, rep, args.tol, max(q.scale, 1e-300), summary)
 
 
 def cmd_eval(args) -> int:

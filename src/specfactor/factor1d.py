@@ -247,14 +247,14 @@ def _join_workspace(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kept, coupling, middle
 
 
-def _join(left, right, c: np.ndarray, scale: float, n_blocks: int, work=None) -> np.ndarray:
+def _join(left, right, c: np.ndarray, scale: float, n_blocks: int, work) -> np.ndarray:
     # End-block complements (lower triangles) [[E, F], [F*, G]] and [[E', F'],
     # [F'*, G']] of two segments coupled by the Toeplitz block C: eliminating
     # M = [[G, C], [C*, E']] leaves diag(E, G') - U M^(-1) U*, U = diag(F, F'*),
     # that of the joined N = n_blocks segment.  work, from _join_workspace(c),
     # is overwritten on the segments' blocks only.
     w = len(left) // 2
-    kept, coupling, middle = _join_workspace(c) if work is None else work
+    kept, coupling, middle = work
     kept[:w, :w], kept[w:, w:] = left[:w, :w], right[w:, w:]
     coupling[:w, :w] = left[w:, :w]
     np.conjugate(right[w:, :w].T, out=coupling[w:, w:])
@@ -450,7 +450,7 @@ def normalize_gauge(p: MatrixAnalyticPoly1) -> MatrixAnalyticPoly1:
         raise ValueError("gauge normalization needs square coefficients")
     u, _, vh = np.linalg.svd(p.coeffs[0])
     wh = (u @ vh).conj().T
-    return MatrixAnalyticPoly1([wh @ c for c in p.coeffs])
+    return MatrixAnalyticPoly1(wh @ p.dense)
 
 
 def _poly_eval(coeffs_desc: np.ndarray, z: complex) -> complex:

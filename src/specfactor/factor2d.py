@@ -161,9 +161,9 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
 
     The block column at position c from the left of each coefficient
     carries second-variable exponent N-c; row block l across all
-    coefficients assembles the l-th factor.  The coefficients are stacked
-    once with their block columns reversed, so one reshape indexes the
-    blocks as [l, j, k]; every factor is a view of that one buffer, its
+    coefficients assembles the l-th factor.  phi.dense is copied once
+    with its block columns reversed, so one reshape indexes the blocks
+    as [l, j, k]; every factor is a view of that one buffer, its
     nonzero blocks listed in index order, j then k.
     """
     big = r * (n + 1)
@@ -171,7 +171,7 @@ def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyt
         raise ValueError(
             f"lifted factor has shape ({phi.rows},{phi.cols}), expected ({big},{big})"
         )
-    flipped = np.array([c.reshape(big, n + 1, r)[:, ::-1] for c in phi.coeffs])
+    flipped = phi.dense.reshape(-1, big, n + 1, r)[:, :, ::-1].copy()
     blocks = flipped.reshape(-1, n + 1, r, n + 1, r).transpose(1, 0, 3, 2, 4)
     return MatrixAnalyticPoly2.from_stack(blocks)
 

@@ -1,5 +1,6 @@
 # Dense complex Hermitian linear algebra used by the factorization engine:
-# one Hermitian eigensolver funnel (LAPACK through numpy.linalg.eigvalsh
+# one validated Hermitian eigensolver behind the PSD verdicts that solve
+# for eigenvalues and behind P_0 (LAPACK through numpy.linalg.eigvalsh
 # wherever eigenvalues alone are read, eigh for the clamped PSD square
 # root), one Cholesky Schur-complement kernel on potrf/trtrs/herk, which
 # every dense elimination of the construction and the public
@@ -8,8 +9,7 @@
 # range-restricted minimum-norm solves, whose rank decision is one LAPACK
 # SVD.  These routines (and verify's ggev) are the complex ones of scipy's
 # compiled scipy.linalg._flapack and _fblas, loaded at import without the
-# scipy.linalg package: the very objects get_lapack_funcs and
-# get_blas_funcs return, at a fraction of the import time.
+# scipy.linalg package: what get_lapack_funcs and get_blas_funcs return.
 
 from __future__ import annotations
 
@@ -81,12 +81,12 @@ class PsdVerdict(NamedTuple):
     min_eig: float
 
 
-def as_matrix(a, finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-d complex array and, if finite, reject non-finite entries."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a nonempty 2-d complex array whose max|entry| is finite."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if finite and not np.all(np.isfinite(m)):
+    if not np.isfinite(np.max(np.abs(m))):
         raise ValueError("matrix contains NaN or infinite entries")
     return m
 
@@ -105,12 +105,10 @@ def check_hermitian(h) -> np.ndarray:
 
     The deviation max|H - H*| must not exceed HERMITIAN_TOL * (1 + max|H|).
     """
-    h = as_matrix(h, finite=False)
-    scale = 1.0 + np.max(np.abs(h))  # NaN or inf exactly when h is not finite
-    if not np.isfinite(scale):
-        raise ValueError("matrix contains NaN or infinite entries")
+    h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
+    scale = 1.0 + np.max(np.abs(h))
     hc = h.conj().T
     dev = np.max(np.abs(h - hc))
     if dev > HERMITIAN_TOL * scale:
@@ -127,7 +125,8 @@ def eig_hermitian(h, *, vectors: bool = True) -> EigenPair:
     Returns eigenvalues in ascending order and a unitary basis whose
     columns are the corresponding eigenvectors; vectors=False solves for
     the eigenvalues alone (numpy.linalg.eigvalsh) and leaves basis None.
-    Every eigensolve of the construction goes through this function.
+    psd_check and psd_sqrt solve through it; the Schur limit's gap and
+    conditioning floor, and verify's grid stacks, call eigvalsh directly.
     """
     h = check_hermitian(h)
     if not vectors:
@@ -240,15 +239,6 @@ def schur_complement(m, k: int) -> np.ndarray:
             f"matrix is not PSD: Schur complement eigenvalue {lo:.6e}", eigenvalue=lo
         )
     return s
-
-
-def embed_leading(s, n: int) -> np.ndarray:
-    """Pad a k x k block to n x n with zeros (support on leading coordinates)."""
-    s = as_matrix(s)
-    k = s.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    out[:k, :k] = s
-    return out
 
 
 def range_restricted_solve(

@@ -1,11 +1,11 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
 # dict in a dense box, one array pass (_symmetric) makes a box of either
-# Laurent kind exactly symmetric, from a dict or a box constructor; the
-# one-variable Laurent kind keeps its padded coefficient stack for every
-# Toeplitz gather, both two-variable kinds one box listed in index order;
-# all read-only, coeff/coeffs as views.  Also circle/torus evaluation,
-# adjoint products, Toeplitz matrices, their Cholesky-first PSD screen, JSON.
+# Laurent kind exactly symmetric.  Each kind keeps one coefficient array,
+# coeff/coeffs as its views: the one-variable Laurent kind a read-only
+# padded stack for every Toeplitz gather, the analytic kind dense, both
+# two-variable kinds a read-only box in index order.  Also evaluation,
+# adjoint products, Toeplitz matrices and their PSD screen, JSON.
 
 from __future__ import annotations
 
@@ -97,10 +97,10 @@ class MatrixLaurentPoly1:
     Self-adjoint on the unit circle: Q_{-k} must equal Q_k* within
     SYMMETRY_TOL * scale.  Coefficients are canonicalized on construction
     (exact symmetrization, zero top coefficients trimmed) so downstream
-    Toeplitz assembly is exactly Hermitian.  stack, read-only, is
-    laurent_stack(coeff, degree), built once; coeffs, a read-only mapping,
-    lists every |k| <= degree in the order 0, 1, -1, 2, -2, ..., views of
-    stack.
+    Toeplitz assembly is exactly Hermitian.  stack, read-only and built
+    once, holds Q_k at stack[degree + 1 + k] between zero slabs at k =
+    +-(degree + 1); coeffs, a read-only mapping, lists every |k| <= degree
+    in the order 0, 1, -1, 2, -2, ..., views of stack.
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
@@ -141,7 +141,8 @@ class MatrixAnalyticPoly1:
     """One-variable analytic polynomial P_0 + P_1 z + ... + P_m z^m.
 
     Coefficients may be rectangular (r_out x r_in); all must share a shape.
-    coeffs are views of one stacked copy of the input.
+    dense, one stacked copy of the input, holds P_k at dense[k]; coeffs
+    are views of it.
     """
 
     def __init__(self, coeffs):
@@ -151,11 +152,11 @@ class MatrixAnalyticPoly1:
         shape = np.shape(coeffs[0])
         if len(shape) != 2:
             raise ValueError("coefficients must be 2-d matrices")
-        stack = _stacked(coeffs, shape, range(len(coeffs)))
-        self.coeffs = list(stack)
+        self.dense = _stacked(coeffs, shape, range(len(coeffs)))
+        self.coeffs = list(self.dense)
         self.rows, self.cols = shape
         self.degree = len(self.coeffs) - 1
-        self.scale = float(np.abs(stack).max(initial=0.0))
+        self.scale = float(np.abs(self.dense).max(initial=0.0))
 
     @property
     def is_square(self) -> bool:
@@ -346,16 +347,6 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
     return MatrixLaurentPoly2(cols, acc)
 
 
-def laurent_stack(coeff, degree: int) -> np.ndarray:
-    """Coefficients Q_d = coeff(d), |d| <= degree, stacked for
-    toeplitz_entries: stack[degree + 1 + d] = Q_d, plus zero slabs at
-    d = +-(degree + 1) for clipped out-of-band lookups."""
-    coeffs = [coeff(d) for d in range(-degree, degree + 1)]
-    stack = np.zeros((2 * degree + 3,) + coeffs[0].shape, dtype=complex)
-    stack[1:-1] = coeffs
-    return stack
-
-
 def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
     Q_{p-s}, at the broadcast scalar indices rows, cols."""
@@ -429,26 +420,6 @@ def circle_values(coeffs, lo: int, log2_points: int) -> np.ndarray:
     return np.fft.ifft(folded, axis=0, norm="forward")
 
 
-def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a one-variable polynomial at arbitrary points: (T, r, c) stack."""
-    zs = np.asarray(zs, dtype=complex)
-    if isinstance(p, MatrixAnalyticPoly1):
-        items = list(enumerate(p.coeffs))
-        shape = (p.rows, p.cols)
-    elif isinstance(p, MatrixLaurentPoly1):
-        items = sorted(p.coeffs.items())
-        shape = (p.size, p.size)
-    else:
-        raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
-    out = np.zeros((zs.size,) + shape, dtype=complex)
-    for k, c in items:
-        if not np.any(c):
-            continue
-        pw = zs**k if k >= 0 else np.conj(zs) ** (-k)
-        out += pw[:, None, None] * c
-    return out
-
-
 def _vandermonde(zs, lo: int, hi: int) -> np.ndarray:
     # (T, hi - lo + 1) matrix of z^k, lo <= k <= hi: for zs = g, circle_grid(g)'s
     # point t k mod 2^g, exact at any k; at points, z^-k = conj(z^k) (bit for bit).
@@ -481,6 +452,16 @@ def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
     Vandermonde matrix, giving the (T1, T2, rows, cols) values."""
     v1 = _vandermonde(zs1, j0, j0 + len(half) - 1)
     return (v1 @ half.reshape(len(half), -1)).reshape((len(v1),) + half.shape[1:])
+
+
+def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
+    """Evaluate a one-variable polynomial at arbitrary points: (T, r, c) stack,
+    eval2_z1's Vandermonde product over p.dense, or q.stack's Q_-m..Q_m."""
+    if isinstance(p, MatrixAnalyticPoly1):
+        return eval2_z1(p.dense, 0, zs)
+    if isinstance(p, MatrixLaurentPoly1):
+        return eval2_z1(p.stack[1:-1], -p.degree, zs)
+    raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
 
 
 def eval2_grid(p, zs1: np.ndarray, zs2: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 # of det P, the eigenvalues of the block-companion pencil from one QZ
 # solve (LAPACK zggev of scipy.linalg._flapack, the module linalg loads).
 # It reads only Q and the factor coefficients, never the Schur limits,
-# truncations or solves that built the factor.  A residual
-# subtracts F* F for the row-stacked factor list F from its z1 Gram
-# coefficients: one inverse DFT of the coefficients of Q - F* F in one
-# variable, a z2 grid evaluation first in two, whose powers z^k are read
-# off the roots-of-unity grid at k mod 2^g, as the DFT folds them.  Grid
+# truncations or solves that built the factor.  The grid minimum reads one
+# sampled stack of either kind.  A residual subtracts F* F for the row-
+# stacked factor list F from its z1 Gram coefficients: one inverse DFT of
+# Q - F* F in one variable, a z2 grid evaluation first in two, whose powers
+# z^k are read off the grid at k mod 2^g, as the DFT folds them.  Grid
 # eigenvalue extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
@@ -85,22 +85,18 @@ def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
     """Minimum eigenvalue of Q over the sampling grid, with the attaining
     point, and the maximum eigenvalue over the grid from the same solve."""
     if isinstance(q, MatrixLaurentPoly1):
-        zs = grid.points1()
-        vals = circle_values(q.stack, -q.degree - 1, grid.g1)
-        mins, maxs = _eig_range_stack(vals)
-        idx = int(np.argmin(mins))
-        return GridMin(
-            min_eig=float(mins[idx]), point=(complex(zs[idx]),), max_eig=float(np.max(maxs))
-        )
-    if isinstance(q, MatrixLaurentPoly2):
-        mins, maxs = _eig_range_stack(eval2_grid(q, grid.g1, grid.axis2))
-        i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
-        return GridMin(
-            min_eig=float(mins[i, j]),
-            point=(complex(grid.points1()[i]), complex(grid.points2()[j])),
-            max_eig=float(np.max(maxs)),
-        )
-    raise TypeError(f"cannot grid-sample object of type {type(q).__name__}")
+        vals, axes = circle_values(q.stack, -q.degree - 1, grid.g1), (grid.points1(),)
+    elif isinstance(q, MatrixLaurentPoly2):
+        vals, axes = eval2_grid(q, grid.g1, grid.axis2), (grid.points1(), grid.points2())
+    else:
+        raise TypeError(f"cannot grid-sample object of type {type(q).__name__}")
+    mins, maxs = _eig_range_stack(vals)
+    at = np.unravel_index(int(np.argmin(mins)), mins.shape)
+    return GridMin(
+        min_eig=float(mins[at]),
+        point=tuple(complex(zs[i]) for zs, i in zip(axes, at)),
+        max_eig=float(np.max(maxs)),
+    )
 
 
 def _op_norms_stack(vals: np.ndarray) -> np.ndarray:
@@ -157,7 +153,7 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
         n_j = max((f.degree for f in factors), default=0) + 1
         h = np.zeros((n_j, tops[-1], q.size), dtype=complex)
         for f, top, bottom in zip(factors, tops, tops[1:]):
-            h[: f.degree + 1, top:bottom] = f.coeffs
+            h[: f.degree + 1, top:bottom] = f.dense
         span = max(q.degree, n_j - 1)
         e = np.zeros((2 * span + 3, q.size, q.size), dtype=complex)  # Q_k at k + span + 1
         e[span - q.degree : span + q.degree + 3] = q.stack
@@ -182,7 +178,7 @@ def _companion_pencil(p: MatrixAnalyticPoly1) -> tuple[np.ndarray, np.ndarray]:
     # B = diag(I, ..., I, P_m), a constant P padded with P_1 = 0.
     if not p.is_square:
         raise ValueError("outerness needs square coefficients")
-    c = np.array(p.coeffs if p.degree else p.coeffs + [0 * p.coeffs[0]]) / (p.scale or 1.0)
+    c = (p.dense if p.degree else np.concatenate((p.dense, 0 * p.dense))) / (p.scale or 1.0)
     r, n = p.rows, p.rows * (len(c) - 1)
     a = np.eye(n, k=r, dtype=complex)
     a[-r:] = -np.hstack(c[:-1])

@@ -20,9 +20,9 @@ from specfactor.poly import (
     MatrixLaurentPoly1,
     adjoint_product,
     block_toeplitz,
-    laurent_stack,
     toeplitz_entries,
 )
+from reference import laurent_stack
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -280,7 +280,7 @@ class TestSegmentDoubling:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         join = factor1d._join
 
-        def witness_at_64(left, right, c, scale, n_blocks, work=None):
+        def witness_at_64(left, right, c, scale, n_blocks, work):
             if n_blocks == 64:
                 raise NotNonnegativeError("witness at truncation N = 64", min_eig=-1.0, n_blocks=64)
             return join(left, right, c, scale, n_blocks, work)
@@ -494,14 +494,15 @@ def limit_reference(q, k, n_max):
     stack = laurent_stack(q.coeff, m)
     c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
     n, h, gap = factor1d.start_blocks(m, k, None, n_max), None, math.inf
+    work = factor1d._join_workspace(c)
     s_prev = factor1d._ends(stack, k + 1, 0, n, scale)
     while True:
         assert linalg.psd_check(s_prev, tol=factor1d.TRUNCATION_PSD_TOL).ok
         if 2 * n > n_max or gap <= factor1d.DEFAULT_CONV_TOL * scale:
             return s_prev, n, gap
         n *= 2
-        h = factor1d._segments(stack, b, {n}, c, scale, None)[n] if h is None else factor1d._join(
-            h, h, c, scale, n)
+        h = factor1d._segments(stack, b, {n}, c, scale, work)[n] if h is None else factor1d._join(
+            h, h, c, scale, n, work)
         s = linalg.from_lower(lead_complement(h, (k + 1) * r, scale, n))
         d = s_prev - s
         vals = linalg.eig_hermitian((d + d.conj().T) / 2, vectors=False).values
@@ -596,10 +597,11 @@ class TestEliminationStorage:
             stack = laurent_stack(q.coeff, q.degree)
             c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
             left, h = (factor1d._ends(stack, b, b, n, scale, banded=False) for n in (2 * b, 3 * b))
-            joined = factor1d._join(left, h, c, scale, 5 * b)
+            work = factor1d._join_workspace(c)
+            joined = factor1d._join(left, h, c, scale, 5 * b, work)
             np.testing.assert_array_equal(np.tril(joined), np.tril(join_reference(left, h, c, scale, 5 * b)))
             for n_blocks in (8 * b, 16 * b, 32 * b):
-                joined = factor1d._join(h, h, c, scale, n_blocks)
+                joined = factor1d._join(h, h, c, scale, n_blocks, work)
                 want = join_reference(h, h, c, scale, n_blocks)
                 np.testing.assert_array_equal(np.tril(joined), np.tril(want))
                 h = joined
@@ -612,7 +614,8 @@ class TestEliminationStorage:
         b, scale = m, q.scale
         c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
         for n_blocks in range(2 * b, 12 * b + 2):
-            got = linalg.from_lower(factor1d._segments(q.stack, b, {n_blocks}, c, scale, None)[n_blocks])
+            work = factor1d._join_workspace(c)
+            got = linalg.from_lower(factor1d._segments(q.stack, b, {n_blocks}, c, scale, work)[n_blocks])
             want = factor1d._ends(q.stack, b, b, n_blocks, scale)
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 

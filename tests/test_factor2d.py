@@ -27,9 +27,9 @@ from specfactor.poly import (
     MatrixLaurentPoly2,
     adjoint_product_list2,
     eval2_grid,
-    laurent_stack,
     toeplitz_entries,
 )
+from reference import laurent_stack
 
 
 def scalar_laurent2(causal):

@@ -11,7 +11,6 @@ from specfactor.linalg import (
     check_hermitian,
     cholesky_psd,
     eig_hermitian,
-    embed_leading,
     from_lower,
     psd_check,
     psd_sqrt,
@@ -263,7 +262,7 @@ class TestSchurComplement:
             schur_complement(np.eye(2), 2)
 
     def test_difference_stays_psd_random(self):
-        # largest-S property, part (i): M - embed(S) is PSD
+        # largest-S property, part (i): M - S padded with zeros is PSD
         rng = np.random.default_rng(41)
         for _ in range(40):
             n = int(rng.integers(2, 9))
@@ -272,7 +271,7 @@ class TestSchurComplement:
             m = random_psd(rng, n, rank=rank)
             norm = np.max(np.abs(np.linalg.eigvalsh(m)))
             s = schur_complement(m, k)
-            verdict = psd_check(m - embed_leading(s, n), tol=0.0)
+            verdict = psd_check(m - np.pad(s, (0, n - k)), tol=0.0)
             assert verdict.min_eig >= -1e-9 * max(norm, 1.0)
 
     def test_maximality_probe_invertible_trailing(self):
@@ -286,7 +285,7 @@ class TestSchurComplement:
             v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             v /= np.linalg.norm(v)
             bump = 1e-3 * norm * np.outer(v, v.conj())
-            verdict = psd_check(m - embed_leading(s + bump, n), tol=1e-9 * norm)
+            verdict = psd_check(m - np.pad(s + bump, (0, n - k)), tol=1e-9 * norm)
             assert not verdict.ok
 
     def test_agrees_with_inverse_formula_when_invertible(self):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import specfactor
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "specfactor"
 
 # The five LAPACK routines and the BLAS routine the library calls, as
 # scipy.linalg hands them out, against the module-level names it calls them by.
@@ -60,3 +62,39 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
 def test_lapack_routines_are_scipys_in_this_process():
     # the routines TestSolvehBanded and TestDirectCholesky compare against
     exec(SAME_ROUTINES, {})
+
+
+def referenced_names(node) -> set:
+    # Every name node reads as a name, an attribute or an import.
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_definition_is_used_or_exported():
+    # A top-level function or class of the library is read by another
+    # statement of the library (its own body does not count; __init__.py's
+    # re-exports do not either) or is public in specfactor.__all__.
+    # corpus.py's seeded generators are shared with the tests and the
+    # benchmark by design.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    del trees["__init__.py"]
+    unused = []
+    for name, tree in trees.items():
+        if name == "corpus.py":
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            others = (s for t in trees.values() for s in t.body if s is not stmt)
+            if stmt.name not in specfactor.__all__ and not any(
+                stmt.name in referenced_names(s) for s in others
+            ):
+                unused.append(f"{name}:{stmt.name}")
+    assert unused == []

@@ -27,6 +27,7 @@ from specfactor.poly import (
     save_poly,
     toeplitz_psd_check,
 )
+from reference import laurent_stack
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -601,9 +602,12 @@ class TestAnalyticPoly1Construction:
         p = MatrixAnalyticPoly1(given)
         assert (p.rows, p.cols, p.degree, p.scale) == (1, 2, 2, 3.0)
         assert len({id(c.base) for c in p.coeffs}) == 1
-        for c, g in zip(p.coeffs, given):
+        assert p.dense.shape == (3, 1, 2) and p.dense.flags.writeable
+        for k, (c, g) in enumerate(zip(p.coeffs, given)):
             assert c.dtype == complex and not np.shares_memory(c, g)
+            assert np.shares_memory(c, p.dense[k])
             np.testing.assert_array_equal(c, g)
+            np.testing.assert_array_equal(p.dense[k], g)
         given[0][0, 1] = 7.0  # the input is copied, not kept
         assert p.coeffs[0][0, 1] == -3.0j
         assert MatrixAnalyticPoly1([np.zeros((2, 2))]).scale == 0.0
@@ -767,7 +771,7 @@ def laurent_instances():
 class TestStoredStack:
     def test_is_the_padded_stack_and_read_only(self):
         for q in laurent_instances():
-            stack = poly.laurent_stack(q.coeff, q.degree)
+            stack = laurent_stack(q.coeff, q.degree)
             assert q.stack.shape == (2 * q.degree + 3, q.size, q.size)
             assert q.stack.tobytes() == stack.tobytes()
             assert all(np.shares_memory(c, q.stack) for c in q.coeffs.values())
