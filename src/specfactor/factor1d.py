@@ -33,7 +33,6 @@ from .poly import (
     MatrixLaurentPoly1,
     circle_values,
     toeplitz_blocks,
-    toeplitz_entries,
     toeplitz_psd_check,
 )
 
@@ -93,7 +92,6 @@ class SchurResult:
     """Approximated corner Schur complement with truncation metadata."""
 
     value: np.ndarray
-    k: int
     n_used: int
     gap: float
     converged: bool
@@ -137,7 +135,8 @@ def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     dim = n_blocks * r
     bw = min(len(stack) // 2 * r - 1, dim - 1)
     band = np.arange(bw + 1)[:, None]
-    pattern = toeplitz_entries(stack, band + np.arange(r), np.arange(r))
+    column = toeplitz_blocks(stack, np.arange((bw + r) // r + 1), np.arange(1))  # T's first r columns
+    pattern = column[band + np.arange(r), np.arange(r)]  # T[i + j, j], j < r
     ab = np.empty((bw + 1, dim), dtype=complex)
     ab.reshape(bw + 1, n_blocks, r)[:] = pattern[:, None]  # one broadcast over the block columns
     ab[:, dim - bw :][band + np.arange(bw) >= bw] = 0
@@ -216,8 +215,7 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
         raise ValueError("block index k must be >= 0")
     if n_blocks < k + 1:
         raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
-    s = _ends(q.stack, k + 1, 0, n_blocks, max(q.scale, 1e-300))
-    return s if n_blocks == k + 1 else _checked_corner(s, n_blocks)
+    return _checked_corner(_ends(q.stack, k + 1, 0, n_blocks, max(q.scale, 1e-300)), n_blocks)
 
 
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -335,7 +333,7 @@ def schur_limit(
         if np.abs(s_prev.diagonal() - s_next.diagonal()).max() <= tol * (1 + 1e-8):
             gap = _gap_norm(s_prev, s_next)
             if gap <= tol:
-                return SchurResult(linalg.from_lower(s_next), k, n_next, gap, converged=True)
+                return SchurResult(linalg.from_lower(s_next), n_next, gap, converged=True)
         older, s_prev, n = s_prev, s_next, n_next
     else:
         cause = (
@@ -345,7 +343,7 @@ def schur_limit(
         )
     if gap is None:
         gap = _gap_norm(older, s_prev)
-    partial = SchurResult(value=linalg.from_lower(s_prev), k=k, n_used=n, gap=gap, converged=False)
+    partial = SchurResult(value=linalg.from_lower(s_prev), n_used=n, gap=gap, converged=False)
     raise SchurConvergenceError(
         f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
     )
@@ -470,11 +468,7 @@ def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
     """
     if q.size != 1:
         raise ValueError("root-pairing oracle is scalar-only")
-    m = q.degree
-    scale = q.scale
-    if scale == 0.0:
-        return MatrixAnalyticPoly1([np.zeros((1, 1))])
-
+    m, scale = q.degree, q.scale
     vals = circle_values(q.stack, -m - 1, 10)[:, 0, 0].real
     vmin = float(np.min(vals))
     if vmin < -1e-9 * scale:
@@ -482,8 +476,6 @@ def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
             f"q not nonnegative on circle: sampled value {vmin:.6e}", min_eig=vmin
         )
     q0 = float(q.stack[m + 1, 0, 0].real)
-    if m == 0:
-        return MatrixAnalyticPoly1([np.array([[np.sqrt(max(q0, 0.0))]])])
 
     # Coefficients of c(z) = z^m q(z), descending for np.roots.
     desc = q.stack[-2:0:-1, 0, 0]

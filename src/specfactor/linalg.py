@@ -1,11 +1,11 @@
-# Dense complex Hermitian linear algebra used by the factorization engine:
-# one validated Hermitian eigensolver behind the PSD verdicts that solve
-# for eigenvalues and behind P_0 (LAPACK through numpy.linalg.eigvalsh
-# wherever eigenvalues alone are read, eigh for the clamped PSD square
-# root), one Cholesky Schur-complement kernel on potrf/trtrs/herk, which
-# every dense elimination of the construction and the public
-# schur_complement go through, a one-potrf PSD test tried before any
-# eigensolve, scipy's banded Hermitian solve on pbsv/ptsv, and
+# Dense complex Hermitian linear algebra of the factorization engine: one
+# Hermitian part that cannot overflow, one validated eigensolver (its
+# Hermitian test relative, at every scale) behind the PSD verdicts that
+# solve for eigenvalues and behind P_0 (eigvalsh for values alone, eigh for
+# the clamped PSD square root), one Cholesky Schur-complement kernel on
+# potrf/trtrs/herk, which every dense elimination of the construction and
+# the public schur_complement go through, a one-potrf PSD test tried before
+# any eigensolve, scipy's banded Hermitian solve on pbsv/ptsv, and
 # range-restricted minimum-norm solves, whose rank decision is one LAPACK
 # SVD.  These routines (and verify's ggev) are the complex ones of scipy's
 # compiled scipy.linalg._flapack and _fblas, loaded at import without the
@@ -100,23 +100,29 @@ def pow2_scale(a) -> float:
     return math.ldexp(1.0, -min(max(e, -1021), 1021))
 
 
-def check_hermitian(h) -> np.ndarray:
-    """Validate near-Hermitian input and return its exact Hermitian part.
+def hermitian_part(h) -> np.ndarray:
+    """(H + H*)/2 of a matrix or a stack, each term halved first: no overflow
+    near the largest double, and (H + H*)/2's bits unless a half is subnormal."""
+    half = h / 2  # halving commutes with the adjoint: one halving pass, not two
+    return np.add(half, np.conj(np.swapaxes(half, -1, -2)), out=half)
 
-    The deviation max|H - H*| must not exceed HERMITIAN_TOL * (1 + max|H|).
-    """
+
+def check_hermitian(h) -> np.ndarray:
+    """Validate near-Hermitian input and return its Hermitian part: max|H -
+    H*| must not exceed HERMITIAN_TOL * max|H|, read on H * pow2_scale(H)
+    so that the test holds alike at every scale."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {h.shape}")
-    scale = 1.0 + np.max(np.abs(h))
-    hc = h.conj().T
-    dev = np.max(np.abs(h - hc))
-    if dev > HERMITIAN_TOL * scale:
+    top = np.max(np.abs(h))
+    hs = h * (s := pow2_scale(top))
+    dev, bound = np.max(np.abs(hs - hs.conj().T)), HERMITIAN_TOL * (top * s)
+    if dev > bound:
         raise ValueError(
-            f"matrix is not Hermitian: max|H - H*| = {dev:.3e} exceeds "
-            f"{HERMITIAN_TOL:.1e} * (1 + max|H|) = {HERMITIAN_TOL * scale:.3e}"
+            f"matrix is not Hermitian: max|H - H*| = {dev / s:.3e} exceeds "
+            f"{HERMITIAN_TOL:.1e} * max|H| = {bound / s:.3e}"
         )
-    return (h + hc) / 2
+    return hermitian_part(h)
 
 
 def eig_hermitian(h, *, vectors: bool = True) -> EigenPair:
@@ -179,7 +185,7 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
     """
     pair = eig_hermitian(h)
     vals = pair.values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.max(np.abs(vals)))
     floor = -clamp_tol * scale
     if vals[0] < floor:
         raise NotPSDError(
@@ -188,8 +194,7 @@ def psd_sqrt(h, clamp_tol: float = DEFAULT_CLAMP_TOL) -> np.ndarray:
             eigenvalue=float(vals[0]),
         )
     clamped = np.where(vals < 0.0, 0.0, vals)
-    root = (pair.basis * np.sqrt(clamped)) @ pair.basis.conj().T
-    return (root + root.conj().T) / 2
+    return hermitian_part((pair.basis * np.sqrt(clamped)) @ pair.basis.conj().T)
 
 
 def cholesky_complement(a, b, c, scale: float) -> np.ndarray:

@@ -1,11 +1,11 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
-# dict in a dense box, one array pass (_symmetric) makes a box of either
-# Laurent kind exactly symmetric.  Each kind keeps one coefficient array,
-# coeff/coeffs as its views: the one-variable Laurent kind a read-only
-# padded stack for every Toeplitz gather, the analytic kind dense, both
-# two-variable kinds a read-only box in index order.  Also evaluation,
-# adjoint products, Toeplitz matrices and their PSD screen, JSON.
+# dict, a constructor's or a file's, in a dense box, one array pass
+# (_symmetric) makes a box of either Laurent kind exactly symmetric.  Each
+# kind keeps one coefficient array, coeff/coeffs as its views: the 1-D
+# Laurent kind a read-only padded stack for toeplitz_blocks, the one Toeplitz
+# gather, the analytic kind dense, both 2-D kinds a read-only box in index
+# order.  Also evaluation, adjoint products, the Toeplitz PSD screen, JSON.
 
 from __future__ import annotations
 
@@ -83,8 +83,7 @@ def _symmetric(box: np.ndarray) -> np.ndarray:
     # Each index before the origin in C order takes its mirror's exact adjoint, in place.
     flat = np.arange(box[..., 0, 0].size).reshape(box.shape[:-2] + (1, 1))
     np.copyto(canon, adjoint(canon[rev]), where=flat < flat.size // 2)
-    if (keep := canon.any(axis=(-2, -1))).all():
-        return canon
+    keep = canon.any(axis=(-2, -1))
     canon[~keep] = 0  # a dropped pair holds +0.0, as an absent one does
     deg = np.abs(np.argwhere(keep) - np.array(keep.shape) // 2).max(axis=0, initial=0)
     trim = tuple(slice(n // 2 - d, n // 2 + d + 1) for n, d in zip(keep.shape, deg))
@@ -318,13 +317,8 @@ def eval2(p, zeta1, zeta2) -> np.ndarray:
 
 def adjoint_product(p: MatrixAnalyticPoly1) -> MatrixLaurentPoly1:
     """Laurent polynomial of P(z)* P(z) on the circle: Q_h = sum_j P_j* P_{j+h}."""
-    m = p.degree
-    causal = {}
-    for h in range(0, m + 1):
-        acc = np.zeros((p.cols, p.cols), dtype=complex)
-        for j in range(0, m - h + 1):
-            acc = acc + p.coeffs[j].conj().T @ p.coeffs[j + h]
-        causal[h] = acc
+    m, c = p.degree, p.coeffs
+    causal = {h: sum(c[j].conj().T @ c[j + h] for j in range(m - h + 1)) for h in range(m + 1)}
     return MatrixLaurentPoly1.from_causal(p.cols, causal)
 
 
@@ -347,17 +341,10 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
     return MatrixLaurentPoly2(cols, acc)
 
 
-def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
-    Q_{p-s}, at the broadcast scalar indices rows, cols."""
-    h, r = len(stack) // 2, stack.shape[1]
-    d = rows // r - cols // r + h  # a fresh array, clamped in place to [0, 2h]
-    return stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d), rows % r, cols % r]
-
-
 def toeplitz_blocks(stack: np.ndarray, block_rows: np.ndarray, block_cols: np.ndarray) -> np.ndarray:
-    """toeplitz_entries at all scalar rows and columns of the 1-d block rows
-    and columns, from one clamped offset per block and one gather."""
+    """The 1-d block rows and columns of the block Toeplitz matrix with block
+    (p, s) = Q_{p-s} = stack[len(stack) // 2 + p - s], the offset clamped
+    to the zero end slabs: one clamped offset per block, one gather."""
     h, r = len(stack) // 2, stack.shape[1]
     d = block_rows[:, None] - block_cols + h  # a fresh array, clamped in place to [0, 2h]
     blocks = stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d)].transpose(0, 2, 1, 3)
@@ -499,6 +486,13 @@ _FILE_KINDS = {
     MatrixLaurentPoly2: ("laurent", 2),
     MatrixAnalyticPoly2: ("analytic", 2),
 }
+# Each kind's constructor from the box _box makes of a file's coefficients.
+_FROM_BOX = {
+    ("laurent", 1): MatrixLaurentPoly1._from_box,
+    ("analytic", 1): MatrixAnalyticPoly1,
+    ("laurent", 2): MatrixLaurentPoly2._from_box,
+    ("analytic", 2): lambda box: MatrixAnalyticPoly2.from_stack(box[None])[0],
+}
 
 
 def poly_to_json(p) -> dict:
@@ -573,17 +567,7 @@ def poly_from_json(obj, kind: str | None = None):
             raise PolyFormatError(f"coefficient {i}: malformed matrix entries") from exc
 
     try:
-        if nvars == 1:
-            if kind == "laurent":
-                return MatrixLaurentPoly1(size, {k: m for (k,), m in coeffs.items()})
-            deg = max((k for (k,) in coeffs), default=0)
-            p = MatrixAnalyticPoly1([coeffs.get((k,), np.zeros((size, size))) for k in range(deg + 1)])
-            if (p.rows, p.cols) != (size, size):  # all blocks of one shape, not the file's size
-                raise ValueError("blocks of the wrong shape")
-            return p
-        if kind == "laurent":
-            return MatrixLaurentPoly2(size, coeffs)
-        return MatrixAnalyticPoly2(size, size, coeffs)
+        return _FROM_BOX[kind, nvars](_box(coeffs, (size, size), nvars, centred=kind == "laurent"))
     except ValueError as exc:  # a failed block check is reported by the file's entry number
         for i, m in enumerate(coeffs.values()):
             if m.shape != (size, size):

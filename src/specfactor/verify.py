@@ -28,7 +28,7 @@ from .poly import (
     eval2_z1,
     eval2_z2,
 )
-from .linalg import _flapack, pow2_scale
+from .linalg import _flapack, hermitian_part, pow2_scale
 
 SINGULAR_TOL = 1e-10
 DEFAULT_RADIUS_TOL = 1e-6
@@ -76,8 +76,7 @@ def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = (vals[..., 0, 1] + np.conj(vals[..., 1, 0])) / 2
         mid, rad = (a + d) / 2, np.hypot((a - d) / 2, np.abs(b))
         return mid - rad, mid + rad
-    herm = (vals + np.conj(np.swapaxes(vals, -1, -2))) / 2
-    eigs = np.linalg.eigvalsh(herm)
+    eigs = np.linalg.eigvalsh(hermitian_part(vals))
     return eigs[..., 0], eigs[..., -1]
 
 

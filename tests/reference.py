@@ -12,3 +12,12 @@ def laurent_stack(coeff, degree: int) -> np.ndarray:
     stack = np.zeros((2 * degree + 3,) + coeffs[0].shape, dtype=complex)
     stack[1:-1] = coeffs
     return stack
+
+
+def toeplitz_entries(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries T[x, y] of the block Toeplitz matrix with block (p, s) =
+    Q_{p-s}, at the broadcast scalar indices rows, cols: the entrywise
+    reference for poly.toeplitz_blocks."""
+    h, r = len(stack) // 2, stack.shape[1]
+    d = rows // r - cols // r + h  # a fresh array, clamped in place to [0, 2h]
+    return stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d), rows % r, cols % r]

@@ -20,9 +20,8 @@ from specfactor.poly import (
     MatrixLaurentPoly1,
     adjoint_product,
     block_toeplitz,
-    toeplitz_entries,
 )
-from reference import laurent_stack
+from reference import laurent_stack, toeplitz_entries
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -77,6 +76,10 @@ class TestTruncatedSchur:
         q = scalar_laurent({0: 0.0, 1: 1.0})
         with pytest.raises(NotNonnegativeError, match="witness at truncation"):
             truncated_schur(q, 0, 4)
+        # N = k + 1: the truncation is its own corner and is checked too.
+        for q, k in ((scalar_laurent({0: -1.0}), 0), (scalar_laurent({0: 1.0, 1: 2.0}), 1)):
+            with pytest.raises(NotNonnegativeError, match=f"witness at truncation N = {k + 1}:"):
+                truncated_schur(q, k, k + 1)
 
     def test_bad_arguments(self):
         q = scalar_laurent({0: 1.0})
@@ -821,6 +824,15 @@ class TestScalarRootFactor:
     def test_constant(self):
         p = scalar_root_factor(scalar_laurent({0: 1.0}))
         assert p.coeff(0)[0, 0] == pytest.approx(1.0)
+        # Zero, subnormal and large constants through the general root
+        # pairing (no roots): exactly the root of the stored Q_0 (5e-324
+        # is stored as 0), with a +0.0 imaginary part.
+        for q0 in (0.0, 5e-324, 4e-323, 1e-300, 2.5, 1e300):
+            q = scalar_laurent({0: q0})
+            p = scalar_root_factor(q)
+            assert p.degree == 0
+            np.testing.assert_array_equal(p.dense.view(float), [[[np.sqrt(q.coeff(0)[0, 0].real), 0.0]]])
+            assert not np.signbit(p.dense.view(float)).any()
 
     def test_boundary_double_root(self):
         p = scalar_root_factor(scalar_laurent({0: 2.0, 1: 1.0}))

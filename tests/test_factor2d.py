@@ -27,9 +27,8 @@ from specfactor.poly import (
     MatrixLaurentPoly2,
     adjoint_product_list2,
     eval2_grid,
-    toeplitz_entries,
 )
-from reference import laurent_stack
+from reference import laurent_stack, toeplitz_entries
 
 
 def scalar_laurent2(causal):

@@ -40,6 +40,11 @@ class TestEigHermitian:
     def test_diagonal(self):
         pair = eig_hermitian(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(pair.values, [1.0, 3.0])
+        # Entries near the largest double: the Hermitian part halves
+        # before it adds, so it does not overflow to inf and NaN.
+        for vectors in (True, False):
+            pair = eig_hermitian(np.diag([1.7e308, 1.0]), vectors=vectors)
+            np.testing.assert_array_equal(pair.values, [1.0, 1.7e308])
 
     def test_symmetric_2x2_by_hand(self):
         pair = eig_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -126,6 +131,7 @@ class TestPsdCheck:
     def test_verdict_is_scale_invariant(self, scale):
         assert not psd_check(scale * np.diag([1.0, -0.5]), tol=1e-8).ok
         assert psd_check(scale * np.diag([1.0, -1e-10]), tol=1e-8).ok
+        assert psd_check(np.diag([1.7e308, scale])) == (True, scale)  # no overflow to NaN
 
     def test_zero_matrix_passes(self):
         assert psd_check(np.zeros((2, 2))).ok
@@ -207,6 +213,9 @@ class TestPsdSqrt:
         np.testing.assert_allclose(
             psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13
         )
+        # Near the largest double the eigensolve and the root's Hermitian
+        # part stay finite.
+        np.testing.assert_array_equal(psd_sqrt([[1.7e308]]), [[np.sqrt(1.7e308)]])
 
     def test_2x2_by_hand(self):
         root = psd_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -244,6 +253,8 @@ class TestSchurComplement:
     def test_familiar_formula_2x2(self):
         s = schur_complement(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
         np.testing.assert_allclose(s, [[1.5]], atol=1e-12)
+        # Zero coupling near the largest double: the complement is A itself.
+        np.testing.assert_array_equal(schur_complement(np.diag([1.7e308, 1.0]), 1), [[1.7e308]])
 
     def test_identity(self):
         s = schur_complement(np.eye(2), 1)
@@ -517,6 +528,9 @@ class TestValuesOnlyEigensolve:
             eig_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]), vectors=False)
 
 
+SCALES = (1e-300, 1e-12, 1.0, 1e12, 1e300)
+
+
 class TestCheckHermitian:
     def test_messages(self):
         cases = [
@@ -528,6 +542,8 @@ class TestCheckHermitian:
             (np.array([[1.0, 2.0, np.nan]]), "NaN or infinite"),  # before squareness
             (np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
         ]
+        # The bound is relative, HERMITIAN_TOL * max|H|, at every scale.
+        cases += [(s * np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian") for s in SCALES]
         for h, message in cases:
             with pytest.raises(ValueError, match=message):
                 check_hermitian(h)
@@ -535,6 +551,9 @@ class TestCheckHermitian:
     def test_returns_the_exact_hermitian_part(self):
         h = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0 - 1e-13j]])
         np.testing.assert_array_equal(check_hermitian(h), (h + h.conj().T) / 2)
+        for s in SCALES:  # an exactly Hermitian matrix passes unchanged at every scale
+            h = s * np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.5]])
+            np.testing.assert_array_equal(check_hermitian(h), h)
 
 
 class TestRangeRestrictedSolve:

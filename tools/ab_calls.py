@@ -28,7 +28,8 @@ import sys
 import time
 from pathlib import Path
 
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.dont_write_bytecode = True  # before the import of _checkout, so none is cached
+from _checkout import BLAS_THREADS, use_checkout  # noqa: E402
 
 
 def quartiles(xs: list[float]) -> str:
@@ -39,14 +40,10 @@ def quartiles(xs: list[float]) -> str:
 
 def worker(root: str, workload: str, seed: int) -> int:
     """Serve timed calls: read an input index per line, print its time."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
-    import specfactor
+    if not use_checkout(root, bench=True):
+        return 2
     import workloads
 
-    if not Path(specfactor.__file__).resolve().is_relative_to(Path(root).resolve() / "src"):
-        print(f"imported specfactor from {specfactor.__file__}, not {root}/src", file=sys.stderr)
-        return 2
     w = workloads.WORKLOADS[workload]
     cases = workloads.build_inputs(workload, seed)
     for case in [w.warmup()] + cases:

@@ -24,9 +24,11 @@ which rows moved.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from pathlib import Path
+
+sys.dont_write_bytecode = True  # before the import of _checkout, so none is cached
+from _checkout import use_checkout  # noqa: E402
 
 N_MAX = (4096, 2**32)
 HEADER = ("p", "n_max", "converged", "N_used", "residual/scale", "coeff_error", "outer",
@@ -38,19 +40,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    root = Path(argv[0]).resolve()
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(root / "src"))
+    if not use_checkout(Path(argv[0]).resolve()):
+        return 2
     import numpy as np
-    import specfactor
     from specfactor.factor1d import factor
     from specfactor.poly import MatrixAnalyticPoly1, adjoint_product
 
-    if not Path(specfactor.__file__).resolve().is_relative_to(root / "src"):
-        print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
-        return 2
     print("  ".join(f"{h:<{w}}" for h, w in zip(HEADER, WIDTHS + (0,))).rstrip())
     for p in range(1, 5):
         exact = np.array([math.comb(p, k) for k in range(p + 1)], dtype=float)

@@ -28,9 +28,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
+
+sys.dont_write_bytecode = True  # before the import of _checkout, so none is cached
+from _checkout import use_checkout  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -46,18 +48,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 + per_input:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    root = Path(argv[0]).resolve()
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    if not use_checkout(Path(argv[0]).resolve(), bench=True):
+        return 2
     import checks
-    import specfactor
     import workloads
 
-    if not Path(specfactor.__file__).resolve().is_relative_to(root / "src"):
-        print(f"imported specfactor from {specfactor.__file__}, not {root / 'src'}", file=sys.stderr)
-        return 2
     outputs, checked, inputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     lines = []
     for name, w in workloads.WORKLOADS.items():
