@@ -480,18 +480,13 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+# Each class's file kind and vars, and its constructor from the box _box
+# makes of a file's coefficients.
 _FILE_KINDS = {
-    MatrixLaurentPoly1: ("laurent", 1),
-    MatrixAnalyticPoly1: ("analytic", 1),
-    MatrixLaurentPoly2: ("laurent", 2),
-    MatrixAnalyticPoly2: ("analytic", 2),
-}
-# Each kind's constructor from the box _box makes of a file's coefficients.
-_FROM_BOX = {
-    ("laurent", 1): MatrixLaurentPoly1._from_box,
-    ("analytic", 1): MatrixAnalyticPoly1,
-    ("laurent", 2): MatrixLaurentPoly2._from_box,
-    ("analytic", 2): lambda box: MatrixAnalyticPoly2.from_stack(box[None])[0],
+    MatrixLaurentPoly1: ("laurent", 1, MatrixLaurentPoly1._from_box),
+    MatrixAnalyticPoly1: ("analytic", 1, MatrixAnalyticPoly1),
+    MatrixLaurentPoly2: ("laurent", 2, MatrixLaurentPoly2._from_box),
+    MatrixAnalyticPoly2: ("analytic", 2, lambda box: MatrixAnalyticPoly2.from_stack(box[None])[0]),
 }
 
 
@@ -501,7 +496,7 @@ def poly_to_json(p) -> dict:
     polynomial with no coefficients writes one zero (0, 0) entry."""
     if type(p) not in _FILE_KINDS:
         raise TypeError(f"cannot serialize object of type {type(p).__name__}")
-    kind, nvars = _FILE_KINDS[type(p)]
+    kind, nvars, _ = _FILE_KINDS[type(p)]
     origin = (0,) * nvars
     rows, cols = p.coeff(*origin).shape
     if rows != cols:
@@ -566,8 +561,9 @@ def poly_from_json(obj, kind: str | None = None):
         except (TypeError, ValueError, IndexError) as exc:
             raise PolyFormatError(f"coefficient {i}: malformed matrix entries") from exc
 
+    from_box = next(f for k, v, f in _FILE_KINDS.values() if (k, v) == (kind, nvars))
     try:
-        return _FROM_BOX[kind, nvars](_box(coeffs, (size, size), nvars, centred=kind == "laurent"))
+        return from_box(_box(coeffs, (size, size), nvars, centred=kind == "laurent"))
     except ValueError as exc:  # a failed block check is reported by the file's entry number
         for i, m in enumerate(coeffs.values()):
             if m.shape != (size, size):

@@ -551,9 +551,11 @@ class TestCheckHermitian:
     def test_returns_the_exact_hermitian_part(self):
         h = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0 - 1e-13j]])
         np.testing.assert_array_equal(check_hermitian(h), (h + h.conj().T) / 2)
-        for s in SCALES:  # an exactly Hermitian matrix passes unchanged at every scale
+        for s in SCALES:  # an exactly Hermitian matrix of normal-range entries passes unchanged
             h = s * np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.5]])
             np.testing.assert_array_equal(check_hermitian(h), h)
+        # Halving before adding rounds a subnormal half: the one input it changes.
+        np.testing.assert_array_equal(check_hermitian([[5e-324]]), [[0.0]])
 
 
 class TestRangeRestrictedSolve:

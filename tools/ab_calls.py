@@ -40,7 +40,7 @@ def quartiles(xs: list[float]) -> str:
 
 def worker(root: str, workload: str, seed: int) -> int:
     """Serve timed calls: read an input index per line, print its time."""
-    if not use_checkout(root, bench=True):
+    if not use_checkout(root):
         return 2
     import workloads
 

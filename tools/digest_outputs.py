@@ -48,7 +48,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 + per_input:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    if not use_checkout(Path(argv[0]).resolve(), bench=True):
+    if not use_checkout(Path(argv[0]).resolve()):
         return 2
     import checks
     import workloads
