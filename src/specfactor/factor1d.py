@@ -41,9 +41,7 @@ DEFAULT_CONV_TOL = 1e-10
 BACKWARD_TOL = 100 * DEFAULT_CONV_TOL
 DEFAULT_N_MAX = 4096
 TRUNCATION_PSD_TOL = 1e-8
-# Rank threshold of the extension solve against P_0, and the clamp of
-# marginal negative eigenvalues in the square root giving P_0.
-RANK_TOL = linalg.DEFAULT_RANK_TOL
+# The clamp of marginal negative eigenvalues in the square root giving P_0.
 CLAMP_TOL = 1e-7
 PAIRING_TOL = 1e-6  # the root-pairing oracle's circle and cluster distance
 
@@ -71,12 +69,20 @@ class NotNonnegativeError(ValueError):
 
 class SchurConvergenceError(RuntimeError):
     """Truncation hit the block cap, the conditioning floor or (before its
-    first doubling) the memory budget before the gap closed."""
+    first doubling) the memory budget before the gap closed; partial is
+    None when it refused to start (refuse_over_budget)."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
         self.gap = gap
         self.partial = partial
+
+
+def refuse_over_budget(need: int, what: str) -> None:
+    """SchurConvergenceError, no partial, if what needs more bytes than MEMORY_BUDGET."""
+    if need > MEMORY_BUDGET:
+        raise SchurConvergenceError(f"{what} would need about {need:.3e} B, over the memory budget "
+                                    f"of {MEMORY_BUDGET:.3e} B", gap=math.inf, partial=None)
 
 
 class FactorNumericalError(RuntimeError):
@@ -224,6 +230,11 @@ def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
+def _start_bytes(r: int, m: int, k: int, n0: int) -> int:  # limit_bytes' first phase
+    v, d = (k + 1) * r, (n0 - k - 1) * r
+    return 16 * (5 * v * v + d * (3 * v + 2 * min((m + 1) * r, d)))
+
+
 def limit_bytes(q, k: int, n0: int) -> int:
     """Bytes schur_limit holds from its clamped start n0, for q or the pair
     (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v +
@@ -233,8 +244,8 @@ def limit_bytes(q, k: int, n0: int) -> int:
     for w = 2br (two segments of a level, one of the next, three workspace
     arrays, the kernel's factor, solve, result and jitter copy), + 64 KiB."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
-    v, d, w = (k + 1) * r, (n0 - k - 1) * r, 2 * max(k + 1, m) * r
-    return 16 * (5 * v * v + d * (3 * v + 2 * min((m + 1) * r, d)) + 11 * w * w) + 2**16
+    w = 2 * max(k + 1, m) * r
+    return _start_bytes(r, m, k, n0) + 16 * 11 * w * w + 2**16
 
 
 def _join_workspace(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,11 +309,13 @@ def schur_limit(
     last corner its partial, at the block cap n_max, at the conditioning
     floor (a failed join of blocks PSD to working precision, or a witness
     that truncated_schur, within budget, does not confirm), or at n0 when
-    limit_bytes exceeds MEMORY_BUDGET.  The joins are never refused.
+    limit_bytes exceeds MEMORY_BUDGET; a start over it alone is refused
+    before it runs.  The joins are never refused.
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
     b = max(k + 1, m)
     n0 = start_blocks(m, k, n0, n_max)
+    refuse_over_budget(_start_bytes(q.size, m, k, n0), f"Schur limit not started: truncation N = {n0}")
     scale = max(q.scale, 1e-300)
     c = toeplitz_blocks(q.stack, np.arange(b), np.arange(b, 2 * b))
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
@@ -394,6 +407,8 @@ def factor(
     try:
         res = schur_limit(q, m, n0=n0, n_max=n_max)
     except SchurConvergenceError as err:
+        if err.partial is None:
+            raise
         res, reason = err.partial, str(err)
     last = res.value[m * r :, :]
     p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=CLAMP_TOL)
@@ -403,7 +418,6 @@ def factor(
             x = linalg.range_restricted_solve(
                 p0,
                 last[:, : m * r],
-                rank_tol=RANK_TOL,
                 residual_atol=10.0 * (res.gap + DEFAULT_CONV_TOL * scale) + 1e-12 * scale,
             )
         except linalg.InconsistentSystemError as exc:
@@ -425,7 +439,7 @@ def factor(
         converged=res.converged,
         tolerances={
             "conv_tol": DEFAULT_CONV_TOL,
-            "rank_tol": RANK_TOL,
+            "rank_tol": linalg.RANK_TOL,
             "clamp_tol": CLAMP_TOL,
             "grid_g": grid.g1,
             "scale": scale,
@@ -469,16 +483,16 @@ def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
     if q.size != 1:
         raise ValueError("root-pairing oracle is scalar-only")
     m, scale = q.degree, q.scale
-    vals = circle_values(q.stack, -m - 1, 10)[:, 0, 0].real
+    vals = circle_values(q.dense, -m, 10)[:, 0, 0].real
     vmin = float(np.min(vals))
     if vmin < -1e-9 * scale:
         raise NotNonnegativeError(
             f"q not nonnegative on circle: sampled value {vmin:.6e}", min_eig=vmin
         )
-    q0 = float(q.stack[m + 1, 0, 0].real)
+    q0 = float(q.dense[m, 0, 0].real)
 
     # Coefficients of c(z) = z^m q(z), descending for np.roots.
-    desc = q.stack[-2:0:-1, 0, 0]
+    desc = q.dense[::-1, 0, 0]
     roots = np.roots(desc)
     deriv = (desc[:-1] * np.arange(2 * m, 0, -1)).astype(complex)
     polished = []

@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,14 +193,8 @@ def _factor_lifted(
     size, m1 = q.size * (n + 1), q.deg1
     n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
     n0 = factor1d.start_blocks(m1, m1, factor_opts.get("n0"), n_max)
-    need = factor1d.limit_bytes((size, m1), m1, n0)
-    if need > factor1d.MEMORY_BUDGET:
-        raise factor1d.SchurConvergenceError(
-            f"lift of size {size} not built: its Schur limit from N = {n0} would need about "
-            f"{need:.3e} B, over the memory budget of {factor1d.MEMORY_BUDGET:.3e} B",
-            gap=math.inf,
-            partial=None,
-        )
+    factor1d.refuse_over_budget(factor1d.limit_bytes((size, m1), m1, n0),
+                                f"lift of size {size} not built: its Schur limit from N = {n0}")
     psi = lift_to_block(q, n)
     phi, rep1d = factor1d.factor(
         psi, grid=verify.GridSpec(grid.g1), _skip_residual=True, **factor_opts

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 HERMITIAN_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 DEFAULT_CLAMP_TOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 
@@ -248,13 +248,12 @@ def schur_complement(m, k: int) -> np.ndarray:
 def range_restricted_solve(
     rstar,
     b,
-    rank_tol: float = DEFAULT_RANK_TOL,
     residual_atol: float = 0.0,
 ) -> np.ndarray:
     """Minimum-norm solution X of Rstar X = B with ran X inside ran R.
 
     The numerical range of R = Rstar* is fixed by the singular values of
-    one thin LAPACK SVD above rank_tol times the largest one.  Raises
+    one thin LAPACK SVD above RANK_TOL times the largest one.  Raises
     InconsistentSystemError when the residual exceeds
     RESIDUAL_RTOL * ||B||_F + residual_atol, which signals that B was not
     in the range of Rstar.
@@ -266,7 +265,7 @@ def range_restricted_solve(
             f"Rstar and B are not conformal: {rstar.shape} vs {b.shape}"
         )
     u, sigma, vh = np.linalg.svd(rstar, full_matrices=False)
-    keep = sigma > rank_tol * sigma[0]
+    keep = sigma > RANK_TOL * sigma[0]
     # X = V diag(1/sigma) U* B over the kept singular triples: minimum
     # norm, supported on ran R = ran(V); zero when nothing is kept.
     x = vh[keep].conj().T @ ((u[:, keep].conj().T @ b) / sigma[keep, None])

@@ -1,11 +1,12 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
 # dict, a constructor's or a file's, in a dense box, one array pass
-# (_symmetric) makes a box of either Laurent kind exactly symmetric.  Each
-# kind keeps one coefficient array, coeff/coeffs as its views: the 1-D
-# Laurent kind a read-only padded stack for toeplitz_blocks, the one Toeplitz
-# gather, the analytic kind dense, both 2-D kinds a read-only box in index
-# order.  Also evaluation, adjoint products, the Toeplitz PSD screen, JSON.
+# (_symmetric) makes a box of either Laurent kind exactly symmetric.  One
+# base, _Poly, holds the box of all four kinds (dense, origin, scale; one
+# coeff, one repr), read-only but for the 1-D analytic kind; the 1-D
+# Laurent box is the inside of a stack padded with zero slabs, which only
+# toeplitz_blocks, the one Toeplitz gather, and the Schur code read.  Also
+# evaluation, adjoint products, the Toeplitz PSD screen, JSON.
 
 from __future__ import annotations
 
@@ -90,7 +91,38 @@ def _symmetric(box: np.ndarray) -> np.ndarray:
     return canon[trim]
 
 
-class MatrixLaurentPoly1:
+class _Poly:
+    """What all four kinds share: one dense box with the coefficient of
+    z^i, one index per variable, at dense[origin + i], its rows x cols
+    blocks and its scale, max|.| over the box."""
+
+    __slots__ = ("dense", "origin", "rows", "cols", "scale")
+
+    def _store(self, dense: np.ndarray, origin: tuple, scale: float | None = None):
+        self.dense, self.origin = dense, origin
+        self.rows, self.cols = dense.shape[-2:]
+        self.scale = float(np.abs(dense).max(initial=0.0)) if scale is None else scale
+
+    def _degrees(self) -> tuple:
+        # The top index on each axis (for a Laurent kind, minus the bottom one too).
+        return tuple(n - 1 - o for n, o in zip(self.dense.shape, self.origin))
+
+    def coeff(self, *index: int) -> np.ndarray:
+        """The coefficient at index, one int per variable: a view of dense
+        inside the box, fresh writable zeros outside it."""
+        if len(index) != (nvars := len(self.origin)):
+            raise TypeError(f"{type(self).__name__}.coeff takes {nvars} indices, not {len(index)}")
+        at = tuple(i + o for i, o in zip(index, self.origin))
+        if all(0 <= a < n for a, n in zip(at, self.dense.shape)):
+            return self.dense[at]
+        return np.zeros((self.rows, self.cols), dtype=complex)
+
+    def __repr__(self):
+        degrees = ",".join(map(str, self._degrees()))
+        return f"{type(self).__name__}(shape=({self.rows},{self.cols}), degrees=({degrees}))"
+
+
+class MatrixLaurentPoly1(_Poly):
     """One-variable Laurent polynomial sum_k Q_k z^k with r x r coefficients.
 
     Self-adjoint on the unit circle: Q_{-k} must equal Q_k* within
@@ -98,8 +130,8 @@ class MatrixLaurentPoly1:
     (exact symmetrization, zero top coefficients trimmed) so downstream
     Toeplitz assembly is exactly Hermitian.  stack, read-only and built
     once, holds Q_k at stack[degree + 1 + k] between zero slabs at k =
-    +-(degree + 1); coeffs, a read-only mapping, lists every |k| <= degree
-    in the order 0, 1, -1, 2, -2, ..., views of stack.
+    +-(degree + 1), and dense = stack[1:-1]; coeffs, a read-only mapping,
+    lists every |k| <= degree in the order 0, 1, -1, 2, -2, ..., views.
     """
 
     def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
@@ -111,14 +143,14 @@ class MatrixLaurentPoly1:
 
     def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly1":
         box = _symmetric(box)
-        self.size = box.shape[-1]
         self.degree = d = len(box) // 2
         self.stack = np.zeros((2 * d + 3,) + box.shape[1:], dtype=complex)
         self.stack[1:-1] = box
         self.stack.flags.writeable = False
+        self._store(self.stack[1:-1], (d,))
+        self.size = self.rows
         order = (s * k for k in range(d + 1) for s in (1, -1))  # 0, 1, -1, 2, -2, ...
-        self.coeffs = MappingProxyType({k: self.stack[d + 1 + k] for k in order})
-        self.scale = float(np.abs(box).max(initial=0.0))
+        self.coeffs = MappingProxyType({k: self.dense[d + k] for k in order})
         return self
 
     @classmethod
@@ -129,19 +161,13 @@ class MatrixLaurentPoly1:
         full = {k: np.asarray(v, dtype=complex) for k, v in causal.items()}
         return cls(size, {**full, **{-k: m.conj().T for k, m in full.items() if k > 0}})
 
-    def coeff(self, k: int) -> np.ndarray:
-        return self.coeffs[k] if k in self.coeffs else np.zeros((self.size,) * 2, dtype=complex)
 
-    def __repr__(self):
-        return f"MatrixLaurentPoly1(size={self.size}, degree={self.degree})"
-
-
-class MatrixAnalyticPoly1:
+class MatrixAnalyticPoly1(_Poly):
     """One-variable analytic polynomial P_0 + P_1 z + ... + P_m z^m.
 
     Coefficients may be rectangular (r_out x r_in); all must share a shape.
-    dense, one stacked copy of the input, holds P_k at dense[k]; coeffs
-    are views of it.
+    dense, one writable stacked copy of the input, holds P_k at dense[k];
+    coeffs are views of it.
     """
 
     def __init__(self, coeffs):
@@ -151,52 +177,31 @@ class MatrixAnalyticPoly1:
         shape = np.shape(coeffs[0])
         if len(shape) != 2:
             raise ValueError("coefficients must be 2-d matrices")
-        self.dense = _stacked(coeffs, shape, range(len(coeffs)))
+        self._store(_stacked(coeffs, shape, range(len(coeffs))), (0,))
         self.coeffs = list(self.dense)
-        self.rows, self.cols = shape
         self.degree = len(self.coeffs) - 1
-        self.scale = float(np.abs(self.dense).max(initial=0.0))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def coeff(self, k: int) -> np.ndarray:
-        if 0 <= k <= self.degree:
-            return self.coeffs[k]
-        return np.zeros((self.rows, self.cols), dtype=complex)
 
-    def __repr__(self):
-        return (
-            f"MatrixAnalyticPoly1(shape=({self.rows},{self.cols}), "
-            f"degree={self.degree})"
-        )
+class _Poly2(_Poly):
+    """What both two-variable kinds add: a read-only box, its degrees deg1,
+    deg2, and coeffs, its nonzero blocks (views) in index order, j then k."""
 
+    __slots__ = ("deg1", "deg2")
 
-class _Poly2:
-    """What both two-variable kinds share: one dense, read-only box with
-    the coefficient of z1^j z2^k at dense[origin + (j, k)], whose nonzero
-    blocks coeffs lists (views) in index order, j then k."""
-
-    __slots__ = ("dense", "origin", "rows", "cols", "deg1", "deg2", "scale")
-
-    def _store(self, dense: np.ndarray, origin: tuple, scale: float):
+    def _store(self, dense: np.ndarray, origin: tuple, scale: float | None = None):
         dense.flags.writeable = False
-        self.dense, self.origin, self.scale = dense, origin, scale
-        self.rows, self.cols = dense.shape[2:]
-        self.deg1, self.deg2 = (n - 1 - o for n, o in zip(dense.shape, origin))
+        super()._store(dense, origin, scale)
+        self.deg1, self.deg2 = self._degrees()
 
     @property
     def coeffs(self) -> MappingProxyType:
         (o1, o2), dense = self.origin, self.dense
         at = np.argwhere(dense.any(axis=(2, 3))).tolist()  # in C order
         return MappingProxyType({(j - o1, k - o2): dense[j, k] for j, k in at})
-
-    def coeff(self, j: int, k: int) -> np.ndarray:
-        j, k = j + self.origin[0], k + self.origin[1]
-        if 0 <= j < len(self.dense) and 0 <= k < self.dense.shape[1]:
-            return self.dense[j, k]
-        return np.zeros((self.rows, self.cols), dtype=complex)
 
 
 class MatrixLaurentPoly2(_Poly2):
@@ -219,8 +224,8 @@ class MatrixLaurentPoly2(_Poly2):
 
     def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly2":
         box = _symmetric(box)
-        self.size, origin = box.shape[-1], (len(box) // 2, box.shape[1] // 2)
-        self._store(box, origin, float(np.abs(box).max(initial=0.0)))
+        self._store(box, (len(box) // 2, box.shape[1] // 2))
+        self.size = self.rows
         return self
 
     @property
@@ -242,11 +247,6 @@ class MatrixLaurentPoly2(_Poly2):
             if (j, k) != (0, 0):
                 full[(-j, -k)] = m.conj().T
         return cls(size, full)
-
-    def __repr__(self):
-        return (
-            f"MatrixLaurentPoly2(size={self.size}, degrees=({self.deg1},{self.deg2}))"
-        )
 
 
 class MatrixAnalyticPoly2(_Poly2):
@@ -277,12 +277,6 @@ class MatrixAnalyticPoly2(_Poly2):
         for p, dense, d1, d2, scale in zip(polys, stack, deg1, deg2, scales):
             p._store(dense[: d1 + 1, : d2 + 1], (0, 0), scale)
         return polys
-
-    def __repr__(self):
-        return (
-            f"MatrixAnalyticPoly2(shape=({self.rows},{self.cols}), "
-            f"degrees=({self.deg1},{self.deg2}))"
-        )
 
 
 def _last_true(mask: np.ndarray) -> np.ndarray:
@@ -443,12 +437,10 @@ def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
 
 def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
     """Evaluate a one-variable polynomial at arbitrary points: (T, r, c) stack,
-    eval2_z1's Vandermonde product over p.dense, or q.stack's Q_-m..Q_m."""
-    if isinstance(p, MatrixAnalyticPoly1):
-        return eval2_z1(p.dense, 0, zs)
-    if isinstance(p, MatrixLaurentPoly1):
-        return eval2_z1(p.stack[1:-1], -p.degree, zs)
-    raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
+    eval2_z1's Vandermonde product over p.dense from its lowest power."""
+    if not isinstance(p, (MatrixAnalyticPoly1, MatrixLaurentPoly1)):
+        raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
+    return eval2_z1(p.dense, -p.origin[0], zs)
 
 
 def eval2_grid(p, zs1: np.ndarray, zs2: np.ndarray) -> np.ndarray:
@@ -498,8 +490,7 @@ def poly_to_json(p) -> dict:
         raise TypeError(f"cannot serialize object of type {type(p).__name__}")
     kind, nvars, _ = _FILE_KINDS[type(p)]
     origin = (0,) * nvars
-    rows, cols = p.coeff(*origin).shape
-    if rows != cols:
+    if p.rows != p.cols:
         raise ValueError("file format stores square coefficients only")
     items = enumerate(p.coeffs) if isinstance(p.coeffs, list) else p.coeffs.items()
     items = [((i,) if nvars == 1 else i, c) for i, c in items]
@@ -507,8 +498,8 @@ def poly_to_json(p) -> dict:
     return {
         "kind": kind,
         "vars": nvars,
-        "size": rows,
-        "degrees": [p.degree] if nvars == 1 else [p.deg1, p.deg2],
+        "size": p.rows,
+        "degrees": list(p._degrees()),
         "coeffs": [{"index": list(i), "matrix": _matrix_to_json(p.coeff(*i))} for i in indices],
     }
 

@@ -31,7 +31,7 @@ from .poly import (
 from .linalg import _flapack, hermitian_part, pow2_scale
 
 SINGULAR_TOL = 1e-10
-DEFAULT_RADIUS_TOL = 1e-6
+RADIUS_TOL = 1e-6
 
 _ggev = _flapack.zggev
 
@@ -84,7 +84,7 @@ def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
     """Minimum eigenvalue of Q over the sampling grid, with the attaining
     point, and the maximum eigenvalue over the grid from the same solve."""
     if isinstance(q, MatrixLaurentPoly1):
-        vals, axes = circle_values(q.stack, -q.degree - 1, grid.g1), (grid.points1(),)
+        vals, axes = circle_values(q.dense, -q.origin[0], grid.g1), (grid.points1(),)
     elif isinstance(q, MatrixLaurentPoly2):
         vals, axes = eval2_grid(q, grid.g1, grid.axis2), (grid.points1(), grid.points2())
     else:
@@ -154,10 +154,10 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
         for f, top, bottom in zip(factors, tops, tops[1:]):
             h[: f.degree + 1, top:bottom] = f.dense
         span = max(q.degree, n_j - 1)
-        e = np.zeros((2 * span + 3, q.size, q.size), dtype=complex)  # Q_k at k + span + 1
-        e[span - q.degree : span + q.degree + 3] = q.stack
-        e[span + 2 - n_j : span + 1 + n_j] -= _gram_coeffs(h)
-        diff = circle_values(e, -span - 1, grid.g1)
+        e = np.zeros((2 * span + 1, q.size, q.size), dtype=complex)  # Q_k at k + span
+        e[span - q.degree : span + q.degree + 1] = q.dense  # origin (degree,)
+        e[span + 1 - n_j : span + n_j] -= _gram_coeffs(h)
+        diff = circle_values(e, -span, grid.g1)
     else:
         diff = eval2_grid(q, grid.g1, grid.axis2)
         if factors:
@@ -186,12 +186,12 @@ def _companion_pencil(p: MatrixAnalyticPoly1) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def outer_check(p: MatrixAnalyticPoly1, radius_tol: float = DEFAULT_RADIUS_TOL) -> OuterVerdict:
+def outer_check(p: MatrixAnalyticPoly1) -> OuterVerdict:
     """Root criterion for outerness of a square matrix polynomial.
 
     The zeros of det P are the eigenvalues alpha/beta of the block-companion
     pencil, from one QZ solve.  Verified when every one has modulus >=
-    1 - radius_tol (boundary zeros are legitimate; beta = 0 is a zero at
+    1 - RADIUS_TOL (boundary zeros are legitimate; beta = 0 is a zero at
     infinity); failed with the smallest zero inside as witness otherwise;
     inconclusive when the pencil is singular (det P = 0 identically, some
     alpha and beta both negligible), where the root criterion does not apply.
@@ -204,7 +204,7 @@ def outer_check(p: MatrixAnalyticPoly1, radius_tol: float = DEFAULT_RADIUS_TOL) 
     tiny_a, tiny_b = SINGULAR_TOL * np.linalg.norm(a), SINGULAR_TOL * np.linalg.norm(b)
     if np.any((np.abs(alpha) <= tiny_a) & (np.abs(beta) <= tiny_b)):
         return OuterVerdict(verdict="inconclusive", witness=None)
-    inside = np.abs(alpha) < (1.0 - radius_tol) * np.abs(beta)
+    inside = np.abs(alpha) < (1.0 - RADIUS_TOL) * np.abs(beta)
     if not inside.any():
         return OuterVerdict(verdict="verified", witness=None)
     zeros = alpha[inside] / beta[inside]

@@ -159,10 +159,10 @@ def test_criterion_6_outerness(roundtrip_corpus, oracle_corpus):
         instances, _ = roundtrip_corpus
         for _, phat, rep in instances:
             assert rep.outer_verdict == "verified"
-            assert verify.outer_check(phat, radius_tol=1e-6).verdict == "verified"
+            assert verify.outer_check(phat).verdict == "verified"
         for _, p_schur, p_root in oracle_corpus:
-            assert verify.outer_check(p_schur, radius_tol=1e-6).verdict == "verified"
-            assert verify.outer_check(p_root, radius_tol=1e-6).verdict == "verified"
+            assert verify.outer_check(p_schur).verdict == "verified"
+            assert verify.outer_check(p_root).verdict == "verified"
 
 
 def test_criterion_7_degree_bound(roundtrip_corpus, oracle_corpus):

@@ -141,6 +141,43 @@ class TestSchurLimit:
         assert rep.n_used == n0
         assert rep.gap == np.inf
 
+    def test_memory_budget_refuses_the_start(self, monkeypatch, capsys, tmp_path):
+        # A budget below the price of truncated_schur at n0 alone (327,680 B
+        # here) refuses the limit before it runs: no partial, no large array,
+        # in schur_limit, factor and the CLI alike.  At that price exactly,
+        # the limit runs its start and stops at n0.
+        import json
+
+        from specfactor import cli
+        from specfactor.poly import save_poly
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 8, 3)
+        message = ("Schur limit not started: truncation N = 16 would need about 3.277e+05 B, "
+                   "over the memory budget of 1.000e+00 B")
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchurConvergenceError) as err:
+                schur_limit(q, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert str(err.value) == message
+        assert err.value.partial is None and err.value.gap == math.inf
+        with pytest.raises(SchurConvergenceError) as err:
+            factor(q)
+        assert str(err.value) == message and err.value.partial is None
+        path = tmp_path / "ridged.json"
+        save_poly(path, q)
+        code = cli.main(["factor", str(path)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 327_680)
+        with pytest.raises(SchurConvergenceError) as err:
+            schur_limit(q, 3)
+        assert err.value.partial.n_used == 16
+
     def test_memory_budget_never_refuses_a_join(self, monkeypatch):
         # The joins' arrays are 2b-block squares at every N: a budget that
         # admits the first doubling lets the limit run past 4 n0.

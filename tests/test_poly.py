@@ -166,6 +166,49 @@ class TestLaurentBox:
         assert not q.coeffs[1].any() and not q.coeffs[-1].any()
 
 
+class TestOneStorage:
+    """All four kinds keep their coefficients in one base: its coeff reads
+    the box at origin + index, its repr names the kind's shape and degrees."""
+
+    @staticmethod
+    def kinds():
+        rng = np.random.default_rng(62)
+        return [
+            (corpus.ridged_instance(rng, 2, 2)[0], "MatrixLaurentPoly1(shape=(2,2), degrees=(2))"),
+            (MatrixAnalyticPoly1([corpus.disk_uniform(rng, (3, 2)) for _ in range(3)]),
+             "MatrixAnalyticPoly1(shape=(3,2), degrees=(2))"),
+            (corpus.sos_instance2(rng, 2, 1, 2), "MatrixLaurentPoly2(shape=(2,2), degrees=(1,2))"),
+            (MatrixAnalyticPoly2(3, 2, {(0, 1): corpus.disk_uniform(rng, (3, 2)),
+                                        (2, 0): corpus.disk_uniform(rng, (3, 2))}),
+             "MatrixAnalyticPoly2(shape=(3,2), degrees=(2,1))"),
+        ]
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_coeff_and_repr(self, i):
+        p, text = self.kinds()[i]
+        laurent = isinstance(p, (MatrixLaurentPoly1, MatrixLaurentPoly2))
+        tops = (p.degree,) if hasattr(p, "degree") else (p.deg1, p.deg2)
+        spans = [range(-t - 2 if laurent else -2, t + 3) for t in tops]
+        for index in np.ndindex(*map(len, spans)):
+            index = tuple(int(s[n]) for s, n in zip(spans, index))
+            c = p.coeff(*index)
+            if all((-t if laurent else 0) <= n <= t for n, t in zip(index, tops)):
+                assert np.shares_memory(c, p.dense)
+                at = tuple(n + t if laurent else n for n, t in zip(index, tops))
+                assert c.tobytes() == p.dense[at].tobytes()
+            else:
+                assert c.shape == (p.rows, p.cols) and not c.any()
+                assert c.flags.writeable and not np.shares_memory(c, p.dense)
+        if isinstance(p, MatrixLaurentPoly1):  # the zero slabs are not coefficients
+            for k in (p.degree + 1, -p.degree - 1):
+                assert p.coeff(k).flags.writeable and not np.shares_memory(p.coeff(k), p.stack)
+        with pytest.raises(TypeError, match="coeff takes"):
+            p.coeff(*(0,) * (len(tops) + 1))
+        with pytest.raises(TypeError, match="coeff takes"):
+            p.coeff()
+        assert repr(p) == text
+
+
 def box_of(coeffs, size, deg):
     # A centred box holding each key's block at deg + key.
     box = np.zeros(tuple(2 * d + 1 for d in deg) + (size, size), dtype=complex)
