@@ -2,10 +2,11 @@
 # degree m is factored as Q = P*P from one Schur complement: S(m), the
 # limit of the complements of truncated block Toeplitz matrices on their
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
-# L of the P_k.  The truncations double in size; one banded solve on LAPACK
-# handles (linalg.solveh_banded; the band is one broadcast pattern) gives
-# the first, and later ones join end-block complements of two shorter
-# segments with one small dense solve, lower triangles only.  That solve,
+# L of the P_k.  The truncations double along one chain N = b 2^j; one
+# banded solve on LAPACK handles (linalg.solveh_banded; the band is one
+# broadcast pattern) gives the first, and every later one joins two copies
+# of an end-block complement, from the raw 2b-block truncation on, with one
+# small dense solve, lower triangles only.  That solve,
 # and every corner complement, is linalg.cholesky_complement, as in
 # linalg.schur_complement; a corner's PSD verdict is one more Cholesky,
 # with eigenvalues only for a witness, which the banded truncation must
@@ -31,6 +32,7 @@ from .linalg import solveh_banded
 from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
+    block_toeplitz,
     circle_values,
     toeplitz_blocks,
     toeplitz_psd_check,
@@ -149,37 +151,28 @@ def _banded_lower(stack: np.ndarray, n_blocks: int) -> np.ndarray:
     return ab
 
 
-def _complement(a, b, c, banded: bool, scale: float, n_blocks: int) -> np.ndarray:
-    """a - b* c^(-1) b for the PSD block c: banded (lower band storage) by
-    solveh_banded with one 1e-13 scale jitter retry, dense (lower triangle)
-    by linalg.cholesky_complement.  If the retry fails, the truncation at
-    N = n_blocks is not PSD, unless a dense c is PSD to working precision
-    (the conditioning floor: SchurConvergenceError with no partial)."""
-    if not b.any():  # zero polynomial, or no blocks between the ends
+def _witness(n_blocks: int, what: str, min_eig=None) -> NotNonnegativeError:
+    return NotNonnegativeError(f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
+                               f"{what})", min_eig=min_eig, n_blocks=n_blocks)
+
+
+def _complement(a, b, c, scale: float, n_blocks: int) -> np.ndarray:
+    """Lower triangle of a - b* c^(-1) b for the PSD block c (lower
+    triangles read) by linalg.cholesky_complement.  If c fails to
+    eliminate, the truncation at N = n_blocks is not PSD, unless c is PSD
+    to working precision (the conditioning floor: SchurConvergenceError
+    with no partial)."""
+    if not b.any():  # Q constant or zero: nothing to eliminate
         return a.copy()  # never a's memory: a join's a is its workspace
     try:
-        if not banded:
-            return linalg.cholesky_complement(a, b, c, scale)
-        try:
-            x = solveh_banded(c, b, lower=True)
-        except np.linalg.LinAlgError:
-            c = c.copy()
-            c[0] += 1e-13 * scale
-            x = solveh_banded(c, b, lower=True)
-    except (np.linalg.LinAlgError, linalg.NotPSDError) as exc:
-        lo = None if banded else float(np.linalg.eigvalsh(c)[0])
-        if lo is not None and lo >= -TRUNCATION_PSD_TOL * scale:
+        return linalg.cholesky_complement(a, b, c, scale)
+    except linalg.NotPSDError as exc:
+        lo = float(np.linalg.eigvalsh(c)[0])
+        if lo >= -TRUNCATION_PSD_TOL * scale:
             raise SchurConvergenceError(
                 f"conditioning floor at truncation N = {n_blocks} (eliminated block "
                 f"eigenvalue {lo:.3e})", gap=math.inf, partial=None) from exc
-        raise NotNonnegativeError(
-            f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
-            f"eliminated blocks not positive definite)",
-            min_eig=lo,
-            n_blocks=n_blocks,
-        ) from exc
-    s = a - b.conj().T @ x
-    return np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
+        raise _witness(n_blocks, "eliminated blocks not positive definite", lo) from exc
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -188,31 +181,14 @@ def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
         return s
     ok, lo = linalg.psd_check(linalg.from_lower(s), tol=TRUNCATION_PSD_TOL)
     if not ok:
-        raise NotNonnegativeError(
-            f"Q not nonnegative on circle (witness at truncation N = {n_blocks}: "
-            f"corner complement eigenvalue {lo:.6e})",
-            min_eig=lo,
-            n_blocks=n_blocks,
-        )
+        raise _witness(n_blocks, f"corner complement eigenvalue {lo:.6e}", lo)
     return s
-
-
-def _ends(stack: np.ndarray, lead: int, trail: int, n_blocks: int, scale: float, banded=True):
-    # Complement of the n_blocks-truncation on its first lead and last
-    # trail blocks: one banded (or dense) solve over the blocks between them.
-    ends = np.concatenate((np.arange(lead), np.arange(n_blocks - trail, n_blocks)))
-    mid = np.arange(lead, n_blocks - trail)
-    a = toeplitz_blocks(stack, ends, ends)
-    if not len(mid):  # the truncation is its own end complement
-        return a
-    coupling = toeplitz_blocks(stack, mid, ends)
-    c = _banded_lower(stack, len(mid)) if banded else toeplitz_blocks(stack, mid, mid)
-    return _complement(a, coupling, c, banded, scale, n_blocks)
 
 
 def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
     """Schur complement of the N-block Toeplitz truncation on the leading
-    k+1 blocks, from one banded solve over the trailing N-k-1 blocks.
+    k+1 blocks, for any N >= k+1, from the engine's one banded solve over
+    the trailing N-k-1 blocks (solveh_banded, one 1e-13 scale jitter retry).
 
     An upper bound, in the PSD order, for the infinite-operator complement;
     raises NotNonnegativeError when the truncation itself is not PSD.
@@ -221,7 +197,21 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
         raise ValueError("block index k must be >= 0")
     if n_blocks < k + 1:
         raise ValueError(f"need N >= k + 1, got N = {n_blocks}, k = {k}")
-    return _checked_corner(_ends(q.stack, k + 1, 0, n_blocks, max(q.scale, 1e-300)), n_blocks)
+    lead, mid = np.arange(k + 1), np.arange(k + 1, n_blocks)
+    s, coupling = toeplitz_blocks(q.stack, lead, lead), toeplitz_blocks(q.stack, mid, lead)
+    if coupling.any():  # else N = k + 1 or Q is constant: nothing couples to the corner
+        band = _banded_lower(q.stack, len(mid))
+        try:
+            try:
+                x = solveh_banded(band, coupling, lower=True)
+            except np.linalg.LinAlgError:
+                band[0] += 1e-13 * max(q.scale, 1e-300)
+                x = solveh_banded(band, coupling, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise _witness(n_blocks, "eliminated blocks not positive definite") from exc
+        s -= coupling.conj().T @ x
+        np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
+    return _checked_corner(s, n_blocks)
 
 
 def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -236,70 +226,66 @@ def _start_bytes(r: int, m: int, k: int, n0: int) -> int:  # limit_bytes' first 
 
 
 def limit_bytes(q, k: int, n0: int) -> int:
-    """Bytes schur_limit holds from its clamped start n0, for q or the pair
-    (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v +
-    2 bw)) for v = (k+1) r corner and d = (n0-k-1) r interior columns, bw =
-    min((m+1) r, d) band rows (ends and corner temporaries; coupling,
-    solution, conjugate; band and pbsv's copy), then the joins, 16 * 11 w^2
-    for w = 2br (two segments of a level, one of the next, three workspace
-    arrays, the kernel's factor, solve, result and jitter copy), + 64 KiB."""
+    """Bytes schur_limit holds from its start n0 (start_blocks), for q or the
+    pair (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v
+    + 2 bw)) for v = (k+1) r corner and d = (n0-k-1) r interior columns, bw
+    = min((m+1) r, d) band rows (corner and its temporaries; coupling,
+    solution, conjugate; band and pbsv's copy), then the chain of joins,
+    16 * 11 w^2 for w = 2br (the segment and its join, three workspace
+    arrays, the kernel's factor, solve, result and jitter copy, and room
+    for the corner's copies), + 64 KiB."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
     w = 2 * max(k + 1, m) * r
     return _start_bytes(r, m, k, n0) + 16 * 11 * w * w + 2**16
 
 
-def _join_workspace(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The kept, coupling and middle arrays of _join, C* in place.
-    w = len(c)
+def _join_workspace(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The kept, coupling and middle arrays of _join for segments of the order
+    # of t, the raw 2b-block truncation [[T_b, C], [C*, T_b]]: C* in place.
+    w = len(t) // 2
     kept, coupling, middle = (np.zeros((2 * w, 2 * w), dtype=complex) for _ in range(3))
-    middle[w:, :w] = c.conj().T
+    middle[w:, :w] = t[:w, w:].conj().T
     return kept, coupling, middle
 
 
-def _join(left, right, c: np.ndarray, scale: float, n_blocks: int, work) -> np.ndarray:
-    # End-block complements (lower triangles) [[E, F], [F*, G]] and [[E', F'],
-    # [F'*, G']] of two segments coupled by the Toeplitz block C: eliminating
-    # M = [[G, C], [C*, E']] leaves diag(E, G') - U M^(-1) U*, U = diag(F, F'*),
-    # that of the joined N = n_blocks segment.  work, from _join_workspace(c),
-    # is overwritten on the segments' blocks only.
-    w = len(left) // 2
+def _join(h: np.ndarray, scale: float, n_blocks: int, work) -> np.ndarray:
+    # The end-block complement (lower triangle) H = [[E, F], [F*, G]] of a
+    # segment, joined to a copy of itself by the Toeplitz block C: eliminating
+    # M = [[G, C], [C*, E]] leaves diag(E, G) - U M^(-1) U*, U = diag(F, F*),
+    # that of the N = n_blocks segment twice as long.  work, from
+    # _join_workspace, is overwritten on H's blocks only.
+    w = len(h) // 2
     kept, coupling, middle = work
-    kept[:w, :w], kept[w:, w:] = left[:w, :w], right[w:, w:]
-    coupling[:w, :w] = left[w:, :w]
-    np.conjugate(right[w:, :w].T, out=coupling[w:, w:])
-    middle[:w, :w], middle[w:, w:] = left[w:, w:], right[:w, :w]
-    return _complement(kept, coupling, middle, False, scale, n_blocks)
-
-
-def _segments(stack: np.ndarray, b: int, lengths: set, c, scale: float, work) -> dict:
-    # {N: end-block complement of the N-truncation} for lengths N >= 2b of at
-    # most two values: 2b blocks are their own, fewer than 4b eliminate their
-    # interior, more join their halves (memoized, freed once joined).
-    halves = {h for n in lengths if n >= 4 * b for h in (n // 2, n - n // 2)}
-    segs = _segments(stack, b, halves, c, scale, work) if halves else {}
-    return {n: _join(segs[n // 2], segs[n - n // 2], c, scale, n, work) if n >= 4 * b
-            else _ends(stack, b, b, n, scale, banded=False) for n in lengths}
+    kept[:w, :w], kept[w:, w:] = h[:w, :w], h[w:, w:]
+    coupling[:w, :w] = h[w:, :w]
+    np.conjugate(h[w:, :w].T, out=coupling[w:, w:])
+    middle[:w, :w], middle[w:, w:] = h[w:, w:], h[:w, :w]
+    return _complement(kept, coupling, middle, scale, n_blocks)
 
 
 def start_blocks(m: int, k: int, n0: int | None, n_max: int) -> int:
-    """schur_limit's first N: n0 (default 4(m+1)) clamped into [b, max(n_max // 2, b)]."""
-    b = max(k + 1, m)
-    return max(b, min(4 * (m + 1) if n0 is None else n0, max(n_max // 2, b)))
+    """schur_limit's first N, on the doubling chain b 2^j, b = max(k+1, m):
+    the largest up to both n0 (default 4b) and n_max // 2, or b if none is."""
+    b = n = max(k + 1, m)
+    while 2 * n <= min(4 * b if n0 is None else n0, n_max // 2):
+        n *= 2
+    return n
 
 
 def schur_limit(
     q: MatrixLaurentPoly1, k: int, n0: int | None = None, n_max: int = DEFAULT_N_MAX
 ) -> SchurResult:
     """Approximate the infinite-operator corner Schur complement by
-    doubling the truncation N = n0, 2 n0, ... (n0 >= b = max(k+1, m), so
-    segments couple only through their end b blocks) until the gap closes.
+    doubling the truncation N = n0, 2 n0, ... on the chain b 2^j (n0 from
+    start_blocks, b = max(k+1, m)) until the gap closes.
 
     S_n0 is truncated_schur(q, k, n0), the one banded solve.  H, the
-    complement of the 2 n0-truncation on its first and last b blocks, is
-    joined from dense segments (_segments); each later doubling joins two
-    copies of H with one dense 2b-block Cholesky solve, whatever N is.
-    S_N is H's complement on its leading k+1 blocks.  Lower triangles
-    alone are kept until the value, exactly Hermitian, is returned.
+    complement of the N-truncation on its first and last b blocks, starts
+    as the raw 2b-block truncation, its own; joined with a copy of itself
+    (one dense 2b-block Cholesky solve, whatever N is), it doubles, up to
+    2 n0 in the first doubling and once in each later one.  S_N is H's
+    complement on its leading k+1 blocks.  Lower triangles alone are kept
+    until the value, exactly Hermitian, is returned.
 
     The truncation sequence is monotone nonincreasing in the PSD order,
     so the gap is a one-sided convergence certificate.  Its eigensolve
@@ -309,24 +295,26 @@ def schur_limit(
     last corner its partial, at the block cap n_max, at the conditioning
     floor (a failed join of blocks PSD to working precision, or a witness
     that truncated_schur, within budget, does not confirm), or at n0 when
-    limit_bytes exceeds MEMORY_BUDGET; a start over it alone is refused
-    before it runs.  The joins are never refused.
+    limit_bytes exceeds MEMORY_BUDGET, before H or its workspace exists; a
+    start over it alone is refused before it runs.  The joins are never
+    refused.
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
-    b = max(k + 1, m)
     n0 = start_blocks(m, k, n0, n_max)
     refuse_over_budget(_start_bytes(q.size, m, k, n0), f"Schur limit not started: truncation N = {n0}")
     scale = max(q.scale, 1e-300)
-    c = toeplitz_blocks(q.stack, np.arange(b), np.arange(b, 2 * b))
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     s_prev = truncated_schur(q, k, n0)
-    n, h, work, older, gap = n0, None, None, None, math.inf
+    n, h, span, older, gap = n0, None, 2 * max(k + 1, m), None, math.inf
     while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
         try:
-            work = work or _join_workspace(c)
-            h = _segments(q.stack, b, {n_next}, c, scale, work)[n_next] if h is None else _join(
-                h, h, c, scale, n_next, work)
-            corner = _complement(h[:v, :v], h[v:, :v], h[v:, v:], False, scale, n_next)
+            if h is None:  # the raw 2b-block truncation, its own end-block complement
+                h = block_toeplitz(q, span)
+                work = _join_workspace(h)
+            while span < n_next:
+                span *= 2
+                h = _join(h, scale, span, work)
+            corner = _complement(h[:v, :v], h[v:, :v], h[v:, v:], scale, n_next)
             s_next = _checked_corner(corner, n_next)
         except SchurConvergenceError as floor:
             cause = f"at N = {n}: {floor}"
@@ -364,7 +352,6 @@ def schur_limit(
 
 def factor(
     q: MatrixLaurentPoly1,
-    n0: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     grid: verify.GridSpec | None = None,
     *,
@@ -405,7 +392,7 @@ def factor(
     # the rest.
     reason = ""
     try:
-        res = schur_limit(q, m, n0=n0, n_max=n_max)
+        res = schur_limit(q, m, n_max=n_max)
     except SchurConvergenceError as err:
         if err.partial is None:
             raise

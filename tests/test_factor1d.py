@@ -21,7 +21,7 @@ from specfactor.poly import (
     adjoint_product,
     block_toeplitz,
 )
-from reference import laurent_stack, toeplitz_entries
+from reference import end_complement, laurent_stack, raw_truncation, toeplitz_entries
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -189,17 +189,28 @@ class TestSchurLimit:
         assert res.converged
         assert res.n_used > 4 * n0
 
+    def test_a_refused_first_doubling_builds_no_chain(self, monkeypatch):
+        # Stopped at n0 by the budget, the limit builds neither the raw
+        # truncation its chain of joins starts from nor the join workspace.
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        built = []
+        monkeypatch.setattr(factor1d, "block_toeplitz", lambda *args: built.append(args))
+        monkeypatch.setattr(factor1d, "_join_workspace", lambda *args: built.append(args))
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
+        with pytest.raises(SchurConvergenceError) as err:
+            schur_limit(q, 3)
+        assert err.value.partial.n_used == 16 and built == []
+
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
     def test_price_covers_the_traced_peak(self, r, m):
         # limit_bytes against what the limit allocates from the default start,
-        # an odd one (two segment lengths per level) and a larger one: each
-        # phase against its term, the joins' 16 * 11 w^2 (w = 2br) from the
-        # segments of 2 n0 on and truncated_schur at n0 the rest, each with
-        # the 64 KiB of interpreter objects, and the whole limit up to 8 n0
-        # against the sum.
+        # the smallest one whose first doubling joins (2b) and a larger one:
+        # each phase against its term, the joins' 16 * 11 w^2 (w = 2br) along
+        # the chain from the raw 2b-block truncation up to 4 n0 and
+        # truncated_schur at n0 the rest, each with the 64 KiB of interpreter
+        # objects, and the whole limit up to 8 n0 against the sum.
         q, _ = corpus.ridged_instance(np.random.default_rng(7), r, m)
         b = m + 1
-        c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
 
         def traced_peak(run):
             tracemalloc.start()
@@ -210,11 +221,13 @@ class TestSchurLimit:
                 tracemalloc.stop()
 
         def joins():
-            work = factor1d._join_workspace(c)
-            h = factor1d._segments(q.stack, b, {2 * n0}, c, q.scale, work)[2 * n0]
-            factor1d._join(h, h, c, q.scale, 4 * n0, work)
+            h, n_blocks = block_toeplitz(q, 2 * b), 2 * b
+            work = factor1d._join_workspace(h)
+            while n_blocks < 4 * n0:
+                n_blocks *= 2
+                h = factor1d._join(h, q.scale, n_blocks, work)
 
-        for n0 in (4 * (m + 1), 17, 64):
+        for n0 in (4 * (m + 1), 2 * b, 64):
             price, joined = factor1d.limit_bytes(q, m, n0), 16 * 11 * (2 * b * r) ** 2
             assert traced_peak(lambda: truncated_schur(q, m, n0)) <= price - joined
             assert traced_peak(joins) <= joined + 2**16
@@ -262,7 +275,7 @@ def limit_or_partial(q, k, **kwargs):
 class TestSegmentDoubling:
     def test_matches_direct_truncation(self):
         # k < m, k = m and k > m, the default start and n0 = 17, which is
-        # not a multiple of b = max(k + 1, m).
+        # not on the chain b 2^j, b = max(k + 1, m), and is rounded down onto it.
         rng = np.random.default_rng(505)
         for r in (1, 2, 3):
             for m in (1, 2, 3):
@@ -270,8 +283,25 @@ class TestSegmentDoubling:
                     for k in sorted({0, m - 1, m, m + 1}):
                         for n0 in (None, 17):
                             res = limit_or_partial(q, k, n0=n0, n_max=512)
+                            assert res.n_used in {max(k + 1, m) * 2**j for j in range(10)}
                             direct = truncated_schur(q, k, res.n_used)
                             assert np.max(np.abs(res.value - direct)) <= 1e-10 * q.scale
+
+    def test_start_is_on_the_chain(self):
+        # b 2^j, b = max(k + 1, m): the largest up to n0 (default 4b) and
+        # n_max // 2, or b when none is; so the default start of factor
+        # (k = m) is 4(m + 1) whenever n_max >= 8(m + 1).
+        for m in range(1, 6):
+            for k in (m - 1, m, m + 1):
+                b = max(k + 1, m)
+                chain = [b * 2**j for j in range(30)]
+                for n0 in (None, 1, 17, 64, 10**6):
+                    for n_max in (2 * b, 3 * b, 8 * (m + 1), 4096):
+                        start = factor1d.start_blocks(m, k, n0, n_max)
+                        room = min(4 * b if n0 is None else n0, n_max // 2)
+                        assert start == max([n for n in chain if n <= room], default=b)
+                        if k == m and n0 is None and n_max >= 8 * (m + 1):
+                            assert start == 4 * (m + 1)
 
     @pytest.mark.parametrize("eps, n_blocks", [(1e-3, 128), (1e-5, 1024), (1e-6, 4096)])
     def test_witness_found_through_a_join(self, eps, n_blocks):
@@ -320,10 +350,10 @@ class TestSegmentDoubling:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         join = factor1d._join
 
-        def witness_at_64(left, right, c, scale, n_blocks, work):
+        def witness_at_64(h, scale, n_blocks, work):
             if n_blocks == 64:
                 raise NotNonnegativeError("witness at truncation N = 64", min_eig=-1.0, n_blocks=64)
-            return join(left, right, c, scale, n_blocks, work)
+            return join(h, scale, n_blocks, work)
 
         monkeypatch.setattr(factor1d, "_join", witness_at_64)
         with pytest.raises(SchurConvergenceError, match="at N = 32: conditioning floor, "
@@ -510,19 +540,18 @@ def banded_reference(q, n_blocks):
 def lead_complement(t, n, scale, n_blocks):
     # Complement (lower triangle) of t on its leading n coordinates, as the
     # limit forms its corners.
-    return factor1d._complement(t[:n, :n], t[n:, :n], t[n:, n:], False, scale, n_blocks)
+    return factor1d._complement(t[:n, :n], t[n:, :n], t[n:, n:], scale, n_blocks)
 
 
-def join_reference(left, right, c, scale, n_blocks):
-    # The join as one 4 x 4 block matrix, complemented on its leading half,
-    # from the Hermitian segments.
-    w = len(left) // 2
-    left, right = linalg.from_lower(left), linalg.from_lower(right)
-    e, f, g, z = left[:w, :w], left[:w, w:], left[w:, w:], np.zeros((w, w))
-    e2, f2, g2 = right[:w, :w], right[:w, w:], right[w:, w:]
-    # Rows and columns: kept E, G', then eliminated G, E'.
-    t = np.block([[e, z, f, z], [z, g2, z, f2.conj().T], [f.conj().T, z, g, c],
-                  [z, f2, c.conj().T, e2]])
+def join_reference(h, c, scale, n_blocks):
+    # The join of two copies of the segment h as one 4 x 4 block matrix,
+    # complemented on its leading half, from the Hermitian segment.
+    w = len(h) // 2
+    h = linalg.from_lower(h)
+    e, f, g, z = h[:w, :w], h[:w, w:], h[w:, w:], np.zeros((w, w))
+    # Rows and columns: kept E, G, then eliminated G, E.
+    t = np.block([[e, z, f, z], [z, g, z, f.conj().T], [f.conj().T, z, g, c],
+                  [z, f, c.conj().T, e]])
     return lead_complement(t, 2 * w, scale, n_blocks)
 
 
@@ -531,18 +560,18 @@ def limit_reference(q, k, n_max):
     # eigensolve for every corner PSD verdict and every gap.
     m, r = q.degree, q.size
     b, scale = max(k + 1, m), max(q.scale, 1e-300)
-    stack = laurent_stack(q.coeff, m)
-    c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
-    n, h, gap = factor1d.start_blocks(m, k, None, n_max), None, math.inf
-    work = factor1d._join_workspace(c)
-    s_prev = factor1d._ends(stack, k + 1, 0, n, scale)
+    h = raw_truncation(laurent_stack(q.coeff, m), 2 * b)
+    n, span, gap = factor1d.start_blocks(m, k, None, n_max), 2 * b, math.inf
+    work = factor1d._join_workspace(h)
+    s_prev = truncated_schur(q, k, n)
     while True:
         assert linalg.psd_check(s_prev, tol=factor1d.TRUNCATION_PSD_TOL).ok
         if 2 * n > n_max or gap <= factor1d.DEFAULT_CONV_TOL * scale:
             return s_prev, n, gap
         n *= 2
-        h = factor1d._segments(stack, b, {n}, c, scale, work)[n] if h is None else factor1d._join(
-            h, h, c, scale, n, work)
+        while span < n:
+            span *= 2
+            h = factor1d._join(h, scale, span, work)
         s = linalg.from_lower(lead_complement(h, (k + 1) * r, scale, n))
         d = s_prev - s
         vals = linalg.eig_hermitian((d + d.conj().T) / 2, vectors=False).values
@@ -629,35 +658,36 @@ class TestEliminationStorage:
 
     @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 3)])
     def test_join_matches_the_block_formula(self, r, m):
-        # Two different segments, then two copies of one; the join reads the
-        # lower triangles, so its F* is the lower block of each segment.
+        # Two copies of one segment, from the raw 2b-block truncation, a full
+        # matrix, on along the chain; the join reads the lower triangles, so
+        # its F* is the lower block of the segment.
         rng = np.random.default_rng(20 + r)
         for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
             b, scale = m, q.scale
             stack = laurent_stack(q.coeff, q.degree)
             c = toeplitz_entries(stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
-            left, h = (factor1d._ends(stack, b, b, n, scale, banded=False) for n in (2 * b, 3 * b))
-            work = factor1d._join_workspace(c)
-            joined = factor1d._join(left, h, c, scale, 5 * b, work)
-            np.testing.assert_array_equal(np.tril(joined), np.tril(join_reference(left, h, c, scale, 5 * b)))
-            for n_blocks in (8 * b, 16 * b, 32 * b):
-                joined = factor1d._join(h, h, c, scale, n_blocks, work)
-                want = join_reference(h, h, c, scale, n_blocks)
+            h = raw_truncation(stack, 2 * b)
+            work = factor1d._join_workspace(h)
+            for n_blocks in (4 * b, 8 * b, 16 * b, 32 * b):
+                joined = factor1d._join(h, scale, n_blocks, work)
+                want = join_reference(h, c, scale, n_blocks)
                 np.testing.assert_array_equal(np.tril(joined), np.tril(want))
                 h = joined
 
     @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 3)])
     def test_start_matches_the_banded_end_complement(self, r, m):
-        # Every length from 2b, through the dense eliminations below 4b and
-        # the joins of unequal halves above it, against one banded solve.
+        # The chain of joins from the raw 2b-block truncation, at N = b 2^j,
+        # j = 1..5, against the end-block complement from one dense solve.
         q, _ = corpus.ridged_instance(np.random.default_rng(30 + r), r, m)
         b, scale = m, q.scale
-        c = toeplitz_entries(q.stack, np.arange(b * r)[:, None], np.arange(b * r, 2 * b * r))
-        for n_blocks in range(2 * b, 12 * b + 2):
-            work = factor1d._join_workspace(c)
-            got = linalg.from_lower(factor1d._segments(q.stack, b, {n_blocks}, c, scale, work)[n_blocks])
-            want = factor1d._ends(q.stack, b, b, n_blocks, scale)
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        stack = laurent_stack(q.coeff, q.degree)
+        h = block_toeplitz(q, 2 * b)
+        work = factor1d._join_workspace(h)
+        for j in range(1, 6):
+            if j > 1:
+                h = factor1d._join(h, scale, b * 2**j, work)
+            want = end_complement(stack, b, b * 2**j)
+            assert np.max(np.abs(linalg.from_lower(h) - want)) <= 1e-12 * scale
 
 
 class TestMemoryBudget:
@@ -728,13 +758,19 @@ class TestFactor:
             assert rep.residual_sup <= 1e-7 * q.scale
             assert phat.degree <= q.degree
 
-    def test_gauge_uniqueness_across_truncation_starts(self):
+    def test_gauge_uniqueness_across_truncation_starts(self, monkeypatch):
+        # Two starts on the chain of b = 4, N = 8 and N = 32, set through
+        # start_blocks: factor has no start option.
         rng = np.random.default_rng(77)
+        start_blocks = factor1d.start_blocks
         for _ in range(5):
             q, _ = corpus.ridged_instance(rng, 2, 3)
-            p_a, _ = factor(q, n0=8)
-            p_b, _ = factor(q, n0=17)
-            assert coeff_diff(p_a, p_b) <= 1e-6 * q.scale
+            factors = []
+            for n0 in (8, 32):
+                monkeypatch.setattr(factor1d, "start_blocks",
+                                    lambda m, k, _, n_max, n0=n0: start_blocks(m, k, n0, n_max))
+                factors.append(factor(q)[0])
+            assert coeff_diff(*factors) <= 1e-6 * q.scale
 
     def test_constant_coefficient_is_psd(self):
         rng = np.random.default_rng(78)
