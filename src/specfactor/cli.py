@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import corpus, factor1d, factor2d, verify
+from . import corpus, factor1d, factor2d, poly, verify
 from .factor1d import (
     FactorNumericalError,
     NotNonnegativeError,
@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
     report = {
         "command": "eval",
         "point": _point_json(points),
-        "value": [[[float(x.real), float(x.imag)] for x in row] for row in val],
+        "value": poly._matrix_to_json(val),
     }
     _emit(report, f"eval at {points}: done")
     return EXIT_OK

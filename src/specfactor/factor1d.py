@@ -263,18 +263,16 @@ def _join(h: np.ndarray, scale: float, n_blocks: int, work) -> np.ndarray:
     return _complement(kept, coupling, middle, scale, n_blocks)
 
 
-def start_blocks(m: int, k: int, n0: int | None, n_max: int) -> int:
+def start_blocks(m: int, k: int, n_max: int) -> int:
     """schur_limit's first N, on the doubling chain b 2^j, b = max(k+1, m):
-    the largest up to both n0 (default 4b) and n_max // 2, or b if none is."""
+    the largest up to both 4b and n_max // 2, or b if none is."""
     b = n = max(k + 1, m)
-    while 2 * n <= min(4 * b if n0 is None else n0, n_max // 2):
+    while 2 * n <= min(4 * b, n_max // 2):
         n *= 2
     return n
 
 
-def schur_limit(
-    q: MatrixLaurentPoly1, k: int, n0: int | None = None, n_max: int = DEFAULT_N_MAX
-) -> SchurResult:
+def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> SchurResult:
     """Approximate the infinite-operator corner Schur complement by
     doubling the truncation N = n0, 2 n0, ... on the chain b 2^j (n0 from
     start_blocks, b = max(k+1, m)) until the gap closes.
@@ -300,7 +298,7 @@ def schur_limit(
     refused.
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
-    n0 = start_blocks(m, k, n0, n_max)
+    n0 = start_blocks(m, k, n_max)
     refuse_over_budget(_start_bytes(q.size, m, k, n0), f"Schur limit not started: truncation N = {n0}")
     scale = max(q.scale, 1e-300)
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale

@@ -192,7 +192,7 @@ def _factor_lifted(
     # held to factor1d.BACKWARD_TOL.
     size, m1 = q.size * (n + 1), q.deg1
     n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
-    n0 = factor1d.start_blocks(m1, m1, None, n_max)
+    n0 = factor1d.start_blocks(m1, m1, n_max)
     factor1d.refuse_over_budget(factor1d.limit_bytes((size, m1), m1, n0),
                                 f"lift of size {size} not built: its Schur limit from N = {n0}")
     psi = lift_to_block(q, n)

@@ -411,28 +411,19 @@ def _vandermonde(zs, lo: int, hi: int) -> np.ndarray:
     return np.where(ks >= 0, pw, np.conj(pw))
 
 
-def eval2_z2(polys, zs2: np.ndarray) -> tuple[np.ndarray, int]:
-    """First half of eval2_grid for two-variable polynomials of one width,
-    rows stacked in list order: each one's dense box fills its slice of
-    one block over the joint index box, its origin on the joint origin,
-    contracted with the z2 Vandermonde matrix.  Returns the (J, T2, rows,
-    cols) coefficients of z1^(j0 + i), i < J, and j0."""
-    o1, o2 = np.max([p.origin for p in polys], axis=0).tolist()
-    j1, k1 = np.max([(p.deg1, p.deg2) for p in polys], axis=0).tolist()
-    tops = np.cumsum([0] + [p.dense.shape[2] for p in polys])
-    block = np.zeros((o1 + j1 + 1, o2 + k1 + 1, tops[-1], polys[0].dense.shape[3]), dtype=complex)
-    for p, top, bottom in zip(polys, tops, tops[1:]):
-        j, k = o1 - p.origin[0], o2 - p.origin[1]
-        block[j : j + len(p.dense), k : k + p.dense.shape[1], top:bottom] = p.dense
-    half = _vandermonde(zs2, -o2, k1) @ block.reshape(block.shape[:2] + (-1,))
-    return half.reshape(half.shape[:2] + block.shape[2:]), -o1
+def eval2_z1(coeffs: np.ndarray, lo: int, zs1) -> np.ndarray:
+    """Values at zs1 (points, or an int g: circle_grid(g)) of sum_j C_j z1^j,
+    C_j = coeffs[j - lo] on the leading axis: one Vandermonde contraction."""
+    v1 = _vandermonde(zs1, lo, lo + len(coeffs) - 1)
+    return (v1 @ coeffs.reshape(len(coeffs), -1)).reshape((len(v1),) + coeffs.shape[1:])
 
 
-def eval2_z1(half: np.ndarray, j0: int, zs1: np.ndarray) -> np.ndarray:
-    """Second half of eval2_grid: contract eval2_z2's output with the z1
-    Vandermonde matrix, giving the (T1, T2, rows, cols) values."""
-    v1 = _vandermonde(zs1, j0, j0 + len(half) - 1)
-    return (v1 @ half.reshape(len(half), -1)).reshape((len(v1),) + half.shape[1:])
+def eval2_z2(coeffs: np.ndarray, lo: int, zs2) -> np.ndarray:
+    """eval2_z1 along axis 1 of one (J, K, ...) coefficient array, C_jk at
+    coeffs[j, k - lo]: the (J, T2, ...) z1 coefficients on the z2 points."""
+    v2 = _vandermonde(zs2, lo, lo + coeffs.shape[1] - 1)
+    half = v2 @ coeffs.reshape(coeffs.shape[:2] + (-1,))
+    return half.reshape(half.shape[:2] + coeffs.shape[2:])
 
 
 def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
@@ -445,12 +436,12 @@ def eval1_grid(p, zs: np.ndarray) -> np.ndarray:
 
 def eval2_grid(p, zs1: np.ndarray, zs2: np.ndarray) -> np.ndarray:
     """Evaluate a two-variable polynomial on a product grid: (T1, T2, r, c),
-    as one Vandermonde product per variable over the dense coefficient
-    block (eval2_z2, then eval2_z1), for points or an int g, circle_grid(g)."""
+    eval2_z1(eval2_z2(p.dense, -o2, zs2), -o1, zs1) for p's origin (o1,
+    o2), for points or an int g, circle_grid(g)."""
     if not isinstance(p, (MatrixAnalyticPoly2, MatrixLaurentPoly2)):
         raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
-    half, j0 = eval2_z2([p], zs2)
-    return eval2_z1(half, j0, zs1)
+    o1, o2 = p.origin
+    return eval2_z1(eval2_z2(p.dense, -o2, zs2), -o1, zs1)
 
 
 # -- shared JSON file format --------------------------------------------------

@@ -4,11 +4,11 @@
 # solve (LAPACK zggev of scipy.linalg._flapack, the module linalg loads).
 # It reads only Q and the factor coefficients, never the Schur limits,
 # truncations or solves that built the factor.  The grid minimum reads one
-# sampled stack of either kind.  A residual subtracts F* F for the row-
-# stacked factor list F from its z1 Gram coefficients: one inverse DFT of
-# Q - F* F in one variable, a z2 grid evaluation first in two, whose powers
-# z^k are read off the grid at k mod 2^g, as the DFT folds them.  Grid
-# eigenvalue extremes for r <= 2 are closed-form.
+# sampled stack of either kind.  A residual in one variable or two takes
+# the Gram coefficients of the row-stacked factor list F from Q's z1
+# coefficients, both on the z2 grid first in two, and transforms Q - F* F
+# once along z1 (in two, z^k read off the grid at k mod 2^g, as the DFT of
+# one folds it).  Grid eigenvalue extremes for r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -132,8 +132,9 @@ def _gram_coeffs(h: np.ndarray) -> np.ndarray:
 
 
 def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
-    """Sup over the grid of opnorm(Q - sum_l F_l* F_l).  Every factor
-    must have as many variables as q and q.size columns."""
+    """Sup over the grid of opnorm(Q - sum_l F_l* F_l): one z1 transform of
+    its z1 coefficients, taken to the z2 grid first in two variables.  Every
+    factor must have as many variables as q and q.size columns."""
     if not isinstance(q, (MatrixLaurentPoly1, MatrixLaurentPoly2)):
         raise TypeError(f"cannot verify object of type {type(q).__name__}")
     single = isinstance(factors, (MatrixAnalyticPoly1, MatrixAnalyticPoly2))
@@ -145,24 +146,22 @@ def residual(q, factors, grid: GridSpec = GridSpec()) -> float:
             raise TypeError(f"factor {i} is a {type(f).__name__}, expected {kind.__name__}")
         if f.cols != q.size:
             raise ValueError(f"factor {i} has width {f.cols}, expected {q.size}")
-    # sum_l F_l* F_l = F* F = sum_d z1^d G_d on the circle for the row-stacked
-    # F = sum_j z1^j H_j (an empty list: no rows, G = 0).
-    if one_var:
-        tops = np.cumsum([0] + [f.rows for f in factors])
-        n_j = max((f.degree for f in factors), default=0) + 1
-        h = np.zeros((n_j, tops[-1], q.size), dtype=complex)
-        for f, top, bottom in zip(factors, tops, tops[1:]):
-            h[: f.degree + 1, top:bottom] = f.dense
-        span = max(q.degree, n_j - 1)
-        e = np.zeros((2 * span + 1, q.size, q.size), dtype=complex)  # Q_k at k + span
-        e[span - q.degree : span + q.degree + 1] = q.dense  # origin (degree,)
-        e[span + 1 - n_j : span + n_j] -= _gram_coeffs(h)
-        diff = circle_values(e, -span, grid.g1)
-    else:
-        diff = eval2_grid(q, grid.g1, grid.axis2)
-        if factors:
-            half, _ = eval2_z2(factors, grid.axis2)
-            diff -= eval2_z1(_gram_coeffs(half), 1 - len(half), grid.g1)
+    # sum_l F_l* F_l = F* F = sum_d z1^d G_d for the row-stacked F = sum_j z1^j
+    # H_j, each H_j a z2 polynomial in two variables (no factor: G = 0); e, the
+    # z1 coefficients of Q - F* F, holds Q's z1^k at k + span less G_k.
+    tops = np.cumsum([0] + [f.rows for f in factors])
+    box = np.max([(1,) * len(q.origin)] + [f.dense.shape[:-2] for f in factors], axis=0)
+    h = np.zeros(tuple(box) + (tops[-1], q.size), dtype=complex)
+    for f, top, bottom in zip(factors, tops, tops[1:]):
+        h[tuple(map(slice, f.dense.shape[:-2])) + (slice(top, bottom),)] = f.dense
+    n_j, d = len(h), q.origin[0]
+    span = max(d, n_j - 1)
+    e = np.zeros((2 * span + 1,) + q.dense.shape[1:], dtype=complex)
+    e[span - d : span + d + 1] = q.dense
+    if not one_var:  # e and the H_j on the z2 grid
+        e, h = eval2_z2(e, -q.origin[1], grid.axis2), eval2_z2(h, 0, grid.axis2)
+    e[span + 1 - n_j : span + n_j] -= _gram_coeffs(h)
+    diff = circle_values(e, -span, grid.g1) if one_var else eval2_z1(e, -span, grid.g1)
     return _sup_op_norm(diff)
 
 

@@ -202,13 +202,14 @@ class TestSchurLimit:
         assert err.value.partial.n_used == 16 and built == []
 
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
-    def test_price_covers_the_traced_peak(self, r, m):
+    def test_price_covers_the_traced_peak(self, r, m, monkeypatch):
         # limit_bytes against what the limit allocates from the default start,
         # the smallest one whose first doubling joins (2b) and a larger one:
         # each phase against its term, the joins' 16 * 11 w^2 (w = 2br) along
         # the chain from the raw 2b-block truncation up to 4 n0 and
         # truncated_schur at n0 the rest, each with the 64 KiB of interpreter
-        # objects, and the whole limit up to 8 n0 against the sum.
+        # objects, and the whole limit up to 8 n0 against the sum, started at
+        # n0 through start_blocks.
         q, _ = corpus.ridged_instance(np.random.default_rng(7), r, m)
         b = m + 1
 
@@ -231,7 +232,8 @@ class TestSchurLimit:
             price, joined = factor1d.limit_bytes(q, m, n0), 16 * 11 * (2 * b * r) ** 2
             assert traced_peak(lambda: truncated_schur(q, m, n0)) <= price - joined
             assert traced_peak(joins) <= joined + 2**16
-            assert traced_peak(lambda: limit_or_partial(q, m, n0=n0, n_max=8 * n0)) <= price
+            start_at(monkeypatch, n0)
+            assert traced_peak(lambda: limit_or_partial(q, m, n_max=8 * n0)) <= price
 
     def test_values_leave_the_limit_exactly_hermitian(self):
         # Inside the limit only lower triangles are kept; its converged value,
@@ -272,36 +274,61 @@ def limit_or_partial(q, k, **kwargs):
         return err.partial
 
 
+START_BLOCKS = factor1d.start_blocks
+
+
+def start_at(monkeypatch, n0):
+    # schur_limit has no start option: start_blocks is set to the largest
+    # b 2^j, b = max(k + 1, m), up to both n0 and n_max // 2, or b if none
+    # is; n0 None restores the default start, where n0 is 4b.
+    def start(m, k, n_max):
+        b = n = max(k + 1, m)
+        while 2 * n <= min(n0, n_max // 2):
+            n *= 2
+        return n
+
+    monkeypatch.setattr(factor1d, "start_blocks", START_BLOCKS if n0 is None else start)
+
+
 class TestSegmentDoubling:
-    def test_matches_direct_truncation(self):
-        # k < m, k = m and k > m, the default start and n0 = 17, which is
-        # not on the chain b 2^j, b = max(k + 1, m), and is rounded down onto it.
+    def test_matches_direct_truncation(self, monkeypatch):
+        # k < m, k = m and k > m, the default start and a start at n0 = 17,
+        # which is not on the chain b 2^j, b = max(k + 1, m), rounded down
+        # onto it by start_at.
         rng = np.random.default_rng(505)
         for r in (1, 2, 3):
             for m in (1, 2, 3):
                 for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
                     for k in sorted({0, m - 1, m, m + 1}):
                         for n0 in (None, 17):
-                            res = limit_or_partial(q, k, n0=n0, n_max=512)
+                            start_at(monkeypatch, n0)
+                            res = limit_or_partial(q, k, n_max=512)
                             assert res.n_used in {max(k + 1, m) * 2**j for j in range(10)}
                             direct = truncated_schur(q, k, res.n_used)
                             assert np.max(np.abs(res.value - direct)) <= 1e-10 * q.scale
 
-    def test_start_is_on_the_chain(self):
+    def test_start_is_on_the_chain(self, monkeypatch):
         # b 2^j, b = max(k + 1, m): the largest up to n0 (default 4b) and
         # n_max // 2, or b when none is; so the default start of factor
-        # (k = m) is 4(m + 1) whenever n_max >= 8(m + 1).
+        # (k = m) is 4(m + 1) whenever n_max >= 8(m + 1).  The limit starts
+        # there: a budget one byte below its price stops it at the start.
+        rng = np.random.default_rng(506)
         for m in range(1, 6):
+            q, _ = corpus.ridged_instance(rng, 1, m)
             for k in (m - 1, m, m + 1):
                 b = max(k + 1, m)
                 chain = [b * 2**j for j in range(30)]
                 for n0 in (None, 1, 17, 64, 10**6):
+                    start_at(monkeypatch, n0)
                     for n_max in (2 * b, 3 * b, 8 * (m + 1), 4096):
-                        start = factor1d.start_blocks(m, k, n0, n_max)
+                        start = factor1d.start_blocks(m, k, n_max)
                         room = min(4 * b if n0 is None else n0, n_max // 2)
                         assert start == max([n for n in chain if n <= room], default=b)
                         if k == m and n0 is None and n_max >= 8 * (m + 1):
                             assert start == 4 * (m + 1)
+                        monkeypatch.setattr(factor1d, "MEMORY_BUDGET",
+                                            factor1d.limit_bytes(q, k, start) - 1)
+                        assert limit_or_partial(q, k, n_max=n_max).n_used == start
 
     @pytest.mark.parametrize("eps, n_blocks", [(1e-3, 128), (1e-5, 1024), (1e-6, 4096)])
     def test_witness_found_through_a_join(self, eps, n_blocks):
@@ -561,7 +588,7 @@ def limit_reference(q, k, n_max):
     m, r = q.degree, q.size
     b, scale = max(k + 1, m), max(q.scale, 1e-300)
     h = raw_truncation(laurent_stack(q.coeff, m), 2 * b)
-    n, span, gap = factor1d.start_blocks(m, k, None, n_max), 2 * b, math.inf
+    n, span, gap = factor1d.start_blocks(m, k, n_max), 2 * b, math.inf
     work = factor1d._join_workspace(h)
     s_prev = truncated_schur(q, k, n)
     while True:
@@ -762,13 +789,11 @@ class TestFactor:
         # Two starts on the chain of b = 4, N = 8 and N = 32, set through
         # start_blocks: factor has no start option.
         rng = np.random.default_rng(77)
-        start_blocks = factor1d.start_blocks
         for _ in range(5):
             q, _ = corpus.ridged_instance(rng, 2, 3)
             factors = []
             for n0 in (8, 32):
-                monkeypatch.setattr(factor1d, "start_blocks",
-                                    lambda m, k, _, n_max, n0=n0: start_blocks(m, k, n0, n_max))
+                start_at(monkeypatch, n0)
                 factors.append(factor(q)[0])
             assert coeff_diff(*factors) <= 1e-6 * q.scale
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specfactor import corpus, factor1d, linalg, poly
+from specfactor import corpus, linalg, poly
 from specfactor.factor2d import cesaro_smooth, inverse_cesaro, lift_to_block, unlift_factor
 from specfactor.poly import (
     MatrixAnalyticPoly1,
@@ -20,7 +20,6 @@ from specfactor.poly import (
     eval1_grid,
     eval2,
     eval2_grid,
-    eval2_z2,
     load_poly,
     poly_from_json,
     poly_to_json,
@@ -654,50 +653,6 @@ class TestAnalyticPoly1Construction:
         given[0][0, 1] = 7.0  # the input is copied, not kept
         assert p.coeffs[0][0, 1] == -3.0j
         assert MatrixAnalyticPoly1([np.zeros((2, 2))]).scale == 0.0
-
-
-def eval2_z2_packed(polys, zs2):
-    # eval2_z2 as it packed coefficients before dense storage: a block over
-    # the joint key box (with (0, 0)), filled one coefficient at a time.
-    shapes = [p.coeff(0, 0).shape for p in polys]
-    keys = np.array([(0, 0)] + [idx for p in polys for idx in p.coeffs])
-    (j0, k0), (j1, k1) = keys.min(axis=0), keys.max(axis=0)
-    tops = np.cumsum([0] + [rows for rows, _ in shapes])
-    block = np.zeros((j1 - j0 + 1, k1 - k0 + 1, tops[-1], shapes[0][1]), dtype=complex)
-    for p, top, bottom in zip(polys, tops, tops[1:]):
-        for (j, k), c in p.coeffs.items():
-            block[j - j0, k - k0, top:bottom] = c
-    ks = np.arange(k0, k1 + 1)
-    pw = np.asarray(zs2)[:, None] ** np.abs(ks)
-    half = np.where(ks >= 0, pw, np.conj(pw)) @ block.reshape(block.shape[:2] + (-1,))
-    return half.reshape(half.shape[:2] + block.shape[2:]), int(j0)
-
-
-class TestEval2Z2:
-    def assert_bit_equal(self, polys, zs2):
-        got, j0 = eval2_z2(polys, zs2)
-        want, want_j0 = eval2_z2_packed(polys, zs2)
-        assert j0 == want_j0
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("r, n", [(1, 6), (2, 3)])
-    def test_unlifted_factors(self, r, n):
-        q = corpus.sos_instance2(np.random.default_rng(50 + r), r, 2, 2)
-        phi, _ = factor1d.factor(lift_to_block(q, n))
-        self.assert_bit_equal(unlift_factor(phi, r, n), circle_grid(6))
-
-    def test_mixed_lists(self):
-        rng = np.random.default_rng(37)
-        zs2 = np.concatenate([circle_grid(4), 0.5 * unit_points(rng, 3)])
-        tall = MatrixAnalyticPoly2(3, 2, {(2, 1): corpus.disk_uniform(rng, (3, 2))})
-        wide_k = MatrixAnalyticPoly2(1, 2, {(0, 4): corpus.disk_uniform(rng, (1, 2))})
-        zero = MatrixAnalyticPoly2(2, 2, {(1, 1): np.zeros((2, 2))})
-        square = corpus.random_analytic2(rng, 2, 1, 2)
-        self.assert_bit_equal([tall, zero, wide_k, square], zs2)
-        self.assert_bit_equal([zero], zs2)
-        q = corpus.sos_instance2(rng, 2, 2, 3)
-        self.assert_bit_equal([q], circle_grid(5))
-        self.assert_bit_equal([square, q, tall], circle_grid(5))
 
 
 class TestAdjointProduct:

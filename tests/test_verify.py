@@ -178,33 +178,33 @@ class TestResidual2:
             assert residual(q1, [], GridSpec(9)) == pytest.approx(sup, rel=1e-13)
 
     def test_evaluations_do_not_grow_with_the_factor_count(self, monkeypatch):
+        # Whatever the factor count: no grid evaluation of Q, one z2 product
+        # for Q's z1 coefficients and one for the stacked factor, and one z1
+        # product, of Q - F* F, whose output is the (T1, T2, r, r) grid array.
         rng = np.random.default_rng(75)
         q = corpus.sos_instance2(rng, 2, 1, 1)
-        calls, slabs = [], []
+        names = ("eval2_grid", "eval2_z2", "eval2_z1")
+        shapes = {}
 
-        def spy(name, record):
+        def spy(name):
             original = getattr(verify, name)
 
             def wrapper(*args):
                 out = original(*args)
-                record(out)
+                shapes[name].append(out.shape)
                 return out
 
             monkeypatch.setattr(verify, name, wrapper)
 
-        spy("eval2_grid", lambda out: calls.append(1))
-        spy("eval2_z2", lambda out: calls.append(1))
-        spy("eval2_z1", lambda out: slabs.append(out.size))
-        counts = []
+        for name in names:
+            spy(name)
         for n_factors in (1, 3, 9, 40):  # 40 factors: 80 rows, past T1 * r = 64
-            calls.clear()
+            shapes.update({name: [] for name in names})
             fs = [corpus.random_analytic2(rng, 2, 1, 1) for _ in range(n_factors)]
             got = residual(q, fs, self.GRID)
-            counts.append(len(calls))
             assert got == pytest.approx(residual2_reference(q, fs, self.GRID), rel=1e-13)
-        assert counts == [2, 2, 2, 2]
-        # each slab of the stacked factor is no larger than the grid array of Q
-        assert max(slabs) <= 32 * 16 * 2 * 2
+            assert [len(shapes[name]) for name in names] == [0, 2, 1]
+            assert shapes["eval2_z1"] == [(32, 16, 2, 2)]
 
 
 def residual2_pointwise(q, factors, grid):
@@ -263,6 +263,47 @@ class TestGramResidual:
             tracemalloc.stop()
         assert peak < tall_bytes
         assert got <= 1e-12 * q.scale
+
+
+def residual2_longdouble(q, factors, grid):
+    # Q - sum_l F_l* F_l summed term by term in np.clongdouble at the exact
+    # grid points, z^k at the angle 2 pi (t k mod T) / T in long double, then
+    # its sup opnorm (rounding the difference to double costs far less).
+    pi = 4 * np.arctan(np.longdouble(1))
+
+    def powers(g, lo, n):
+        angles = 2 * pi * (np.outer(np.arange(1 << g), np.arange(lo, lo + n)) % (1 << g)) / (1 << g)
+        return np.cos(angles) + 1j * np.sin(angles)
+
+    def values(p):
+        (o1, o2), (n1, n2) = p.origin, p.dense.shape[:2]
+        half = np.einsum("bk,jkrc->jbrc", powers(grid.axis2, -o2, n2), p.dense.astype(np.clongdouble))
+        return np.einsum("aj,jbrc->abrc", powers(grid.g1, -o1, n1), half)
+
+    diff = values(q)
+    for f in factors:
+        fv = values(f)
+        diff -= np.einsum("abrj,abrc->abjc", np.conj(fv), fv)
+    return float(np.max(np.linalg.norm(diff.astype(complex), 2, axis=(-2, -1))))
+
+
+class TestResidualAccuracy:
+    def test_two_variables_near_a_long_double_reference(self):
+        # factor_strict's outputs on its own 64 x 64 grid, seeded and on
+        # plane c0=4.1 (35 lifted factors): within 5e-16 * scale of the
+        # reference.  Q - F* F, transformed once along z1 from its
+        # coefficients, meets it; a z1 transform of Q's and of the Gram
+        # coefficients apart, subtracted on the grid, misses it.
+        grid, rng = GridSpec(6, 6), np.random.default_rng(81)
+        qs = [strict_instance(rng, r, m1, m2) for r, m1, m2 in
+              ((1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (1, 2, 2))]
+        qs.append(MatrixLaurentPoly2.from_causal(1, {(0, 0): [[4.1]], (1, 0): [[1.0]], (0, 1): [[1.0]]}))
+        for q in qs:
+            fs, _, plan = factor_strict(q)
+            assert len(fs) == plan.n + 1
+            got = residual(q, fs, grid)
+            assert abs(got - residual2_longdouble(q, fs, grid)) <= 5e-16 * q.scale
+        assert len(fs) == 35
 
 
 class TestFactorWidth:
