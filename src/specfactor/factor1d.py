@@ -2,11 +2,11 @@
 # degree m is factored as Q = P*P from one Schur complement: S(m), the
 # limit of the complements of truncated block Toeplitz matrices on their
 # leading m+1 blocks, equals L* L for the lower-triangular block Toeplitz
-# L of the P_k.  The truncations double along one chain N = b 2^j; one
-# banded solve on LAPACK handles (linalg.solveh_banded; the band is one
-# broadcast pattern) gives the first, and every later one joins two copies
-# of an end-block complement, from the raw 2b-block truncation on, with one
-# small dense solve, lower triangles only.  That solve,
+# L of the P_k.  The truncations double along one chain N = b 2^j from 2b
+# (b under a cap below 4b); one banded solve on LAPACK handles
+# (linalg.solveh_banded) gives the first, and every doubling is one join of
+# two copies of an end-block complement, from the raw 2b-block truncation
+# on, with one small dense solve, lower triangles only.  That solve,
 # and every corner complement, is linalg.cholesky_complement, as in
 # linalg.schur_complement; a corner's PSD verdict is one more Cholesky,
 # with eigenvalues only for a witness, which the banded truncation must
@@ -176,8 +176,7 @@ def _complement(a, b, c, scale: float, n_blocks: int) -> np.ndarray:
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
-    # max|s_ii| <= max|eig|, so a Cholesky pass implies psd_check's test.
-    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL * float(np.abs(s.diagonal()).max())):
+    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL):
         return s
     ok, lo = linalg.psd_check(linalg.from_lower(s), tol=TRUNCATION_PSD_TOL)
     if not ok:
@@ -230,10 +229,10 @@ def limit_bytes(q, k: int, n0: int) -> int:
     pair (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v
     + 2 bw)) for v = (k+1) r corner and d = (n0-k-1) r interior columns, bw
     = min((m+1) r, d) band rows (corner and its temporaries; coupling,
-    solution, conjugate; band and pbsv's copy), then the chain of joins,
-    16 * 11 w^2 for w = 2br (the segment and its join, three workspace
-    arrays, the kernel's factor, solve, result and jitter copy, and room
-    for the corner's copies), + 64 KiB."""
+    solution, conjugate; band and pbsv's copy), then the joins, one per
+    doubling, 16 * 11 w^2 for w = 2br (the segment and its join, three
+    workspace arrays, the kernel's factor, solve, result and jitter copy,
+    and room for the corner's copies), + 64 KiB."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
     w = 2 * max(k + 1, m) * r
     return _start_bytes(r, m, k, n0) + 16 * 11 * w * w + 2**16
@@ -265,11 +264,9 @@ def _join(h: np.ndarray, scale: float, n_blocks: int, work) -> np.ndarray:
 
 def start_blocks(m: int, k: int, n_max: int) -> int:
     """schur_limit's first N, on the doubling chain b 2^j, b = max(k+1, m):
-    the largest up to both 4b and n_max // 2, or b if none is."""
-    b = n = max(k + 1, m)
-    while 2 * n <= min(4 * b, n_max // 2):
-        n *= 2
-    return n
+    2b, the raw truncation the joins start from, or b if 4b > n_max."""
+    b = max(k + 1, m)
+    return b if 4 * b > n_max else 2 * b
 
 
 def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> SchurResult:
@@ -277,11 +274,12 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
     doubling the truncation N = n0, 2 n0, ... on the chain b 2^j (n0 from
     start_blocks, b = max(k+1, m)) until the gap closes.
 
-    S_n0 is truncated_schur(q, k, n0), the one banded solve.  H, the
-    complement of the N-truncation on its first and last b blocks, starts
-    as the raw 2b-block truncation, its own; joined with a copy of itself
-    (one dense 2b-block Cholesky solve, whatever N is), it doubles, up to
-    2 n0 in the first doubling and once in each later one.  S_N is H's
+    S_n0 is truncated_schur(q, k, n0), the one banded solve (at n0 = 2b,
+    the raw 2b-block truncation's own corner complement; the benchmark's
+    layer tests count its calls).  H, the complement of the N-truncation on
+    its first and last b blocks, starts as that raw truncation, its own;
+    each doubling joins it with a copy of itself (one dense 2b-block
+    Cholesky solve, whatever N is), but the first from n0 = b.  S_N is H's
     complement on its leading k+1 blocks.  Lower triangles alone are kept
     until the value, exactly Hermitian, is returned.
 
@@ -298,20 +296,19 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
     refused.
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
-    n0 = start_blocks(m, k, n_max)
+    b, n0 = max(k + 1, m), start_blocks(m, k, n_max)
     refuse_over_budget(_start_bytes(q.size, m, k, n0), f"Schur limit not started: truncation N = {n0}")
     scale = max(q.scale, 1e-300)
     need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
     s_prev = truncated_schur(q, k, n0)
-    n, h, span, older, gap = n0, None, 2 * max(k + 1, m), None, math.inf
+    n, h, older, gap = n0, None, None, math.inf
     while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
         try:
             if h is None:  # the raw 2b-block truncation, its own end-block complement
-                h = block_toeplitz(q, span)
+                h = block_toeplitz(q, 2 * b)
                 work = _join_workspace(h)
-            while span < n_next:
-                span *= 2
-                h = _join(h, scale, span, work)
+            if n_next > 2 * b:  # from n0 = b, H is already the 2b truncation
+                h = _join(h, scale, n_next, work)
             corner = _complement(h[:v, :v], h[v:, :v], h[v:, v:], scale, n_next)
             s_next = _checked_corner(corner, n_next)
         except SchurConvergenceError as floor:

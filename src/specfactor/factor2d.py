@@ -109,34 +109,26 @@ def choose_truncation(
     q: MatrixLaurentPoly2, delta_est: float, margin: float = DEFAULT_MARGIN
 ) -> LiftPlan:
     """Smallest N >= m2 whose reweighting error bound is strictly below
-    delta_est * (1 - margin).  The bound falls monotonically in N (so does
-    each floating-point term), so N doubles from m2, then bisects."""
+    delta_est * (1 - margin).  With s = sum |k| ||Q_jk||, the bound at N
+    lies in [s/(N+1), s/(N+1-m2)], so that N is one of floor(s/c) ...
+    floor(s/c) + m2 for the threshold c of the test, or m2: N scans the
+    m2 + 3 from one below (never past TRUNCATION_CAP) upward."""
     if delta_est <= 0:
         raise ValueError(f"delta_est must be positive, got {delta_est}")
     if not 0 < margin < 1:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
     budget = delta_est * (1.0 - margin)
+    # Strict inequality with an ulp-level guard so rational ties
+    # (mathematically not-strictly-below) push N up, never down.
+    c = budget * (1.0 - 1e-12)
     norms = _offset_norms(q)
-    bounds = {}
-
-    def fits(n: int) -> bool:
-        bounds[n] = remainder_bound(q, n, norms)
-        # Strict inequality with an ulp-level guard so rational ties
-        # (mathematically not-strictly-below) push N up, never down.
-        return bounds[n] < budget * (1.0 - 1e-12)
-
-    lo, hi = q.deg2 - 1, q.deg2  # the bound misses at lo (or lo < m2) and fits at hi
-    while not fits(hi):
-        if hi >= TRUNCATION_CAP:
-            raise ValueError(
-                f"degenerate delta: no truncation below {TRUNCATION_CAP} satisfies "
-                f"the bound {budget:.3e}"
-            )
-        lo, hi = hi, min(2 * hi + 1, TRUNCATION_CAP)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    return LiftPlan(n=hi, r=q.size, delta_est=delta_est, bound_s=bounds[hi], margin=margin)
+    s = sum(k * norm for k, norm in norms)
+    start = max(q.deg2, int(s / c) - 1) if s < c * TRUNCATION_CAP else TRUNCATION_CAP
+    for n in range(start, min(start + q.deg2 + 3, TRUNCATION_CAP + 1)):
+        if (bound := remainder_bound(q, n, norms)) < c:
+            return LiftPlan(n=n, r=q.size, delta_est=delta_est, bound_s=bound, margin=margin)
+    raise ValueError(f"degenerate delta: no truncation below {TRUNCATION_CAP} satisfies the "
+                     f"bound {budget:.3e}")
 
 
 def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:

@@ -150,10 +150,14 @@ def psd_check(h, tol: float = 0.0) -> PsdVerdict:
     return PsdVerdict(ok=lo >= -tol * float(np.max(np.abs(vals))), min_eig=lo)
 
 
-def cholesky_psd(h: np.ndarray, floor: float) -> bool:
-    """True when LAPACK potrf factors h + (floor/2) I, which for Hermitian h
-    proves min eig(h) >= -floor (rounding, about n eps max|h|, lies far
-    below floor/2).  False decides nothing, and non-finite h gives False."""
+def cholesky_psd(h: np.ndarray, tol: float) -> bool:
+    """True when LAPACK potrf factors h + (floor/2) I, floor = tol max|h_ii|:
+    for Hermitian h, proof that min eig(h) >= -floor >= -tol max|eig|.  A
+    tol below 2^10 n eps, where rounding (about n eps max|h_ii|) nears
+    floor/2, gives False, as does non-finite h; False decides nothing."""
+    if tol < 2**10 * len(h) * np.finfo(float).eps:
+        return False
+    floor = tol * float(np.abs(h.diagonal()).max())
     shifted = np.array(h, dtype=complex)
     shifted.reshape(-1)[:: len(h) + 1] += floor / 2  # one copy, its diagonal in place
     chol, info = _potrf(shifted, lower=1, clean=0)
@@ -228,8 +232,9 @@ def schur_complement(m, k: int) -> np.ndarray:
     A - B* C^(-1) B, exactly Hermitian, from cholesky_complement with scale
     max|M|, so a singular C is eliminated with the same jitter retry as in
     the construction.  Raises NotPSDError when C is not PSD or the
-    complement has an eigenvalue below -1e-8 max|M|, which cholesky_psd
-    rules out before any eigensolve; the complement is returned unclamped.
+    complement has an eigenvalue below -1e-8 max|M|; cholesky_psd(S, 1e-8),
+    whose floor 1e-8 max|S_ii| is at most that where it passes, rules it out
+    before any eigensolve.  The complement is returned unclamped.
     """
     m = check_hermitian(m)
     n = m.shape[0]
@@ -237,7 +242,7 @@ def schur_complement(m, k: int) -> np.ndarray:
         raise ValueError(f"split index k = {k} out of range [1, {n - 1}]")
     scale = max(float(np.max(np.abs(m))), 1e-300)
     s = from_lower(cholesky_complement(m[:k, :k], m[k:, :k], m[k:, k:], scale))
-    lo = 0.0 if cholesky_psd(s, 1e-8 * scale) else float(eig_hermitian(s, vectors=False).values[0])
+    lo = 0.0 if cholesky_psd(s, 1e-8) else float(eig_hermitian(s, vectors=False).values[0])
     if lo < -1e-8 * scale:
         raise NotPSDError(
             f"matrix is not PSD: Schur complement eigenvalue {lo:.6e}", eigenvalue=lo

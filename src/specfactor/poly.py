@@ -370,13 +370,10 @@ class ToeplitzVerdict:
 
 def toeplitz_psd_check(q: MatrixLaurentPoly1, n_blocks: int, tol: float = 0.0) -> ToeplitzVerdict:
     """PSD test of the N-block Toeplitz truncation (necessary for circle
-    nonnegativity at every N): psd_check(T, tol).ok, decided by one
-    Cholesky where tol * max|T_ii| / 2 lies far above rounding (max|T_ii|
-    <= max|eig|, so a pass implies psd_check's test), else by psd_check."""
+    nonnegativity at every N): psd_check(T, tol).ok, decided by
+    linalg.cholesky_psd(T, tol) where that passes, else by psd_check."""
     t = block_toeplitz(q, n_blocks)
-    if tol >= 2**10 * len(t) * np.finfo(float).eps and linalg.cholesky_psd(
-        t, tol * float(np.abs(t.diagonal()).max())
-    ):
+    if linalg.cholesky_psd(t, tol):
         return ToeplitzVerdict(q, n_blocks, True)
     ok, lo = linalg.psd_check(t, tol=tol)
     return ToeplitzVerdict(q, n_blocks, ok, lo)

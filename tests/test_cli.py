@@ -179,12 +179,12 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        # One byte below the price of the limit from n0 = 16.
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
+        # One byte below the price of the limit from n0 = 8.
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
         code, report, _ = run(capsys, ["factor", str(path)])
         assert code == 3
         assert report["converged"] is False
-        assert report["N_used"] == 16
+        assert report["N_used"] == 8
 
     def test_infinite_gap_prints_strict_json(self, capsys, tmp_path, monkeypatch):
         # A budget that refuses the first doubling leaves gap = inf.
@@ -193,7 +193,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
         code = cli.main(["factor", str(path)])
         out = capsys.readouterr().out
 
@@ -203,7 +203,7 @@ class TestFactor:
         report = json.loads(out, parse_constant=reject)
         assert code == 3
         assert report["gap"] is None
-        assert report["N_used"] == 16
+        assert report["N_used"] == 8
 
     def test_degraded_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
         from specfactor import corpus, factor1d
@@ -211,7 +211,7 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
         code, report, err = run(capsys, ["factor", str(path)])
         assert code == 3
         assert "would need about" in err
@@ -285,8 +285,8 @@ class TestFactor2d:
         save_poly(path, q)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 10_000)
         code, report, err = run(capsys, ["factor2d", str(path)])
-        # plan N = 16: lift size 17, start n0 = 8
-        need = factor1d.limit_bytes((17, 1), 1, 8)
+        # plan N = 16: lift size 17, start n0 = 4
+        need = factor1d.limit_bytes((17, 1), 1, 4)
         assert code == 3
         assert f"would need about {need:.3e} B" in report["error"]
         assert "convergence failure" in err
@@ -446,3 +446,27 @@ class TestDeterministicReports:
         second_file = Path(out).read_bytes()
         assert rep_a == rep_b
         assert first_file == second_file
+
+    def test_factor_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The contract (README, "Command line"): bit-identical at any BLAS
+        # thread count when no dense order reaches 68, as for a ridged r = 3,
+        # m = 4 input (orders up to 30), each run in a fresh process.
+        from specfactor import corpus
+
+        q, _ = corpus.ridged_instance(np.random.default_rng(5), 3, 4)
+        path = tmp_path / "ridged.json"
+        save_poly(path, q)
+        src = str(Path(specfactor.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads  # the report names --out, so both name p.json
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "specfactor.cli", "factor", str(path), "--out", "p.json"],
+                capture_output=True, env=env, cwd=cwd, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, (cwd / "p.json").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -128,7 +128,7 @@ class TestSchurLimit:
         # before any doubling, with the byte estimate in the message.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
-        n0 = 4 * (m + 1)
+        n0 = 2 * (m + 1)
         need = factor1d.limit_bytes(q, m, n0)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(SchurConvergenceError) as err:
@@ -142,7 +142,7 @@ class TestSchurLimit:
         assert rep.gap == np.inf
 
     def test_memory_budget_refuses_the_start(self, monkeypatch, capsys, tmp_path):
-        # A budget below the price of truncated_schur at n0 alone (327,680 B
+        # A budget below the price of truncated_schur at n0 alone (163,840 B
         # here) refuses the limit before it runs: no partial, no large array,
         # in schur_limit, factor and the CLI alike.  At that price exactly,
         # the limit runs its start and stops at n0.
@@ -152,7 +152,7 @@ class TestSchurLimit:
         from specfactor.poly import save_poly
 
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 8, 3)
-        message = ("Schur limit not started: truncation N = 16 would need about 3.277e+05 B, "
+        message = ("Schur limit not started: truncation N = 8 would need about 1.638e+05 B, "
                    "over the memory budget of 1.000e+00 B")
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 1)
         tracemalloc.start()
@@ -173,21 +173,21 @@ class TestSchurLimit:
         code = cli.main(["factor", str(path)])
         assert code == 3
         assert json.loads(capsys.readouterr().out) == {"error": message}
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 327_680)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 163_840)
         with pytest.raises(SchurConvergenceError) as err:
             schur_limit(q, 3)
-        assert err.value.partial.n_used == 16
+        assert err.value.partial.n_used == 8
 
     def test_memory_budget_never_refuses_a_join(self, monkeypatch):
         # The joins' arrays are 2b-block squares at every N: a budget that
-        # admits the first doubling lets the limit run past 4 n0.
+        # admits the first doubling lets the limit run past 8 n0.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
-        n0 = 4 * (m + 1)
+        n0 = 2 * (m + 1)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, m, n0))
         res = schur_limit(q, m)
         assert res.converged
-        assert res.n_used > 4 * n0
+        assert res.n_used > 8 * n0
 
     def test_a_refused_first_doubling_builds_no_chain(self, monkeypatch):
         # Stopped at n0 by the budget, the limit builds neither the raw
@@ -196,20 +196,19 @@ class TestSchurLimit:
         built = []
         monkeypatch.setattr(factor1d, "block_toeplitz", lambda *args: built.append(args))
         monkeypatch.setattr(factor1d, "_join_workspace", lambda *args: built.append(args))
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 16) - 1)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
         with pytest.raises(SchurConvergenceError) as err:
             schur_limit(q, 3)
-        assert err.value.partial.n_used == 16 and built == []
+        assert err.value.partial.n_used == 8 and built == []
 
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
     def test_price_covers_the_traced_peak(self, r, m, monkeypatch):
-        # limit_bytes against what the limit allocates from the default start,
-        # the smallest one whose first doubling joins (2b) and a larger one:
-        # each phase against its term, the joins' 16 * 11 w^2 (w = 2br) along
-        # the chain from the raw 2b-block truncation up to 4 n0 and
-        # truncated_schur at n0 the rest, each with the 64 KiB of interpreter
-        # objects, and the whole limit up to 8 n0 against the sum, started at
-        # n0 through start_blocks.
+        # limit_bytes against what the limit allocates from its two starts,
+        # 2b and b: each phase against its term, the joins' 16 * 11 w^2 (w =
+        # 2br) along the chain from the raw 2b-block truncation up to 16b and
+        # truncated_schur the rest, at either start and at N = 64 (a witness
+        # confirmation), each with the 64 KiB of interpreter objects, and the
+        # whole limit up to 8 n0 against the sum.
         q, _ = corpus.ridged_instance(np.random.default_rng(7), r, m)
         b = m + 1
 
@@ -224,15 +223,18 @@ class TestSchurLimit:
         def joins():
             h, n_blocks = block_toeplitz(q, 2 * b), 2 * b
             work = factor1d._join_workspace(h)
-            while n_blocks < 4 * n0:
+            while n_blocks < 16 * b:
                 n_blocks *= 2
                 h = factor1d._join(h, q.scale, n_blocks, work)
 
-        for n0 in (4 * (m + 1), 2 * b, 64):
-            price, joined = factor1d.limit_bytes(q, m, n0), 16 * 11 * (2 * b * r) ** 2
-            assert traced_peak(lambda: truncated_schur(q, m, n0)) <= price - joined
-            assert traced_peak(joins) <= joined + 2**16
-            start_at(monkeypatch, n0)
+        joined = 16 * 11 * (2 * b * r) ** 2
+        assert traced_peak(joins) <= joined + 2**16
+        for n_blocks in (b, 2 * b, 64):
+            price = factor1d.limit_bytes(q, m, n_blocks)
+            assert traced_peak(lambda: truncated_schur(q, m, n_blocks)) <= price - joined
+        for fallback, n0 in ((True, b), (False, 2 * b)):
+            start_at(monkeypatch, fallback)
+            price = factor1d.limit_bytes(q, m, n0)
             assert traced_peak(lambda: limit_or_partial(q, m, n_max=8 * n0)) <= price
 
     def test_values_leave_the_limit_exactly_hermitian(self):
@@ -277,58 +279,90 @@ def limit_or_partial(q, k, **kwargs):
 START_BLOCKS = factor1d.start_blocks
 
 
-def start_at(monkeypatch, n0):
-    # schur_limit has no start option: start_blocks is set to the largest
-    # b 2^j, b = max(k + 1, m), up to both n0 and n_max // 2, or b if none
-    # is; n0 None restores the default start, where n0 is 4b.
-    def start(m, k, n_max):
-        b = n = max(k + 1, m)
-        while 2 * n <= min(n0, n_max // 2):
-            n *= 2
-        return n
-
-    monkeypatch.setattr(factor1d, "start_blocks", START_BLOCKS if n0 is None else start)
+def start_at(monkeypatch, fallback):
+    # schur_limit has no start option: with fallback, start_blocks is set
+    # to b = max(k + 1, m), the start of a cap below 4b, at every cap;
+    # without, the default start (2b, or b when 4b > n_max) is restored.
+    start = (lambda m, k, n_max: max(k + 1, m)) if fallback else START_BLOCKS
+    monkeypatch.setattr(factor1d, "start_blocks", start)
 
 
 class TestSegmentDoubling:
     def test_matches_direct_truncation(self, monkeypatch):
-        # k < m, k = m and k > m, the default start and a start at n0 = 17,
-        # which is not on the chain b 2^j, b = max(k + 1, m), rounded down
-        # onto it by start_at.
+        # k < m, k = m and k > m, from the default start 2b, b = max(k + 1,
+        # m), and from the fallback start b, whose first doubling joins
+        # nothing.
         rng = np.random.default_rng(505)
         for r in (1, 2, 3):
             for m in (1, 2, 3):
                 for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
                     for k in sorted({0, m - 1, m, m + 1}):
-                        for n0 in (None, 17):
-                            start_at(monkeypatch, n0)
+                        for fallback in (False, True):
+                            start_at(monkeypatch, fallback)
                             res = limit_or_partial(q, k, n_max=512)
                             assert res.n_used in {max(k + 1, m) * 2**j for j in range(10)}
                             direct = truncated_schur(q, k, res.n_used)
                             assert np.max(np.abs(res.value - direct)) <= 1e-10 * q.scale
 
     def test_start_is_on_the_chain(self, monkeypatch):
-        # b 2^j, b = max(k + 1, m): the largest up to n0 (default 4b) and
-        # n_max // 2, or b when none is; so the default start of factor
-        # (k = m) is 4(m + 1) whenever n_max >= 8(m + 1).  The limit starts
-        # there: a budget one byte below its price stops it at the start.
+        # b = max(k + 1, m): the start is 2b, the raw truncation the joins
+        # start from, unless 4b > n_max, where it is b; so the start of
+        # factor (k = m) is 2(m + 1) whenever n_max >= 4(m + 1).  The limit
+        # starts there: a budget one byte below its price stops it at the start.
         rng = np.random.default_rng(506)
         for m in range(1, 6):
             q, _ = corpus.ridged_instance(rng, 1, m)
             for k in (m - 1, m, m + 1):
                 b = max(k + 1, m)
-                chain = [b * 2**j for j in range(30)]
-                for n0 in (None, 1, 17, 64, 10**6):
-                    start_at(monkeypatch, n0)
-                    for n_max in (2 * b, 3 * b, 8 * (m + 1), 4096):
-                        start = factor1d.start_blocks(m, k, n_max)
-                        room = min(4 * b if n0 is None else n0, n_max // 2)
-                        assert start == max([n for n in chain if n <= room], default=b)
-                        if k == m and n0 is None and n_max >= 8 * (m + 1):
-                            assert start == 4 * (m + 1)
-                        monkeypatch.setattr(factor1d, "MEMORY_BUDGET",
-                                            factor1d.limit_bytes(q, k, start) - 1)
-                        assert limit_or_partial(q, k, n_max=n_max).n_used == start
+                for n_max in (2 * b, 3 * b, 4 * b, 8 * (m + 1), 4096):
+                    start = factor1d.start_blocks(m, k, n_max)
+                    assert start == (b if 4 * b > n_max else 2 * b)
+                    if k == m and n_max >= 4 * (m + 1):
+                        assert start == 2 * (m + 1)
+                    monkeypatch.setattr(factor1d, "MEMORY_BUDGET",
+                                        factor1d.limit_bytes(q, k, start) - 1)
+                    assert limit_or_partial(q, k, n_max=n_max).n_used == start
+
+    def test_one_join_per_doubling(self, monkeypatch):
+        # From n0 = 2b, whose corner truncated_schur checks, every doubling
+        # is one join and one checked corner at its own N: b = 2 for |1+z|^2
+        # up to the default cap, and b = 5 for a ridged input that converges
+        # at N = 160.
+        steps, join, corner = [], factor1d._join, factor1d._checked_corner
+
+        def joined(h, scale, n_blocks, work):
+            steps.append(("join", n_blocks))
+            return join(h, scale, n_blocks, work)
+
+        def checked(s, n_blocks):
+            steps.append(("corner", n_blocks))
+            return corner(s, n_blocks)
+
+        monkeypatch.setattr(factor1d, "_join", joined)
+        monkeypatch.setattr(factor1d, "_checked_corner", checked)
+        for q, k, n0, n_used in ((scalar_laurent({0: 2.0, 1: 1.0}), 1, 4, 4096),
+                                 (corpus.ridged_instance(np.random.default_rng(0), 3, 4)[0], 4, 10, 160)):
+            steps.clear()
+            assert limit_or_partial(q, k).n_used == n_used
+            doublings = [n0 * 2**j for j in range(1, n_used.bit_length() - n0.bit_length() + 1)]
+            assert doublings[-1] == n_used
+            assert steps == [("corner", n0)] + [(what, n) for n in doublings for what in ("join", "corner")]
+
+    def test_the_smallest_cap_doubles_once_without_a_join(self, monkeypatch):
+        # At n_max = 2(m + 1), below 4b, factor starts at b and doubles once,
+        # to the raw 2b-block truncation, whose corner it takes as it is.
+        joins, join = [], factor1d._join
+        monkeypatch.setattr(factor1d, "_join", lambda *args: joins.append(args) or join(*args))
+        rng = np.random.default_rng(507)
+        for r, m in ((1, 1), (2, 2), (3, 3)):
+            q, _ = corpus.ridged_instance(rng, r, m)
+            _, rep = factor(q, n_max=2 * (m + 1))
+            assert rep.n_used == 2 * (m + 1) and 0 < rep.gap < np.inf
+            assert "block cap" in rep.degraded_reason
+            res = limit_or_partial(q, m, n_max=2 * (m + 1))
+            direct = truncated_schur(q, m, 2 * (m + 1))
+            assert np.max(np.abs(res.value - direct)) <= 1e-12 * q.scale
+        assert joins == []
 
     @pytest.mark.parametrize("eps, n_blocks", [(1e-3, 128), (1e-5, 1024), (1e-6, 4096)])
     def test_witness_found_through_a_join(self, eps, n_blocks):
@@ -355,21 +389,21 @@ class TestSegmentDoubling:
             assert "conditioning floor" in rep.degraded_reason
 
     def test_a_first_doubling_at_the_floor_keeps_the_start(self, monkeypatch):
-        # A floor in the first doubling's segments leaves gap = inf and the
-        # n0 corner, truncated_schur's, as the partial.
+        # A floor in the first doubling's join leaves gap = inf and the n0
+        # corner, truncated_schur's, as the partial.
         def floored(a, b, c, scale):
             raise linalg.NotPSDError("not positive definite")
 
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
-        start = truncated_schur(q, 3, 16)
+        start = truncated_schur(q, 3, 8)
         monkeypatch.setattr(linalg, "cholesky_complement", floored)
         with pytest.raises(SchurConvergenceError, match="conditioning floor at truncation N = ") as err:
             schur_limit(q, 3)
         assert err.value.gap == np.inf
-        assert err.value.partial.n_used == 16 and err.value.partial.gap == np.inf
+        assert err.value.partial.n_used == 8 and err.value.partial.gap == np.inf
         np.testing.assert_array_equal(err.value.partial.value, start)
         _, rep = factor(q)
-        assert not rep.converged and rep.n_used == 16 and rep.gap == np.inf
+        assert not rep.converged and rep.n_used == 8 and rep.gap == np.inf
 
     def test_a_witness_the_truncation_does_not_confirm_is_a_floor(self, monkeypatch):
         # A join witness at N = 64 on a valid input: truncated_schur(q, k, 64)
@@ -432,8 +466,7 @@ class TestSegmentDoubling:
         assert rep.gap == pytest.approx(2.443e-4, rel=1e-3)
 
     def test_one_banded_solve_per_limit(self, monkeypatch):
-        # The n0 truncation is the one banded solve; the first doubling is
-        # joined from dense segments, and the nine later doublings up to
+        # The n0 truncation is the one banded solve; the ten doublings up to
         # N = 4096 are small dense joins.
         calls = []
         banded = factor1d.solveh_banded
@@ -445,13 +478,12 @@ class TestSegmentDoubling:
         monkeypatch.setattr(factor1d, "solveh_banded", counted)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert calls == [6]  # the 6 blocks of the n0 = 8 truncation past its corner
+        assert calls == [2]  # the 2 blocks of the n0 = 4 truncation past its corner
 
     def test_one_kernel_for_joins_corners_and_schur_complement(self, monkeypatch):
-        # Up to N = 4096 from n0 = 8 (b = 2): two joins of the start (N = 8
-        # from two copies of T_4, then N = 16), eight later joins (N = 32
-        # ... 4096) and nine corner complements (N = 16 ... 4096), and the
-        # public schur_complement, all through linalg.cholesky_complement.
+        # Up to N = 4096 from n0 = 4 (b = 2): ten joins and ten corner
+        # complements (N = 8 ... 4096), one each a doubling, and the public
+        # schur_complement, all through linalg.cholesky_complement.
         calls = []
         kernel = linalg.cholesky_complement
 
@@ -462,16 +494,16 @@ class TestSegmentDoubling:
         monkeypatch.setattr(linalg, "cholesky_complement", counted)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert len(calls) == 19
+        assert len(calls) == 20
         calls.clear()
         linalg.schur_complement(np.eye(3), 1)
         assert calls == [2]
 
 
     def test_kernel_counts_of_the_limit(self, monkeypatch):
-        # |1+z|^2 up to N = 4096 from n0 = 8: 29 potrf calls (ten joins,
-        # two of them the start's, nine corners and ten corner PSD verdicts,
-        # for n0 and the nine doublings), none failing, so no jitter retry;
+        # |1+z|^2 up to N = 4096 from n0 = 4: 31 potrf calls (ten joins, ten
+        # corners and eleven corner PSD verdicts, for n0 and the ten
+        # doublings), none failing, so no jitter retry;
         # no eigensolve through eig_hermitian, the gaps calling eigvalsh directly.
         factorizations, solves = [], []
         potrf, eig = linalg._potrf, linalg.eig_hermitian
@@ -489,7 +521,7 @@ class TestSegmentDoubling:
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
         res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
-        assert factorizations == [0] * 29
+        assert factorizations == [0] * 31
         assert solves == []
 
 
@@ -631,7 +663,7 @@ class TestCholeskyVerdicts:
     def test_gaps_solved_only_to_decide_or_report(self, monkeypatch):
         # max|D_ii| <= ||D||_2: |1+z|^2 up to the cap N = 4096 solves only
         # the reported gap (nine doublings), and factor on a ridged input
-        # converging at N = 160 from n0 = 20 makes three eigvalsh calls in all.
+        # converging at N = 160 from n0 = 10 makes three eigvalsh calls in all.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -786,14 +818,14 @@ class TestFactor:
             assert phat.degree <= q.degree
 
     def test_gauge_uniqueness_across_truncation_starts(self, monkeypatch):
-        # Two starts on the chain of b = 4, N = 8 and N = 32, set through
+        # The two starts on the chain of b = 4, N = 4 and N = 8, set through
         # start_blocks: factor has no start option.
         rng = np.random.default_rng(77)
         for _ in range(5):
             q, _ = corpus.ridged_instance(rng, 2, 3)
             factors = []
-            for n0 in (8, 32):
-                start_at(monkeypatch, n0)
+            for fallback in (True, False):
+                start_at(monkeypatch, fallback)
                 factors.append(factor(q)[0])
             assert coeff_diff(*factors) <= 1e-6 * q.scale
 

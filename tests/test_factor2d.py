@@ -291,16 +291,37 @@ class TestChooseTruncationSearch:
                     plan = choose_truncation(q, delta, margin)
                     assert (plan.n, plan.bound_s) == linear_scan(q, delta, margin)
 
-    def test_first_bound_is_taken_at_the_second_degree(self, monkeypatch):
-        seen = []
-        bound = factor2d.remainder_bound
+    @staticmethod
+    def counted_bounds(monkeypatch):
+        seen, bound = [], factor2d.remainder_bound
         monkeypatch.setattr(
             factor2d, "remainder_bound", lambda q, n, norms=None: seen.append(n) or bound(q, n, norms)
         )
-        q = corpus.sos_instance2(np.random.default_rng(62), 1, 1, 3)
-        plan = choose_truncation(q, 0.01 * q.scale)
-        assert seen[0] == q.deg2 == 3
-        assert len(seen) < plan.n - q.deg2 + 1  # fewer calls than the linear scan
+        return seen
+
+    def test_at_most_m2_plus_three_bounds(self, monkeypatch):
+        # The bound at N lies in [s/(N+1), s/(N+1-m2)], s = sum |k| ||Q_jk||,
+        # so at most m2 + 3 bounds bracket the first N that fits, which the
+        # linear scan finds one N at a time.
+        seen = self.counted_bounds(monkeypatch)
+        rng = np.random.default_rng(62)
+        for r, m1, m2 in ((1, 1, 3), (1, 1, 1), (2, 2, 2), (1, 0, 5)):
+            q = corpus.sos_instance2(rng, r, m1, m2)
+            for delta in q.scale * np.array([0.3, 0.01, 1e-4]):
+                seen.clear()
+                plan = choose_truncation(q, delta)
+                assert 1 <= len(seen) <= q.deg2 + 3 and seen[-1] == plan.n
+                assert seen == list(range(seen[0], plan.n + 1))
+                assert (plan.n, plan.bound_s) == linear_scan(q, delta, factor2d.DEFAULT_MARGIN)
+
+    def test_an_underflowing_budget_is_degenerate_at_once(self, monkeypatch):
+        # delta = 5e-324 leaves a subnormal budget: s / budget overflows, the
+        # scan starts at the cap and raises after one bound, not 100 000.
+        seen = self.counted_bounds(monkeypatch)
+        q = corpus.sos_instance2(np.random.default_rng(63), 1, 1, 3)
+        with pytest.raises(ValueError, match="degenerate delta"):
+            choose_truncation(q, 5e-324)
+        assert seen == [factor2d.TRUNCATION_CAP]
 
     def test_cap_is_kept(self):
         with pytest.raises(ValueError, match="degenerate delta"):
@@ -677,7 +698,7 @@ class TestFactorStrict:
         monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
         q = plane(4.2)
         plan_n = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n
-        need = factor1d.limit_bytes((plan_n + 1, 1), 1, 8)  # n0 = 4(m1 + 1)
+        need = factor1d.limit_bytes((plan_n + 1, 1), 1, 4)  # n0 = 2(m1 + 1)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(factor1d.SchurConvergenceError, match="over the memory budget") as info:
             factor_strict(q)
@@ -689,20 +710,20 @@ class TestFactorStrict:
         assert built == [plan_n]
 
     def test_lift_preflight_uses_the_clamped_start(self, monkeypatch):
-        # n_max = 8 clamps n0 = 8 to 4 in schur_limit; the preflight must
+        # n_max = 4 clamps n0 = 4 to 2 in schur_limit; the preflight must
         # price that start, not the unclamped one, and build the lift.
         built, lift = [], factor2d.lift_to_block
         monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
         q = plane(4.2)
         size = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n + 1
-        clamped, unclamped = (factor1d.limit_bytes((size, 1), 1, n) for n in (4, 8))
+        clamped, unclamped = (factor1d.limit_bytes((size, 1), 1, n) for n in (2, 4))
         assert clamped < unclamped
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", (clamped + unclamped) // 2)
-        factors, rep, plan = factor_strict(q, n_max=8)
+        factors, rep, plan = factor_strict(q, n_max=4)
         assert built == [plan.n] == [size - 1]
         # the doubling guard checks the same price, so only the cap stops it
-        assert rep.n_used == 8 and not rep.converged
-        assert "block cap N = 8" in rep.degraded_reason
+        assert rep.n_used == 4 and not rep.converged
+        assert "block cap N = 4" in rep.degraded_reason
 
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})

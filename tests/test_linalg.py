@@ -149,8 +149,7 @@ class TestCholeskyPsd:
     TOL = 1e-8
 
     def verdicts(self, h):
-        floor = self.TOL * float(np.max(np.abs(np.diagonal(h))))
-        return cholesky_psd(h, floor), psd_check(h, tol=self.TOL).ok
+        return cholesky_psd(h, self.TOL), psd_check(h, tol=self.TOL).ok
 
     def test_never_passes_what_psd_check_fails(self):
         rng = np.random.default_rng(41)
@@ -172,6 +171,15 @@ class TestCholeskyPsd:
             assert not cholesky_psd(bad.astype(complex), 1e-8)
         assert not cholesky_psd(np.eye(2, dtype=complex), np.inf)
 
+    def test_decides_nothing_below_the_rounding_guard(self):
+        # A tol below 2^10 n eps gives False, even for the identity; the
+        # Toeplitz screen and the corner verdict then solve for eigenvalues.
+        for n in (1, 4, 30):
+            edge = 2**10 * n * np.finfo(float).eps
+            assert cholesky_psd(np.eye(n, dtype=complex), edge)
+            assert not cholesky_psd(np.eye(n, dtype=complex), edge * (1 - 1e-3))
+            assert not cholesky_psd(np.eye(n, dtype=complex), 0.0)
+
     @staticmethod
     def summed_form(h, floor):
         # The verdict as potrf of h + diag(floor/2) (fresh +0.0 off the diagonal).
@@ -180,7 +188,8 @@ class TestCholeskyPsd:
 
     def test_matches_the_summed_form_at_the_shifted_edge(self):
         # Smallest eigenvalue +-(floor/2)(1 +- 1e-3): h + (floor/2) I is just
-        # definite or just indefinite, and both forms decide alike.
+        # definite or just indefinite, and both forms decide alike, the
+        # floor passed as tol = floor / max|h_ii|.
         # A block of -0.0 entries couples the spectrum to two more diagonal
         # entries: the one place the two forms' shifted copies differ.
         rng = np.random.default_rng(42)
@@ -193,7 +202,8 @@ class TestCholeskyPsd:
                     h[:n, :n] = with_spectrum(rng, np.r_[edge, rng.uniform(0.1, 1.0, n - 1)])
                     h[n, n], h[n + 1, n + 1] = 0.5, 0.7
                     before = h.tobytes()
-                    assert cholesky_psd(h, floor) == self.summed_form(h, floor) == (sign > 0 or side < 1)
+                    tol = floor / float(np.max(np.abs(np.diagonal(h))))
+                    assert cholesky_psd(h, tol) == self.summed_form(h, floor) == (sign > 0 or side < 1)
                     assert h.tobytes() == before  # the input is not written
 
     def test_matches_the_summed_form_on_nonfinite_input(self):
