@@ -138,8 +138,8 @@ def cmd_factor2d(args) -> int:
         fh.write("\n")
     report = {"command": "factor2d", "out": out, "plan": plan.to_json(), "factor_count": len(factors)}
     summary = (
-        f"factor2d: {len(factors)} factors, plan N = {plan.n}, residual "
-        f"{rep.residual_sup:.3e} -> {out}"
+        f"factor2d: {len(factors)} factors, lift N = {rep.tolerances['lift_n']} (plan N = "
+        f"{plan.n}), residual {rep.residual_sup:.3e} -> {out}"
     )
     return _emit_factor(report, rep, args.tol, max(q.scale, 1e-300), summary)
 

@@ -5,8 +5,9 @@
 # sliding windows, so one-variable factorization applies; splitting the
 # factor's block columns back out gives at most N+1 analytic factors,
 # views of one stacked copy of the lifted coefficients.  Strictly positive
-# polynomials are factored exactly by pre-applying the inverse weights, with
-# N large enough that the reweighting error stays below the positivity margin.
+# polynomials are factored exactly by pre-applying the inverse weights, at
+# the first N of a doubling chain whose lift factors; the N whose reweighting
+# error stays below the positivity margin certifies that one exists.
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import factor1d, verify
-from .factor1d import FactorReport, NotNonnegativeError
+from .factor1d import FactorNumericalError, FactorReport, NotNonnegativeError
 from .poly import (
     MatrixAnalyticPoly1,
     MatrixAnalyticPoly2,
@@ -37,8 +38,8 @@ class NotStrictlyPositiveError(ValueError):
 
 
 class StrictificationError(RuntimeError):
-    """The lift of the reweighted polynomial failed its Toeplitz screen or
-    a Schur witness: it is not nonnegative."""
+    """The certified lift of the reweighted polynomial failed its Toeplitz
+    screen or a Schur witness: it is not nonnegative."""
 
 
 @dataclass
@@ -266,9 +267,11 @@ def factor_strict(
     """Exact sum-of-squares factorization of a strictly positive polynomial.
 
     Applies the Cesaro pipeline to the inverse-weighted polynomial so the
-    weights cancel and the factors target Q itself.  delta overrides the
-    certified torus lower bound of estimate_delta, which samples grids no
-    finer than delta_grid.
+    weights cancel and the factors target Q itself, at any N >= m2: plan
+    certifies plan.n, but N = max(m2, 1) 2^j below it go first, and the first
+    converged with outer verdict "verified" is used (tolerances["lift_n"]).
+    delta overrides the certified torus lower bound of estimate_delta, which
+    samples grids no finer than delta_grid.
     """
     delta_grid = delta_grid or verify.GridSpec(9, 9)
     grid = grid or verify.GridSpec(6, 6)
@@ -279,13 +282,19 @@ def factor_strict(
             delta_est=delta_est,
         )
     plan = choose_truncation(q, delta_est, margin)
-    widened = inverse_cesaro(q, plan.n)
-    try:
-        factors, report = _factor_lifted(
-            widened, plan.n, q, grid, factor_opts, delta_est=delta_est, margin=margin
-        )
-    except NotNonnegativeError as exc:
-        raise StrictificationError(
-            f"strictification insufficient: increase margin (inner screen: {exc})"
-        ) from exc
-    return factors, report, plan
+    base = max(q.deg2, 1)
+    for n in [base << j for j in range(plan.n.bit_length()) if base << j < plan.n] + [plan.n]:
+        try:
+            factors, report = _factor_lifted(
+                inverse_cesaro(q, n), n, q, grid, factor_opts, delta_est=delta_est, margin=margin
+            )
+        except (NotNonnegativeError, FactorNumericalError) as exc:
+            if n < plan.n:
+                continue
+            if isinstance(exc, FactorNumericalError):
+                raise
+            raise StrictificationError(
+                f"strictification insufficient: increase margin (inner screen: {exc})"
+            ) from exc
+        if n == plan.n or (report.converged and report.outer_verdict == "verified"):
+            return factors, report, plan

@@ -61,6 +61,24 @@ def run(capsys, argv):
     return code, report, captured.err
 
 
+def outputs_at_one_and_two_threads(tmp_path, argv):
+    """(stdout, p.json bytes) of specfactor argv run in a fresh process at
+    one and at two BLAS threads, each in its own directory (the report
+    names --out p.json, so both name the same file)."""
+    src = str(Path(specfactor.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "specfactor.cli"] + argv,
+                              capture_output=True, env=env, cwd=cwd, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, (cwd / "p.json").read_bytes()))
+    return outputs
+
+
 class TestCheck:
     def test_strict_passes(self, capsys, strict_1d):
         code, report, _ = run(capsys, ["check", strict_1d])
@@ -285,11 +303,26 @@ class TestFactor2d:
         save_poly(path, q)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 10_000)
         code, report, err = run(capsys, ["factor2d", str(path)])
-        # plan N = 16: lift size 17, start n0 = 4
-        need = factor1d.limit_bytes((17, 1), 1, 4)
+        # the first trial, N = 1: lift size 2, start n0 = 4; every later
+        # lift costs more, so the scan stops there
+        need = factor1d.limit_bytes((2, 1), 1, 4)
         assert code == 3
         assert f"would need about {need:.3e} B" in report["error"]
         assert "convergence failure" in err
+
+    def test_near_singular_plane_factors_at_the_smallest_lift(self, capsys, tmp_path):
+        # plane c0=4.001 certifies N = 3532, over the memory budget; the
+        # lift N = 1 factors it, and the summary names both.
+        q = MatrixLaurentPoly2.from_causal(
+            1, {(0, 0): [[4.001]], (1, 0): [[1.0]], (0, 1): [[1.0]]}
+        )
+        path = tmp_path / "q4001.json"
+        save_poly(path, q)
+        code, report, err = run(capsys, ["factor2d", str(path), "--out", str(tmp_path / "fs.json")])
+        assert code == 0
+        assert (report["plan"]["N"], report["tolerances"]["lift_n"], report["factor_count"]) == (3532, 1, 2)
+        assert report["converged"] is True and report["outer_verdict"] == "verified"
+        assert "factor2d: 2 factors, lift N = 1 (plan N = 3532), residual " in err
 
     def test_wrong_arity_is_input_error(self, capsys, strict_1d):
         code, _, _ = run(capsys, ["factor2d", strict_1d])
@@ -456,17 +489,15 @@ class TestDeterministicReports:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 3, 4)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        src = str(Path(specfactor.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            cwd = tmp_path / threads  # the report names --out, so both name p.json
-            cwd.mkdir()
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "specfactor.cli", "factor", str(path), "--out", "p.json"],
-                capture_output=True, env=env, cwd=cwd, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((proc.stdout, (cwd / "p.json").read_bytes()))
+        outputs = outputs_at_one_and_two_threads(tmp_path, ["factor", str(path), "--out", "p.json"])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("c0", [4.2, 4.01])
+    def test_factor2d_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, c0):
+        # The planes factor at the lift N = 1, of order 2, far below 68.
+        q = MatrixLaurentPoly2.from_causal(1, {(0, 0): [[c0]], (1, 0): [[1.0]], (0, 1): [[1.0]]})
+        path = tmp_path / "plane.json"
+        save_poly(path, q)
+        outputs = outputs_at_one_and_two_threads(tmp_path, ["factor2d", str(path), "--out", "p.json"])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["tolerances"]["lift_n"] == 1

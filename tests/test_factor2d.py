@@ -628,6 +628,13 @@ class TestFactorCesaro:
             factor_cesaro(q, 2)
 
 
+def _lift_spy(monkeypatch):
+    """The N of every lift factor2d builds, in order."""
+    built, lift = [], factor2d.lift_to_block
+    monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
+    return built
+
+
 class TestFactorStrict:
     def test_constant(self):
         q = scalar_laurent2({(0, 0): 2.0})
@@ -676,9 +683,9 @@ class TestFactorStrict:
 
     @pytest.mark.parametrize("c0", [4.2, 4.1])
     def test_lifted_planes_are_outer_verified(self, c0, monkeypatch):
-        # The lifted factors (sizes 17 and 35) are well conditioned, with
-        # every zero of det Phi outside the disc of radius 1.1, although the
-        # coefficients of det Phi are tiny.
+        # The lifted factors (size 2: N = 1 already factors) are well
+        # conditioned, with every zero of det Phi outside the disc of
+        # radius 1.1.
         lifted, check = [], verify.outer_check
 
         def spy(p, **kw):
@@ -689,16 +696,16 @@ class TestFactorStrict:
         factors, rep, plan = factor_strict(plane(c0))
         assert rep.outer_verdict == "verified"
         (phi,) = lifted
-        assert phi.rows == plan.n + 1
+        assert phi.rows == rep.tolerances["lift_n"] + 1
         alpha, beta = eig(*verify._companion_pencil(phi), right=False, homogeneous_eigvals=True)
         assert np.all(np.abs(alpha) > 1.1 * np.abs(beta))
 
     def test_lift_over_budget_is_refused_before_it_is_built(self, monkeypatch):
-        built, lift = [], factor2d.lift_to_block
-        monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
+        # One byte below the smallest trial's price (N = 1, size 2) nothing
+        # is built; at that price N = 1 is built and factors.
+        built = _lift_spy(monkeypatch)
         q = plane(4.2)
-        plan_n = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n
-        need = factor1d.limit_bytes((plan_n + 1, 1), 1, 4)  # n0 = 2(m1 + 1)
+        need = factor1d.limit_bytes((2, 1), 1, 4)  # n0 = 2(m1 + 1)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         with pytest.raises(factor1d.SchurConvergenceError, match="over the memory budget") as info:
             factor_strict(q)
@@ -707,23 +714,71 @@ class TestFactorStrict:
         assert info.value.gap == math.inf and info.value.partial is None
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
         factors, rep, plan = factor_strict(q)
-        assert built == [plan_n]
+        assert built == [1] == [rep.tolerances["lift_n"]] and plan.n == 16
+
+    def test_a_refused_trial_stops_the_scan(self, monkeypatch):
+        # n_max = 4 leaves the N = 1 trial unconverged at the block cap; a
+        # budget of exactly its price refuses N = 2, and so every later
+        # lift: that raises, and N = 1's degraded report is not returned.
+        built = _lift_spy(monkeypatch)
+        need = factor1d.limit_bytes((2, 1), 1, 2)  # the clamped start n0 = 2
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
+        with pytest.raises(factor1d.SchurConvergenceError, match="lift of size 3 not built"):
+            factor_strict(plane(4.2), n_max=4)
+        assert built == [1]
 
     def test_lift_preflight_uses_the_clamped_start(self, monkeypatch):
         # n_max = 4 clamps n0 = 4 to 2 in schur_limit; the preflight must
-        # price that start, not the unclamped one, and build the lift.
-        built, lift = [], factor2d.lift_to_block
-        monkeypatch.setattr(factor2d, "lift_to_block", lambda q, n: built.append(n) or lift(q, n))
+        # price that start, not the unclamped one, and build every lift:
+        # each trial stops at the cap, unconverged, so the scan goes on.
+        built = _lift_spy(monkeypatch)
         q = plane(4.2)
         size = choose_truncation(q, estimate_delta(q, verify.GridSpec(9, 9))).n + 1
         clamped, unclamped = (factor1d.limit_bytes((size, 1), 1, n) for n in (2, 4))
         assert clamped < unclamped
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", (clamped + unclamped) // 2)
         factors, rep, plan = factor_strict(q, n_max=4)
-        assert built == [plan.n] == [size - 1]
+        assert built == [1, 2, 4, 8, plan.n] and plan.n == size - 1 == 16
         # the doubling guard checks the same price, so only the cap stops it
         assert rep.n_used == 4 and not rep.converged
         assert "block cap N = 4" in rep.degraded_reason
+
+    def test_near_singular_plane_factors_at_the_smallest_lift(self):
+        # plane(4.001) certifies N = 3532, a lift over the memory budget,
+        # but its lift at N = 1 has least eigenvalue 0.001 and factors Q.
+        q = plane(4.001)
+        factors, rep, plan = factor_strict(q)
+        assert (plan.n, rep.tolerances["lift_n"], len(factors)) == (3532, 1, 2)
+        assert rep.converged and rep.outer_verdict == "verified"
+        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+
+    def test_ridged_sums_of_squares_factor_within_the_certificate(self):
+        # The benchmark's strict_2d shape, r = 2, m = (1, 1), ridge 0.6, on
+        # its seeds: every input factors, with at most plan.n + 1 factors.
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            for _ in range(10):
+                base = corpus.sos_instance2(rng, 2, 1, 1)
+                coeffs = dict(base.coeffs)
+                coeffs[(0, 0)] = coeffs[(0, 0)] + 0.6 * base.scale * np.eye(2)
+                factors, rep, plan = factor_strict(MatrixLaurentPoly2(2, coeffs))
+                assert len(factors) == rep.tolerances["lift_n"] + 1 <= plan.n + 1
+                assert rep.converged and rep.outer_verdict == "verified"
+
+    def test_clearly_negative_input_is_rejected_at_every_trial(self, monkeypatch):
+        # An r = 2 sum of squares shifted to a minimum near -0.12 scale: the
+        # delta override certifies N = 30, and every trial's lift and the
+        # certified one are rejected.
+        built = _lift_spy(monkeypatch)
+        base = corpus.sos_instance2(np.random.default_rng(7), 2, 1, 1)
+        shift = verify.grid_min_eig(base, verify.GridSpec(8, 8)).min_eig + 0.1 * base.scale
+        coeffs = dict(base.coeffs)
+        coeffs[(0, 0)] = coeffs[(0, 0)] - shift * np.eye(2)
+        q = MatrixLaurentPoly2(2, coeffs)
+        assert verify.grid_min_eig(q, verify.GridSpec(8, 8)).min_eig < -0.1 * q.scale
+        with pytest.raises(StrictificationError, match="not nonnegative on circle"):
+            factor_strict(q, delta=0.1 * q.scale)
+        assert built == [1, 2, 4, 8, 16, 30]
 
     def test_independent_of_second_variable_collapses(self):
         q = scalar_laurent2({(0, 0): 5.0, (1, 0): 2.0})
@@ -760,10 +815,11 @@ class TestFactorStrict:
         assert rep.residual_sup <= 1e-12 * q.scale
 
     def test_indefinite_lift_is_a_strictification_error(self):
-        # delta = 1.0 for plane(4.05) gives a lift that is not PSD: the
-        # lift's own screen rejects it.
+        # delta = 1.0 for plane(3.9), which dips to -0.1, certifies N = 4;
+        # every trial's lift and the certified one are not PSD, and the
+        # certified lift's own screen rejects it.
         with pytest.raises(StrictificationError, match="not nonnegative on circle"):
-            factor_strict(plane(4.05), delta=1.0)
+            factor_strict(plane(3.9), delta=1.0)
 
 
 def _residual_spy(monkeypatch):
@@ -812,7 +868,8 @@ class TestLiftedVerification:
     def test_report_matches_the_public_lifted_factorization(self, c0):
         q = plane(c0)
         factors, rep, plan = factor_strict(q)
-        lifted = lift_to_block(inverse_cesaro(q, plan.n), plan.n)
+        n = rep.tolerances["lift_n"]
+        lifted = lift_to_block(inverse_cesaro(q, n), n)
         phi, rep1 = factor1d.factor(lifted, grid=verify.GridSpec(6))
         assert math.isfinite(rep1.residual_sup)
         assert (rep.outer_verdict, rep.n_used, rep.gap, rep.converged) == (
@@ -822,7 +879,7 @@ class TestLiftedVerification:
             rep1.converged,
         )
         assert {k: rep.tolerances[k] for k in rep1.tolerances} == rep1.tolerances
-        expected = unlift_factor(phi, q.size, plan.n)
+        expected = unlift_factor(phi, q.size, n)
         assert len(factors) == len(expected)
         for f, g in zip(factors, expected):
             assert list(f.coeffs) == list(g.coeffs)

@@ -7,7 +7,7 @@ from scipy.linalg import eig
 
 from specfactor import corpus, verify
 from specfactor.factor1d import factor, normalize_gauge
-from specfactor.factor2d import factor_strict
+from specfactor.factor2d import factor_cesaro, factor_strict, inverse_cesaro
 from specfactor.poly import (
     MatrixAnalyticPoly1,
     MatrixAnalyticPoly2,
@@ -142,7 +142,7 @@ class TestResidual2:
         for r, m1, m2 in ((1, 1, 1), (2, 1, 2), (2, 2, 1)):
             q = strict_instance(rng, r, m1, m2)
             fs, rep, plan = factor_strict(q)
-            assert len(fs) == plan.n + 1 > 1
+            assert len(fs) == rep.tolerances["lift_n"] + 1 > 1
             scale = grid_min_eig(q, self.GRID).max_eig
             got = residual(q, fs, self.GRID)
             assert abs(got - residual2_reference(q, fs, self.GRID)) <= 1e-13 * scale
@@ -232,11 +232,15 @@ class TestGramResidual:
         q = MatrixLaurentPoly2.from_causal(
             1, {(0, 0): [[4.1]], (1, 0): [[1.0]], (0, 1): [[1.0]]}
         )
-        fs, _, plan = factor_strict(q)
-        assert plan.n == 34 and len(fs) == 35
+        fs, rep, plan = factor_strict(q)
+        assert plan.n == 34 and len(fs) == rep.tolerances["lift_n"] + 1 == 2
+        # and the certified lift's 35 factors, which also sum to Q
+        wide, _ = factor_cesaro(inverse_cesaro(q, plan.n), plan.n)
+        assert len(wide) == 35
         scale = grid_min_eig(q, self.GRID).max_eig
-        got = residual(q, fs, self.GRID)
-        assert abs(got - residual2_pointwise(q, fs, self.GRID)) <= 1e-13 * scale
+        for fs in (fs, wide):
+            got = residual(q, fs, self.GRID)
+            assert abs(got - residual2_pointwise(q, fs, self.GRID)) <= 1e-13 * scale
 
     def test_factors_without_the_first_variable(self):
         # deg1 = 0 everywhere: one z1 coefficient, one Gram coefficient
@@ -289,18 +293,19 @@ def residual2_longdouble(q, factors, grid):
 
 class TestResidualAccuracy:
     def test_two_variables_near_a_long_double_reference(self):
-        # factor_strict's outputs on its own 64 x 64 grid, seeded and on
-        # plane c0=4.1 (35 lifted factors): within 5e-16 * scale of the
-        # reference.  Q - F* F, transformed once along z1 from its
-        # coefficients, meets it; a z1 transform of Q's and of the Gram
-        # coefficients apart, subtracted on the grid, misses it.
+        # The factors of factor_strict's certified lifts, N = plan.n, on its
+        # own 64 x 64 grid, seeded and on plane c0=4.1 (35 lifted factors):
+        # within 5e-16 * scale of the reference.  Q - F* F, transformed once
+        # along z1 from its coefficients, meets it; a z1 transform of Q's and
+        # of the Gram coefficients apart, subtracted on the grid, misses it.
         grid, rng = GridSpec(6, 6), np.random.default_rng(81)
         qs = [strict_instance(rng, r, m1, m2) for r, m1, m2 in
               ((1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (1, 2, 2))]
         qs.append(MatrixLaurentPoly2.from_causal(1, {(0, 0): [[4.1]], (1, 0): [[1.0]], (0, 1): [[1.0]]}))
         for q in qs:
-            fs, _, plan = factor_strict(q)
-            assert len(fs) == plan.n + 1
+            n = factor_strict(q)[2].n
+            fs, _ = factor_cesaro(inverse_cesaro(q, n), n)
+            assert len(fs) == n + 1
             got = residual(q, fs, grid)
             assert abs(got - residual2_longdouble(q, fs, grid)) <= 5e-16 * q.scale
         assert len(fs) == 35
