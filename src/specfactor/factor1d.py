@@ -12,11 +12,12 @@
 # with eigenvalues only for a witness, which the banded truncation must
 # confirm; a gap is solved only where it can decide or is reported; and a
 # block PSD to working precision that still fails to eliminate stops the
-# limit at its conditioning floor.  P_0 is the square root of the corner
-# block of S(m), and one range-restricted solve against P_0 reads P_1..P_m
-# off its last block row; converged also means backward stable.  A
-# classical scalar root-pairing construction serves as an independent
-# oracle.
+# limit at its conditioning floor.  One check refuses a limit, a lift's too,
+# priced over the memory budget before it builds anything.  P_0 is the
+# square root of the corner block of S(m), and one range-restricted solve
+# against P_0 reads P_1..P_m off its last block row; converged also means
+# backward stable.  A classical scalar root-pairing construction serves as
+# an independent oracle.
 
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ def memory_budget() -> int:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft // 2)
 
 
-# The Schur limit stops before its first doubling, and factor2d refuses a
-# lift, when its arrays (limit_bytes) would need more than this.
+# refuse_over_budget refuses a Schur limit, of one variable or of a lift,
+# whose arrays (limit_bytes) would need more than this.
 MEMORY_BUDGET = memory_budget()
 
 
@@ -70,21 +71,14 @@ class NotNonnegativeError(ValueError):
 
 
 class SchurConvergenceError(RuntimeError):
-    """Truncation hit the block cap, the conditioning floor or (before its
-    first doubling) the memory budget before the gap closed; partial is
-    None when it refused to start (refuse_over_budget)."""
+    """Truncation hit the block cap or the conditioning floor before the
+    gap closed; partial is None when refuse_over_budget refused the limit
+    over the memory budget before it ran."""
 
     def __init__(self, message, gap, partial):
         super().__init__(message)
         self.gap = gap
         self.partial = partial
-
-
-def refuse_over_budget(need: int, what: str) -> None:
-    """SchurConvergenceError, no partial, if what needs more bytes than MEMORY_BUDGET."""
-    if need > MEMORY_BUDGET:
-        raise SchurConvergenceError(f"{what} would need about {need:.3e} B, over the memory budget "
-                                    f"of {MEMORY_BUDGET:.3e} B", gap=math.inf, partial=None)
 
 
 class FactorNumericalError(RuntimeError):
@@ -219,11 +213,6 @@ def _gap_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
-def _start_bytes(r: int, m: int, k: int, n0: int) -> int:  # limit_bytes' first phase
-    v, d = (k + 1) * r, (n0 - k - 1) * r
-    return 16 * (5 * v * v + d * (3 * v + 2 * min((m + 1) * r, d)))
-
-
 def limit_bytes(q, k: int, n0: int) -> int:
     """Bytes schur_limit holds from its start n0 (start_blocks), for q or the
     pair (r, m), two phases added: truncated_schur at n0, 16 (5 v^2 + d (3 v
@@ -234,8 +223,8 @@ def limit_bytes(q, k: int, n0: int) -> int:
     workspace arrays, the kernel's factor, solve, result and jitter copy,
     and room for the corner's copies), + 64 KiB."""
     r, m = (q.size, q.degree) if isinstance(q, MatrixLaurentPoly1) else q
-    w = 2 * max(k + 1, m) * r
-    return _start_bytes(r, m, k, n0) + 16 * 11 * w * w + 2**16
+    v, d, w = (k + 1) * r, (n0 - k - 1) * r, 2 * max(k + 1, m) * r
+    return 16 * (5 * v * v + d * (3 * v + 2 * min((m + 1) * r, d)) + 11 * w * w) + 2**16
 
 
 def _join_workspace(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,6 +258,18 @@ def start_blocks(m: int, k: int, n_max: int) -> int:
     return b if 4 * b > n_max else 2 * b
 
 
+def refuse_over_budget(r: int, m: int, k: int, n_max: int, what: str) -> int:
+    """n0 = start_blocks(m, k, n_max) for the Schur limit on the leading k+1
+    blocks of an r x r input of degree m, unless its price limit_bytes((r, m),
+    k, n0) is over MEMORY_BUDGET: then SchurConvergenceError, no partial."""
+    n0 = start_blocks(m, k, n_max)
+    if (need := limit_bytes((r, m), k, n0)) > MEMORY_BUDGET:
+        raise SchurConvergenceError(
+            f"{what}: its Schur limit from N = {n0} would need about {need:.3e} B, over the "
+            f"memory budget of {MEMORY_BUDGET:.3e} B", gap=math.inf, partial=None)
+    return n0
+
+
 def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> SchurResult:
     """Approximate the infinite-operator corner Schur complement by
     doubling the truncation N = n0, 2 n0, ... on the chain b 2^j (n0 from
@@ -287,26 +288,23 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
     so the gap is a one-sided convergence certificate.  Its eigensolve
     runs only where the largest diagonal entry of the difference, a lower
     bound for the gap, lets it pass, or where it is reported.  All joins
-    share one workspace.  Doubling stops with SchurConvergenceError, the
-    last corner its partial, at the block cap n_max, at the conditioning
-    floor (a failed join of blocks PSD to working precision, or a witness
-    that truncated_schur, within budget, does not confirm), or at n0 when
-    limit_bytes exceeds MEMORY_BUDGET, before H or its workspace exists; a
-    start over it alone is refused before it runs.  The joins are never
-    refused.
+    share one workspace.  A limit whose price, limit_bytes from n0, is
+    over MEMORY_BUDGET is refused before it runs (refuse_over_budget).
+    Doubling stops with SchurConvergenceError, the last corner its
+    partial, at the block cap n_max or at the conditioning floor (a failed
+    join of blocks PSD to working precision, or a witness that
+    truncated_schur, within budget, does not confirm).
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
-    b, n0 = max(k + 1, m), start_blocks(m, k, n_max)
-    refuse_over_budget(_start_bytes(q.size, m, k, n0), f"Schur limit not started: truncation N = {n0}")
+    b, n0 = max(k + 1, m), refuse_over_budget(q.size, m, k, n_max, f"S({k}) not computed")
     scale = max(q.scale, 1e-300)
-    need, tol = limit_bytes(q, k, n0), DEFAULT_CONV_TOL * scale
+    tol = DEFAULT_CONV_TOL * scale
     s_prev = truncated_schur(q, k, n0)
-    n, h, older, gap = n0, None, None, math.inf
-    while (n_next := 2 * n) <= n_max and (h is not None or need <= MEMORY_BUDGET):
+    h = block_toeplitz(q, 2 * b)  # the raw 2b-block truncation, its own end-block complement
+    work = _join_workspace(h)
+    n, older, gap = n0, None, math.inf
+    while (n_next := 2 * n) <= n_max:
         try:
-            if h is None:  # the raw 2b-block truncation, its own end-block complement
-                h = block_toeplitz(q, 2 * b)
-                work = _join_workspace(h)
             if n_next > 2 * b:  # from n0 = b, H is already the 2b truncation
                 h = _join(h, scale, n_next, work)
             corner = _complement(h[:v, :v], h[v:, :v], h[v:, v:], scale, n_next)
@@ -332,11 +330,7 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
                 return SchurResult(linalg.from_lower(s_next), n_next, gap, converged=True)
         older, s_prev, n = s_prev, s_next, n_next
     else:
-        cause = (
-            f"at block cap N = {n_max} (expected near boundary zeros of Q)" if n_next > n_max
-            else f"at N = {n}: truncation N = {n_next} would need about "
-            f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B"
-        )
+        cause = f"at block cap N = {n_max} (expected near boundary zeros of Q)"
     if gap is None:
         gap = _gap_norm(older, s_prev)
     partial = SchurResult(value=linalg.from_lower(s_prev), n_used=n, gap=gap, converged=False)

@@ -2,19 +2,19 @@
 # into enlarged block coefficients: the Cesaro-weighted polynomial Q^(N),
 # Q's dense box times the column weights, is exactly the one-variable
 # symbol of a compressed block Toeplitz operator, read off that box by
-# sliding windows, so one-variable factorization applies; splitting the
-# factor's block columns back out gives at most N+1 analytic factors,
-# views of one stacked copy of the lifted coefficients.  Strictly positive
-# polynomials are factored exactly by pre-applying the inverse weights, at
-# the first N of a doubling chain whose lift factors; the N whose reweighting
-# error stays below the positivity margin certifies that one exists.
+# one poly.toeplitz_blocks gather, so one-variable factorization (and its
+# memory check) applies; splitting the factor's block columns back out
+# gives at most N+1 analytic factors, views of one stacked copy of the
+# lifted coefficients.  Strictly positive polynomials are factored exactly
+# by pre-applying the inverse weights, at the first N of a doubling chain
+# whose lift factors; the N whose reweighting error stays below the
+# positivity margin certifies that one exists.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import factor1d, verify
 from .factor1d import FactorNumericalError, FactorReport, NotNonnegativeError
@@ -23,6 +23,7 @@ from .poly import (
     MatrixAnalyticPoly2,
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
+    toeplitz_blocks,
 )
 
 DEFAULT_MARGIN = 1.0 / 3.0
@@ -140,12 +141,11 @@ def lift_to_block(q: MatrixLaurentPoly2, n: int) -> MatrixLaurentPoly1:
     """
     if n < q.deg2:
         raise ValueError(f"need N >= m2 = {q.deg2}, got N = {n}")
-    # Row j reversed, padded to k = N..-N: its window p holds Q_{j, p-s} at s.
-    rev = np.zeros((len(q.dense), 2 * n + 1) + q.dense.shape[2:], dtype=complex)
-    rev[:, n - q.deg2 : n + q.deg2 + 1] = q.dense[:, ::-1] / (n + 1)
-    win = sliding_window_view(rev, n + 1, axis=1)[:, ::-1].transpose(0, 1, 2, 4, 3)
-    lifted = win.reshape(len(rev), q.size * (n + 1), -1)  # a read-only view if r = 1
-    return MatrixLaurentPoly1._from_box(np.require(lifted, requirements="CW"))
+    # Row j of the box between zero slabs is a 1-D stack: one gather lifts every row.
+    stack = np.zeros((len(q.dense), 2 * q.deg2 + 3) + q.dense.shape[2:], dtype=complex)
+    stack[:, 1:-1] = q.dense / (n + 1)
+    idx = np.arange(n + 1)
+    return MatrixLaurentPoly1._from_box(toeplitz_blocks(stack, idx, idx))
 
 
 def unlift_factor(phi: MatrixAnalyticPoly1, r: int, n: int) -> list[MatrixAnalyticPoly2]:
@@ -173,25 +173,19 @@ def _factor_lifted(
     n: int,
     target: MatrixLaurentPoly2,
     grid: verify.GridSpec,
-    factor_opts: dict,
+    n_max: int,
     **tolerances,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
-    # Refuse a lift over the memory budget before building it, priced by
-    # limit_bytes as schur_limit prices it, and factor the lift with
-    # factor1d.factor.  The operator Fejer-Riesz theorem factors the lift
-    # exactly when the lift is nonnegative, so its own Toeplitz screen and
-    # Schur witnesses decide, not a grid screen of q; constructed and
-    # outer-checked there, it is verified once, by the 2-D residual, then
-    # held to factor1d.BACKWARD_TOL.
-    size, m1 = q.size * (n + 1), q.deg1
-    n_max = factor_opts.get("n_max", factor1d.DEFAULT_N_MAX)
-    n0 = factor1d.start_blocks(m1, m1, n_max)
-    factor1d.refuse_over_budget(factor1d.limit_bytes((size, m1), m1, n0),
-                                f"lift of size {size} not built: its Schur limit from N = {n0}")
+    # Refuse a lift over the memory budget before building it, by the check
+    # schur_limit makes, and factor the lift with factor1d.factor.  The
+    # operator Fejer-Riesz theorem factors the lift exactly when the lift is
+    # nonnegative, so its own Toeplitz screen and Schur witnesses decide,
+    # not a grid screen of q; constructed and outer-checked there, it is
+    # verified once, by the 2-D residual, then held to factor1d.BACKWARD_TOL.
+    size = q.size * (n + 1)
+    factor1d.refuse_over_budget(size, q.deg1, q.deg1, n_max, f"lift of size {size} not built")
     psi = lift_to_block(q, n)
-    phi, rep1d = factor1d.factor(
-        psi, grid=verify.GridSpec(grid.g1), _skip_residual=True, **factor_opts
-    )
+    phi, rep1d = factor1d.factor(psi, n_max, verify.GridSpec(grid.g1), _skip_residual=True)
     factors = unlift_factor(phi, q.size, n)
     report = replace(
         rep1d,
@@ -205,7 +199,7 @@ def factor_cesaro(
     q: MatrixLaurentPoly2,
     n: int,
     grid: verify.GridSpec | None = None,
-    **factor_opts,
+    n_max: int = factor1d.DEFAULT_N_MAX,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport]:
     """Sum-of-squares factorization of the Cesaro-smoothed polynomial Q^(N).
 
@@ -213,7 +207,7 @@ def factor_cesaro(
     reported residual is against Q^(N) on the verification grid.
     """
     grid = grid or verify.GridSpec(6, 6)
-    return _factor_lifted(q, n, cesaro_smooth(q, n), grid, factor_opts)
+    return _factor_lifted(q, n, cesaro_smooth(q, n), grid, n_max)
 
 
 def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
@@ -262,7 +256,7 @@ def factor_strict(
     margin: float = DEFAULT_MARGIN,
     delta_grid: verify.GridSpec | None = None,
     grid: verify.GridSpec | None = None,
-    **factor_opts,
+    n_max: int = factor1d.DEFAULT_N_MAX,
 ) -> tuple[list[MatrixAnalyticPoly2], FactorReport, LiftPlan]:
     """Exact sum-of-squares factorization of a strictly positive polynomial.
 
@@ -271,7 +265,7 @@ def factor_strict(
     certifies plan.n, but N = max(m2, 1) 2^j below it go first, and the first
     converged with outer verdict "verified" is used (tolerances["lift_n"]).
     delta overrides the certified torus lower bound of estimate_delta, which
-    samples grids no finer than delta_grid.
+    samples grids no finer than delta_grid; n_max caps every lifted limit.
     """
     delta_grid = delta_grid or verify.GridSpec(9, 9)
     grid = grid or verify.GridSpec(6, 6)
@@ -286,7 +280,7 @@ def factor_strict(
     for n in [base << j for j in range(plan.n.bit_length()) if base << j < plan.n] + [plan.n]:
         try:
             factors, report = _factor_lifted(
-                inverse_cesaro(q, n), n, q, grid, factor_opts, delta_est=delta_est, margin=margin
+                inverse_cesaro(q, n), n, q, grid, n_max, delta_est=delta_est, margin=margin
             )
         except (NotNonnegativeError, FactorNumericalError) as exc:
             if n < plan.n:

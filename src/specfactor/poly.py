@@ -337,12 +337,12 @@ def adjoint_product_list2(fs) -> MatrixLaurentPoly2:
 
 def toeplitz_blocks(stack: np.ndarray, block_rows: np.ndarray, block_cols: np.ndarray) -> np.ndarray:
     """The 1-d block rows and columns of the block Toeplitz matrix with block
-    (p, s) = Q_{p-s} = stack[len(stack) // 2 + p - s], the offset clamped
-    to the zero end slabs: one clamped offset per block, one gather."""
-    h, r = len(stack) // 2, stack.shape[1]
-    d = block_rows[:, None] - block_cols + h  # a fresh array, clamped in place to [0, 2h]
-    blocks = stack[np.minimum(np.maximum(d, 0, out=d), 2 * h, out=d)].transpose(0, 2, 1, 3)
-    return blocks.reshape(len(block_rows) * r, len(block_cols) * r)
+    (p, s) = Q_{p-s} = stack[..., len // 2 + p - s, :, :], the offset clipped
+    to the zero end slabs: one offset per block, one batched gather."""
+    *batch, length, r, c = stack.shape
+    d = block_rows[:, None] - block_cols + length // 2
+    blocks = np.take(stack, d, axis=-3, mode="clip")  # clip: offsets past the slabs read them
+    return blocks.swapaxes(-3, -2).reshape(*batch, len(block_rows) * r, len(block_cols) * c)
 
 
 def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:

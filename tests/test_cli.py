@@ -197,21 +197,26 @@ class TestFactor:
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        # One byte below the price of the limit from n0 = 8.
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
+        # One byte below the price of the limit from n0 = 8: refused, with
+        # the price in the error, and no factor file.
+        need = factor1d.limit_bytes(q, 3, 8)
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         code, report, _ = run(capsys, ["factor", str(path)])
         assert code == 3
-        assert report["converged"] is False
-        assert report["N_used"] == 8
+        assert f"from N = 8 would need about {need:.3e} B" in report["error"]
+        assert not (tmp_path / "ridged.json.factor.json").exists()
 
     def test_infinite_gap_prints_strict_json(self, capsys, tmp_path, monkeypatch):
-        # A budget that refuses the first doubling leaves gap = inf.
-        from specfactor import corpus, factor1d
+        # A conditioning floor in the first doubling's join leaves gap = inf.
+        from specfactor import corpus, linalg
+
+        def floored(a, b, c, scale):
+            raise linalg.NotPSDError("not positive definite")
 
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
+        monkeypatch.setattr(linalg, "cholesky_complement", floored)
         code = cli.main(["factor", str(path)])
         out = capsys.readouterr().out
 
@@ -223,17 +228,17 @@ class TestFactor:
         assert report["gap"] is None
         assert report["N_used"] == 8
 
-    def test_degraded_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
-        from specfactor import corpus, factor1d
+    def test_degraded_reason_on_stderr(self, capsys, tmp_path):
+        # The block cap N = 8 stops the limit after one doubling.
+        from specfactor import corpus
 
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         path = tmp_path / "ridged.json"
         save_poly(path, q)
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
-        code, report, err = run(capsys, ["factor", str(path)])
+        code, report, err = run(capsys, ["factor", str(path), "--max-trunc", "8"])
         assert code == 3
-        assert "would need about" in err
-        assert "would need about" not in json.dumps(report)
+        assert "degraded: slow Schur convergence" in err and "block cap N = 8" in err
+        assert "block cap" not in json.dumps(report)
 
     def test_default_tol_is_the_backward_stability_bound(self):
         from specfactor import factor1d

@@ -124,37 +124,41 @@ class TestSchurLimit:
         assert not err.value.partial.converged
 
     def test_memory_budget_stops_doubling(self, monkeypatch):
-        # A budget one byte below the limit's price from n0 stops it at n0,
-        # before any doubling, with the byte estimate in the message.
+        # The whole price from n0 decides: one byte below it the limit is
+        # refused before it runs, with the price and n0 in the message and
+        # no partial, from schur_limit and factor alike; at the price
+        # exactly it runs to convergence.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 2 * (m + 1)
         need = factor1d.limit_bytes(q, m, n0)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
-        with pytest.raises(SchurConvergenceError) as err:
-            schur_limit(q, m)
-        assert f"need about {need:.3e} B" in str(err.value)
-        assert err.value.partial.n_used == n0
-        assert err.value.gap == np.inf
+        for run in (lambda: schur_limit(q, m), lambda: factor(q)):
+            with pytest.raises(SchurConvergenceError) as err:
+                run()
+            assert f"from N = {n0} would need about {need:.3e} B" in str(err.value)
+            assert err.value.partial is None and err.value.gap == np.inf
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
+        assert schur_limit(q, m).converged
         _, rep = factor(q)
-        assert not rep.converged
-        assert rep.n_used == n0
-        assert rep.gap == np.inf
+        assert rep.converged and rep.n_used > n0
 
     def test_memory_budget_refuses_the_start(self, monkeypatch, capsys, tmp_path):
-        # A budget below the price of truncated_schur at n0 alone (163,840 B
-        # here) refuses the limit before it runs: no partial, no large array,
-        # in schur_limit, factor and the CLI alike.  At that price exactly,
-        # the limit runs its start and stops at n0.
+        # One byte below the price from n0 = 8 (950,272 B here) the limit is
+        # refused before it runs: no partial, no large array, one message in
+        # schur_limit, factor and the CLI alike, and no factor file.  At that
+        # price exactly, the limit runs to convergence.
         import json
 
         from specfactor import cli
         from specfactor.poly import save_poly
 
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 8, 3)
-        message = ("Schur limit not started: truncation N = 8 would need about 1.638e+05 B, "
-                   "over the memory budget of 1.000e+00 B")
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 1)
+        need = factor1d.limit_bytes(q, 3, 8)
+        assert need == 950_272
+        message = (f"S(3) not computed: its Schur limit from N = 8 would need about {need:.3e} B, "
+                   f"over the memory budget of {need - 1:.3e} B")
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(SchurConvergenceError) as err:
@@ -173,10 +177,9 @@ class TestSchurLimit:
         code = cli.main(["factor", str(path)])
         assert code == 3
         assert json.loads(capsys.readouterr().out) == {"error": message}
-        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", 163_840)
-        with pytest.raises(SchurConvergenceError) as err:
-            schur_limit(q, 3)
-        assert err.value.partial.n_used == 8
+        assert not (tmp_path / "ridged.json.factor.json").exists()
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
+        assert schur_limit(q, 3).converged
 
     def test_memory_budget_never_refuses_a_join(self, monkeypatch):
         # The joins' arrays are 2b-block squares at every N: a budget that
@@ -190,16 +193,17 @@ class TestSchurLimit:
         assert res.n_used > 8 * n0
 
     def test_a_refused_first_doubling_builds_no_chain(self, monkeypatch):
-        # Stopped at n0 by the budget, the limit builds neither the raw
-        # truncation its chain of joins starts from nor the join workspace.
+        # Refused by the budget, the limit builds neither its start's banded
+        # truncation, nor the raw truncation its chain of joins starts
+        # from, nor the join workspace.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         built = []
-        monkeypatch.setattr(factor1d, "block_toeplitz", lambda *args: built.append(args))
-        monkeypatch.setattr(factor1d, "_join_workspace", lambda *args: built.append(args))
+        for name in ("truncated_schur", "block_toeplitz", "_join_workspace"):
+            monkeypatch.setattr(factor1d, name, lambda *args: built.append(args))
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
         with pytest.raises(SchurConvergenceError) as err:
             schur_limit(q, 3)
-        assert err.value.partial.n_used == 8 and built == []
+        assert err.value.partial is None and built == []
 
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
     def test_price_covers_the_traced_peak(self, r, m, monkeypatch):
@@ -308,7 +312,7 @@ class TestSegmentDoubling:
         # b = max(k + 1, m): the start is 2b, the raw truncation the joins
         # start from, unless 4b > n_max, where it is b; so the start of
         # factor (k = m) is 2(m + 1) whenever n_max >= 4(m + 1).  The limit
-        # starts there: a budget one byte below its price stops it at the start.
+        # is priced from there: one byte below its price, the refusal names it.
         rng = np.random.default_rng(506)
         for m in range(1, 6):
             q, _ = corpus.ridged_instance(rng, 1, m)
@@ -321,7 +325,8 @@ class TestSegmentDoubling:
                         assert start == 2 * (m + 1)
                     monkeypatch.setattr(factor1d, "MEMORY_BUDGET",
                                         factor1d.limit_bytes(q, k, start) - 1)
-                    assert limit_or_partial(q, k, n_max=n_max).n_used == start
+                    with pytest.raises(SchurConvergenceError, match=f"from N = {start} would"):
+                        schur_limit(q, k, n_max=n_max)
 
     def test_one_join_per_doubling(self, monkeypatch):
         # From n0 = 2b, whose corner truncated_schur checks, every doubling

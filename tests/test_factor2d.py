@@ -743,6 +743,32 @@ class TestFactorStrict:
         assert rep.n_used == 4 and not rep.converged
         assert "block cap N = 4" in rep.degraded_reason
 
+    def test_one_refusal_for_one_variable_and_lifts(self, monkeypatch):
+        # A ridged r = 2, m = 1 input and plane(4.2)'s N = 1 lift (size 2,
+        # m1 = 1) share one price from n0 = 4 and one check: one byte below
+        # it both are refused with that price before the limit or the lift
+        # is built; at the price both converge.
+        q, _ = corpus.ridged_instance(np.random.default_rng(3), 2, 1)
+        need = factor1d.limit_bytes((2, 1), 1, 4)
+        built, lift = [], factor2d.lift_to_block
+        for name in ("truncated_schur", "block_toeplitz", "_join_workspace"):
+            monkeypatch.setattr(factor1d, name, lambda *args, name=name: built.append(name))
+        monkeypatch.setattr(factor2d, "lift_to_block", lambda *args: built.append("lift"))
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need - 1)
+        prices = []
+        for run in (lambda: factor1d.factor(q), lambda: factor_strict(plane(4.2))):
+            with pytest.raises(factor1d.SchurConvergenceError) as info:
+                run()
+            assert info.value.partial is None and built == []
+            prices.append(str(info.value).split(": ", 1)[1])
+        assert prices[0] == prices[1]
+        assert prices[0].startswith(f"its Schur limit from N = 4 would need about {need:.3e} B")
+        monkeypatch.undo()
+        monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
+        assert factor1d.factor(q)[1].converged
+        _, rep, _ = factor_strict(plane(4.2))
+        assert rep.converged and rep.tolerances["lift_n"] == 1
+
     def test_near_singular_plane_factors_at_the_smallest_lift(self):
         # plane(4.001) certifies N = 3532, a lift over the memory budget,
         # but its lift at N = 1 has least eigenvalue 0.001 and factors Q.

@@ -77,6 +77,13 @@ def referenced_names(node) -> set:
     return names
 
 
+def test_the_memory_policy_is_factor1d_alone():
+    # factor2d refuses a lift through factor1d.refuse_over_budget and prices
+    # nothing itself.
+    names = referenced_names(ast.parse((PACKAGE / "factor2d.py").read_text()))
+    assert names.isdisjoint({"start_blocks", "limit_bytes", "MEMORY_BUDGET"})
+
+
 def test_every_definition_is_used_or_exported():
     # A top-level function or class of the library is read by another
     # statement of the library (its own body does not count; __init__.py's
