@@ -71,14 +71,9 @@ class NotNonnegativeError(ValueError):
 
 
 class SchurConvergenceError(RuntimeError):
-    """Truncation hit the block cap or the conditioning floor before the
-    gap closed; partial is None when refuse_over_budget refused the limit
-    over the memory budget before it ran."""
-
-    def __init__(self, message, gap, partial):
-        super().__init__(message)
-        self.gap = gap
-        self.partial = partial
+    """A Schur limit, of one variable or of a lift, refused over the memory
+    budget before anything is built (refuse_over_budget); inside
+    schur_limit alone, also _complement's signal of the conditioning floor."""
 
 
 class FactorNumericalError(RuntimeError):
@@ -91,12 +86,15 @@ class UnpairedRootError(ValueError):
 
 @dataclass
 class SchurResult:
-    """Approximated corner Schur complement with truncation metadata."""
+    """The corner complement at truncation N = n_used and its gap to the one
+    before; unconverged where the limit stopped short, as reason says, and
+    still an upper bound for the limit in the PSD order."""
 
     value: np.ndarray
     n_used: int
     gap: float
     converged: bool
+    reason: str = ""
 
 
 @dataclass
@@ -154,8 +152,8 @@ def _complement(a, b, c, scale: float, n_blocks: int) -> np.ndarray:
     """Lower triangle of a - b* c^(-1) b for the PSD block c (lower
     triangles read) by linalg.cholesky_complement.  If c fails to
     eliminate, the truncation at N = n_blocks is not PSD, unless c is PSD
-    to working precision (the conditioning floor: SchurConvergenceError
-    with no partial)."""
+    to working precision: the conditioning floor, SchurConvergenceError,
+    which schur_limit turns into its unconverged result."""
     if not b.any():  # Q constant or zero: nothing to eliminate
         return a.copy()  # never a's memory: a join's a is its workspace
     try:
@@ -163,9 +161,8 @@ def _complement(a, b, c, scale: float, n_blocks: int) -> np.ndarray:
     except linalg.NotPSDError as exc:
         lo = float(np.linalg.eigvalsh(c)[0])
         if lo >= -TRUNCATION_PSD_TOL * scale:
-            raise SchurConvergenceError(
-                f"conditioning floor at truncation N = {n_blocks} (eliminated block "
-                f"eigenvalue {lo:.3e})", gap=math.inf, partial=None) from exc
+            raise SchurConvergenceError(f"conditioning floor at truncation N = {n_blocks} "
+                                        f"(eliminated block eigenvalue {lo:.3e})") from exc
         raise _witness(n_blocks, "eliminated blocks not positive definite", lo) from exc
 
 
@@ -203,7 +200,7 @@ def truncated_schur(q: MatrixLaurentPoly1, k: int, n_blocks: int) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise _witness(n_blocks, "eliminated blocks not positive definite") from exc
         s -= coupling.conj().T @ x
-        np.divide(np.add(s, s.conj().T, out=s), 2, out=s)  # (s + s*)/2: conj() is a copy
+        s = linalg.hermitian_part(s)
     return _checked_corner(s, n_blocks)
 
 
@@ -261,12 +258,11 @@ def start_blocks(m: int, k: int, n_max: int) -> int:
 def refuse_over_budget(r: int, m: int, k: int, n_max: int, what: str) -> int:
     """n0 = start_blocks(m, k, n_max) for the Schur limit on the leading k+1
     blocks of an r x r input of degree m, unless its price limit_bytes((r, m),
-    k, n0) is over MEMORY_BUDGET: then SchurConvergenceError, no partial."""
+    k, n0) is over MEMORY_BUDGET: then SchurConvergenceError."""
     n0 = start_blocks(m, k, n_max)
     if (need := limit_bytes((r, m), k, n0)) > MEMORY_BUDGET:
-        raise SchurConvergenceError(
-            f"{what}: its Schur limit from N = {n0} would need about {need:.3e} B, over the "
-            f"memory budget of {MEMORY_BUDGET:.3e} B", gap=math.inf, partial=None)
+        raise SchurConvergenceError(f"{what}: its Schur limit from N = {n0} would need about "
+                                    f"{need:.3e} B, over the memory budget of {MEMORY_BUDGET:.3e} B")
     return n0
 
 
@@ -290,10 +286,10 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
     bound for the gap, lets it pass, or where it is reported.  All joins
     share one workspace.  A limit whose price, limit_bytes from n0, is
     over MEMORY_BUDGET is refused before it runs (refuse_over_budget).
-    Doubling stops with SchurConvergenceError, the last corner its
-    partial, at the block cap n_max or at the conditioning floor (a failed
-    join of blocks PSD to working precision, or a witness that
-    truncated_schur, within budget, does not confirm).
+    Doubling that stops short, at the block cap n_max or at the
+    conditioning floor (a failed join of blocks PSD to working precision,
+    or a witness that truncated_schur, within budget, does not confirm),
+    returns the last corner unconverged, with its gap and the reason.
     """
     m, v = q.degree, (k + 1) * q.size  # v: the corner's order
     b, n0 = max(k + 1, m), refuse_over_budget(q.size, m, k, n_max, f"S({k}) not computed")
@@ -333,10 +329,8 @@ def schur_limit(q: MatrixLaurentPoly1, k: int, n_max: int = DEFAULT_N_MAX) -> Sc
         cause = f"at block cap N = {n_max} (expected near boundary zeros of Q)"
     if gap is None:
         gap = _gap_norm(older, s_prev)
-    partial = SchurResult(value=linalg.from_lower(s_prev), n_used=n, gap=gap, converged=False)
-    raise SchurConvergenceError(
-        f"slow Schur convergence: gap {gap:.3e} {cause}", gap=gap, partial=partial
-    )
+    return SchurResult(linalg.from_lower(s_prev), n, gap, converged=False,
+                       reason=f"slow Schur convergence: gap {gap:.3e} {cause}")
 
 
 def factor(
@@ -349,9 +343,10 @@ def factor(
     """Factor a circle-nonnegative Laurent polynomial as Q = P*P with
     P analytic, degree <= deg Q, and P(0) Hermitian PSD.
 
-    Near-boundary-zero inputs that exhaust the truncation budget are not
-    rejected: the factorization completes with the convergence gap
-    recorded in the report, and the residual is then gap-dominated.
+    A limit that stops short (block cap or conditioning floor) rejects no
+    input: its last corner, an upper bound for S(m), gives the factor, its
+    gap and reason (degraded_reason) go in the report, and the residual is
+    then gap-dominated.  Over the memory budget, SchurConvergenceError.
     A block cap n_max below 2(m + 1) leaves no room to double the S(m)
     truncation even once and raises ValueError.  The two-variable lift
     alone passes _skip_residual: it reports NaN for a residual the caller
@@ -379,13 +374,7 @@ def factor(
     # [P_0* P_m, ..., P_0* P_0]: P_0 is the root of the corner block, and
     # one minimum-norm solve, which keeps every P_k inside ran P_0, gives
     # the rest.
-    reason = ""
-    try:
-        res = schur_limit(q, m, n_max=n_max)
-    except SchurConvergenceError as err:
-        if err.partial is None:
-            raise
-        res, reason = err.partial, str(err)
+    res = schur_limit(q, m, n_max=n_max)
     last = res.value[m * r :, :]
     p0 = linalg.psd_sqrt(last[:, m * r :], clamp_tol=CLAMP_TOL)
     coeffs = [p0]
@@ -420,7 +409,7 @@ def factor(
             "grid_g": grid.g1,
             "scale": scale,
         },
-        degraded_reason=reason,
+        degraded_reason=res.reason,
     )
     return phat, backward_checked(report, scale)
 

@@ -244,7 +244,7 @@ def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
         sec = 1.0
         for m, g in zip(degs, logs):
             sec /= np.cos(np.pi * m / (1 << g))
-        bound = (hi + lo) / 2 - sec * (hi - lo) / 2
+        bound = hi / 2 + lo / 2 - sec * (hi / 2 - lo / 2)  # halved first: no overflow
         if lo - bound <= lo / 10 or logs == list(top):
             return float(bound)
         logs = [min(g + 1, t) for g, t in zip(logs, top)]

@@ -71,10 +71,10 @@ def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if vals.shape[-1] == 1:
         return vals[..., 0, 0].real, vals[..., 0, 0].real
     if vals.shape[-1] == 2:
-        # mid -+ rad for the Hermitian part [[a, b], [conj(b), d]].
-        a, d = vals[..., 0, 0].real, vals[..., 1, 1].real
-        b = (vals[..., 0, 1] + np.conj(vals[..., 1, 0])) / 2
-        mid, rad = (a + d) / 2, np.hypot((a - d) / 2, np.abs(b))
+        # mid -+ rad of the Hermitian part [[a, b], [conj(b), d]], from halves: no overflow.
+        a, d = vals[..., 0, 0].real / 2, vals[..., 1, 1].real / 2
+        b = vals[..., 0, 1] / 2 + np.conj(vals[..., 1, 0]) / 2
+        mid, rad = a + d, np.hypot(a - d, np.abs(b))
         return mid - rad, mid + rad
     eigs = np.linalg.eigvalsh(hermitian_part(vals))
     return eigs[..., 0], eigs[..., -1]

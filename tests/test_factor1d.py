@@ -115,19 +115,42 @@ class TestSchurLimit:
                     assert lo >= -1e-10 * scale
                 prev = cur
 
-    def test_slow_convergence_raises_with_partial(self):
+    def test_slow_convergence_returns_unconverged(self):
         q = scalar_laurent({0: 2.0, 1: 1.0})  # boundary zero at z = -1
-        with pytest.raises(SchurConvergenceError) as err:
-            schur_limit(q, 0, n_max=64)
-        assert err.value.gap > 0
-        assert err.value.partial.value.shape == (1, 1)
-        assert not err.value.partial.converged
+        res = schur_limit(q, 0, n_max=64)
+        assert res.gap > 0
+        assert res.value.shape == (1, 1)
+        assert not res.converged
+        assert res.reason == (f"slow Schur convergence: gap {res.gap:.3e} at block cap N = 64 "
+                              "(expected near boundary zeros of Q)")
+
+    def test_every_short_stop_returns_its_reason(self, monkeypatch):
+        # The block cap, a floored join and a join witness the banded
+        # truncation does not confirm each return the last corner unconverged,
+        # its reason the one factor reports (a degraded limit is never
+        # backward-checked).
+        ridged, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
+        for q, target, name, stand_in, n_used, cause in (
+            (scalar_laurent({0: 2.0, 1: 1.0}), None, None, None, 4096, "at block cap N = 4096"),
+            (ridged, linalg, "cholesky_complement", floored, 8,
+             "at N = 8: conditioning floor at truncation N = 16 (eliminated block eigenvalue"),
+            (ridged, factor1d, "_join", witness_at_64, 32,
+             "at N = 32: conditioning floor, unconfirmed: witness at truncation N = 64"),
+        ):
+            with monkeypatch.context() as patch:
+                if target is not None:
+                    patch.setattr(target, name, stand_in)
+                res = schur_limit(q, q.degree)
+                _, rep = factor(q)
+            assert not res.converged and res.n_used == n_used
+            assert res.reason.startswith(f"slow Schur convergence: gap {res.gap:.3e} {cause}")
+            assert not rep.converged and rep.degraded_reason == res.reason
 
     def test_memory_budget_stops_doubling(self, monkeypatch):
         # The whole price from n0 decides: one byte below it the limit is
-        # refused before it runs, with the price and n0 in the message and
-        # no partial, from schur_limit and factor alike; at the price
-        # exactly it runs to convergence.
+        # refused before it runs, with the price and n0 in the message, from
+        # schur_limit and factor alike; at the price exactly it runs to
+        # convergence.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         m = q.degree
         n0 = 2 * (m + 1)
@@ -137,7 +160,6 @@ class TestSchurLimit:
             with pytest.raises(SchurConvergenceError) as err:
                 run()
             assert f"from N = {n0} would need about {need:.3e} B" in str(err.value)
-            assert err.value.partial is None and err.value.gap == np.inf
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", need)
         assert schur_limit(q, m).converged
         _, rep = factor(q)
@@ -145,7 +167,7 @@ class TestSchurLimit:
 
     def test_memory_budget_refuses_the_start(self, monkeypatch, capsys, tmp_path):
         # One byte below the price from n0 = 8 (950,272 B here) the limit is
-        # refused before it runs: no partial, no large array, one message in
+        # refused before it runs: no large array, one message in
         # schur_limit, factor and the CLI alike, and no factor file.  At that
         # price exactly, the limit runs to convergence.
         import json
@@ -168,10 +190,9 @@ class TestSchurLimit:
             tracemalloc.stop()
         assert peak < 2**16
         assert str(err.value) == message
-        assert err.value.partial is None and err.value.gap == math.inf
         with pytest.raises(SchurConvergenceError) as err:
             factor(q)
-        assert str(err.value) == message and err.value.partial is None
+        assert str(err.value) == message
         path = tmp_path / "ridged.json"
         save_poly(path, q)
         code = cli.main(["factor", str(path)])
@@ -201,9 +222,9 @@ class TestSchurLimit:
         for name in ("truncated_schur", "block_toeplitz", "_join_workspace"):
             monkeypatch.setattr(factor1d, name, lambda *args: built.append(args))
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 3, 8) - 1)
-        with pytest.raises(SchurConvergenceError) as err:
+        with pytest.raises(SchurConvergenceError, match="over the memory budget"):
             schur_limit(q, 3)
-        assert err.value.partial is None and built == []
+        assert built == []
 
     @pytest.mark.parametrize("r, m", [(2, 3), (17, 1)])
     def test_price_covers_the_traced_peak(self, r, m, monkeypatch):
@@ -239,14 +260,14 @@ class TestSchurLimit:
         for fallback, n0 in ((True, b), (False, 2 * b)):
             start_at(monkeypatch, fallback)
             price = factor1d.limit_bytes(q, m, n0)
-            assert traced_peak(lambda: limit_or_partial(q, m, n_max=8 * n0)) <= price
+            assert traced_peak(lambda: schur_limit(q, m, n_max=8 * n0)) <= price
 
     def test_values_leave_the_limit_exactly_hermitian(self):
-        # Inside the limit only lower triangles are kept; its converged value,
-        # its partial and truncated_schur are exactly Hermitian.
+        # Inside the limit only lower triangles are kept; its value, converged
+        # or not, and truncated_schur are exactly Hermitian.
         rng = np.random.default_rng(8)
         for q in (corpus.ridged_instance(rng, 3, 2)[0], boundary_instance(rng, 2, 2)):
-            for s in (limit_or_partial(q, 2).value, limit_or_partial(q, 2, n_max=32).value,
+            for s in (schur_limit(q, 2).value, schur_limit(q, 2, n_max=32).value,
                       truncated_schur(q, 2, 24)):
                 np.testing.assert_array_equal(s, s.conj().T)
 
@@ -273,14 +294,21 @@ def boundary_instance(rng, r, m):
     return adjoint_product(MatrixAnalyticPoly1(coeffs))
 
 
-def limit_or_partial(q, k, **kwargs):
-    try:
-        return schur_limit(q, k, **kwargs)
-    except SchurConvergenceError as err:
-        return err.partial
-
-
 START_BLOCKS = factor1d.start_blocks
+JOIN = factor1d._join
+
+
+def floored(a, b, c, scale):
+    # A stand-in for linalg.cholesky_complement that fails every
+    # elimination: on a valid input each is a conditioning floor.
+    raise linalg.NotPSDError("not positive definite")
+
+
+def witness_at_64(h, scale, n_blocks, work):
+    # A stand-in for factor1d._join whose join at N = 64 finds a witness.
+    if n_blocks == 64:
+        raise NotNonnegativeError("witness at truncation N = 64", min_eig=-1.0, n_blocks=64)
+    return JOIN(h, scale, n_blocks, work)
 
 
 def start_at(monkeypatch, fallback):
@@ -303,7 +331,7 @@ class TestSegmentDoubling:
                     for k in sorted({0, m - 1, m, m + 1}):
                         for fallback in (False, True):
                             start_at(monkeypatch, fallback)
-                            res = limit_or_partial(q, k, n_max=512)
+                            res = schur_limit(q, k, n_max=512)
                             assert res.n_used in {max(k + 1, m) * 2**j for j in range(10)}
                             direct = truncated_schur(q, k, res.n_used)
                             assert np.max(np.abs(res.value - direct)) <= 1e-10 * q.scale
@@ -348,7 +376,7 @@ class TestSegmentDoubling:
         for q, k, n0, n_used in ((scalar_laurent({0: 2.0, 1: 1.0}), 1, 4, 4096),
                                  (corpus.ridged_instance(np.random.default_rng(0), 3, 4)[0], 4, 10, 160)):
             steps.clear()
-            assert limit_or_partial(q, k).n_used == n_used
+            assert schur_limit(q, k).n_used == n_used
             doublings = [n0 * 2**j for j in range(1, n_used.bit_length() - n0.bit_length() + 1)]
             assert doublings[-1] == n_used
             assert steps == [("corner", n0)] + [(what, n) for n in doublings for what in ("join", "corner")]
@@ -364,7 +392,7 @@ class TestSegmentDoubling:
             _, rep = factor(q, n_max=2 * (m + 1))
             assert rep.n_used == 2 * (m + 1) and 0 < rep.gap < np.inf
             assert "block cap" in rep.degraded_reason
-            res = limit_or_partial(q, m, n_max=2 * (m + 1))
+            res = schur_limit(q, m, n_max=2 * (m + 1))
             direct = truncated_schur(q, m, 2 * (m + 1))
             assert np.max(np.abs(res.value - direct)) <= 1e-12 * q.scale
         assert joins == []
@@ -384,7 +412,7 @@ class TestSegmentDoubling:
         # the gap is up to rounding; either way there is no witness, a stop
         # is labelled, and a converged report is backward stable.
         q = scalar_laurent({0: 2.0, 1: 1.0})
-        res = limit_or_partial(q, 1, n_max=2**32)
+        res = schur_limit(q, 1, n_max=2**32)
         assert res.n_used >= 2**30 and 0 <= res.gap < 1e-8
         _, rep = factor(q, n_max=2**32)
         assert (rep.n_used, rep.gap, rep.converged) == (res.n_used, res.gap, res.converged)
@@ -394,38 +422,27 @@ class TestSegmentDoubling:
             assert "conditioning floor" in rep.degraded_reason
 
     def test_a_first_doubling_at_the_floor_keeps_the_start(self, monkeypatch):
-        # A floor in the first doubling's join leaves gap = inf and the n0
-        # corner, truncated_schur's, as the partial.
-        def floored(a, b, c, scale):
-            raise linalg.NotPSDError("not positive definite")
-
+        # A floor in the first doubling's join returns the n0 corner,
+        # truncated_schur's, unconverged with gap = inf.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
         start = truncated_schur(q, 3, 8)
         monkeypatch.setattr(linalg, "cholesky_complement", floored)
-        with pytest.raises(SchurConvergenceError, match="conditioning floor at truncation N = ") as err:
-            schur_limit(q, 3)
-        assert err.value.gap == np.inf
-        assert err.value.partial.n_used == 8 and err.value.partial.gap == np.inf
-        np.testing.assert_array_equal(err.value.partial.value, start)
+        res = schur_limit(q, 3)
+        assert not res.converged and "conditioning floor at truncation N = " in res.reason
+        assert res.n_used == 8 and res.gap == np.inf
+        np.testing.assert_array_equal(res.value, start)
         _, rep = factor(q)
         assert not rep.converged and rep.n_used == 8 and rep.gap == np.inf
 
     def test_a_witness_the_truncation_does_not_confirm_is_a_floor(self, monkeypatch):
         # A join witness at N = 64 on a valid input: truncated_schur(q, k, 64)
-        # is PSD, so the limit stops at the floor with its N = 32 partial.
+        # is PSD, so the limit stops at the floor, returning its N = 32 corner.
         q, _ = corpus.ridged_instance(np.random.default_rng(5), 2, 3)
-        join = factor1d._join
-
-        def witness_at_64(h, scale, n_blocks, work):
-            if n_blocks == 64:
-                raise NotNonnegativeError("witness at truncation N = 64", min_eig=-1.0, n_blocks=64)
-            return join(h, scale, n_blocks, work)
-
         monkeypatch.setattr(factor1d, "_join", witness_at_64)
-        with pytest.raises(SchurConvergenceError, match="at N = 32: conditioning floor, "
-                           "unconfirmed: witness at truncation N = 64") as err:
-            schur_limit(q, 3)
-        assert err.value.partial.n_used == 32 and 0 < err.value.gap < np.inf
+        res = schur_limit(q, 3)
+        assert not res.converged
+        assert "at N = 32: conditioning floor, unconfirmed: witness at truncation N = 64" in res.reason
+        assert res.n_used == 32 and 0 < res.gap < np.inf
 
     def test_a_witness_is_confirmed_only_within_the_budget(self, monkeypatch):
         # The negative input's witness at N = 128 stands when truncated_schur
@@ -435,10 +452,10 @@ class TestSegmentDoubling:
         with pytest.raises(NotNonnegativeError, match="witness at truncation N = 128"):
             schur_limit(q, 1)
         monkeypatch.setattr(factor1d, "MEMORY_BUDGET", factor1d.limit_bytes(q, 1, 128) - 1)
-        with pytest.raises(SchurConvergenceError, match="at N = 64: conditioning floor, "
-                           "unconfirmed: Q not nonnegative") as err:
-            schur_limit(q, 1)
-        assert err.value.partial.n_used == 64
+        res = schur_limit(q, 1)
+        assert not res.converged
+        assert "at N = 64: conditioning floor, unconfirmed: Q not nonnegative" in res.reason
+        assert res.n_used == 64
 
     @pytest.mark.parametrize("n_max", [4096, 2**20])
     def test_rank_deficient_inputs_converge(self, n_max):
@@ -481,7 +498,7 @@ class TestSegmentDoubling:
             return banded(*args, **kwargs)
 
         monkeypatch.setattr(factor1d, "solveh_banded", counted)
-        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        res = schur_limit(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
         assert calls == [2]  # the 2 blocks of the n0 = 4 truncation past its corner
 
@@ -497,7 +514,7 @@ class TestSegmentDoubling:
             return kernel(*args)
 
         monkeypatch.setattr(linalg, "cholesky_complement", counted)
-        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        res = schur_limit(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
         assert len(calls) == 20
         calls.clear()
@@ -524,7 +541,7 @@ class TestSegmentDoubling:
 
         monkeypatch.setattr(linalg, "_potrf", counted_potrf)
         monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
-        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        res = schur_limit(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert res.n_used == 4096
         assert factorizations == [0] * 31
         assert solves == []
@@ -558,7 +575,7 @@ class TestBackwardStable:
         converged = 0
         for p in (1, 2, 3, 4):
             q = binomial_square(p)
-            res = limit_or_partial(q, p, n_max=2**32)
+            res = schur_limit(q, p, n_max=2**32)
             _, rep = factor(q, n_max=2**32)
             assert (rep.n_used, rep.gap) == (res.n_used, res.gap)
             stable = rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
@@ -677,7 +694,7 @@ class TestCholeskyVerdicts:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        res = limit_or_partial(scalar_laurent({0: 2.0, 1: 1.0}), 1)
+        res = schur_limit(scalar_laurent({0: 2.0, 1: 1.0}), 1)
         assert (res.n_used, calls) == (4096, [2])  # one 2 x 2 gap
         assert res.gap == pytest.approx(2.443e-4, rel=1e-3)
         calls.clear()
@@ -703,7 +720,7 @@ class TestCholeskyVerdicts:
             for m in (1, 2, 3):
                 for q in (corpus.ridged_instance(rng, r, m)[0], boundary_instance(rng, r, m)):
                     for k in sorted({m - 1, m}):
-                        res = limit_or_partial(q, k, n_max=512)
+                        res = schur_limit(q, k, n_max=512)
                         value, n_used, gap = limit_reference(q, k, 512)
                         np.testing.assert_array_equal(res.value, value)
                         assert (res.n_used, res.gap) == (n_used, gap)
@@ -865,10 +882,9 @@ class TestFactor:
         # residual stays gap-dominated rather than hard-failing
         assert rep.residual_sup <= 10 * rep.gap
         # gap and N_used are those of the single S(m) limit
-        with pytest.raises(SchurConvergenceError) as err:
-            schur_limit(q, 1, n_max=256)
-        assert rep.gap == err.value.partial.gap
-        assert rep.n_used == err.value.partial.n_used == 256
+        res = schur_limit(q, 1, n_max=256)
+        assert rep.gap == res.gap
+        assert rep.n_used == res.n_used == 256
 
     def test_cap_below_one_doubling_raises(self):
         q = scalar_laurent({0: 5.0, 1: 2.0})
@@ -1046,3 +1062,14 @@ class TestAnyScale:
         assert got.residual_sup / (s * self.Q.scale) == pytest.approx(
             want.residual_sup / self.Q.scale, abs=1e-13
         )
+
+    @pytest.mark.parametrize("c0", [1e308, 1.5e308])
+    def test_near_the_largest_double(self, c0):
+        # c0 + (c0/4)(z + 1/z), a valid input near the top of the range: the
+        # Hermitian part of truncated_schur's corner is taken from halves, so
+        # it neither overflows (a warning is an error here) nor leaves an
+        # inf that rejects the input.
+        q = scalar_laurent({0: c0, 1: c0 / 4})
+        _, rep = factor(q)
+        assert rep.converged and rep.n_used == 32 and rep.outer_verdict == "verified"
+        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale

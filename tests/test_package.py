@@ -84,6 +84,26 @@ def test_the_memory_policy_is_factor1d_alone():
     assert names.isdisjoint({"start_blocks", "limit_bytes", "MEMORY_BUDGET"})
 
 
+def test_a_limit_that_stops_short_returns_and_only_a_refusal_raises():
+    # schur_limit returns its last corner wherever it stops: no module reads
+    # or sets an attribute named partial, and SchurConvergenceError is built
+    # only by refuse_over_budget and by _complement, whose conditioning
+    # floor schur_limit catches.
+    partial, built = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr == "partial":
+                    partial.append(where)
+                elif isinstance(node, ast.Call) and "SchurConvergenceError" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    built.append(where)
+    assert partial == []
+    assert built == ["factor1d._complement", "factor1d.refuse_over_budget"]
+
+
 def test_every_definition_is_used_or_exported():
     # A top-level function or class of the library is read by another
     # statement of the library (its own body does not count; __init__.py's

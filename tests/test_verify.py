@@ -543,6 +543,16 @@ class TestClosedFormExtremes:
         np.testing.assert_array_equal(lo, vals[:, 0, 0].real)
         np.testing.assert_array_equal(hi, vals[:, 0, 0].real)
 
+    def test_a_power_of_two_scales_the_extremes_exactly(self):
+        # Each term is halved before it is added, so at 2^1023 nothing
+        # overflows (a warning is an error here) and grid_min_eig scales
+        # bit for bit.
+        coeffs = {0: np.diag([1.0, 0.9]), 1: np.array([[0.25, 0.1], [0.0, 0.2]])}
+        s = 2.0**1023
+        want = grid_min_eig(MatrixLaurentPoly1.from_causal(2, coeffs))
+        got = grid_min_eig(MatrixLaurentPoly1.from_causal(2, {k: s * c for k, c in coeffs.items()}))
+        assert (got.min_eig, got.max_eig) == (s * want.min_eig, s * want.max_eig)
+
 
 def det_poly_reference(p):
     # det P at the roots of unity by complex powers, then the forward DFT
