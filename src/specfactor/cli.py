@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import corpus, factor1d, factor2d, poly, verify
+from . import corpus, factor1d, factor2d, linalg, poly, verify
 from .factor1d import (
     FactorNumericalError,
     NotNonnegativeError,
@@ -24,12 +24,12 @@ from .poly import (
     MatrixLaurentPoly1,
     MatrixLaurentPoly2,
     PolyFormatError,
+    block_toeplitz,
     eval1,
     eval2,
     load_poly,
     poly_to_json,
     save_poly,
-    toeplitz_psd_check,
 )
 
 EXIT_OK = 0
@@ -91,13 +91,9 @@ def cmd_check(args) -> int:
         "scale": q.scale,
     }
     ok = grid_ok
-    if isinstance(q, MatrixLaurentPoly1):
-        tp = toeplitz_psd_check(q, q.degree + 1, tol=args.tol)
-        report["toeplitz_psd"] = {
-            "ok": tp.ok,
-            "min_eig": tp.min_eig,
-            "N": tp.n_blocks,
-        }
+    if isinstance(q, MatrixLaurentPoly1):  # the screen's verdict, with its eigenvalue always solved
+        tp = linalg.psd_check(block_toeplitz(q, q.degree + 1), tol=args.tol)
+        report["toeplitz_psd"] = {"ok": tp.ok, "min_eig": tp.min_eig, "N": q.degree + 1}
         ok = ok and tp.ok
     report["ok"] = ok
     _emit(report, f"check: min eig {gm.min_eig:.6e} at {gm.point} -> {'OK' if ok else 'FAIL'}")
@@ -327,7 +323,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": reason}, sort_keys=True))
         print(reason if oom else f"convergence failure: {reason}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (PolyFormatError, FileNotFoundError, ValueError) as exc:
+    except (PolyFormatError, OSError, ValueError) as exc:  # a missing file, a directory as a file
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,16 +8,16 @@
 # two copies of an end-block complement, from the raw 2b-block truncation
 # on, with one small dense solve, lower triangles only.  That solve,
 # and every corner complement, is linalg.cholesky_complement, as in
-# linalg.schur_complement; a corner's PSD verdict is one more Cholesky,
-# with eigenvalues only for a witness, which the banded truncation must
-# confirm; a gap is solved only where it can decide or is reported; and a
-# block PSD to working precision that still fails to eliminate stops the
-# limit at its conditioning floor.  One check refuses a limit, a lift's too,
-# priced over the memory budget before it builds anything.  P_0 is the
-# square root of the corner block of S(m), and one range-restricted solve
-# against P_0 reads P_1..P_m off its last block row; converged also means
-# backward stable.  A classical scalar root-pairing construction serves as
-# an independent oracle.
+# linalg.schur_complement.  Every PSD decision (the screen, a corner, a
+# failed elimination) is linalg.psd_verdict, eigenvalues only where its
+# Cholesky fails: a witness, which the banded truncation must confirm, or
+# a block PSD to working precision, the conditioning floor, which stops
+# the limit.  Only the gap calls eigvalsh itself, where it can decide or
+# is reported.  One check refuses a limit, a lift's too, priced over the
+# memory budget before it builds anything.  P_0 is the square root of the
+# corner block of S(m), and one range-restricted solve against P_0 reads
+# P_1..P_m off its last block row; converged also means backward stable.
+# A scalar root-pairing construction is an independent oracle.
 
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .poly import (
     MatrixAnalyticPoly1,
     MatrixLaurentPoly1,
     block_toeplitz,
-    circle_values,
     toeplitz_blocks,
     toeplitz_psd_check,
 )
@@ -159,17 +158,15 @@ def _complement(a, b, c, scale: float, n_blocks: int) -> np.ndarray:
     try:
         return linalg.cholesky_complement(a, b, c, scale)
     except linalg.NotPSDError as exc:
-        lo = float(np.linalg.eigvalsh(c)[0])
-        if lo >= -TRUNCATION_PSD_TOL * scale:
+        ok, lo = linalg.psd_verdict(c, TRUNCATION_PSD_TOL)
+        if ok:
             raise SchurConvergenceError(f"conditioning floor at truncation N = {n_blocks} "
-                                        f"(eliminated block eigenvalue {lo:.3e})") from exc
+                                        "(eliminated block PSD to working precision)") from exc
         raise _witness(n_blocks, "eliminated blocks not positive definite", lo) from exc
 
 
 def _checked_corner(s: np.ndarray, n_blocks: int) -> np.ndarray:
-    if linalg.cholesky_psd(s, TRUNCATION_PSD_TOL):
-        return s
-    ok, lo = linalg.psd_check(linalg.from_lower(s), tol=TRUNCATION_PSD_TOL)
+    ok, lo = linalg.psd_verdict(s, TRUNCATION_PSD_TOL)
     if not ok:
         raise _witness(n_blocks, f"corner complement eigenvalue {lo:.6e}", lo)
     return s
@@ -448,8 +445,7 @@ def scalar_root_factor(q: MatrixLaurentPoly1) -> MatrixAnalyticPoly1:
     if q.size != 1:
         raise ValueError("root-pairing oracle is scalar-only")
     m, scale = q.degree, q.scale
-    vals = circle_values(q.dense, -m, 10)[:, 0, 0].real
-    vmin = float(np.min(vals))
+    vmin = verify.grid_min_eig(q, verify.GridSpec(10)).min_eig
     if vmin < -1e-9 * scale:
         raise NotNonnegativeError(
             f"q not nonnegative on circle: sampled value {vmin:.6e}", min_eig=vmin

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import factor1d, verify
+from . import factor1d, linalg, verify
 from .factor1d import FactorNumericalError, FactorReport, NotNonnegativeError
 from .poly import (
     MatrixAnalyticPoly1,
@@ -115,8 +115,8 @@ def choose_truncation(
     lies in [s/(N+1), s/(N+1-m2)], so that N is one of floor(s/c) ...
     floor(s/c) + m2 for the threshold c of the test, or m2: N scans the
     m2 + 3 from one below (never past TRUNCATION_CAP) upward."""
-    if delta_est <= 0:
-        raise ValueError(f"delta_est must be positive, got {delta_est}")
+    if not 0 < delta_est < np.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta_est}")
     if not 0 < margin < 1:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
     budget = delta_est * (1.0 - margin)
@@ -225,7 +225,9 @@ def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
     the smallest power of two >= max(64, 4 m_i); the grid doubles while
     the guard lo - bound exceeds lo / 10, never past grid, which is the
     finest grid the bound may use.  A grid minimum lo <= 0 already proves
-    Q is not strictly positive and is returned as it is.
+    Q is not strictly positive and is returned as it is.  Where hi passes
+    the largest double, the bound is that of Q s, s = pow2_scale(q.dense),
+    divided by s.
     """
     degs = (q.deg1, q.deg2)
     top = (grid.g1, grid.axis2)
@@ -241,6 +243,9 @@ def estimate_delta(q: MatrixLaurentPoly2, grid: verify.GridSpec) -> float:
         lo, hi = gm.min_eig, gm.max_eig
         if lo <= 0:
             return lo
+        if hi == np.inf:  # Q passes the largest double: bound Q s, s a power of two, exactly
+            s = linalg.pow2_scale(q.dense)
+            return estimate_delta(MatrixLaurentPoly2._from_box(q.dense * s), grid) / s
         sec = 1.0
         for m, g in zip(degs, logs):
             sec /= np.cos(np.pi * m / (1 << g))

@@ -1,11 +1,11 @@
 # Dense complex Hermitian linear algebra of the factorization engine: one
 # Hermitian part that cannot overflow, one validated eigensolver (its
-# Hermitian test relative, at every scale) behind the PSD verdicts that
-# solve for eigenvalues and behind P_0 (eigvalsh for values alone, eigh for
-# the clamped PSD square root), one Cholesky Schur-complement kernel on
-# potrf/trtrs/herk, which every dense elimination of the construction and
-# the public schur_complement go through, a one-potrf PSD test tried before
-# any eigensolve, scipy's banded Hermitian solve on pbsv/ptsv, and
+# Hermitian test relative, at every scale) behind psd_check and P_0
+# (eigvalsh for values alone, eigh for the clamped PSD square root), the
+# construction's one PSD verdict, psd_verdict (one potrf, psd_check only
+# where it fails: min_eig is NaN where potrf decides), one Cholesky
+# Schur-complement kernel on potrf/trtrs/herk for every dense elimination,
+# schur_complement's too, scipy's banded Hermitian solve on pbsv/ptsv, and
 # range-restricted minimum-norm solves, whose rank decision is one LAPACK
 # SVD.  These routines (and verify's ggev) are the complex ones of scipy's
 # compiled scipy.linalg._flapack and _fblas, loaded at import without the
@@ -131,7 +131,7 @@ def eig_hermitian(h, *, vectors: bool = True) -> EigenPair:
     columns are the corresponding eigenvectors; vectors=False solves for
     the eigenvalues alone (numpy.linalg.eigvalsh) and leaves basis None.
     psd_check and psd_sqrt solve through it; the Schur limit's gap and
-    conditioning floor, and verify's grid stacks, call eigvalsh directly.
+    verify's grid stacks call eigvalsh directly.
     """
     h = check_hermitian(h)
     if not vectors:
@@ -162,6 +162,15 @@ def cholesky_psd(h: np.ndarray, tol: float) -> bool:
     shifted.reshape(-1)[:: len(h) + 1] += floor / 2  # one copy, its diagonal in place
     chol, info = _potrf(shifted, lower=1, clean=0)
     return info == 0 and bool(np.isfinite(chol).all())
+
+
+def psd_verdict(h, tol: float) -> PsdVerdict:
+    """The construction's one PSD decision, on h's lower triangle (its upper
+    one finite, and not read): (True, nan) where cholesky_psd(h, tol) passes,
+    with no eigensolve, else psd_check(from_lower(h), tol)."""
+    if cholesky_psd(h, tol):
+        return PsdVerdict(True, math.nan)
+    return psd_check(from_lower(h), tol)
 
 
 def solveh_banded(ab, b, lower=True) -> np.ndarray:

@@ -6,12 +6,12 @@
 # coeff, one repr), read-only but for the 1-D analytic kind; the 1-D
 # Laurent box is the inside of a stack padded with zero slabs, which only
 # toeplitz_blocks, the one Toeplitz gather, and the Schur code read.  Also
-# evaluation, adjoint products, the Toeplitz PSD screen, JSON.
+# evaluation, adjoint products, JSON, and the Toeplitz PSD screen, which is
+# linalg.psd_verdict on the truncation: no eigensolve of its own.
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -353,30 +353,11 @@ def block_toeplitz(q: MatrixLaurentPoly1, n_blocks: int) -> np.ndarray:
     return toeplitz_blocks(q.stack, idx, idx)
 
 
-class ToeplitzVerdict:
-    """linalg.psd_check's verdict on the N-block Toeplitz truncation of q;
-    min_eig, the truncation's smallest eigenvalue, is solved on first read
-    (from q: the truncation itself is not kept)."""
-
-    def __init__(self, q: MatrixLaurentPoly1, n_blocks: int, ok: bool, min_eig: float | None = None):
-        self._q, self.n_blocks, self.ok = q, n_blocks, ok
-        if min_eig is not None:
-            self.min_eig = min_eig
-
-    @cached_property
-    def min_eig(self) -> float:
-        return linalg.psd_check(block_toeplitz(self._q, self.n_blocks)).min_eig
-
-
-def toeplitz_psd_check(q: MatrixLaurentPoly1, n_blocks: int, tol: float = 0.0) -> ToeplitzVerdict:
+def toeplitz_psd_check(q: MatrixLaurentPoly1, n_blocks: int, tol: float = 0.0) -> linalg.PsdVerdict:
     """PSD test of the N-block Toeplitz truncation (necessary for circle
-    nonnegativity at every N): psd_check(T, tol).ok, decided by
-    linalg.cholesky_psd(T, tol) where that passes, else by psd_check."""
-    t = block_toeplitz(q, n_blocks)
-    if linalg.cholesky_psd(t, tol):
-        return ToeplitzVerdict(q, n_blocks, True)
-    ok, lo = linalg.psd_check(t, tol=tol)
-    return ToeplitzVerdict(q, n_blocks, ok, lo)
+    nonnegativity at every N): linalg.psd_verdict(T, tol), whose ok is
+    psd_check(T, tol).ok and whose min_eig is NaN where potrf decides."""
+    return linalg.psd_verdict(block_toeplitz(q, n_blocks), tol)
 
 
 # -- vectorized grid evaluation (used by the verification module) ------------

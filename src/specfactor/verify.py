@@ -4,11 +4,13 @@
 # solve (LAPACK zggev of scipy.linalg._flapack, the module linalg loads).
 # It reads only Q and the factor coefficients, never the Schur limits,
 # truncations or solves that built the factor.  The grid minimum reads one
-# sampled stack of either kind.  A residual in one variable or two takes
-# the Gram coefficients of the row-stacked factor list F from Q's z1
-# coefficients, both on the z2 grid first in two, and transforms Q - F* F
-# once along z1 (in two, z^k read off the grid at k mod 2^g, as the DFT of
-# one folds it).  Grid eigenvalue extremes for r <= 2 are closed-form.
+# sampled stack of either kind, of Q times a power of two, which does not
+# overflow, and builds its witness point alone.  A residual in one
+# variable or two takes the Gram coefficients of the row-stacked factor
+# list F from Q's z1 coefficients, both on the z2 grid first in two, and
+# transforms Q - F* F once along z1 (in two, z^k read off the grid at
+# k mod 2^g, as the DFT of one folds it).  Grid eigenvalue extremes for
+# r <= 2 are closed-form.
 
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .poly import (
     MatrixLaurentPoly2,
     circle_grid,
     circle_values,
-    eval2_grid,
     eval2_z1,
     eval2_z2,
 )
@@ -72,8 +73,9 @@ def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return vals[..., 0, 0].real, vals[..., 0, 0].real
     if vals.shape[-1] == 2:
         # mid -+ rad of the Hermitian part [[a, b], [conj(b), d]], from halves: no overflow.
+        # b is halved by * 0.5, not by a complex division by 2: only |b| is read.
         a, d = vals[..., 0, 0].real / 2, vals[..., 1, 1].real / 2
-        b = vals[..., 0, 1] / 2 + np.conj(vals[..., 1, 0]) / 2
+        b = vals[..., 0, 1] * 0.5 + np.conj(vals[..., 1, 0]) * 0.5
         mid, rad = a + d, np.hypot(a - d, np.abs(b))
         return mid - rad, mid + rad
     eigs = np.linalg.eigvalsh(hermitian_part(vals))
@@ -82,19 +84,25 @@ def _eig_range_stack(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def grid_min_eig(q, grid: GridSpec = GridSpec()) -> GridMin:
     """Minimum eigenvalue of Q over the sampling grid, with the attaining
-    point, and the maximum eigenvalue over the grid from the same solve."""
-    if isinstance(q, MatrixLaurentPoly1):
-        vals, axes = circle_values(q.dense, -q.origin[0], grid.g1), (grid.points1(),)
-    elif isinstance(q, MatrixLaurentPoly2):
-        vals, axes = eval2_grid(q, grid.g1, grid.axis2), (grid.points1(), grid.points2())
-    else:
+    point, and the maximum eigenvalue over the grid from the same solve.
+    Q is sampled times s = pow2_scale(q.dense), exactly, so its values
+    neither overflow nor underflow; only the two extremes are divided by s
+    (a max_eig past the largest double is inf), and only the point is built,
+    circle_grid's own bits."""
+    if not isinstance(q, (MatrixLaurentPoly1, MatrixLaurentPoly2)):
         raise TypeError(f"cannot grid-sample object of type {type(q).__name__}")
+    s = pow2_scale(q.dense)
+    if isinstance(q, MatrixLaurentPoly1):
+        logs, vals = (grid.g1,), circle_values(q.dense * s, -q.origin[0], grid.g1)
+    else:  # eval2_grid's two contractions
+        logs, (o1, o2) = (grid.g1, grid.axis2), q.origin
+        vals = eval2_z1(eval2_z2(q.dense * s, -o2, grid.axis2), -o1, grid.g1)
     mins, maxs = _eig_range_stack(vals)
-    at = np.unravel_index(int(np.argmin(mins)), mins.shape)
+    at = np.unravel_index(int(mins.argmin()), mins.shape)
     return GridMin(
-        min_eig=float(mins[at]),
-        point=tuple(complex(zs[i]) for zs, i in zip(axes, at)),
-        max_eig=float(np.max(maxs)),
+        min_eig=float(mins[at]) / s,
+        point=tuple(complex(np.exp(2j * np.pi * i / (1 << g))) for g, i in zip(logs, at)),
+        max_eig=float(maxs.max()) / s,
     )
 
 

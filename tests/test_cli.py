@@ -123,8 +123,16 @@ class TestCheck:
         code, _, _ = run(capsys, ["check", "/nonexistent/q.json"])
         assert code == 2
 
+    def test_a_directory_as_the_file_is_an_input_error(self, capsys, tmp_path):
+        code, report, _ = run(capsys, ["check", str(tmp_path)])
+        assert code == 2 and str(tmp_path) in report["error"]
+
 
 class TestFactor:
+    def test_a_directory_as_out_is_an_input_error(self, capsys, strict_1d, tmp_path):
+        code, report, _ = run(capsys, ["factor", strict_1d, "--out", str(tmp_path)])
+        assert code == 2 and str(tmp_path) in report["error"]
+
     def test_writes_verified_factor_file(self, capsys, strict_1d, tmp_path):
         out = str(tmp_path / "p.json")
         code, report, _ = run(capsys, ["factor", strict_1d, "--out", out])
@@ -274,6 +282,12 @@ class TestFactor2d:
         factors = [poly_from_json(o) for o in objs]
         q = load_poly(strict_2d)
         assert verify.residual(q, factors, verify.GridSpec(6, 6)) <= 1e-6 * q.scale
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_a_non_finite_delta_is_an_input_error(self, capsys, strict_2d, delta):
+        code, report, _ = run(capsys, ["factor2d", strict_2d, "--delta", delta])
+        assert code == 2
+        assert report == {"error": f"delta must be a finite positive number, got {delta}"}
 
     def test_nonstrict_rejected(self, capsys, tmp_path):
         q = MatrixLaurentPoly2.from_causal(

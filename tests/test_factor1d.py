@@ -133,7 +133,7 @@ class TestSchurLimit:
         for q, target, name, stand_in, n_used, cause in (
             (scalar_laurent({0: 2.0, 1: 1.0}), None, None, None, 4096, "at block cap N = 4096"),
             (ridged, linalg, "cholesky_complement", floored, 8,
-             "at N = 8: conditioning floor at truncation N = 16 (eliminated block eigenvalue"),
+             "at N = 8: conditioning floor at truncation N = 16 (eliminated block PSD to working precision)"),
             (ridged, factor1d, "_join", witness_at_64, 32,
              "at N = 32: conditioning floor, unconfirmed: witness at truncation N = 64"),
         ):

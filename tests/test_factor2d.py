@@ -654,6 +654,11 @@ class TestFactorStrict:
         with pytest.raises(NotStrictlyPositiveError, match="not strictly positive"):
             factor_strict(Q_NONSTRICT)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_a_non_finite_delta_is_an_input_error(self, delta):
+        with pytest.raises(ValueError, match=f"^delta must be a finite positive number, got {delta}$"):
+            factor_strict(Q_PLANE, delta=delta)
+
     def test_delta_override(self):
         factors, rep, plan = factor_strict(Q_PLANE, delta=1.0)
         assert plan.delta_est == pytest.approx(1.0)
@@ -950,4 +955,22 @@ class TestAnyScale:
         q = scaled(s)
         _, rep, _ = factor_strict(q)
         assert rep.converged and rep.outer_verdict == "verified" and rep.tolerances["lift_n"] == 1
+        assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale
+
+    def test_values_past_the_largest_double(self):
+        # An r = 2 sum of squares plus a 0.5 scale ridge at scale 1.5e308:
+        # its coefficients' absolute sum passes the largest double, so its
+        # grid maximum is inf, and estimate_delta bounds the input times a
+        # power of two instead, 2^-1021, exactly; it factors and verifies.
+        base = corpus.sos_instance2(np.random.default_rng(1), 2, 1, 1)
+        coeffs = dict(base.coeffs)
+        coeffs[(0, 0)] = coeffs[(0, 0)] + 0.5 * base.scale * np.eye(2)
+        ridged = MatrixLaurentPoly2(2, coeffs)
+        q = MatrixLaurentPoly2(2, {k: c * (1.5e308 / ridged.scale) for k, c in ridged.coeffs.items()})
+        grid, s = verify.GridSpec(9, 9), 2.0**-1021
+        assert verify.grid_min_eig(q, grid).max_eig == math.inf
+        shrunk = MatrixLaurentPoly2(2, {k: c * s for k, c in q.coeffs.items()})
+        assert estimate_delta(q, grid) == estimate_delta(shrunk, grid) / s
+        _, rep, _ = factor_strict(q)
+        assert rep.converged and rep.outer_verdict == "verified"
         assert rep.residual_sup <= factor1d.BACKWARD_TOL * q.scale

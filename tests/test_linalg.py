@@ -14,6 +14,7 @@ from specfactor.linalg import (
     from_lower,
     psd_check,
     psd_sqrt,
+    psd_verdict,
     range_restricted_solve,
     schur_complement,
 )
@@ -213,6 +214,34 @@ class TestCholeskyPsd:
             before = bad.tobytes()
             assert cholesky_psd(bad, 1e-8) == self.summed_form(bad, 1e-8) is False
             assert bad.tobytes() == before  # the input is not written
+
+
+class TestPsdVerdict:
+    TOL = 1e-8
+
+    def test_potrf_first_eigenvalues_only_where_it_fails(self, monkeypatch):
+        # (True, nan) where cholesky_psd passes, with no eigensolve; else
+        # psd_check(from_lower(h), tol), bit for bit.  Only the lower
+        # triangle decides: the upper one holds unrelated finite entries.
+        calls = []
+        eig = linalg.eig_hermitian
+        monkeypatch.setattr(linalg, "eig_hermitian", lambda h, **kw: calls.append(len(h)) or eig(h, **kw))
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 5, 12):
+            for h in (random_psd(rng, n), random_psd(rng, n, rank=max(n // 2, 1)), random_hermitian(rng, n),
+                      np.zeros((n, n), dtype=complex)):
+                lower = np.tril(h) + np.triu(1e3 * random_hermitian(rng, n), 1)
+                decided, ref = cholesky_psd(h, self.TOL), psd_check(from_lower(h), tol=self.TOL)
+                calls.clear()
+                verdict = psd_verdict(lower, self.TOL)
+                if decided:
+                    assert verdict.ok and np.isnan(verdict.min_eig) and calls == []
+                else:
+                    assert verdict == ref and calls == [n]
+
+    def test_an_indefinite_matrix_has_its_eigenvalue(self):
+        verdict = psd_verdict(np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex), self.TOL)
+        assert not verdict.ok and verdict.min_eig == pytest.approx(-1.0)
 
 
 class TestPsdSqrt:

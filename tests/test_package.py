@@ -84,6 +84,20 @@ def test_the_memory_policy_is_factor1d_alone():
     assert names.isdisjoint({"start_blocks", "limit_bytes", "MEMORY_BUDGET"})
 
 
+def test_one_psd_verdict_in_the_construction():
+    # poly and factor1d decide PSD through linalg.psd_verdict alone: no
+    # statement of theirs names cholesky_psd, psd_check or an eigensolver
+    # but factor1d._gap_norm, a norm and not a verdict.
+    solvers = {"cholesky_psd", "psd_check", "eig_hermitian", "eig", "eigh", "eigvals", "eigvalsh"}
+    named = [
+        f"{module}.{getattr(stmt, 'name', '<module>')}"
+        for module in ("poly", "factor1d")
+        for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if referenced_names(stmt) & solvers
+    ]
+    assert named == ["factor1d._gap_norm"]
+
+
 def test_a_limit_that_stops_short_returns_and_only_a_refusal_raises():
     # schur_limit returns its last corner wherever it stops: no module reads
     # or sets an attribute named partial, and SchurConvergenceError is built

@@ -809,7 +809,7 @@ class TestToeplitzPsdCheck:
     def test_nonnegative_passes(self):
         q = scalar_laurent({0: 2.0, 1: 1.0})
         verdict = toeplitz_psd_check(q, 4, tol=1e-12)
-        assert verdict.ok and verdict.n_blocks == 4
+        assert verdict.ok and np.isnan(verdict.min_eig)  # potrf decides
 
     def test_sign_changing_fails(self):
         q = scalar_laurent({0: 0.0, 1: 1.0})
@@ -848,21 +848,28 @@ class TestToeplitzPsdCheck:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
     def test_cholesky_verdict_is_the_eigenvalue_verdict(self, tol):
-        # ok and min_eig equal psd_check(T, tol)'s, min_eig bit for bit
-        # also where the Cholesky decided and it is solved on first read.
+        # ok equals psd_check(T, tol)'s; min_eig is its min_eig bit for bit
+        # where potrf does not decide, and NaN where it does.
+        decided = set()
         for q, n in self.truncations():
             cases = [q]
             if tol > 0 and q.scale > 0 and q.size * n > 1:  # a spectrum to shift apart
                 cases += [self.shifted(q, n, tol, 1 + 1e-3), self.shifted(q, n, tol, 1 - 1e-3)]
             for case in cases:
-                ref = linalg.psd_check(block_toeplitz(case, n), tol=tol)
-                verdict = toeplitz_psd_check(case, n, tol=tol)
-                assert (verdict.ok, verdict.n_blocks) == (ref.ok, n)
-                assert verdict.min_eig == ref.min_eig
+                t = block_toeplitz(case, n)
+                ref, verdict = linalg.psd_check(t, tol=tol), toeplitz_psd_check(case, n, tol=tol)
+                assert verdict.ok == ref.ok
+                if linalg.cholesky_psd(t, tol):
+                    assert ref.ok and np.isnan(verdict.min_eig)
+                    decided.add(True)
+                else:
+                    assert verdict.min_eig == ref.min_eig
+                    decided.add(False)
             if len(cases) == 3:  # the shifts straddle psd_check's threshold
                 assert [toeplitz_psd_check(c, n, tol=tol).ok for c in cases[1:]] == [False, True]
+        assert decided == ({True, False} if tol > 0 else {False})  # tol = 0: below potrf's guard
 
-    def test_min_eig_is_solved_on_first_read(self, monkeypatch):
+    def test_min_eig_is_nan_where_potrf_decides(self, monkeypatch):
         calls = []
         eig = linalg.eig_hermitian
 
@@ -872,12 +879,10 @@ class TestToeplitzPsdCheck:
 
         monkeypatch.setattr(linalg, "eig_hermitian", counted)
         verdict = toeplitz_psd_check(scalar_laurent({0: 2.0, 1: 1.0}), 4, tol=1e-9)
-        assert verdict.ok and calls == []
-        assert verdict.min_eig == pytest.approx(2 - 2 * np.cos(np.pi / 5))
-        assert verdict.min_eig == verdict.min_eig and calls == [4]
+        assert verdict.ok and np.isnan(verdict.min_eig) and calls == []
         failed = toeplitz_psd_check(scalar_laurent({0: 0.0, 1: 1.0}), 2, tol=1e-9)
-        assert not failed.ok and calls == [4, 2]
-        assert failed.min_eig == pytest.approx(-1.0) and calls == [4, 2]
+        assert not failed.ok and calls == [2]
+        assert failed.min_eig == pytest.approx(-1.0)
 
 
 class TestFourierDuality:

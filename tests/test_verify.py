@@ -88,6 +88,32 @@ class TestGridMinEig:
         assert gm.min_eig == pytest.approx(float(eigs[..., 0].min()), abs=1e-12 * q.scale)
         assert gm.max_eig == pytest.approx(float(eigs[..., -1].max()), abs=1e-12 * q.scale)
 
+    @pytest.mark.parametrize("g1, g2", [(3, 4), (9, 5), (12, 3)])
+    def test_the_witness_point_is_the_grids_own(self, g1, g2):
+        # 3 - Re(conj(w1) z1) - Re(conj(w2) z2) is smallest at (w1, w2):
+        # the point grid_min_eig builds alone is circle_grid(g)[i] bit for bit.
+        zs1, zs2 = circle_grid(g1), circle_grid(g2)
+        for i in range(0, 1 << g1, max(1, (1 << g1) // 16) + 1):
+            j = i % len(zs2)
+            one = scalar_laurent({0: 2.0, 1: -np.conj(zs1[i]) / 2})
+            assert np.array(grid_min_eig(one, GridSpec(g1)).point).tobytes() == zs1[[i]].tobytes()
+            two = MatrixLaurentPoly2.from_causal(1, {(0, 0): [[3.0]], (1, 0): [[-np.conj(zs1[i]) / 2]],
+                                                     (0, 1): [[-np.conj(zs2[j]) / 2]]})
+            point = np.array(grid_min_eig(two, GridSpec(g1, g2)).point)
+            assert point.tobytes() == np.array([zs1[i], zs2[j]]).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_values_past_the_largest_double_keep_a_finite_minimum(self, r):
+        # A ridged input at scale 1.5e308 sums past the largest double on
+        # the circle; sampled times a power of two, its minimum is 2^10 times
+        # that of the same input over 2^10, bit for bit, and its maximum inf.
+        q, _ = corpus.ridged_instance(np.random.default_rng(8), r, 3)
+        small = MatrixLaurentPoly1(r, {k: c * (1.5e308 / 1024 / q.scale) for k, c in q.coeffs.items()})
+        big = MatrixLaurentPoly1(r, {k: c * 1024 for k, c in small.coeffs.items()})
+        got, want = grid_min_eig(big, GridSpec(10)), grid_min_eig(small, GridSpec(10))
+        assert 0 < got.min_eig < np.inf and got.max_eig == np.inf
+        assert (got.min_eig, got.point) == (1024 * want.min_eig, want.point)
+
     def test_ridge_shift_monotone(self):
         rng = np.random.default_rng(3)
         q, _ = corpus.ridged_instance(rng, 2, 2)
@@ -178,12 +204,14 @@ class TestResidual2:
             assert residual(q1, [], GridSpec(9)) == pytest.approx(sup, rel=1e-13)
 
     def test_evaluations_do_not_grow_with_the_factor_count(self, monkeypatch):
-        # Whatever the factor count: no grid evaluation of Q, one z2 product
-        # for Q's z1 coefficients and one for the stacked factor, and one z1
-        # product, of Q - F* F, whose output is the (T1, T2, r, r) grid array.
+        # Whatever the factor count: no grid evaluation of Q (verify has no
+        # eval2_grid to call), one z2 product for Q's z1 coefficients and one
+        # for the stacked factor, and one z1 product, of Q - F* F, whose
+        # output is the (T1, T2, r, r) grid array.
         rng = np.random.default_rng(75)
         q = corpus.sos_instance2(rng, 2, 1, 1)
-        names = ("eval2_grid", "eval2_z2", "eval2_z1")
+        assert not hasattr(verify, "eval2_grid")
+        names = ("eval2_z2", "eval2_z1")
         shapes = {}
 
         def spy(name):
@@ -203,7 +231,7 @@ class TestResidual2:
             fs = [corpus.random_analytic2(rng, 2, 1, 1) for _ in range(n_factors)]
             got = residual(q, fs, self.GRID)
             assert got == pytest.approx(residual2_reference(q, fs, self.GRID), rel=1e-13)
-            assert [len(shapes[name]) for name in names] == [0, 2, 1]
+            assert [len(shapes[name]) for name in names] == [2, 1]
             assert shapes["eval2_z1"] == [(32, 16, 2, 2)]
 
 
