@@ -5,7 +5,7 @@
 # construction's one PSD verdict, psd_verdict (one potrf, psd_check only
 # where it fails: min_eig is NaN where potrf decides), one Cholesky
 # Schur-complement kernel on potrf/trtrs/herk for every dense elimination,
-# schur_complement's too, scipy's banded Hermitian solve on pbsv/ptsv, and
+# schur_complement's too, one banded Hermitian solve on pbsv, and
 # range-restricted minimum-norm solves, whose rank decision is one LAPACK
 # SVD.  These routines (and verify's ggev) are the complex ones of scipy's
 # compiled scipy.linalg._flapack and _fblas, loaded at import without the
@@ -48,7 +48,7 @@ def _load(name: str):
 
 
 _flapack, _fblas = _load("_flapack"), _load("_fblas")
-_potrf, _trtrs, _pbsv, _ptsv = _flapack.zpotrf, _flapack.ztrtrs, _flapack.zpbsv, _flapack.zptsv
+_potrf, _trtrs, _pbsv = _flapack.zpotrf, _flapack.ztrtrs, _flapack.zpbsv
 _herk = _fblas.zherk
 
 
@@ -103,7 +103,7 @@ def pow2_scale(a) -> float:
 def hermitian_part(h) -> np.ndarray:
     """(H + H*)/2 of a matrix or a stack, each term halved first: no overflow
     near the largest double, and (H + H*)/2's bits unless a half is subnormal."""
-    half = h / 2  # halving commutes with the adjoint: one halving pass, not two
+    half = h * 0.5  # halving commutes with the adjoint: one halving pass, not two
     return np.add(half, np.conj(np.swapaxes(half, -1, -2)), out=half)
 
 
@@ -174,16 +174,13 @@ def psd_verdict(h, tol: float) -> PsdVerdict:
 
 
 def solveh_banded(ab, b, lower=True) -> np.ndarray:
-    """scipy.linalg.solveh_banded(ab, b, lower=True) bit for bit, without its
-    wrapper: a two-row band by ptsv, a wider one by pbsv, inputs kept, and
-    scipy's errors; only lower band storage, ab[i, j] = H[i + j, j]."""
+    """H x = b for positive definite banded H by one LAPACK pbsv at every
+    bandwidth (scipy's cholesky_banded pbtrf, then cho_solve_banded pbtrs, bit
+    for bit), inputs kept, scipy's errors; lower band storage, ab[i, j] = H[i + j, j]."""
     if lower is not True:
         raise ValueError("only lower band storage (lower=True) is implemented")
     ab, b = np.asarray_chkfinite(ab), np.asarray_chkfinite(b)
-    if len(ab) == 2:
-        *_, x, info = _ptsv(ab[0].real, ab[1, :-1], b)
-    else:
-        _, x, info = _pbsv(ab, b, lower=1)
+    _, x, info = _pbsv(ab, b, lower=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     return x

@@ -1,13 +1,13 @@
 # Matrix-coefficient Laurent and analytic polynomials in one and two
 # variables, laid out here only: one function (_box) puts a coefficient
 # dict, a constructor's or a file's, in a dense box, one array pass
-# (_symmetric) makes a box of either Laurent kind exactly symmetric.  One
-# base, _Poly, holds the box of all four kinds (dense, origin, scale; one
-# coeff, one repr), read-only but for the 1-D analytic kind; the 1-D
-# Laurent box is the inside of a stack padded with zero slabs, which only
-# toeplitz_blocks, the one Toeplitz gather, and the Schur code read.  Also
-# evaluation, adjoint products, JSON, and the Toeplitz PSD screen, which is
-# linalg.psd_verdict on the truncation: no eigensolve of its own.
+# (_symmetric) makes it exactly symmetric in _Laurent, the one constructor
+# path (dict, box, from_causal) of both Laurent kinds.  One base, _Poly,
+# holds the box of all four kinds (dense, origin, scale; one coeff, one
+# repr), read-only but for the 1-D analytic kind; the 1-D Laurent box is
+# the inside of a stack padded with zero slabs, which only toeplitz_blocks,
+# the one Toeplitz gather, and the Schur code read.  Also evaluation,
+# adjoint products, JSON, and the Toeplitz PSD screen (linalg.psd_verdict).
 
 from __future__ import annotations
 
@@ -122,7 +122,34 @@ class _Poly:
         return f"{type(self).__name__}(shape=({self.rows},{self.cols}), degrees=({degrees}))"
 
 
-class MatrixLaurentPoly1(_Poly):
+class _Laurent:
+    """The one construction path of both Laurent kinds (size x size blocks,
+    _nvars indices): _symmetric once, then the kind's _canonical stores."""
+
+    __slots__ = ()
+
+    def __init__(self, size: int, coeffs: dict):
+        self._canonical(_symmetric(_box(coeffs, (size, size), self._nvars, centred=True)))
+
+    @classmethod
+    def _from_box(cls, box: np.ndarray):  # Q_i at box[degrees + i]
+        return cls.__new__(cls)._canonical(_symmetric(box))
+
+    @classmethod
+    def from_causal(cls, size: int, causal: dict):
+        """Build from one coefficient per mirror pair i, -i: each missing mirror
+        is its adjoint, listed after the given blocks, so a bad one is named as given."""
+        plain, neg = ((int, int.__neg__) if cls._nvars == 1 else  # indices as plain ints, and -i
+                      (lambda i: (int(i[0]), int(i[1])), lambda i: (-i[0], -i[1])))
+        given = {plain(i): np.asarray(v, dtype=complex) for i, v in causal.items()}
+        mirrors = {neg(i): m.conj().T for i, m in given.items() if neg(i) != i}
+        if clash := next((i for i in given if i in mirrors), None):  # never the origin
+            raise ValueError(f"from_causal got both {clash} and its mirror {neg(clash)}; "
+                             "give one coefficient per mirror pair")
+        return cls(size, {**given, **mirrors})
+
+
+class MatrixLaurentPoly1(_Laurent, _Poly):
     """One-variable Laurent polynomial sum_k Q_k z^k with r x r coefficients.
 
     Self-adjoint on the unit circle: Q_{-k} must equal Q_k* within
@@ -134,15 +161,9 @@ class MatrixLaurentPoly1(_Poly):
     lists every |k| <= degree in the order 0, 1, -1, 2, -2, ..., views.
     """
 
-    def __init__(self, size: int, coeffs: dict[int, np.ndarray]):
-        self._canonical(_box(coeffs, (size, size), 1, centred=True))
-
-    @classmethod
-    def _from_box(cls, box: np.ndarray) -> "MatrixLaurentPoly1":  # Q_k at box[degree + k]
-        return cls.__new__(cls)._canonical(box)
+    _nvars = 1
 
     def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly1":
-        box = _symmetric(box)
         self.degree = d = len(box) // 2
         self.stack = np.zeros((2 * d + 3,) + box.shape[1:], dtype=complex)
         self.stack[1:-1] = box
@@ -152,14 +173,6 @@ class MatrixLaurentPoly1(_Poly):
         order = (s * k for k in range(d + 1) for s in (1, -1))  # 0, 1, -1, 2, -2, ...
         self.coeffs = MappingProxyType({k: self.dense[d + k] for k in order})
         return self
-
-    @classmethod
-    def from_causal(cls, size: int, causal: dict[int, np.ndarray]) -> "MatrixLaurentPoly1":
-        """Build from coefficients with k >= 0; negative side filled by adjoints."""
-        if any(k < 0 for k in causal):
-            raise ValueError("from_causal expects indices k >= 0")
-        full = {k: np.asarray(v, dtype=complex) for k, v in causal.items()}
-        return cls(size, {**full, **{-k: m.conj().T for k, m in full.items() if k > 0}})
 
 
 class MatrixAnalyticPoly1(_Poly):
@@ -204,7 +217,7 @@ class _Poly2(_Poly):
         return MappingProxyType({(j - o1, k - o2): dense[j, k] for j, k in at})
 
 
-class MatrixLaurentPoly2(_Poly2):
+class MatrixLaurentPoly2(_Laurent, _Poly2):
     """Two-variable Laurent polynomial sum_{j,k} Q_jk z1^j z2^k.
 
     Self-adjoint on the torus: Q_{-j,-k} = Q_jk* within tolerance;
@@ -214,16 +227,9 @@ class MatrixLaurentPoly2(_Poly2):
     """
 
     __slots__ = ("size",)
-
-    def __init__(self, size: int, coeffs: dict[tuple[int, int], np.ndarray]):
-        self._canonical(_box(coeffs, (size, size), 2, centred=True))
-
-    @classmethod
-    def _from_box(cls, box: np.ndarray) -> "MatrixLaurentPoly2":  # Q_jk at box[deg1 + j, deg2 + k]
-        return cls.__new__(cls)._canonical(box)
+    _nvars = 2
 
     def _canonical(self, box: np.ndarray) -> "MatrixLaurentPoly2":
-        box = _symmetric(box)
         self._store(box, (len(box) // 2, box.shape[1] // 2))
         self.size = self.rows
         return self
@@ -231,22 +237,6 @@ class MatrixLaurentPoly2(_Poly2):
     @property
     def coeffs(self) -> MappingProxyType:
         return MappingProxyType({**super().coeffs, (0, 0): self.coeff(0, 0)})
-
-    @classmethod
-    def from_causal(cls, size, causal):
-        """Build from one coefficient per mirror pair; adjoints filled in."""
-        full = {}
-        for (j, k), v in causal.items():
-            if (j, k) in full:
-                raise ValueError(
-                    f"from_causal got both {(-int(j), -int(k))} and its mirror "
-                    f"{(int(j), int(k))}; give one coefficient per mirror pair"
-                )
-            m = np.asarray(v, dtype=complex)
-            full[(j, k)] = m
-            if (j, k) != (0, 0):
-                full[(-j, -k)] = m.conj().T
-        return cls(size, full)
 
 
 class MatrixAnalyticPoly2(_Poly2):

@@ -481,6 +481,21 @@ class TestSegmentDoubling:
             assert err.value.n_blocks == 128
             assert err.value.min_eig < -factor1d.TRUNCATION_PSD_TOL * q.scale
 
+    def test_a_witness_between_grid_points_is_still_rejected(self):
+        # |1 + w z|^2 - 0.01, w = exp(i(pi - pi/16)), dips to -0.01 at z =
+        # exp(i pi/16), halfway between two points of the 16-point grid, on
+        # which its minimum reads +0.0284.  Only the truncation's resolution
+        # sees it: factor rejects the input with a witness at N = 32 rather
+        # than return a degraded factor.
+        w = np.exp(1j * (np.pi - np.pi / 16))
+        q = MatrixLaurentPoly1.from_causal(1, {0: [[1.99]], 1: [[w]]})
+        assert verify.grid_min_eig(q, verify.GridSpec(4)).min_eig == pytest.approx(0.0284, abs=1e-4)
+        assert verify.grid_min_eig(q, verify.GridSpec(10)).min_eig == pytest.approx(-0.01, abs=1e-12)
+        with pytest.raises(NotNonnegativeError, match="witness at truncation N = 32") as err:
+            factor(q)
+        assert err.value.n_blocks == 32
+        assert err.value.min_eig < -factor1d.TRUNCATION_PSD_TOL * q.scale
+
     def test_boundary_zero_degraded_gap(self):
         _, rep = factor(scalar_laurent({0: 2.0, 1: 1.0}))  # |1 + z|^2
         assert not rep.converged

@@ -506,9 +506,9 @@ def hermitian_band(rng, n, bw):
 
 
 class TestSolvehBanded:
-    # linalg.solveh_banded calls LAPACK ptsv/pbsv itself; it must agree
-    # with scipy.linalg.solveh_banded bit for bit, on both of its branches.
-    @pytest.mark.parametrize("bw", [0, 1, 2, 5])  # bw = 1: the two-row band, ptsv
+    # linalg.solveh_banded calls LAPACK pbsv itself at every bandwidth; it
+    # must agree bit for bit with scipy's pbtrf and pbtrs, which pbsv runs.
+    @pytest.mark.parametrize("bw", [0, 1, 2, 5])  # bw = 1: the two-row band
     def test_matches_scipy_bit_for_bit(self, bw):
         rng = np.random.default_rng(50 + bw)
         for n in (bw + 1, bw + 2, 7, 30):  # from the smallest order with bw subdiagonals
@@ -517,7 +517,8 @@ class TestSolvehBanded:
                 b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 kept = ab.copy(), b.copy()
                 got = linalg.solveh_banded(ab, b, lower=True)
-                want = scipy.linalg.solveh_banded(ab, b, lower=True)
+                chol = scipy.linalg.cholesky_banded(ab, lower=True)
+                want = scipy.linalg.cho_solve_banded((chol, True), b)
                 assert got.shape == want.shape == shape
                 assert got.tobytes() == want.tobytes()
                 np.testing.assert_array_equal(ab, kept[0])  # inputs are not overwritten

@@ -11,15 +11,15 @@ import specfactor
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PACKAGE = Path(SRC) / "specfactor"
 
-# The five LAPACK routines and the BLAS routine the library calls, as
+# The four LAPACK routines and the BLAS routine the library calls, as
 # scipy.linalg hands them out, against the module-level names it calls them by.
 SAME_ROUTINES = """
 import sys
 import scipy.linalg
 from specfactor import linalg, verify
 
-got = (linalg._potrf, linalg._trtrs, linalg._pbsv, linalg._ptsv, verify._ggev)
-want = scipy.linalg.get_lapack_funcs(("potrf", "trtrs", "pbsv", "ptsv", "ggev"), dtype=complex)
+got = (linalg._potrf, linalg._trtrs, linalg._pbsv, verify._ggev)
+want = scipy.linalg.get_lapack_funcs(("potrf", "trtrs", "pbsv", "ggev"), dtype=complex)
 assert all(a is b for a, b in zip(got, want)), (got, want)
 assert linalg._herk is scipy.linalg.get_blas_funcs("herk", dtype=complex)
 # one extension module each, initialised once, serves both
@@ -139,3 +139,18 @@ def test_every_definition_is_used_or_exported():
             ):
                 unused.append(f"{name}:{stmt.name}")
     assert unused == []
+
+
+def test_both_laurent_kinds_construct_through_one_base():
+    # poly._Laurent alone holds the dict and box constructors and
+    # from_causal, and alone calls _symmetric: each Laurent kind keeps only
+    # its _nvars, its _canonical storage and its coeffs.
+    tree = ast.parse((PACKAGE / "poly.py").read_text())
+    classes = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    for name in ("MatrixLaurentPoly1", "MatrixLaurentPoly2"):
+        assert classes[name].bases[0].id == "_Laurent"
+        defined = {stmt.name for stmt in classes[name].body if isinstance(stmt, ast.FunctionDef)}
+        assert defined.isdisjoint({"__init__", "_from_box", "from_causal"}), name
+        assert "_symmetric" not in referenced_names(classes[name]), name
+    callers = [stmt.name for stmt in tree.body if "_symmetric" in referenced_names(stmt)]
+    assert callers == ["_Laurent"]

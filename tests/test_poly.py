@@ -76,6 +76,20 @@ class TestLaurentConstruction:
         with pytest.raises(ValueError, match=r"both \(1, 0\) and its mirror \(-1, 0\)"):
             MatrixLaurentPoly2.from_causal(1, {(1, 0): [[1.0]], (-1, 0): [[2.0]]})
 
+    def test_one_variable_from_causal_mirrors_a_lone_negative_index(self):
+        # One coefficient per mirror pair, on either side: Q_-1 = A alone
+        # builds Q_1 = A*, bit for bit the polynomial given Q_1 = A*.
+        a, q0 = E12 + 0.5j * np.eye(2), np.diag([3.0, 4.0])
+        neg = MatrixLaurentPoly1.from_causal(2, {-1: a, 0: q0})
+        pos = MatrixLaurentPoly1.from_causal(2, {1: a.conj().T, 0: q0})
+        assert neg.stack.tobytes() == pos.stack.tobytes()
+        assert list(neg.coeffs) == list(pos.coeffs) == [0, 1, -1]
+        assert np.array_equal(neg.coeff(-1), a)
+
+    def test_one_variable_from_causal_rejects_a_mirror_pair(self):
+        with pytest.raises(ValueError, match=r"both 1 and its mirror -1; give one coefficient per mirror pair"):
+            MatrixLaurentPoly1.from_causal(1, {1: [[1.0]], -1: [[2.0]]})
+
 
 class TestLaurentBox:
     """Both Laurent kinds are canonicalized in one array pass over a box
